@@ -14,10 +14,10 @@ the eigenbasis.  The demo shows:
 
 import numpy as np
 
-from proplab import (HermitianOperator, Potential, adaptor_expectation_series,
-                     build_adaptor, classify_spectrum, conformal_Q, diagonalize,
-                     dilation_Q, fit_decay_rate, gaussian_state, laplacian,
-                     make_grid, projector)
+from proplab import (Potential, adaptor_expectation_series, build_adaptor,
+                     classify_spectrum, conformal_Q, diagonalize, dilation_Q,
+                     fit_decay_rate, gaussian_state, laplacian, make_grid,
+                     multiplication, projector)
 from proplab.adaptors import commutator_closure_defect, residual_weighted_scan
 from proplab.observables import ObservableSeries
 
@@ -25,7 +25,7 @@ print(__doc__)
 
 grid = make_grid("radial3d", 384, 80.0)
 pot = Potential.gaussian(2.0)
-h_op = HermitianOperator(laplacian(grid).matrix + np.diag(pot.v(grid.points)), grid, "H")
+h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 print(f"radial grid n={grid.n}, R={grid.extent}, V = {pot.describe()}")
 print(f"bound states: {len(spec.indices('bound'))} (V >= 0 keeps the spectrum positive)")

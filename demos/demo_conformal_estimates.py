@@ -14,10 +14,9 @@ norm (iterated rate 1/t) and the first-level functional (rate 1/sqrt t).
 
 import numpy as np
 
-from proplab import (HermitianOperator, Potential, build_adaptor,
-                     classify_spectrum, conformal_Q, diagonalize, fit_decay_rate,
-                     gaussian_state, laplacian, make_grid, norm,
-                     trajectory_linear)
+from proplab import (Potential, build_adaptor, classify_spectrum, conformal_Q,
+                     diagonalize, fit_decay_rate, gaussian_state, laplacian,
+                     make_grid, multiplication, norm, trajectory_linear)
 from proplab.suites import (conformal_energy_series, conformal_identity_residual,
                             first_level_series, lp_norm_series)
 
@@ -25,7 +24,7 @@ print(__doc__)
 
 grid = make_grid("radial3d", 512, 100.0)
 pot = Potential.gaussian(2.0)
-h_op = HermitianOperator(laplacian(grid).matrix + np.diag(pot.v(grid.points)), grid, "H")
+h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 psi0 = gaussian_state(grid, width=1.0)
 adaptor = build_adaptor(spec, conformal_Q(pot, grid), 5.0)

@@ -15,9 +15,9 @@ grid refinement.
 
 import numpy as np
 
-from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     classify_spectrum, diagonalize, gaussian_state, laplacian,
-                     make_grid)
+from proplab import (Potential, TimeDependentPotential, classify_spectrum,
+                     commutator_i, diagonalize, gaussian_state, laplacian,
+                     make_grid, multiplication)
 from proplab.suites import (morawetz_cancellation_check,
                             morawetz_commutator_check, morawetz_multiplier,
                             smoothing_integral_fit, wall_trimmed)
@@ -33,7 +33,7 @@ print(f"wall-interior min eig of i[-lap, gamma]: {check.measured:.3e} "
 
 gam = morawetz_multiplier(grid, g_samples)
 lap = laplacian(grid)
-raw = 1j * (lap.matrix @ gam.matrix - gam.matrix @ lap.matrix)
+raw = commutator_i(lap, gam).matrix.toarray()
 raw_min = np.linalg.eigvalsh(raw)[0].real
 a_wall = grid.points[-1] * g_samples[-1]
 print(f"raw matrix min eig: {raw_min:.1f}, an O(a(R)/h^2) wall artifact "
@@ -41,7 +41,7 @@ print(f"raw matrix min eig: {raw_min:.1f}, an O(a(R)/h^2) wall artifact "
       "dropping the outermost point removes it")
 
 pot = Potential.gaussian(1.5, width=1.0, center=3.0)
-h_op = HermitianOperator(lap.matrix + np.diag(pot.v(grid.points)), grid, "H")
+h_op = lap + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 cancel, adaptor = morawetz_cancellation_check(grid, spec, pot, g_samples, horizon=5.0)
 print(f"\nadaptor cancellation of [i[V, gamma]]_-: defect {cancel.measured:.4f} "

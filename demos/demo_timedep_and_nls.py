@@ -11,9 +11,9 @@ data, mass is conserved to roundoff and the sup norm decays.
 
 import numpy as np
 
-from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     classify_spectrum, diagonalize, evolve_nls, fit_decay_rate,
-                     gaussian_state, laplacian, make_grid, norm,
+from proplab import (Potential, TimeDependentPotential, classify_spectrum,
+                     diagonalize, evolve_nls, fit_decay_rate, gaussian_state,
+                     laplacian, make_grid, multiplication, norm,
                      trajectory_split)
 from proplab.evolution import snap_to_lattice
 from proplab.observables import ObservableSeries
@@ -24,7 +24,7 @@ print(__doc__)
 grid = make_grid("radial3d", 384, 80.0)
 pot = Potential.gaussian(0.5)
 w_t = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
-h_op = HermitianOperator(laplacian(grid).matrix + np.diag(pot.v(grid.points)), grid, "H")
+h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 psi0 = gaussian_state(grid, width=1.0)
 

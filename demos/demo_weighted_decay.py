@@ -11,9 +11,9 @@ subspace is evaluated for a well that actually has bound states.
 
 import numpy as np
 
-from proplab import (HermitianOperator, Potential, classify_spectrum,
-                     diagonalize, fit_decay_rate, genericity_margin, laplacian,
-                     make_grid, weighted_propagator_norm)
+from proplab import (Potential, classify_spectrum, diagonalize, fit_decay_rate,
+                     genericity_margin, laplacian, make_grid, multiplication,
+                     weighted_propagator_norm)
 from proplab.grids import transit_energy_limit
 from proplab.observables import ObservableSeries
 from proplab.spectral import resolution_energy_limit
@@ -23,7 +23,7 @@ print(__doc__)
 
 grid = make_grid("radial3d", 512, 100.0)
 pot = Potential.gaussian(2.0)
-h_op = HermitianOperator(laplacian(grid).matrix + np.diag(pot.v(grid.points)), grid, "H")
+h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 print(f"V = {pot.describe()} on radial grid n={grid.n}, R={grid.extent}")
 print(f"delta* = {genericity_margin(spec, laplacian(grid)):.4f} "
@@ -41,7 +41,7 @@ print(f"fitted slope {slope:+.3f} +- {width:.3f}  (theorem: c/t, i.e. slope -1)"
 
 print("\nlens positivity with bound states present:")
 well = Potential.gaussian(-6.0, width=1.0, center=1.5) + Potential.gaussian(0.5, width=1.0, center=3.5)
-h_well = HermitianOperator(laplacian(grid).matrix + np.diag(well.v(grid.points)), grid, "H")
+h_well = laplacian(grid) + multiplication(grid, well.v(grid.points))
 spec_well = classify_spectrum(diagonalize(h_well))
 print(f"  bound states: {len(spec_well.indices('bound'))}")
 e_res = resolution_energy_limit(grid)

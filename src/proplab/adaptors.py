@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, weight_vector
-from .operators import HermitianOperator, Potential, dilation
+from .operators import HermitianOperator, Potential, commutator_i, dilation
 from .spectral import SpectralData
 
 POSITIVITY_RTOL = 1e-8
@@ -170,8 +170,7 @@ def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
                               adaptor: AdaptorOperator) -> float:
     """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
     so this is roundoff-level regardless of physics."""
-    b = adaptor.matrix
-    comm = 1j * (h_op.matrix @ b - b @ h_op.matrix)
+    comm = commutator_i(h_op, adaptor.op).matrix
     idx = spec.continuum_indices()
     cols = spec.eigenvectors[:, idx]
     q_proj = cols @ (cols.conj().T @ (adaptor.q.samples[:, None] * cols)) @ cols.conj().T

@@ -18,8 +18,7 @@ import sys
 from dataclasses import replace
 
 from .scenarios import (ConfigError, SCENARIO_LIBRARY, list_scenarios,
-                        parse_config, render_report, run_scenario,
-                        serialize_config)
+                        parse_config, render_report, run_scenario)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

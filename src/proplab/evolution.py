@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import dst
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
-from .operators import Potential, TimeDependentPotential
+from .operators import Potential, TimeDependentPotential, laplacian
 from .spectral import SpectralData, free_laplacian_eigenvalues
 
 
@@ -172,9 +172,9 @@ def _run_split(stepper: _SplitStepper, psi0, t0: float, t_final: float, dt: floa
     t = t0
     if observer is not None:
         observer(t, u)
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         u = stepper.step(u, t, signed_dt)
-        t += signed_dt
+        t = t0 + k * signed_dt  # from the step index: no drift from repeated addition
         if observer is not None:
             observer(t, u)
     return u, t
@@ -237,10 +237,8 @@ def trajectory_split(grid: Grid, potential: Potential | None,
 
 def nls_energy(grid: Grid, potential: Potential | None, lam: float, state) -> float:
     """Conserved energy functional of the cubic flow (up to O(dt^2) drift)."""
-    from .operators import apply_laplacian
-
     u = np.asarray(state, dtype=complex)
-    kinetic = float(np.real(grid.inner(u, apply_laplacian(grid, u))))
+    kinetic = float(np.real(grid.inner(u, laplacian(grid).apply(u))))
     v = potential.v(grid.points) if potential is not None else 0.0
     pot = float(np.real(grid.inner(u, v * u)))
     quart = 0.5 * lam * grid.quad_weight * float(np.sum(np.abs(u) ** 4))

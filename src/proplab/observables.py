@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import Trajectory
 from .grids import Grid
-from .operators import HermitianOperator
+from .operators import HermitianOperator, heisenberg_derivative
 
 REALNESS_TOL = 1e-9
 MIN_FIT_SAMPLES = 8
@@ -127,12 +127,8 @@ def heisenberg_consistency(traj: Trajectory, prob: PropagationObservable,
     fwd = expectation_value(grid, prob.builder(t + dt_offset).matrix, traj.state_at(t + dt_offset))
     bwd = expectation_value(grid, prob.builder(t - dt_offset).matrix, traj.state_at(t - dt_offset))
     lhs = (fwd - bwd) / (2.0 * dt_offset)
-    state = traj.state_at(t)
-    h_op = h_of_t(t)
-    b_op = prob.builder(t)
-    comm = 1j * (h_op.matrix @ b_op.matrix - b_op.matrix @ h_op.matrix)
-    rhs = expectation_value(grid, comm + prob.db_dt(t).matrix, state)
-    return abs(lhs - rhs)
+    d_h = heisenberg_derivative(h_of_t(t), prob.builder(t), prob.db_dt(t))
+    return abs(lhs - expectation_value(grid, d_h.matrix, traj.state_at(t)))
 
 
 def pres_check(b_series: ObservableSeries, c_norm_sq: ObservableSeries,

@@ -1,6 +1,11 @@
 """Position-basis operators: Laplacian, momentum, dilation, potentials,
 conformal factor, commutators and Heisenberg derivatives.
 
+Every position-basis operator here is banded and is stored as a
+``scipy.sparse`` CSR array, closed under sum, product, adjoint and i[., .].
+Dense matrices come only from the spectral calculus (eigenvectors,
+projectors, the adaptor B_V); a sparse plus dense sum is dense.
+
 The kinetic operator is the 3-point Dirichlet stencil and the momentum is the
 central difference; they are independent discretizations, so continuum
 identities that mix them hold weakly on smooth states with O(h^2) error.
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grids import Grid
 
@@ -23,27 +29,24 @@ HERMITICITY_RTOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense self-adjoint matrix tagged with its grid and a provenance label."""
+    """Self-adjoint matrix tagged with its grid and a provenance label: a
+    sparse CSR array for banded operators, a dense ndarray for spectral ones."""
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray | sp.csr_array = field(repr=False)
     grid: Grid
     label: str = ""
 
     def __post_init__(self):
-        m = self.matrix
-        scale = float(np.abs(m).max()) or 1.0
-        defect = float(np.abs(m - m.conj().T).max())
+        scale = float(abs(self.matrix).max()) or 1.0
+        defect = self.hermiticity_defect()
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(f"matrix {self.label!r} is not Hermitian: defect {defect:.2e}")
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(abs(self.matrix - self.matrix.conj().T).max())
 
     def apply(self, state):
         return self.matrix @ state
-
-    def expectation(self, state) -> float:
-        return self.grid.expectation(self.matrix, state)
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         _require_same_grid(self, other)
@@ -63,44 +66,31 @@ def _require_same_grid(a: HermitianOperator, b: HermitianOperator):
         raise ValueError(f"operators {a.label!r} and {b.label!r} live on different grids")
 
 
+def _banded(grid: Grid, diagonals: dict) -> sp.csr_array:
+    # complex CSR array from {offset: band}; a scalar band is broadcast
+    return sp.diags_array(list(diagonals.values()), offsets=list(diagonals),
+                          shape=(grid.n, grid.n), dtype=complex).tocsr()
+
+
 def laplacian(grid: Grid) -> HermitianOperator:
     """Minus the second difference with Dirichlet walls: (2 d_ij - d_{|i-j|,1})/h^2.
 
     Symmetric positive definite; eigenvalues (2/h^2)(1 - cos(k pi/(n+1))).
     """
-    n, h = grid.n, grid.h
-    m = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
-         - np.diag(np.ones(n - 1), -1)) / h**2
-    return HermitianOperator(m.astype(complex), grid, "-lap")
-
-
-def apply_laplacian(grid: Grid, state):
-    """Matrix-free action of the Dirichlet stencil."""
-    out = 2.0 * np.asarray(state, dtype=complex)
-    out[:-1] -= state[1:]
-    out[1:] -= state[:-1]
-    return out / grid.h**2
+    h2 = grid.h**2
+    return HermitianOperator(_banded(grid, {-1: -1.0 / h2, 0: 2.0 / h2, 1: -1.0 / h2}),
+                             grid, "-lap")
 
 
 def momentum(grid: Grid) -> HermitianOperator:
     """p = -i d/dx by central differences; Hermitian by antisymmetry."""
-    n, h = grid.n, grid.h
-    m = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1j / (2.0 * h)
-    m[idx + 1, idx] = 1j / (2.0 * h)
-    return HermitianOperator(m, grid, "p")
-
-
-def apply_momentum(grid: Grid, state):
-    out = np.zeros(grid.n, dtype=complex)
-    out[:-1] += -1j * np.asarray(state)[1:] / (2.0 * grid.h)
-    out[1:] += 1j * np.asarray(state)[:-1] / (2.0 * grid.h)
-    return out
+    h = grid.h
+    return HermitianOperator(_banded(grid, {-1: 1j / (2.0 * h), 1: -1j / (2.0 * h)}),
+                             grid, "p")
 
 
 def position(grid: Grid) -> HermitianOperator:
-    return HermitianOperator(np.diag(grid.points).astype(complex), grid, "x")
+    return HermitianOperator(_banded(grid, {0: grid.points}), grid, "x")
 
 
 def multiplication(grid: Grid, samples) -> HermitianOperator:
@@ -108,7 +98,7 @@ def multiplication(grid: Grid, samples) -> HermitianOperator:
     samples = np.asarray(samples)
     if np.iscomplexobj(samples) and np.abs(samples.imag).max() > 0:
         raise ValueError("multiplication operator needs real samples")
-    return HermitianOperator(np.diag(samples.real).astype(complex), grid, "mult")
+    return HermitianOperator(_banded(grid, {0: samples.real}), grid, "mult")
 
 
 def dilation(grid: Grid) -> HermitianOperator:
@@ -123,14 +113,21 @@ def conformal_factor_operator(grid: Grid, t: float) -> HermitianOperator:
     if t < 0:
         raise ValueError("t must be nonnegative")
     m = position(grid).matrix - 2.0 * t * momentum(grid).matrix
-    return HermitianOperator(m.conj().T @ m, grid, f"C({t})")
+    return HermitianOperator((m.conj().T @ m).tocsr(), grid, f"C({t})")
+
+
+def conformal_value(p: HermitianOperator, state, t: float) -> float:
+    """<u, C(t) u> = ||(x - 2tp) u||^2 by one momentum matvec; ``p`` is the
+    momentum operator of the state's grid, built once by the caller."""
+    grid, x, u = p.grid, p.grid.points, np.asarray(state)
+    xp_u = x * u - 2.0 * t * p.apply(u)
+    return float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
 
 
 def conformal_factor_dt(grid: Grid, t: float) -> HermitianOperator:
     """Analytic time derivative of the conformal factor: -2(xp+px) + 8t p^2."""
-    x = position(grid).matrix
     p = momentum(grid).matrix
-    return HermitianOperator(-2.0 * (x @ p + p @ x) + 8.0 * t * (p @ p), grid, f"dC/dt({t})")
+    return HermitianOperator(-4.0 * dilation(grid).matrix + 8.0 * t * (p @ p), grid, f"dC/dt({t})")
 
 
 def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -143,7 +140,6 @@ def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperato
 def heisenberg_derivative(h_op: HermitianOperator, b_op: HermitianOperator,
                           db_dt: HermitianOperator) -> HermitianOperator:
     """D_H B = i[H, B] + dB/dt, with dB/dt supplied analytically."""
-    _require_same_grid(h_op, b_op)
     _require_same_grid(b_op, db_dt)
     m = commutator_i(h_op, b_op).matrix + db_dt.matrix
     return HermitianOperator(m, h_op.grid, f"D_H {b_op.label}")
@@ -242,10 +238,6 @@ class TimeDependentPotential:
         self.profile = profile
         self.d_profile = d_profile
         self.label = label
-
-    @classmethod
-    def none(cls) -> "TimeDependentPotential | None":
-        return None
 
     @classmethod
     def self_similar(cls, delta: float, sigma: float, a: float,

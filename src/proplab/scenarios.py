@@ -9,25 +9,25 @@ with their path, and ``parse_config(serialize_config(c)) == c``.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .adaptors import (build_adaptor, conformal_Q, residual_weighted_scan,
-                       weighted_propagator_norm)
+from .adaptors import build_adaptor, conformal_Q, weighted_propagator_norm
 from .evolution import (Trajectory, gaussian_state, eigenstate, snap_to_lattice,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .grids import make_grid, norm, transit_energy_limit
 from .observables import EstimateReport, ObservableSeries, fit_decay_rate
-from .operators import HermitianOperator, Potential, TimeDependentPotential, laplacian
+from .operators import (HermitianOperator, Potential, TimeDependentPotential,
+                        laplacian, multiplication)
 from .spectral import (SpectralData, classify_spectrum, diagonalize,
                        free_spectral_data, projector, resolution_energy_limit)
-from .suites import (conformal_identity_residual, conformal_prob,
-                     general_potential_suite, gronwall_monitor,
-                     morawetz_suite, operator_identity_suite,
+from .suites import (adaptor_suite, conformal_energy_series,
+                     conformal_identity_suite, first_level_series,
+                     general_potential_suite, gronwall_monitor, lp_norm_series,
+                     morawetz_suite, nls_suite, operator_identity_suite,
                      positive_potential_suite, timedep_suite)
 
 
@@ -216,6 +216,22 @@ def _validate(config: ScenarioConfig):
     for s in config.suites:
         if s not in KNOWN_SUITES:
             raise ConfigError(f"[scenario].suites: unknown suite {s!r}")
+    if config.grid_kind == "radial3d" and "nls" in config.suites:
+        raise ConfigError("[scenario].suites: the nls suite needs [grid].kind = line")
+    if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
+        raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
+    if any(width <= 0 for _, width, _ in config.potential_terms):
+        raise ConfigError("[potential].gaussians: widths must be positive")
+    gated = [s for s in config.suites if s in ("positive_potential", "morawetz")]
+    grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
+    if gated and not _potential(config).is_nonnegative(grid.points):
+        raise ConfigError(f"[potential].gaussians: suites {', '.join(gated)} need V >= 0 "
+                          "on the grid")
+
+
+def _potential(config: ScenarioConfig) -> Potential:
+    terms = [Potential.gaussian(*t) for t in config.potential_terms]
+    return sum(terms[1:], terms[0]) if terms else Potential.zero()
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -330,8 +346,7 @@ class _Context:
         self.config = config
         self.grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
         self.warnings: list[str] = []
-        terms = [Potential.gaussian(*t) for t in config.potential_terms]
-        self.potential = sum(terms[1:], terms[0]) if terms else Potential.zero()
+        self.potential = _potential(config)
         self.w_t = None
         if config.timedep_type == "self_similar":
             self.w_t = TimeDependentPotential.self_similar(
@@ -359,14 +374,12 @@ class _Context:
         return self._spec
 
     def hamiltonian(self) -> HermitianOperator:
-        m = laplacian(self.grid).matrix + np.diag(self.potential.v(self.grid.points))
-        return HermitianOperator(m, self.grid, "H")
+        return laplacian(self.grid) + multiplication(self.grid, self.potential.v(self.grid.points))
 
     def h_of_t(self, t: float) -> HermitianOperator:
-        m = self.hamiltonian().matrix
-        if self.w_t is not None:
-            m = m + np.diag(self.w_t.w(self.grid.points, t)).astype(complex)
-        return HermitianOperator(m, self.grid, f"H({t:g})")
+        if self.w_t is None:
+            return self.hamiltonian()
+        return self.hamiltonian() + multiplication(self.grid, self.w_t.w(self.grid.points, t))
 
     @property
     def psi0(self):
@@ -437,7 +450,6 @@ def _suite_operator_identities(ctx: _Context) -> EstimateReport:
 
 def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    report = EstimateReport("adapted conformal identity")
     shift = 1.0 if c.t0_shift else 0.0
     delta = max(10.0 * c.dt, 0.02) if c.method == "split_step2" else c.dt
     t_lo = (0.5 if c.t0_shift else max(c.t0, 1.0))
@@ -445,105 +457,20 @@ def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
                                count=4)
     eval_ts = eval_ts[eval_ts + shift - delta > 0]
     all_ts = np.unique(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
-    traj = ctx.trajectory(all_ts)
-    adaptor = ctx.adaptor() if ctx.config.potential_terms else None
-    cap_scheme = c.conformal_coeff * (delta**2 + ctx.grid.h**2)
-    for t in eval_ts:
-        resid, bv = conformal_identity_residual(traj, ctx.spec, ctx.potential,
-                                                ctx.w_t, adaptor, float(t), delta,
-                                                shift=shift)
-        report.add(f"identity residual at t={t:g}", resid, cap_scheme + bv,
-                   resid <= cap_scheme + bv)
-
-    b_matrix = adaptor.matrix if adaptor is not None else None
-    prob = conformal_prob(ctx.grid, ctx.potential, ctx.w_t, b_matrix,
-                          "inverse_t", shift=shift, corrupt_db_dt=c.corrupt_db_dt)
-    from .observables import heisenberg_consistency, observable_series
-    scale_prob = conformal_prob(ctx.grid, ctx.potential, ctx.w_t, b_matrix,
-                                c.prob_scale, shift=shift)
-    report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
-    t_mid = float(eval_ts[len(eval_ts) // 2])
-    h_resid = heisenberg_consistency(traj, prob, ctx.h_of_t, t_mid, delta)
-    bv_mid = 0.0
-    if adaptor is not None:
-        from .adaptors import commutator_remainder
-        from .observables import expectation_value
-        rem = commutator_remainder(ctx.spec, adaptor)
-        bv_mid = abs(expectation_value(ctx.grid, rem, traj.state_at(t_mid)))
-    report.add("Heisenberg consistency", h_resid, cap_scheme + bv_mid,
-               h_resid <= cap_scheme + bv_mid)
-
+    free_traj = None
     if not c.potential_terms and ctx.w_t is None:
-        series_ts = ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9)
-        traj2 = ctx.trajectory(series_ts)
-        vals = []
-        for t in series_ts:
-            u = traj2.state_at(t)
-            x = ctx.grid.points
-            from .operators import apply_momentum
-            xp_u = x * u - 2.0 * t * apply_momentum(ctx.grid, u)
-            vals.append(float(ctx.grid.quad_weight * np.sum(np.abs(xp_u) ** 2)))
-        vals = np.asarray(vals)
-        drift = float(np.abs(vals - vals[0]).max() / vals[0])
-        report.add("free conformal factor constant", drift, 1e-6, drift <= 1e-6)
-        report.series["conformal_factor"] = ObservableSeries(series_ts, vals, "conformal factor")
-
-    from .observables import pres_check_with_hooks
-    pres, skip_reason = pres_check_with_hooks(traj, prob, eval_ts)
-    if pres is None:
-        report.warnings.append(skip_reason)
-    else:
-        report.checks.append(pres)
-    return report
+        free_traj = ctx.trajectory(ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9))
+    return conformal_identity_suite(
+        ctx.trajectory(all_ts), ctx.spec, ctx.potential, ctx.w_t,
+        ctx.adaptor() if c.potential_terms else None, eval_ts, delta, ctx.h_of_t,
+        shift=shift, prob_scale=c.prob_scale, corrupt_db_dt=c.corrupt_db_dt,
+        conformal_coeff=c.conformal_coeff, free_traj=free_traj)
 
 
 def _suite_adaptor(ctx: _Context) -> EstimateReport:
-    report = EstimateReport("adaptor operator construction")
-    adaptor = ctx.adaptor()
-    spec = ctx.spec
-    grid = ctx.grid
-    b = adaptor.matrix
-    scale = max(adaptor.norm_bound, 1e-30)
-
-    herm = float(np.abs(b - b.conj().T).max())
-    report.add("hermiticity", herm, 1e-10 * max(1.0, scale), herm <= 1e-10 * max(1.0, scale))
-
-    p_c = projector(spec, "continuous").matrix
-    supp = float(np.abs(b - p_c @ b @ p_c).max())
-    report.add("continuous-subspace support", supp, 1e-10 * max(1.0, scale),
-               supp <= 1e-10 * max(1.0, scale))
-
-    min_eig = float(np.linalg.eigvalsh(b)[0]) if scale > 1e-20 else 0.0
-    report.add("positivity (for -Q >= 0)", min_eig, -1e-8 * scale, min_eig >= -1e-8 * scale)
-
-    from .adaptors import commutator_closure_defect
-    closure = commutator_closure_defect(spec, ctx.hamiltonian(), adaptor)
-    q_scale = max(float(np.abs(adaptor.q.samples).max()), 1e-30)
-    report.add("truncated commutator closure", closure, 1e-8 * q_scale,
-               closure <= 1e-8 * q_scale)
-
-    horizons = np.linspace(max(adaptor.horizon / 4.0, 0.5), min(ctx.horizon, 2 * adaptor.horizon), 6)
-    scan = residual_weighted_scan(spec, adaptor.q, horizons, sigma=ctx.config.sigma)
-    monotone = bool(np.all(np.diff(scan) <= 1e-9 + 0.02 * scan[:-1]))
-    report.add("weighted residual non-increasing in horizon", float(np.max(np.diff(scan))),
-               0.0, monotone, note=f"scan {np.array2string(scan, precision=4)}")
-    report.series["residual_scan"] = ObservableSeries(horizons, scan, "weighted residual vs horizon")
-
     times = ctx.sample_times(lo=max(ctx.config.t0, 0.5), hi=ctx.horizon, count=12)
-    from .adaptors import adaptor_expectation_series
-    ts, vals = adaptor_expectation_series(adaptor, spec, ctx.psi0, times)
-    report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
-    floor = -1e-8 * scale
-    report.add("expectation nonnegative", float(vals.min()), floor, vals.min() >= floor)
-    try:
-        slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"),
-                                  window=(ts[0], ts[-1]))
-        ok = slope <= -0.8
-    except ValueError:
-        slope, ok = math.nan, False
-    report.rates["adaptor_expectation"] = slope
-    report.add("expectation decay slope <= -0.8", slope, -0.8, ok)
-    return report
+    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(), ctx.psi0, ctx.horizon,
+                         times, sigma=ctx.config.sigma)
 
 
 def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
@@ -574,16 +501,10 @@ def _suite_positive_potential(ctx: _Context) -> EstimateReport:
                                       fit_window=(max(1.5, c.t0), ctx.horizon),
                                       energy_cap_ratio=c.energy_cap)
     window = traj.valid_window(max(1.5, c.t0), ctx.horizon)
-    report.series["l6_norm"] = _series_or_none(traj, window, p=6.0)
-    from .suites import conformal_energy_series, first_level_series
+    report.series["l6_norm"] = lp_norm_series(traj, 6.0, window)
     report.series["conformal_energy"] = conformal_energy_series(traj, ctx.potential, window)
     report.series["first_level"] = first_level_series(traj, ctx.potential, window)
     return report
-
-
-def _series_or_none(traj, times, p):
-    from .suites import lp_norm_series
-    return lp_norm_series(traj, p, times)
 
 
 def _suite_general_potential(ctx: _Context) -> EstimateReport:
@@ -625,37 +546,10 @@ def _suite_gronwall(ctx: _Context) -> EstimateReport:
 
 
 def _suite_nls(ctx: _Context) -> EstimateReport:
-    from .evolution import evolve_nls
     c = ctx.config
-    report = EstimateReport("defocusing cubic flow")
-    grid = ctx.grid
-    psi0 = ctx.psi0
-    lam = c.nonlinearity
-
     times = ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=max(c.samples, 12))
-    traj = trajectory_split(grid, ctx.potential, None, psi0, times, c.dt, nonlinearity=lam)
-    mass0 = norm(grid, psi0, "L2") ** 2
-    masses = np.array([norm(grid, s, "L2") ** 2 for s in traj.states])
-    drift = float(np.abs(masses - mass0).max())
-    report.add("mass conservation", drift, 1e-10, drift <= 1e-10)
-
-    refs = {}
-    for dt_k in (c.dt, c.dt / 2.0, c.dt / 4.0):
-        refs[dt_k] = evolve_nls(grid, ctx.potential, lam, psi0, 1.0, dt_k).amplitudes
-    d1 = norm(grid, refs[c.dt] - refs[c.dt / 2.0], "L2")
-    d2 = norm(grid, refs[c.dt / 2.0] - refs[c.dt / 4.0], "L2")
-    ratio = d1 / d2 if d2 > 0 else math.inf
-    report.add("order-2 step convergence ratio", ratio, 4.5, 3.5 <= ratio <= 4.5)
-
-    window = traj.valid_window(c.fit_t_lo, c.fit_t_hi)
-    linf = ObservableSeries(window, np.array([norm(grid, traj.state_at(t), "Lp", p=math.inf)
-                                              for t in window]), "sup norm")
-    report.series["sup_norm"] = linf
-    slope, width = fit_decay_rate(linf)
-    report.rates["sup_norm"] = slope
-    report.add("sup-norm decay slope <= -0.3", slope, -0.3, slope <= -0.3,
-               note=f"width {width:.3f}")
-    return report
+    return nls_suite(ctx.grid, ctx.potential, ctx.psi0, c.nonlinearity, c.dt, times,
+                     (c.fit_t_lo, c.fit_t_hi))
 
 
 def _suite_morawetz(ctx: _Context) -> EstimateReport:
@@ -688,8 +582,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     """Execute every selected suite and persist series, report and manifest.
 
     The pipeline is deterministic: identical config and version produce
-    byte-identical series files.
+    byte-identical series files.  The config is validated first, so a
+    rejected one leaves no run directory.
     """
+    _validate(config)
     run_dir = os.path.join(out_dir, config.name)
     os.makedirs(run_dir, exist_ok=True)
     ctx = _Context(config)
@@ -707,8 +603,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
 
     for suite, report in reports.items():
         for key, series in report.series.items():
-            if series is None:
-                continue
             path = os.path.join(run_dir, f"{suite}__{key}.tsv")
             _write_series(path, series)
             artifact.series_files.append(path)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .grids import Grid
 from .operators import HermitianOperator
@@ -89,9 +90,11 @@ class SpectralData:
 
 
 def diagonalize(op: HermitianOperator) -> SpectralData:
-    """Full eigendecomposition with orthonormal columns (LAPACK eigh)."""
-    evals, evecs = scipy.linalg.eigh(op.matrix)
-    if np.abs(op.matrix.imag).max() == 0.0:
+    """Full eigendecomposition with orthonormal columns (LAPACK eigh); a
+    sparse H is densified here, where the spectral calculus starts."""
+    m = op.matrix.toarray() if scipy.sparse.issparse(op.matrix) else op.matrix
+    evals, evecs = scipy.linalg.eigh(m)
+    if np.abs(m.imag).max() == 0.0:
         evecs = evecs.real.astype(float)
     return SpectralData(grid=op.grid, eigenvalues=evals, eigenvectors=evecs, label=op.label)
 
@@ -161,7 +164,7 @@ def genericity_margin(spec: SpectralData, lap: HermitianOperator) -> float:
         raise ValueError("empty continuum subspace")
     cols = spec.eigenvectors[:, idx]
     a = np.diag(spec.eigenvalues[idx])
-    b = cols.conj().T @ lap.matrix @ cols
+    b = cols.conj().T @ (lap.matrix @ cols)
     b = 0.5 * (b + b.conj().T)
     vals = scipy.linalg.eigh(a, b.real if np.abs(b.imag).max() < 1e-13 else b,
                              eigvals_only=True)

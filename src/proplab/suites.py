@@ -14,20 +14,27 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.optimize
+from scipy.fft import dst
 
-from .adaptors import (AdaptorOperator, QSelection, build_adaptor,
-                       commutator_remainder, negative_part, positive_part)
-from .evolution import Trajectory, _SplitStepper, _run_split, kinetic_step
-from .grids import Grid, norm, weight_vector
+from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
+                       build_adaptor, commutator_closure_defect,
+                       commutator_remainder, negative_part, positive_part,
+                       residual_weighted_scan)
+from .evolution import (Trajectory, _SplitStepper, _run_split, evolve_nls,
+                        gaussian_state, kinetic_step, trajectory_split)
+from .grids import Grid, make_grid, norm, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
-                          expectation_value, fit_decay_rate, log_growth_fit,
+                          expectation_value, fit_decay_rate,
+                          heisenberg_consistency, log_growth_fit,
+                          observable_series, pres_check_with_hooks,
                           trend_slope)
 from .operators import (HermitianOperator, Potential, TimeDependentPotential,
-                        apply_laplacian, apply_momentum, conformal_factor_dt,
-                        conformal_factor_operator, laplacian, momentum,
-                        position)
-from .spectral import SpectralData, resolution_energy_limit
+                        commutator_i, conformal_factor_dt,
+                        conformal_factor_operator, conformal_value, dilation,
+                        laplacian, momentum, multiplication, position)
+from .spectral import (SpectralData, free_laplacian_eigenvalues,
+                       genericity_margin, projector, resolution_energy_limit)
 
 TREND_CAP = 0.05
 
@@ -52,13 +59,15 @@ def conformal_prob(grid: Grid, potential: Potential | None,
     """
     x = grid.points
     v = potential.v(x) if potential is not None else np.zeros(grid.n)
-    b = np.zeros((grid.n, grid.n), dtype=complex) if adaptor_matrix is None else adaptor_matrix
+    # scipy.sparse adds a scalar zero as a no-op, so the adaptor-free case
+    # keeps the banded operators sparse
+    b = 0.0 if adaptor_matrix is None else adaptor_matrix
+
+    def diag(samples):
+        return multiplication(grid, samples).matrix
 
     def vw(t):
-        total = v.copy()
-        if w_t is not None:
-            total = total + w_t.w(x, t)
-        return total
+        return v if w_t is None else v + w_t.w(x, t)
 
     def builder(t):
         ts = t + shift
@@ -66,11 +75,11 @@ def conformal_prob(grid: Grid, potential: Potential | None,
             raise ValueError("the scaled observable needs t + shift > 0")
         c = conformal_factor_operator(grid, t).matrix
         if scale == "inverse_t":
-            m = c / ts + 4.0 * ts * np.diag(vw(t)) + b
+            m = c / ts + 4.0 * ts * diag(vw(t)) + b
         elif scale == "iterated":
-            m = c + ts**2 * np.diag(v) + ts * b
+            m = c + ts**2 * diag(v) + ts * b
         elif scale == "inverse_t2":
-            m = c / ts**2 + 4.0 * np.diag(vw(t)) + b / ts
+            m = c / ts**2 + 4.0 * diag(vw(t)) + b / ts
         else:
             raise ValueError(f"unknown scale {scale!r}")
         return HermitianOperator(m, grid, f"conformal[{scale}]({t:g})")
@@ -81,11 +90,11 @@ def conformal_prob(grid: Grid, potential: Potential | None,
         cdot = conformal_factor_dt(grid, t).matrix
         dtw = w_t.dt_w(x, t) if w_t is not None else 0.0
         if scale == "inverse_t":
-            m = cdot / ts - c / ts**2 + 4.0 * np.diag(vw(t)) + 4.0 * ts * np.diag(np.broadcast_to(dtw, (grid.n,)))
+            m = cdot / ts - c / ts**2 + 4.0 * diag(vw(t)) + 4.0 * ts * diag(dtw)
         elif scale == "iterated":
-            m = cdot + 2.0 * ts * np.diag(v) + b
+            m = cdot + 2.0 * ts * diag(v) + b
         elif scale == "inverse_t2":
-            m = cdot / ts**2 - 2.0 * c / ts**3 + 4.0 * np.diag(np.broadcast_to(dtw, (grid.n,))) - b / ts**2
+            m = cdot / ts**2 - 2.0 * c / ts**3 + 4.0 * diag(dtw) - b / ts**2
         sign = -1.0 if corrupt_db_dt else 1.0
         return HermitianOperator(sign * m, grid, f"d/dt conformal[{scale}]")
 
@@ -117,25 +126,21 @@ def free_conformal_prob(grid: Grid) -> PropagationObservable:
 # operator identities (weak form, with h-refinement ratios)
 
 
-def _apply_dilation(grid: Grid, state):
-    x = grid.points
-    return 0.5 * (x * apply_momentum(grid, state) + apply_momentum(grid, x * state))
-
-
 def dilation_identity_residual(grid: Grid, potential: Potential | None, state) -> float:
     """Weak residual of i[H, A] = 2(-lap) - x.grad V on one smooth state.
 
-    <phi, i[H,A] phi> = -2 Im <H phi, A phi>, all matrix-free.  The gap is
-    the O(h^2) mismatch between the central-difference momentum squared and
-    the stencil Laplacian, plus the tridiagonal-versus-diagonal gap of i[V,A].
+    <phi, i[H,A] phi> = -2 Im <H phi, A phi>, all by sparse matvecs.  The gap
+    is the O(h^2) mismatch between the central-difference momentum squared
+    and the stencil Laplacian, plus the tridiagonal-versus-diagonal gap of
+    i[V,A].
     """
     phi = np.asarray(state, dtype=complex)
     v = potential.v(grid.points) if potential is not None else 0.0
-    h_phi = apply_laplacian(grid, phi) + v * phi
-    a_phi = _apply_dilation(grid, phi)
-    lhs = -2.0 * float(np.imag(grid.inner(h_phi, a_phi)))
+    lap_phi = laplacian(grid).apply(phi)
+    a_phi = dilation(grid).apply(phi)
+    lhs = -2.0 * float(np.imag(grid.inner(lap_phi + v * phi, a_phi)))
     xdv = potential.xdv(grid.points) if potential is not None else 0.0
-    rhs = 2.0 * float(np.real(grid.inner(phi, apply_laplacian(grid, phi)))) \
+    rhs = 2.0 * float(np.real(grid.inner(phi, lap_phi))) \
         - float(np.real(grid.inner(phi, xdv * phi)))
     return abs(lhs - rhs)
 
@@ -148,12 +153,10 @@ def free_conformal_residual(grid: Grid, state, t: float, dt_offset: float) -> fl
     """
     if t <= 0:
         raise ValueError("needs t > 0")
-    x = grid.points
+    p = momentum(grid)
 
     def c_value(s):
-        u = kinetic_step(grid, np.asarray(state, dtype=complex), s)
-        xp_u = x * u - 2.0 * s * apply_momentum(grid, u)
-        return float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
+        return conformal_value(p, kinetic_step(grid, np.asarray(state, dtype=complex), s), s)
 
     fwd = c_value(t + dt_offset) / (t + dt_offset)
     bwd = c_value(t - dt_offset) / (t - dt_offset)
@@ -168,9 +171,6 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
                             ratio_window=(3.5, 4.5)) -> EstimateReport:
     """Weak-form dilation-commutator and free conformal-conservation residuals
     with their refinement ratios (h and dt halved together)."""
-    from .evolution import gaussian_state
-    from .grids import make_grid
-
     report = EstimateReport("operator identities (weak form)")
     resids_eq4, resids_conf = [], []
     for level, (n_lvl, dt_lvl) in enumerate([(n, dt_ref), (2 * n + 1, dt_ref / 2.0)]):
@@ -206,13 +206,13 @@ def conformal_rhs_matrix(grid: Grid, potential: Potential | None,
     x = grid.points
     m = -conformal_factor_operator(grid, t).matrix / ts**2
     if potential is not None:
-        m = m + np.diag(negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))).astype(complex)
+        m = m + multiplication(grid, negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))).matrix
     if w_t is not None:
         w_term = 4.0 * w_t.xdw(x, t) + 4.0 * w_t.w(x, t) + 4.0 * ts * w_t.dt_w(x, t)
-        m = m + np.diag(w_term).astype(complex)
+        m = m + multiplication(grid, w_term).matrix
         if adaptor is not None:
-            wd = np.diag(w_t.w(x, t)).astype(complex)
-            m = m + 1j * (wd @ adaptor.matrix - adaptor.matrix @ wd)
+            w = w_t.w(x, t)
+            m = m + 1j * (w[:, None] * adaptor.matrix - adaptor.matrix * w[None, :])
     return m
 
 
@@ -253,6 +253,110 @@ def conformal_identity_residual(traj: Trajectory, spec: SpectralData,
     return abs(lhs - rhs), bv_term
 
 
+def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
+                             potential: Potential | None,
+                             w_t: TimeDependentPotential | None,
+                             adaptor: AdaptorOperator | None, eval_ts,
+                             delta: float, h_of_t, shift: float = 0.0,
+                             prob_scale: str = "inverse_t",
+                             corrupt_db_dt: bool = False,
+                             conformal_coeff: float = 5.0,
+                             free_traj: Trajectory | None = None) -> EstimateReport:
+    """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
+    delta, caps conformal_coeff (delta^2 + h^2) + truncation term), Heisenberg
+    consistency, propagation inequality, and on ``free_traj`` constancy of C."""
+    grid = traj.grid
+    report = EstimateReport("adapted conformal identity")
+    cap_scheme = conformal_coeff * (delta**2 + grid.h**2)
+    for t in eval_ts:
+        resid, bv = conformal_identity_residual(traj, spec, potential, w_t, adaptor,
+                                                float(t), delta, shift=shift)
+        report.add(f"identity residual at t={t:g}", resid, cap_scheme + bv,
+                   resid <= cap_scheme + bv)
+
+    b_matrix = adaptor.matrix if adaptor is not None else None
+    prob = conformal_prob(grid, potential, w_t, b_matrix, "inverse_t", shift=shift,
+                          corrupt_db_dt=corrupt_db_dt)
+    scale_prob = conformal_prob(grid, potential, w_t, b_matrix, prob_scale, shift=shift)
+    report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
+    t_mid = float(eval_ts[len(eval_ts) // 2])
+    h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
+    bv_mid = 0.0
+    if adaptor is not None:
+        rem = commutator_remainder(spec, adaptor)
+        bv_mid = abs(expectation_value(grid, rem, traj.state_at(t_mid)))
+    report.add("Heisenberg consistency", h_resid, cap_scheme + bv_mid,
+               h_resid <= cap_scheme + bv_mid)
+
+    if free_traj is not None:
+        p = momentum(grid)
+        vals = np.array([conformal_value(p, free_traj.state_at(t), t) for t in free_traj.times])
+        drift = float(np.abs(vals - vals[0]).max() / vals[0])
+        report.add("free conformal factor constant", drift, 1e-6, drift <= 1e-6)
+        report.series["conformal_factor"] = ObservableSeries(free_traj.times, vals,
+                                                             "conformal factor")
+
+    pres, skip_reason = pres_check_with_hooks(traj, prob, eval_ts)
+    if pres is None:
+        report.warnings.append(skip_reason)
+    else:
+        report.checks.append(pres)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# adaptor construction
+
+
+def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
+                  adaptor: AdaptorOperator, psi0, validity_horizon: float,
+                  times, sigma: float = 1.0) -> EstimateReport:
+    """Invariants of B_V (Hermitian, on Ran P_c, PSD for -Q >= 0), closure of
+    the truncated commutator, the weighted residual over horizons up to
+    ``validity_horizon``, and the decay of <B> along the flow at ``times``."""
+    report = EstimateReport("adaptor operator construction")
+    b = adaptor.matrix
+    scale = max(adaptor.norm_bound, 1e-30)
+
+    herm = float(np.abs(b - b.conj().T).max())
+    report.add("hermiticity", herm, 1e-10 * max(1.0, scale), herm <= 1e-10 * max(1.0, scale))
+
+    p_c = projector(spec, "continuous").matrix
+    supp = float(np.abs(b - p_c @ b @ p_c).max())
+    report.add("continuous-subspace support", supp, 1e-10 * max(1.0, scale),
+               supp <= 1e-10 * max(1.0, scale))
+
+    min_eig = float(np.linalg.eigvalsh(b)[0]) if scale > 1e-20 else 0.0
+    report.add("positivity (for -Q >= 0)", min_eig, -1e-8 * scale, min_eig >= -1e-8 * scale)
+
+    closure = commutator_closure_defect(spec, h_op, adaptor)
+    q_scale = max(float(np.abs(adaptor.q.samples).max()), 1e-30)
+    report.add("truncated commutator closure", closure, 1e-8 * q_scale,
+               closure <= 1e-8 * q_scale)
+
+    horizons = np.linspace(max(adaptor.horizon / 4.0, 0.5),
+                           min(validity_horizon, 2 * adaptor.horizon), 6)
+    scan = residual_weighted_scan(spec, adaptor.q, horizons, sigma=sigma)
+    monotone = bool(np.all(np.diff(scan) <= 1e-9 + 0.02 * scan[:-1]))
+    report.add("weighted residual non-increasing in horizon", float(np.max(np.diff(scan))),
+               0.0, monotone, note=f"scan {np.array2string(scan, precision=4)}")
+    report.series["residual_scan"] = ObservableSeries(horizons, scan, "weighted residual vs horizon")
+
+    ts, vals = adaptor_expectation_series(adaptor, spec, psi0, times)
+    report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
+    floor = -1e-8 * scale
+    report.add("expectation nonnegative", float(vals.min()), floor, vals.min() >= floor)
+    try:
+        slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"),
+                                  window=(ts[0], ts[-1]))
+        ok = slope <= -0.8
+    except ValueError:
+        slope, ok = math.nan, False
+    report.rates["adaptor_expectation"] = slope
+    report.add("expectation decay slope <= -0.8", slope, -0.8, ok)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # positive potentials
 
@@ -261,15 +365,13 @@ def conformal_energy_series(traj: Trajectory, potential: Potential, times) -> Ob
     """S(t) = ||(x - 2pt) psi||^2 + t^2 <V>, the quantity the sharp
     propagation estimate bounds by the initial L-norm squared."""
     grid = traj.grid
-    x = grid.points
-    v = potential.v(x)
+    p = momentum(grid)
+    v = potential.v(grid.points)
     vals = []
     for t in times:
         u = traj.state_at(t)
-        xp_u = x * u - 2.0 * t * apply_momentum(grid, u)
-        c_val = float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
         v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(c_val + t**2 * v_val)
+        vals.append(conformal_value(p, u, t) + t**2 * v_val)
     return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals),
                             "conformal+potential energy")
 
@@ -279,15 +381,13 @@ def first_level_series(traj: Trajectory, potential: Potential, times) -> Observa
     functional; it tracks the 1/sqrt(t) rate the first pass certifies for
     the L^6 norm before the estimate is iterated."""
     grid = traj.grid
-    x = grid.points
-    v = potential.v(x)
+    p = momentum(grid)
+    v = potential.v(grid.points)
     vals = []
     for t in times:
         u = traj.state_at(t)
-        xp_u = x * u - 2.0 * t * apply_momentum(grid, u)
-        c_val = float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
         v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(math.sqrt(max(c_val / t + 4.0 * t * v_val, 0.0)))
+        vals.append(math.sqrt(max(conformal_value(p, u, t) / t + 4.0 * t * v_val, 0.0)))
     return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals), "first-level functional")
 
 
@@ -371,11 +471,8 @@ def lens_positivity_value(spec: SpectralData, potential: Potential, t: float,
     if e_max is None:
         e_max = resolution_energy_limit(grid)
     cols, _ = spec.continuum_basis(e_max=e_max)
-    x = position(grid).matrix
-    p = momentum(grid).matrix
-    xp = x - 2.0 * t * p
     v = potential.v(grid.points)
-    m_cols = (v[:, None] * cols) * (4.0 * t) + (xp.conj().T @ (xp @ cols)) / t
+    m_cols = (v[:, None] * cols) * (4.0 * t) + (conformal_factor_operator(grid, t).matrix @ cols) / t
     m = cols.conj().T @ m_cols
     m = 0.5 * (m + m.conj().T)
     return float(np.linalg.eigvalsh(m)[0])
@@ -389,10 +486,10 @@ def lens_identity_residual(grid: Grid, t: float, state) -> float:
     x = grid.points
     u_phase = np.exp(1j * x**2 / (4.0 * t))
     s = np.asarray(state, dtype=complex)
-    xp_s = x * s - 2.0 * t * apply_momentum(grid, s)
-    lhs = float(grid.quad_weight * np.sum(np.abs(xp_s) ** 2)) / t
+    p = momentum(grid)
+    lhs = conformal_value(p, s, t) / t
     chi = u_phase.conj() * s
-    p_chi = apply_momentum(grid, chi)
+    p_chi = p.apply(chi)
     rhs = 4.0 * t * float(grid.quad_weight * np.sum(np.abs(p_chi) ** 2))
     return abs(lhs - rhs)
 
@@ -403,8 +500,6 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
                             e_max: float | None = None) -> EstimateReport:
     """Conformal estimate machinery for potentials with negative parts:
     genericity margin, lens positivity uniform in t, iterated boundedness."""
-    from .spectral import genericity_margin
-
     report = EstimateReport("general time-independent potentials")
     delta = genericity_margin(spec, lap)
     report.rates["delta_star"] = delta
@@ -452,6 +547,37 @@ def semilinear_G(F):
     return g
 
 
+def nls_suite(grid: Grid, potential: Potential, psi0, lam: float, dt: float,
+              times, fit_window) -> EstimateReport:
+    """Defocusing cubic flow: mass conservation at ``times``, the order-2
+    step-halving ratio at t=1, and the sup-norm decay slope on
+    ``fit_window``."""
+    report = EstimateReport("defocusing cubic flow")
+    traj = trajectory_split(grid, potential, None, psi0, times, dt, nonlinearity=lam)
+    mass0 = norm(grid, psi0, "L2") ** 2
+    masses = np.array([norm(grid, s, "L2") ** 2 for s in traj.states])
+    drift = float(np.abs(masses - mass0).max())
+    report.add("mass conservation", drift, 1e-10, drift <= 1e-10)
+
+    refs = {}
+    for dt_k in (dt, dt / 2.0, dt / 4.0):
+        refs[dt_k] = evolve_nls(grid, potential, lam, psi0, 1.0, dt_k).amplitudes
+    d1 = norm(grid, refs[dt] - refs[dt / 2.0], "L2")
+    d2 = norm(grid, refs[dt / 2.0] - refs[dt / 4.0], "L2")
+    ratio = d1 / d2 if d2 > 0 else math.inf
+    report.add("order-2 step convergence ratio", ratio, 4.5, 3.5 <= ratio <= 4.5)
+
+    window = traj.valid_window(*fit_window)
+    linf = ObservableSeries(window, np.array([norm(grid, traj.state_at(t), "Lp", p=math.inf)
+                                              for t in window]), "sup norm")
+    report.series["sup_norm"] = linf
+    slope, width = fit_decay_rate(linf)
+    report.rates["sup_norm"] = slope
+    report.add("sup-norm decay slope <= -0.3", slope, -0.3, slope <= -0.3,
+               note=f"width {width:.3f}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # time-dependent potentials
 
@@ -497,16 +623,16 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
     f_of_h = _bump(center=1.0, halfwidth=1.0)
     f_diag = f_of_h(spec.eigenvalues)
     w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
+    p = momentum(grid)
     next_sample = 0
 
     def integrand(t, u):
         l6 = norm(grid, u, "Lp", p=6.0)
-        xp_u = x * u - 2.0 * t * apply_momentum(grid, u)
-        c_val = float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
+        c_val = conformal_value(p, u, t)
         disp = (l6**2 + c_val / t**2) / t
         dtw_val = 4.0 * float(np.real(grid.inner(u, w_t.dt_w(x, t) * u)))
         dw = w_t.dw(x, t)
-        pu = apply_momentum(grid, u)
+        pu = p.apply(u)
         pgrad = 4.0 * float(np.real(grid.inner(pu, dw * u) + grid.inner(u, dw * pu)))
         return disp, dtw_val, pgrad, c_val
 
@@ -593,16 +719,14 @@ def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
     """M(s) = <psi(s), [ |x-2ps|^2/s^2 + <x>^{-2 sigma} ] psi(s)> and the flag
     M(t) <= M(t0) e^{d (t - t0)} for the scenario's declared d."""
     grid = traj.grid
-    x = grid.points
+    p = momentum(grid)
     w2 = weight_vector(grid, 2.0 * sigma).samples
     ts = traj.valid_window() if times is None else np.asarray(times, dtype=float)
     ts = ts[ts > 0]
     vals = []
     for t in ts:
         u = traj.state_at(t)
-        xp_u = x * u - 2.0 * t * apply_momentum(grid, u)
-        c_val = float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
-        vals.append(c_val / t**2 + float(np.real(grid.inner(u, w2 * u))))
+        vals.append(conformal_value(p, u, t) / t**2 + float(np.real(grid.inner(u, w2 * u))))
     series = ObservableSeries(ts, np.asarray(vals), "gronwall monitor")
     envelope = series.values[0] * np.exp(d_const * (ts - ts[0]))
     return series, bool(np.all(series.values <= envelope + 1e-12))
@@ -617,7 +741,7 @@ def morawetz_multiplier(grid: Grid, g_samples) -> HermitianOperator:
     g_samples = np.asarray(g_samples, dtype=float)
     if np.any(g_samples <= 0):
         raise ValueError("the Morawetz profile g must be positive")
-    gx = np.diag(g_samples * grid.points).astype(complex)
+    gx = multiplication(grid, g_samples * grid.points).matrix
     p = momentum(grid).matrix
     return HermitianOperator(gx @ p + p @ gx, grid, "gamma")
 
@@ -637,10 +761,8 @@ def wall_trimmed(matrix, grid: Grid):
 
 def morawetz_commutator_check(grid: Grid, g_samples, rtol: float = 1e-8) -> CheckResult:
     """min eig of the wall-interior compression of i[-lap, gamma] >= -rtol ||.||."""
-    gam = morawetz_multiplier(grid, g_samples)
-    lap = laplacian(grid)
-    comm = 1j * (lap.matrix @ gam.matrix - gam.matrix @ lap.matrix)
-    trimmed = wall_trimmed(comm, grid)
+    comm = commutator_i(laplacian(grid), morawetz_multiplier(grid, g_samples))
+    trimmed = wall_trimmed(comm.matrix, grid).toarray()
     scale = float(np.linalg.norm(trimmed, 2))
     min_eig = float(np.linalg.eigvalsh(trimmed)[0])
     return CheckResult("kinetic Morawetz commutator positivity", min_eig,
@@ -657,9 +779,8 @@ def morawetz_cancellation_check(grid: Grid, spec: SpectralData, potential: Poten
     profile = negative_part(-2.0 * g_samples * potential.xdv(x))
     q = QSelection("custom", -profile, provenance="-[i[V,gamma]]_- profile")
     adaptor = build_adaptor(spec, q, horizon, sigma=sigma)
-    h_matrix = laplacian(grid).matrix + np.diag(potential.v(x)).astype(complex)
-    comm = 1j * (h_matrix @ adaptor.matrix - adaptor.matrix @ h_matrix)
-    total = np.diag(profile).astype(complex) + comm
+    comm = commutator_i(laplacian(grid) + multiplication(grid, potential.v(x)), adaptor.op)
+    total = multiplication(grid, profile).matrix + comm.matrix
     w = weight_vector(grid, sigma).samples
     measured = float(np.linalg.norm((w[:, None] * total) * w[None, :], 2))
     bound = adaptor.residual_weighted + 1e-8 * max(1.0, float(np.abs(profile).max()))
@@ -686,10 +807,6 @@ def weighted_gradient_sq(grid: Grid, state, weight_samples_mid) -> float:
 
 def h_half_norm_sq(grid: Grid, state) -> float:
     """<u, (1 + (-lap))^{1/2} u> through the sine-transform calculus."""
-    from scipy.fft import dst
-
-    from .spectral import free_laplacian_eigenvalues
-
     c = dst(np.asarray(state, dtype=complex), type=1, norm="ortho")
     lam = free_laplacian_eigenvalues(grid)
     return float(grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(c) ** 2))
@@ -748,8 +865,6 @@ def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
     """Adapted Morawetz estimate: multiplier positivity, adaptor cancellation,
     the local-smoothing integral with its fitted constants (checked stable
     under grid refinement), and the theta-weighted conformal corollary."""
-    from .grids import make_grid
-
     x = grid.points
     if g_samples is None:
         g_samples = 1.0 / np.sqrt(1.0 + x**2)

@@ -4,10 +4,9 @@ import pytest
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      classify_spectrum, diagonalize, evolve_linear, evolve_nls,
                      evolve_timedep, free_spectral_data, gaussian_state,
-                     laplacian, make_grid, norm, trajectory_linear,
+                     laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import eigenstate, kinetic_step, nls_energy, snap_to_lattice
-from proplab.operators import apply_momentum
 
 
 def spec_for(grid, pot=None):
@@ -48,7 +47,7 @@ def test_free_flow_variance_growth():
     spec = free_spectral_data(g)
     psi = gaussian_state(g, width=1.0)
     x2_0 = float(np.real(g.inner(psi, g.points**2 * psi)))
-    p_psi = apply_momentum(g, psi)
+    p_psi = momentum(g).apply(psi)
     p2_0 = float(np.real(g.inner(p_psi, p_psi)))
     t = 2.0
     out = evolve_linear(spec, psi, t).amplitudes
@@ -158,6 +157,19 @@ def test_dt_validation(line_grid):
         evolve_timedep(line_grid, None, None, psi, 1.0, -0.1)
     with pytest.raises(ValueError, match="divide"):
         evolve_timedep(line_grid, None, None, psi, 1.0, 0.3)
+
+
+def test_step_times_come_from_the_step_index():
+    # repeated addition of dt drifts by up to 3.4e-12 over these 2e4 steps;
+    # the observer must see t0 + k dt exactly
+    g = make_grid("line", 8, 5.0)
+    t0, dt, n_steps = 0.5, 1e-3, 20000
+    seen = []
+    out = evolve_timedep(g, None, None, gaussian_state(g), t0 + n_steps * dt, dt, t0=t0,
+                         observer=lambda t, u: seen.append(t))
+    expect = t0 + np.arange(n_steps + 1) * dt
+    assert np.array_equal(np.asarray(seen), expect)
+    assert out.time == expect[-1]
 
 
 def test_trajectory_sampling_and_validity():

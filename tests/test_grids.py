@@ -123,11 +123,11 @@ def test_lnorm_dominates(line_grid, rng):
 
 def test_h1_matches_stencil_form(line_grid):
     # the forward-difference gradient form equals <psi, -lap psi> exactly
-    from proplab.operators import apply_laplacian
+    from proplab.operators import laplacian
     psi = np.exp(-line_grid.points**2 / 3.0).astype(complex)
     h1_sq = norm(line_grid, psi, "H1") ** 2
     l2_sq = norm(line_grid, psi, "L2") ** 2
-    grad_sq = float(np.real(line_grid.inner(psi, apply_laplacian(line_grid, psi))))
+    grad_sq = float(np.real(line_grid.inner(psi, laplacian(line_grid).apply(psi))))
     assert h1_sq - l2_sq == pytest.approx(grad_sq, rel=1e-12)
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      commutator_i, conformal_factor_operator, dilation,
                      heisenberg_derivative, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
-from proplab.operators import (apply_laplacian, apply_momentum,
-                               conformal_factor_dt, parity_matrix)
+from proplab.operators import conformal_factor_dt, parity_matrix
 
 
 def weak(grid, m, phi):
@@ -33,7 +33,7 @@ def test_laplacian_zero_vector(line_grid):
 
 def test_laplacian_closed_form_spectrum(line_grid):
     lap = laplacian(line_grid)
-    evals = np.linalg.eigvalsh(lap.matrix)
+    evals = np.linalg.eigvalsh(lap.matrix.toarray())
     n, h = line_grid.n, line_grid.h
     k = np.arange(1, n + 1)
     expect = (2.0 / h**2) * (1.0 - np.cos(k * np.pi / (n + 1)))
@@ -80,11 +80,11 @@ def test_dilation_kinetic_commutator_weak():
 
 def test_multiplication_identity_action_spectrum(line_grid, rng):
     ident = multiplication(line_grid, np.ones(line_grid.n))
-    np.testing.assert_allclose(ident.matrix, np.eye(line_grid.n))
+    np.testing.assert_allclose(ident.matrix.toarray(), np.eye(line_grid.n))
     v = rng.normal(size=line_grid.n)
     psi = rng.normal(size=line_grid.n) + 1j * rng.normal(size=line_grid.n)
     np.testing.assert_allclose(multiplication(line_grid, v).apply(psi), v * psi)
-    np.testing.assert_allclose(np.linalg.eigvalsh(multiplication(line_grid, v).matrix),
+    np.testing.assert_allclose(np.linalg.eigvalsh(multiplication(line_grid, v).matrix.toarray()),
                                np.sort(v), atol=1e-12)
     with pytest.raises(ValueError, match="real"):
         multiplication(line_grid, v + 0.1j)
@@ -92,9 +92,9 @@ def test_multiplication_identity_action_spectrum(line_grid, rng):
 
 def test_conformal_factor_at_zero_and_psd(line_grid, rng):
     c0 = conformal_factor_operator(line_grid, 0.0)
-    np.testing.assert_allclose(c0.matrix, np.diag(line_grid.points**2), atol=1e-12)
+    np.testing.assert_allclose(c0.matrix.toarray(), np.diag(line_grid.points**2), atol=1e-12)
     c1 = conformal_factor_operator(line_grid, 1.0)
-    evals = np.linalg.eigvalsh(c1.matrix)
+    evals = np.linalg.eigvalsh(c1.matrix.toarray())
     assert evals[0] >= -1e-9 * np.abs(evals).max()
     # <phi, C phi> = ||(x - 2tp) phi||^2 by construction
     phi = rng.normal(size=line_grid.n) + 1j * rng.normal(size=line_grid.n)
@@ -181,12 +181,26 @@ def test_parity_commutes_with_even_hamiltonian(line_grid):
     assert np.abs(h @ par - par @ h).max() <= 1e-12 * np.abs(h).max()
 
 
-def test_banded_appliers_match_dense(line_grid, rng):
-    psi = rng.normal(size=line_grid.n) + 1j * rng.normal(size=line_grid.n)
-    np.testing.assert_allclose(apply_laplacian(line_grid, psi),
-                               laplacian(line_grid).apply(psi), atol=1e-11)
-    np.testing.assert_allclose(apply_momentum(line_grid, psi),
-                               momentum(line_grid).apply(psi), atol=1e-11)
+def test_sparse_builders_match_dense_reference():
+    # each banded builder against the same operator assembled densely
+    t = 0.7
+    for kind in ("line", "radial3d"):
+        for n in (9, 64):
+            g = make_grid(kind, n, 10.0)
+            ones = np.ones(n - 1)
+            lap = (2.0 * np.eye(n) - np.diag(ones, 1) - np.diag(ones, -1)) / g.h**2
+            p = (np.diag(ones, -1) - np.diag(ones, 1)) * (1j / (2.0 * g.h))
+            x = np.diag(g.points)
+            xp = x - 2.0 * t * p
+            cases = [(laplacian(g), lap), (momentum(g), p), (position(g), x),
+                     (dilation(g), 0.5 * (x @ p + p @ x)),
+                     (conformal_factor_operator(g, t), xp.conj().T @ xp),
+                     (conformal_factor_dt(g, t), -2.0 * (x @ p + p @ x) + 8.0 * t * (p @ p))]
+            for op, dense in cases:
+                assert sp.issparse(op.matrix), op.label
+                np.testing.assert_allclose(op.matrix.toarray(), dense, rtol=0,
+                                           atol=1e-13 * np.abs(dense).max(),
+                                           err_msg=f"{op.label} on {kind} n={n}")
 
 
 def test_potential_evaluator_consistency(line_grid):

@@ -168,3 +168,30 @@ def test_near_threshold_gating(tmp_path):
     artifact = run_scenario(config, str(tmp_path))
     assert "adaptor" not in artifact.reports
     assert "near-threshold" in artifact.manifest["suites_skipped"]
+
+
+def _assert_rejected(argv, out_dir, run_name, path, capsys):
+    assert cli_main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert path in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(str(out_dir), run_name))
+
+
+def test_cli_rejects_grid_override_below_minimum(tmp_path, capsys):
+    _assert_rejected(["run", "free", "--grid-n", "4"], tmp_path, "free", "[grid]", capsys)
+
+
+def test_cli_rejects_positive_potential_suite_on_negative_v(tmp_path, capsys):
+    path = tmp_path / "neg.cfg"
+    path.write_text(MINIMAL.replace("conformal_identity", "positive_potential")
+                    + "\n[potential]\ngaussians = -1.0 1.0 0.0\n")
+    _assert_rejected(["run", str(path)], tmp_path, "tiny", "[potential].gaussians", capsys)
+
+
+def test_cli_rejects_cubic_flow_on_radial_grid(tmp_path, capsys):
+    radial = MINIMAL.replace("kind = line", "kind = radial3d")
+    nls = radial.replace("conformal_identity", "nls")
+    semilinear = radial + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
+    for text, key in ((nls, "[scenario].suites"), (semilinear, "[timedep].type")):
+        path = tmp_path / "radial_nls.cfg"
+        path.write_text(text)
+        _assert_rejected(["run", str(path)], tmp_path, "tiny", key, capsys)
