@@ -18,6 +18,13 @@ whose weighted norm ||<x>^{-sigma} remainder <x>^{-sigma}|| is the residual
 diagnostic; local decay of the flow is exactly what drains it as T grows,
 until wall reflections refocus the profile (keep T below half the
 box-validity horizon).
+
+Q is diagonal: on its support S, F = Phi_c e^{iE_c T} Phi_c[S, :]^* (n x |S|)
+gives remainder(T) = F diag(q_S) F^*, and P_c Q P_c at T = 0.  The thin QR
+factors R of W F and of W Phi_band (W = <x>^{-sigma}, k band modes) give
+||W remainder W|| = ||R diag(q_S) R^*|| and ||W e^{-iHt} P_band W|| =
+||R e^{-iEt} R^*||, at O(n^2 |S|) and O(n k^2) cost.  B_V (spectral, O(n^3))
+and the matrix commutator_remainder returns stay dense n x n.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ import numpy as np
 from .grids import Grid, weight_vector
 from .operators import HermitianOperator, Potential, commutator_i, dilation
 from .spectral import SpectralData
-
-POSITIVITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +93,7 @@ def dilation_Q(potential: Potential, grid: Grid) -> QSelection:
 
 @dataclass(frozen=True, eq=False)
 class AdaptorOperator:
-    """Truncated-horizon adaptor with its residual diagnostics."""
+    """Truncated-horizon adaptor with its residual diagnostics and spectrum bounds."""
 
     op: HermitianOperator
     q: QSelection
@@ -96,6 +101,7 @@ class AdaptorOperator:
     sigma: float
     residual_weighted: float
     norm_bound: float
+    min_eigenvalue: float
     warnings: tuple = ()
 
     @property
@@ -103,12 +109,24 @@ class AdaptorOperator:
         return self.op.matrix
 
 
-def _continuum_phase_sandwich(spec: SpectralData, q_tilde, t: float):
-    # P_c e^{iHt} Q e^{-iHt} P_c in the position basis, from the eigenbasis
-    # compression q_tilde restricted to continuum columns
-    ph = np.exp(1j * spec.eigenvalues * t)
-    inner = (ph[:, None] * q_tilde) * ph.conj()[None, :]
-    return inner
+def _spectral_norm(m) -> float:
+    """Largest singular value; 0 for an empty matrix (empty band or support)."""
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def _remainder_factor(spec: SpectralData, q_samples, t: float):
+    """(F, q_S) with F = Phi_c e^{iE_c t} Phi_c[S, :]^* on the support S of Q,
+    so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*."""
+    cols, e = spec.continuum_basis()
+    s = np.flatnonzero(q_samples)
+    return cols @ (np.exp(1j * e * t)[:, None] * cols[s].conj().T), q_samples[s]
+
+
+def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
+    """||W remainder(t) W|| = ||R diag(q_S) R^*|| with R from the thin QR of W F."""
+    f, q_s = _remainder_factor(spec, q_samples, t)
+    r = np.linalg.qr(weight_vector(spec.grid, sigma).samples[:, None] * f, mode="r")
+    return _spectral_norm((r * q_s) @ r.conj().T)
 
 
 def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
@@ -131,39 +149,33 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
         warnings = (f"horizon {horizon:g} exceeds box-validity horizon {validity_horizon:g}",)
 
     grid = spec.grid
-    idx = spec.continuum_indices()
-    cols = spec.eigenvectors[:, idx]
-    e = spec.eigenvalues[idx]
-
     if horizon == 0.0 or not np.any(q.samples):
         b = np.zeros((grid.n, grid.n), dtype=complex)
         op = HermitianOperator(b, grid, "B(0)")
-        return AdaptorOperator(op, q, float(horizon), float(sigma), 0.0, 0.0, warnings)
+        return AdaptorOperator(op, q, float(horizon), float(sigma), 0.0, 0.0, 0.0, warnings)
 
-    q_tilde = cols.conj().T @ (q.samples[:, None] * cols)
+    cols, e = spec.continuum_basis()
+    s = np.flatnonzero(q.samples)
+    q_tilde = cols[s].conj().T @ (q.samples[s, None] * cols[s])
     omega = e[:, None] - e[None, :]
     small = np.abs(omega) < 1e-13
     safe = np.where(small, 1.0, omega)
     kappa = np.where(small, horizon, (np.exp(1j * omega * horizon) - 1.0) / (1j * safe))
-    b_tilde = -q_tilde * kappa
-    b = cols @ b_tilde @ cols.conj().T
+    b = cols @ (-q_tilde * kappa) @ cols.conj().T
     b = 0.5 * (b + b.conj().T)  # scrub roundoff asymmetry
     op = HermitianOperator(b, grid, f"B_V(T={horizon:g})")
 
-    w = weight_vector(grid, sigma).samples
-    rem = cols @ _continuum_phase_sandwich(spec, q_tilde, horizon) @ cols.conj().T
-    residual = float(np.linalg.norm((w[:, None] * rem) * w[None, :], 2))
-    norm_bound = float(np.linalg.norm(b, 2))
-    return AdaptorOperator(op, q, float(horizon), float(sigma), residual, norm_bound, warnings)
+    residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
+    evals = np.linalg.eigvalsh(b)
+    return AdaptorOperator(op, q, float(horizon), float(sigma), residual,
+                           float(np.abs(evals).max()), float(evals[0]), warnings)
 
 
 def commutator_remainder(spec: SpectralData, adaptor: AdaptorOperator) -> np.ndarray:
     """remainder(T) = P_c e^{iHT} Q e^{-iHT} P_c, the term closing the
     truncated commutation identity i[H, B] = P_c Q P_c - remainder."""
-    idx = spec.continuum_indices()
-    cols = spec.eigenvectors[:, idx]
-    q_tilde = cols.conj().T @ (adaptor.q.samples[:, None] * cols)
-    return cols @ _continuum_phase_sandwich(spec, q_tilde, adaptor.horizon) @ cols.conj().T
+    f, q_s = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
+    return (f * q_s) @ f.conj().T
 
 
 def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
@@ -171,26 +183,15 @@ def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
     """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
     so this is roundoff-level regardless of physics."""
     comm = commutator_i(h_op, adaptor.op).matrix
-    idx = spec.continuum_indices()
-    cols = spec.eigenvectors[:, idx]
-    q_proj = cols @ (cols.conj().T @ (adaptor.q.samples[:, None] * cols)) @ cols.conj().T
+    f0, q_s = _remainder_factor(spec, adaptor.q.samples, 0.0)
     rem = commutator_remainder(spec, adaptor)
-    return float(np.abs(comm - q_proj + rem).max())
+    return float(np.abs(comm - (f0 * q_s) @ f0.conj().T + rem).max())
 
 
 def residual_weighted_scan(spec: SpectralData, q: QSelection, horizons,
                            sigma: float = 1.0) -> np.ndarray:
     """residual_weighted(T) over a grid of horizons (for monotonicity checks)."""
-    grid = spec.grid
-    idx = spec.continuum_indices()
-    cols = spec.eigenvectors[:, idx]
-    q_tilde = cols.conj().T @ (q.samples[:, None] * cols)
-    w = weight_vector(grid, sigma).samples
-    out = []
-    for t in horizons:
-        rem = cols @ _continuum_phase_sandwich(spec, q_tilde, t) @ cols.conj().T
-        out.append(float(np.linalg.norm((w[:, None] * rem) * w[None, :], 2)))
-    return np.asarray(out)
+    return np.array([_weighted_remainder_norm(spec, q.samples, t, sigma) for t in horizons])
 
 
 def adapted_dilation(spec: SpectralData, potential: Potential, horizon: float,
@@ -231,9 +232,7 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
         raise ValueError("t must be nonnegative")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    grid = spec.grid
-    w = weight_vector(grid, sigma).samples
+    w = weight_vector(spec.grid, sigma).samples
     cols, e = spec.continuum_basis(e_max=e_max)
-    wcols = w[:, None] * cols
-    m = (wcols * np.exp(-1j * e * t)) @ wcols.conj().T
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    r = np.linalg.qr(w[:, None] * cols, mode="r")
+    return _spectral_norm((r * np.exp(-1j * e * t)) @ r.conj().T)

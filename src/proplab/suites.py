@@ -33,8 +33,8 @@ from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         commutator_i, conformal_factor_dt,
                         conformal_factor_operator, conformal_value, dilation,
                         laplacian, momentum, multiplication, position)
-from .spectral import (SpectralData, free_laplacian_eigenvalues,
-                       genericity_margin, projector, resolution_energy_limit)
+from .spectral import (BOUND, SpectralData, free_laplacian_eigenvalues,
+                       genericity_margin, resolution_energy_limit)
 
 TREND_CAP = 0.05
 
@@ -321,12 +321,13 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     herm = float(np.abs(b - b.conj().T).max())
     report.add("hermiticity", herm, 1e-10 * max(1.0, scale), herm <= 1e-10 * max(1.0, scale))
 
-    p_c = projector(spec, "continuous").matrix
-    supp = float(np.abs(b - p_c @ b @ p_c).max())
+    phi_b = spec.eigenvectors[:, spec.indices(BOUND)]  # B - P_c B P_c = P_b (B - B P_b) + B P_b
+    b_pb = (b @ phi_b) @ phi_b.conj().T
+    supp = float(np.abs(phi_b @ (phi_b.conj().T @ (b - b_pb)) + b_pb).max())
     report.add("continuous-subspace support", supp, 1e-10 * max(1.0, scale),
                supp <= 1e-10 * max(1.0, scale))
 
-    min_eig = float(np.linalg.eigvalsh(b)[0]) if scale > 1e-20 else 0.0
+    min_eig = adaptor.min_eigenvalue if scale > 1e-20 else 0.0
     report.add("positivity (for -Q >= 0)", min_eig, -1e-8 * scale, min_eig >= -1e-8 * scale)
 
     closure = commutator_closure_defect(spec, h_op, adaptor)

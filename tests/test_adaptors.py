@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, QSelection, build_adaptor,
                      adaptor_expectation_series, adapted_dilation,
@@ -8,7 +9,10 @@ from proplab import (HermitianOperator, Potential, QSelection, build_adaptor,
                      weighted_propagator_norm)
 from proplab.adaptors import (commutator_closure_defect, commutator_remainder,
                               residual_weighted_scan)
-from proplab.grids import Grid
+from proplab.adaptors import AdaptorOperator
+from proplab.evolution import gaussian_state
+from proplab.grids import Grid, weight_vector
+from proplab.suites import adaptor_suite
 from proplab.spectral import SpectralData, classify_spectrum as classify
 
 
@@ -219,3 +223,133 @@ def test_commutator_remainder_closes_identity(line_grid):
     q_proj = p_c @ np.diag(q.samples) @ p_c
     rem = commutator_remainder(spec, adaptor)
     assert np.abs(comm - q_proj + rem).max() <= 1e-10 * max(1.0, np.abs(q.samples).max())
+
+
+# ---------------------------------------------------------------------------
+# support-of-Q and thin-QR kernels against the dense n x n formulas
+
+
+def dense_remainder(spec, q_samples, t):
+    """P_c e^{iHt} Q e^{-iHt} P_c through the full continuum compression."""
+    idx = spec.continuum_indices()
+    cols, e = spec.eigenvectors[:, idx], spec.eigenvalues[idx]
+    q_tilde = cols.conj().T @ (q_samples[:, None] * cols)
+    ph = np.exp(1j * e * t)
+    return cols @ ((ph[:, None] * q_tilde) * ph.conj()[None, :]) @ cols.conj().T
+
+
+def dense_weighted_norm(grid, m, sigma):
+    w = weight_vector(grid, sigma).samples
+    return float(np.linalg.norm((w[:, None] * m) * w[None, :], 2))
+
+
+def dense_propagator_norm(spec, sigma, t, e_max=None):
+    cols, e = spec.continuum_basis(e_max=e_max)
+    return dense_weighted_norm(spec.grid, (cols * np.exp(-1j * e * t)) @ cols.conj().T, sigma)
+
+
+WELL = Potential([(-6.0, 1.0, 1.5), (0.5, 1.0, 3.5)])  # well_with_barrier's profile
+
+
+def _q_case(name, pot, grid):
+    if name == "conformal_well":
+        return conformal_Q(pot, grid)
+    if name == "dilation":
+        return dilation_Q(pot, grid)
+    return conformal_Q(pot, grid).flipped()
+
+
+@pytest.fixture(scope="module")
+def well_spec():
+    grid = make_grid("radial3d", 160, 30.0)
+    spec, h = classified(grid, WELL)
+    assert len(spec.indices("bound")) > 0  # P_c != I
+    return spec, h
+
+
+@pytest.mark.parametrize("case", ["conformal_well", "dilation", "flipped"])
+def test_low_rank_kernels_match_dense_formulas(well_spec, case):
+    spec, h = well_spec
+    grid = spec.grid
+    q = _q_case(case, WELL, grid)
+    assert 0 < np.count_nonzero(q.samples)
+    if case == "dilation":
+        assert np.count_nonzero(q.samples) == grid.n  # full support
+    adaptor = build_adaptor(spec, q, 3.0, sigma=1.0)
+
+    rem_dense = dense_remainder(spec, q.samples, 3.0)
+    rem = commutator_remainder(spec, adaptor)
+    assert np.abs(rem - rem_dense).max() <= 1e-12 * np.abs(rem_dense).max()
+
+    ref = dense_weighted_norm(grid, rem_dense, 1.0)
+    assert adaptor.residual_weighted == pytest.approx(ref, rel=1e-12)
+
+    horizons = np.array([0.0, 0.7, 2.0, 4.5])
+    scan = residual_weighted_scan(spec, q, horizons, sigma=0.5)
+    ref_scan = [dense_weighted_norm(grid, dense_remainder(spec, q.samples, t), 0.5)
+                for t in horizons]
+    np.testing.assert_allclose(scan, ref_scan, rtol=1e-12, atol=0)
+
+    norm = np.linalg.norm(adaptor.matrix, 2)
+    assert adaptor.norm_bound == pytest.approx(norm, rel=1e-12)
+    assert adaptor.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(adaptor.matrix)[0],
+                                                   abs=1e-12 * norm)
+
+
+@pytest.mark.parametrize("sigma, t, e_max", [(1.0, 0.0, None), (1.0, 3.0, 2.0),
+                                             (0.5, 7.5, None), (2.0, 12.0, 0.5)])
+def test_weighted_propagator_norm_matches_dense(well_spec, sigma, t, e_max):
+    spec, _ = well_spec
+    ref = dense_propagator_norm(spec, sigma, t, e_max)
+    assert weighted_propagator_norm(spec, sigma, t, e_max=e_max) == pytest.approx(ref, rel=1e-12)
+
+
+def test_empty_band_and_empty_support_give_zero(well_spec):
+    spec, _ = well_spec
+    e_low = float(spec.eigenvalues[spec.continuum_indices()].min())
+    assert weighted_propagator_norm(spec, 1.0, 2.0, e_max=e_low - 1.0) == 0.0
+    zero_q = conformal_Q(Potential.zero(), spec.grid)
+    scan = residual_weighted_scan(spec, zero_q, [0.5, 1.0, 2.0])
+    assert scan.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_support_check_matches_dense_projector_formula(well_spec, rng):
+    # a Hermitian matrix off Ran P_c, so that max|B - P_c B P_c| is O(1)
+    spec, h = well_spec
+    grid = spec.grid
+    m = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
+    m = 0.5 * (m + m.conj().T)
+    evals = np.linalg.eigvalsh(m)
+    fake = AdaptorOperator(HermitianOperator(m, grid, "M"), conformal_Q(WELL, grid), 3.0, 1.0,
+                           0.0, float(np.abs(evals).max()), float(evals[0]))
+    report = adaptor_suite(spec, h, fake, gaussian_state(grid, center=5.0), 6.0,
+                           np.linspace(0.5, 3.0, 6))
+    supp = next(c for c in report.checks if c.name == "continuous-subspace support")
+    cols = spec.eigenvectors[:, spec.continuum_indices()]
+    p_c = cols @ cols.conj().T
+    ref = np.abs(m - p_c @ m @ p_c).max()
+    assert ref > 1e-2 and not supp.passed
+    assert supp.measured == pytest.approx(ref, rel=1e-12)
+    positivity = next(c for c in report.checks if c.name.startswith("positivity"))
+    assert positivity.measured == evals[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 40),
+       extent=st.floats(4.0, 20.0), amp=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
+       width=st.floats(0.5, 2.0), horizon=st.floats(0.05, 6.0),
+       q_kind=st.sampled_from(["conformal", "dilation"]))
+def test_truncated_commutator_closure_property(kind, n, extent, amp, width, horizon, q_kind):
+    # i[H, B(T)] = P_c Q P_c - remainder(T), with P_c and Q written out densely
+    grid = make_grid(kind, n, extent)
+    pot = Potential.gaussian(amp, width=width)
+    spec, h = classified(grid, pot)
+    q = conformal_Q(pot, grid) if q_kind == "conformal" else dilation_Q(pot, grid)
+    adaptor = build_adaptor(spec, q, horizon)
+    b = adaptor.matrix
+    cols = spec.eigenvectors[:, spec.continuum_indices()]
+    p_c = cols @ cols.conj().T
+    comm = 1j * (h.matrix @ b - b @ h.matrix)
+    defect = np.abs(comm - p_c @ np.diag(q.samples) @ p_c + commutator_remainder(spec, adaptor)).max()
+    assert defect <= 1e-10 * max(1.0, np.abs(q.samples).max())
+    assert commutator_closure_defect(spec, h, adaptor) <= 1e-10 * max(1.0, np.abs(q.samples).max())
