@@ -49,14 +49,14 @@ print(f"\nadaptor cancellation of [i[V, gamma]]_-: defect {cancel.measured:.4f} 
 
 w_t = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
 psi0 = gaussian_state(grid, width=1.0)
-(c0, c1), series, sup_h = smoothing_integral_fit(grid, pot, w_t, psi0,
-                                                 t_end=8.0, dt=2e-3,
-                                                 eps_m=0.1, a=0.5)
+(c0, c1), series, sup_h, _ = smoothing_integral_fit(grid, pot, w_t, psi0,
+                                                    t_end=8.0, dt=2e-3,
+                                                    eps_m=0.1, a=0.5)
 print(f"\nsmoothing integral fit: C = {c0:.4f}, C' = {c1:.4f} "
       f"(sup ||psi||_H1/2^2 = {sup_h:.4f})")
 fine = make_grid("radial3d", 768, 80.0)
 psi_f = gaussian_state(fine, width=1.0)
-(c0f, c1f), _, _ = smoothing_integral_fit(fine, pot, w_t, psi_f,
-                                          t_end=8.0, dt=2e-3, eps_m=0.1, a=0.5)
+(c0f, c1f), _, _, _ = smoothing_integral_fit(fine, pot, w_t, psi_f,
+                                             t_end=8.0, dt=2e-3, eps_m=0.1, a=0.5)
 print(f"refined grid:           C = {c0f:.4f}, C' = {c1f:.4f} "
       f"(stable under refinement)")

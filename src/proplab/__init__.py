@@ -21,8 +21,7 @@ from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
                        adapted_dilation, build_adaptor, conformal_Q,
                        conformal_Q_termwise, dilation_Q,
                        weighted_propagator_norm)
-from .evolution import (Trajectory, WaveState, eigenstate, evolve_linear,
-                        evolve_nls, evolve_timedep, gaussian_state,
+from .evolution import (Trajectory, eigenstate, evolve_split, gaussian_state,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .observables import (EstimateReport, ObservableSeries,
                           PropagationObservable, fit_decay_rate,

@@ -1,6 +1,7 @@
-"""Time evolution: exact eigenbasis propagation for static H, second-order
-Strang splitting for time-dependent potentials and for the 1d defocusing
-cubic NLS.
+"""Time evolution: exact eigenbasis propagation for static H
+(``SpectralData.evolve``, ``trajectory_linear``) and one second-order
+Strang splitting, ``evolve_split``, for time-dependent potentials and the 1d
+defocusing cubic NLS; ``trajectory_split`` samples one such sweep.
 
 The kinetic half of the splitting is applied in the eigenbasis of the
 discrete Dirichlet Laplacian, which is the orthonormal type-I sine transform
@@ -19,13 +20,6 @@ from scipy.fft import dst
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential, laplacian
 from .spectral import SpectralData, free_laplacian_eigenvalues
-
-
-@dataclass(frozen=True, eq=False)
-class WaveState:
-    amplitudes: np.ndarray = field(repr=False)
-    time: float
-    provenance: str = "initial"
 
 
 @dataclass(eq=False)
@@ -91,11 +85,6 @@ def eigenstate(spec: SpectralData, k: int):
     return phi / norm(spec.grid, phi, "L2")
 
 
-def evolve_linear(spec: SpectralData, psi0, t: float) -> WaveState:
-    """psi(t) = Phi e^{-iEt} Phi^dagger psi0; exact for the discrete H."""
-    return WaveState(spec.evolve(psi0, t), float(t), "evolved(eigenbasis_exact)")
-
-
 def trajectory_linear(spec: SpectralData, psi0, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     states = [spec.evolve(psi0, t) for t in times]
@@ -115,6 +104,13 @@ def _sine_transform(u):
 def kinetic_step(grid: Grid, u, dt: float):
     lam = free_laplacian_eigenvalues(grid)
     return _sine_transform(np.exp(-1j * lam * dt) * _sine_transform(u))
+
+
+def h_half_norm_sq(grid: Grid, state) -> float:
+    """<u, (1 + (-lap))^{1/2} u> through the sine-transform calculus."""
+    c = _sine_transform(np.asarray(state, dtype=complex))
+    lam = free_laplacian_eigenvalues(grid)
+    return float(grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(c) ** 2))
 
 
 class _SplitStepper:
@@ -157,10 +153,23 @@ class _SplitStepper:
         return half * u
 
 
-def _run_split(stepper: _SplitStepper, psi0, t0: float, t_final: float, dt: float,
-               observer=None):
+def evolve_split(grid: Grid, potential: Potential | None,
+                 w_t: TimeDependentPotential | None, psi0, t_final: float,
+                 dt: float, t0: float = 0.0, nonlinearity: float = 0.0,
+                 observer=None):
+    """Strang evolution of i psi_t = (-lap + V + W(x, t) + lam |psi|^2) psi
+    from t0 to t_final; returns the final state.
+
+    Global error O(dt^2).  With lam > 0 (defocusing cubic flow, line grids
+    only) the nonlinear phase step is exact, since |psi| is invariant under
+    it, so mass is conserved by every factor and the energy
+    <T> + <V> + (lam/2) int |psi|^4 drifts at O(dt^2).  dt must divide the
+    span; t_final < t0 runs backwards.  ``observer(t, u)`` sees the state at
+    every lattice time t0 + k dt, the end points included.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    stepper = _SplitStepper(grid, potential, w_t=w_t, nonlinearity=nonlinearity)
     span = t_final - t0
     n_steps = int(round(abs(span) / dt))
     if n_steps == 0 and abs(span) > 1e-14:
@@ -177,31 +186,7 @@ def _run_split(stepper: _SplitStepper, psi0, t0: float, t_final: float, dt: floa
         t = t0 + k * signed_dt  # from the step index: no drift from repeated addition
         if observer is not None:
             observer(t, u)
-    return u, t
-
-
-def evolve_timedep(grid: Grid, potential: Potential | None,
-                   w_t: TimeDependentPotential | None, psi0,
-                   t_final: float, dt: float, t0: float = 0.0,
-                   observer=None) -> WaveState:
-    """Strang evolution under H(t) = -lap + V + W(x, t); global error O(dt^2)."""
-    stepper = _SplitStepper(grid, potential, w_t=w_t)
-    u, t = _run_split(stepper, psi0, t0, t_final, dt, observer=observer)
-    return WaveState(u, t, f"evolved(split_step2, dt={dt:g})")
-
-
-def evolve_nls(grid: Grid, potential: Potential | None, lam: float, psi0,
-               t_final: float, dt: float, t0: float = 0.0,
-               observer=None) -> WaveState:
-    """Defocusing cubic flow i psi_t = (-lap + V + lam |psi|^2) psi, lam >= 0.
-
-    The nonlinear phase step is exact (|psi| is invariant under it), so mass
-    is conserved by every factor; the energy
-    <T> + <V> + (lam/2) int |psi|^4 drifts at O(dt^2).
-    """
-    stepper = _SplitStepper(grid, potential, nonlinearity=lam)
-    u, t = _run_split(stepper, psi0, t0, t_final, dt, observer=observer)
-    return WaveState(u, t, f"evolved(split_step2+cubic, dt={dt:g})")
+    return u
 
 
 def trajectory_split(grid: Grid, potential: Potential | None,
@@ -212,11 +197,11 @@ def trajectory_split(grid: Grid, potential: Potential | None,
 
     Sample times must sit on the dt lattice (within 1e-9); the evolution is
     performed in one sweep so repeated runs are bit-identical.
+    ``observer(t, u)`` sees every lattice time of that sweep.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if np.any(np.diff(sample_times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    stepper = _SplitStepper(grid, potential, w_t=w_t, nonlinearity=nonlinearity)
     states, bms = [], []
     want = list(sample_times)
 
@@ -228,7 +213,8 @@ def trajectory_split(grid: Grid, potential: Potential | None,
             bms.append(boundary_mass(grid, u))
             want.pop(0)
 
-    _run_split(stepper, psi0, t0, float(sample_times[-1]), dt, observer=collect)
+    evolve_split(grid, potential, w_t, psi0, float(sample_times[-1]), dt, t0=t0,
+                 nonlinearity=nonlinearity, observer=collect)
     if want:
         raise ValueError(f"sample times not on the dt lattice: {want[:3]}")
     method = "split_step2" + ("+cubic" if nonlinearity else "")

@@ -9,6 +9,7 @@ with their path, and ``parse_config(serialize_config(c)) == c``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,10 +25,9 @@ from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         laplacian, multiplication)
 from .spectral import (SpectralData, classify_spectrum, diagonalize,
                        free_spectral_data, projector, resolution_energy_limit)
-from .suites import (adaptor_suite, conformal_energy_series,
-                     conformal_identity_suite, first_level_series,
-                     general_potential_suite, gronwall_monitor, lp_norm_series,
-                     morawetz_suite, nls_suite, operator_identity_suite,
+from .suites import (adaptor_suite, conformal_identity_suite,
+                     general_potential_suite, gronwall_monitor, morawetz_suite,
+                     nls_suite, operator_identity_suite,
                      positive_potential_suite, timedep_suite)
 
 
@@ -222,6 +222,10 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
+    from_one = [s for s in config.suites if s in ("timedep", "morawetz")]
+    if from_one and config.t_max <= 1.0:
+        raise ConfigError(f"[evolution].t_max: suites {', '.join(from_one)} measure from "
+                          f"t = 1 and need t_max > 1, got {config.t_max}")
     gated = [s for s in config.suites if s in ("positive_potential", "morawetz")]
     grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
     if gated and not _potential(config).is_nonnegative(grid.points):
@@ -497,14 +501,9 @@ def _suite_positive_potential(ctx: _Context) -> EstimateReport:
     times = ctx.sample_times(lo=max(1.0, c.t0), hi=ctx.horizon, count=max(c.samples, 12))
     traj = ctx.trajectory(times)
     lnorm0 = norm(ctx.grid, ctx.psi0, "Lnorm")
-    report = positive_potential_suite(traj, ctx.potential, lnorm0,
-                                      fit_window=(max(1.5, c.t0), ctx.horizon),
-                                      energy_cap_ratio=c.energy_cap)
-    window = traj.valid_window(max(1.5, c.t0), ctx.horizon)
-    report.series["l6_norm"] = lp_norm_series(traj, 6.0, window)
-    report.series["conformal_energy"] = conformal_energy_series(traj, ctx.potential, window)
-    report.series["first_level"] = first_level_series(traj, ctx.potential, window)
-    return report
+    return positive_potential_suite(traj, ctx.potential, lnorm0,
+                                    fit_window=(max(1.5, c.t0), ctx.horizon),
+                                    energy_cap_ratio=c.energy_cap)
 
 
 def _suite_general_potential(ctx: _Context) -> EstimateReport:
@@ -521,11 +520,17 @@ def _suite_general_potential(ctx: _Context) -> EstimateReport:
                                    e_max=resolution_energy_limit(ctx.grid))
 
 
+def _lattice_floor(t: float, dt: float) -> float:
+    """Largest k dt not beyond t (up to 1e-9), so a sweep to it can end on the lattice."""
+    return math.floor(t / dt + 1e-9) * dt
+
+
 def _suite_timedep(ctx: _Context) -> EstimateReport:
     c = ctx.config
     adaptor = ctx.adaptor() if c.potential_terms else None
+    t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
     return timedep_suite(ctx.grid, ctx.spec, ctx.potential, ctx.w_t, ctx.psi0,
-                         t_end=min(c.t_max, max(ctx.horizon, 2.0)), dt=c.dt,
+                         t_end=t_end, dt=c.dt,
                          adaptor=adaptor, disp_cap_ratio=c.disp_cap,
                          h1_cap_ratio=c.h1_cap,
                          expect_log_growth=c.expect_log_growth)
@@ -554,11 +559,11 @@ def _suite_nls(ctx: _Context) -> EstimateReport:
 
 def _suite_morawetz(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    l6_times = snap_to_lattice(np.geomspace(1.0, min(c.t_max, 10.0), 10), c.dt)
+    t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
+    l6_times = snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt)
     return morawetz_suite(ctx.grid, ctx.spec, ctx.potential, ctx.w_t, ctx.psi0,
                           eps_m=c.eps_m, a=c.timedep_a, theta=c.theta,
-                          horizon=ctx.t_b, t_end=min(c.t_max, 10.0), dt=c.dt,
-                          l6_times=l6_times)
+                          horizon=ctx.t_b, t_end=t_end, dt=c.dt, l6_times=l6_times)
 
 
 _SUITE_RUNNERS = {

@@ -14,14 +14,13 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.optimize
-from scipy.fft import dst
 
 from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
                        build_adaptor, commutator_closure_defect,
                        commutator_remainder, negative_part, positive_part,
                        residual_weighted_scan)
-from .evolution import (Trajectory, _SplitStepper, _run_split, evolve_nls,
-                        gaussian_state, kinetic_step, trajectory_split)
+from .evolution import (Trajectory, evolve_split, gaussian_state,
+                        h_half_norm_sq, kinetic_step, trajectory_split)
 from .grids import Grid, make_grid, norm, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
@@ -33,8 +32,8 @@ from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         commutator_i, conformal_factor_dt,
                         conformal_factor_operator, conformal_value, dilation,
                         laplacian, momentum, multiplication, position)
-from .spectral import (BOUND, SpectralData, free_laplacian_eigenvalues,
-                       genericity_margin, resolution_energy_limit)
+from .spectral import (BOUND, SpectralData, genericity_margin,
+                       resolution_energy_limit)
 
 TREND_CAP = 0.05
 
@@ -436,6 +435,7 @@ def positive_potential_suite(traj: Trajectory, potential: Potential,
     report.add("first-level decay slope", slope1, first_level_window[1],
                first_level_window[0] <= slope1 <= first_level_window[1],
                note=f"window {first_level_window}, width {width1:.3f}")
+    report.series = {"l6_norm": l6, "conformal_energy": energy, "first_level": f1}
     return report
 
 
@@ -554,15 +554,23 @@ def nls_suite(grid: Grid, potential: Potential, psi0, lam: float, dt: float,
     step-halving ratio at t=1, and the sup-norm decay slope on
     ``fit_window``."""
     report = EstimateReport("defocusing cubic flow")
-    traj = trajectory_split(grid, potential, None, psi0, times, dt, nonlinearity=lam)
+    refs = {}
+
+    def at_one(t, u):
+        if abs(t - 1.0) <= 1e-9:
+            refs[dt] = u.copy()
+
+    traj = trajectory_split(grid, potential, None, psi0, times, dt, nonlinearity=lam,
+                            observer=at_one)
     mass0 = norm(grid, psi0, "L2") ** 2
     masses = np.array([norm(grid, s, "L2") ** 2 for s in traj.states])
     drift = float(np.abs(masses - mass0).max())
     report.add("mass conservation", drift, 1e-10, drift <= 1e-10)
 
-    refs = {}
     for dt_k in (dt, dt / 2.0, dt / 4.0):
-        refs[dt_k] = evolve_nls(grid, potential, lam, psi0, 1.0, dt_k).amplitudes
+        if dt_k not in refs:  # the sweep above holds the dt reference if it passed t=1
+            refs[dt_k] = evolve_split(grid, potential, None, psi0, 1.0, dt_k,
+                                      nonlinearity=lam)
     d1 = norm(grid, refs[dt] - refs[dt / 2.0], "L2")
     d2 = norm(grid, refs[dt / 2.0] - refs[dt / 4.0], "L2")
     ratio = d1 / d2 if d2 > 0 else math.inf
@@ -601,7 +609,7 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
                   sample_count: int = 16) -> EstimateReport:
     """Dispersive estimates under a time-dependent perturbation W(x, t).
 
-    Runs its own Strang evolution from t=0, accumulating on [1, t_end]:
+    Runs one Strang sweep from t=0, accumulating on [1, t_end]:
     (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
         against the L-norm at t=1 (bounded, or log-growing when the
         smallness constant is order one);
@@ -613,10 +621,6 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
     """
     x = grid.points
     report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
-
-    stepper = _SplitStepper(grid, potential, w_t=w_t)
-    u1, _ = _run_split(stepper, psi0, 0.0, 1.0, dt)
-    lnorm1 = norm(grid, u1, "Lnorm")
 
     sample_ts = np.geomspace(1.0, t_end, sample_count)
     acc = {"disp": 0.0, "dtw": 0.0, "pgrad": 0.0, "t_prev": None, "prev": None}
@@ -660,9 +664,11 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
     def boundary_terms(u, t):
         return 4.0 * float(np.real(grid.inner(u, w_t.w(x, t) * u)))
 
+    traj = trajectory_split(grid, potential, w_t, psi0, [1.0, t_end], dt, observer=observer)
+    u1, uT = traj.states
+    lnorm1 = norm(grid, u1, "Lnorm")
     w1_exp = boundary_terms(u1, 1.0)
-    uT, tT = _run_split(stepper, u1, 1.0, t_end, dt, observer=observer)
-    wT_exp = boundary_terms(uT, tT)
+    wT_exp = boundary_terms(uT, t_end)
 
     ts_arr = np.asarray(sampled_ts)
     disp_arr = np.asarray(disp_partial)
@@ -806,19 +812,17 @@ def weighted_gradient_sq(grid: Grid, state, weight_samples_mid) -> float:
     return float(meas * np.sum(weight_samples_mid**2 * r2 * np.abs(d) ** 2))
 
 
-def h_half_norm_sq(grid: Grid, state) -> float:
-    """<u, (1 + (-lap))^{1/2} u> through the sine-transform calculus."""
-    c = dst(np.asarray(state, dtype=complex), type=1, norm="ortho")
-    lam = free_laplacian_eigenvalues(grid)
-    return float(grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(c) ** 2))
-
-
 def smoothing_integral_fit(grid: Grid, potential: Potential | None,
                            w_t: TimeDependentPotential | None, psi0,
                            t_end: float, dt: float, eps_m: float, a: float,
-                           checkpoints=None):
+                           checkpoints=None, l6_times=None):
     """Accumulate the local-smoothing integral and fit
-    I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 + C' T^{1-a} with nonnegative C, C'."""
+    I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 + C' T^{1-a} with nonnegative C, C'.
+
+    Returns ``((C, C'), partial integrals, sup H^{1/2} norm, L6^2 series)``;
+    the last is sampled at ``l6_times`` (on the dt lattice) along the same
+    sweep, or None without them.
+    """
     if checkpoints is None:
         checkpoints = np.linspace(t_end / 6.0, t_end, 8)
     checkpoints = np.asarray(checkpoints, dtype=float)
@@ -826,9 +830,9 @@ def smoothing_integral_fit(grid: Grid, potential: Potential | None,
     w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)
     w_loc = (1.0 + x**2) ** (-(1.0 + eps_m))
 
-    stepper = _SplitStepper(grid, potential, w_t=w_t)
     acc = {"val": 0.0, "prev": None, "t_prev": None, "sup_h": 0.0}
     partials = []
+    l6_want, l6_vals = list(l6_times if l6_times is not None else ()), []
     next_cp = 0
 
     def density(t, u):
@@ -846,14 +850,22 @@ def smoothing_integral_fit(grid: Grid, potential: Potential | None,
         if next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-9:
             partials.append((t, acc["val"]))
             next_cp += 1
+        if l6_want and abs(t - l6_want[0]) <= 1e-9:
+            l6_vals.append(norm(grid, u, "Lp", p=6.0) ** 2)
+            l6_want.pop(0)
 
-    _run_split(stepper, psi0, 0.0, t_end, dt, observer=observer)
+    evolve_split(grid, potential, w_t, psi0, t_end, dt, observer=observer)
+    if l6_want:
+        raise ValueError(f"L6 times not on the dt lattice up to t_end: {l6_want[:3]}")
     ts = np.array([t for t, _ in partials])
     vals = np.array([v for _, v in partials])
     basis = np.column_stack([np.full_like(ts, acc["sup_h"]), ts ** (1.0 - a)])
     coeffs, _ = scipy.optimize.nnls(basis, vals)
     c0, c1 = float(coeffs[0]), float(coeffs[1])
-    return (c0, c1), ObservableSeries(ts, vals, "smoothing integral"), acc["sup_h"]
+    l6sq = None
+    if l6_times is not None:
+        l6sq = ObservableSeries(np.asarray(l6_times, dtype=float), np.asarray(l6_vals), "L6^2")
+    return (c0, c1), ObservableSeries(ts, vals, "smoothing integral"), acc["sup_h"], l6sq
 
 
 def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
@@ -877,8 +889,8 @@ def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
     cancel, adaptor = morawetz_cancellation_check(grid, spec, potential, g_samples, horizon)
     report.checks.append(cancel)
 
-    (c0, c1), smoothing, sup_h = smoothing_integral_fit(
-        grid, potential, w_t, psi0, t_end, dt, eps_m, a)
+    (c0, c1), smoothing, sup_h, l6sq = smoothing_integral_fit(
+        grid, potential, w_t, psi0, t_end, dt, eps_m, a, l6_times=l6_times)
     fitted = c0 * sup_h + c1 * smoothing.times ** (1.0 - a)
     fit_gap = float(np.abs(fitted - smoothing.values).max() / max(smoothing.values.max(), 1e-300))
     report.rates["smoothing_C"] = c0
@@ -891,19 +903,13 @@ def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
     psi0_fine = np.interp(fine.points, grid.points, np.asarray(psi0, dtype=complex).real) + \
         1j * np.interp(fine.points, grid.points, np.asarray(psi0, dtype=complex).imag)
     psi0_fine = psi0_fine / norm(fine, psi0_fine, "L2") * norm(grid, psi0, "L2")
-    (c0f, c1f), _, _ = smoothing_integral_fit(fine, potential, w_t, psi0_fine, t_end, dt, eps_m, a)
+    (c0f, c1f), _, _, _ = smoothing_integral_fit(fine, potential, w_t, psi0_fine, t_end, dt,
+                                                 eps_m, a)
     rel = max(abs(c0f - c0) / max(abs(c0), 1e-12), abs(c1f - c1) / max(abs(c1), 1e-12))
     report.add("smoothing constants stable under refinement", rel, 0.20, rel <= 0.20,
                note=f"refined C={c0f:.3g}, C'={c1f:.3g}")
 
-    if l6_times is not None:
-        stepper = _SplitStepper(grid, potential, w_t=w_t)
-        vals = []
-        u, t_cur = np.asarray(psi0, dtype=complex).copy(), 0.0
-        for t in l6_times:
-            u, t_cur = _run_split(stepper, u, t_cur, float(t), dt)
-            vals.append(norm(grid, u, "Lp", p=6.0) ** 2)
-        l6sq = ObservableSeries(np.asarray(l6_times, dtype=float), np.asarray(vals), "L6^2")
+    if l6sq is not None:
         slope, _ = fit_decay_rate(l6sq)
         report.rates["L6sq_theta"] = slope
         report.add("theta-weighted conformal corollary", slope, -theta + 0.1,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     classify_spectrum, diagonalize, evolve_linear, evolve_nls,
-                     evolve_timedep, free_spectral_data, gaussian_state,
+                     classify_spectrum, diagonalize, evolve_split,
+                     free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import eigenstate, kinetic_step, nls_energy, snap_to_lattice
@@ -27,8 +27,8 @@ def test_gaussian_state_normalized(line_grid, radial_grid):
 def test_evolve_linear_identity_at_zero(line_grid):
     spec = spec_for(line_grid)
     psi = gaussian_state(line_grid, width=1.5)
-    out = evolve_linear(spec, psi, 0.0)
-    np.testing.assert_allclose(out.amplitudes, psi, atol=1e-12)
+    out = spec.evolve(psi, 0.0)
+    np.testing.assert_allclose(out, psi, atol=1e-12)
 
 
 def test_evolve_linear_eigenstate_phase(line_grid):
@@ -36,8 +36,8 @@ def test_evolve_linear_eigenstate_phase(line_grid):
     spec = spec_for(line_grid, pot)
     k = 5
     phi = eigenstate(spec, k)
-    out = evolve_linear(spec, phi, 2.3)
-    np.testing.assert_allclose(out.amplitudes,
+    out = spec.evolve(phi, 2.3)
+    np.testing.assert_allclose(out,
                                np.exp(-1j * spec.eigenvalues[k] * 2.3) * phi, atol=1e-10)
 
 
@@ -50,7 +50,7 @@ def test_free_flow_variance_growth():
     p_psi = momentum(g).apply(psi)
     p2_0 = float(np.real(g.inner(p_psi, p_psi)))
     t = 2.0
-    out = evolve_linear(spec, psi, t).amplitudes
+    out = spec.evolve(psi, t)
     x2_t = float(np.real(g.inner(out, g.points**2 * out)))
     assert x2_t == pytest.approx(x2_0 + 4.0 * t**2 * p2_0, rel=1e-4)
 
@@ -61,7 +61,7 @@ def test_evolve_linear_conserves_norm_and_energy(line_grid):
     h = laplacian(line_grid).matrix + np.diag(pot.v(line_grid.points))
     psi = gaussian_state(line_grid, width=1.2)
     e0 = float(np.real(line_grid.inner(psi, h @ psi)))
-    out = evolve_linear(spec, psi, 5.0).amplitudes
+    out = spec.evolve(psi, 5.0)
     assert norm(line_grid, out, "L2") == pytest.approx(1.0, abs=1e-9)
     e_t = float(np.real(line_grid.inner(out, h @ out)))
     assert e_t == pytest.approx(e0, rel=1e-9)
@@ -72,7 +72,7 @@ def test_kinetic_step_matches_free_eigenbasis(line_grid):
     psi = gaussian_state(line_grid, width=1.5)
     t = 1.7
     np.testing.assert_allclose(kinetic_step(line_grid, psi, t),
-                               evolve_linear(spec, psi, t).amplitudes, atol=1e-10)
+                               spec.evolve(psi, t), atol=1e-10)
 
 
 def test_split_step_matches_exact_with_order_two():
@@ -80,10 +80,10 @@ def test_split_step_matches_exact_with_order_two():
     pot = Potential.gaussian(1.0)
     spec = spec_for(g, pot)
     psi = gaussian_state(g, width=1.2)
-    exact = evolve_linear(spec, psi, 1.0).amplitudes
+    exact = spec.evolve(psi, 1.0)
 
     def gap(dt):
-        out = evolve_timedep(g, pot, None, psi, 1.0, dt).amplitudes
+        out = evolve_split(g, pot, None, psi, 1.0, dt)
         return norm(g, out - exact, "L2")
 
     g1, g2 = gap(0.02), gap(0.01)
@@ -93,26 +93,26 @@ def test_split_step_matches_exact_with_order_two():
 def test_split_step_identity_and_unitarity(line_grid):
     pot = Potential.gaussian(0.5)
     psi = gaussian_state(line_grid, width=1.2)
-    out = evolve_timedep(line_grid, pot, None, psi, 0.0, 1e-2)
-    np.testing.assert_allclose(out.amplitudes, psi, atol=1e-12)
-    out = evolve_timedep(line_grid, pot, None, psi, 3.0, 1e-2)
-    assert norm(line_grid, out.amplitudes, "L2") == pytest.approx(1.0, abs=1e-9)
+    out = evolve_split(line_grid, pot, None, psi, 0.0, 1e-2)
+    np.testing.assert_allclose(out, psi, atol=1e-12)
+    out = evolve_split(line_grid, pot, None, psi, 3.0, 1e-2)
+    assert norm(line_grid, out, "L2") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_split_step_time_reversal(line_grid):
     pot = Potential.gaussian(0.8)
     w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
     psi = gaussian_state(line_grid, width=1.2)
-    fwd = evolve_timedep(line_grid, pot, w, psi, 2.0, 1e-2)
-    back = evolve_timedep(line_grid, pot, w, fwd.amplitudes, 0.0, 1e-2, t0=2.0)
-    assert norm(line_grid, back.amplitudes - psi, "L2") <= 1e-8
+    fwd = evolve_split(line_grid, pot, w, psi, 2.0, 1e-2)
+    back = evolve_split(line_grid, pot, w, fwd, 0.0, 1e-2, t0=2.0)
+    assert norm(line_grid, back - psi, "L2") <= 1e-8
 
 
 def test_evolve_nls_reduces_to_linear(line_grid):
     pot = Potential.gaussian(0.3)
     psi = 0.1 * gaussian_state(line_grid, width=1.0)
-    lin = evolve_timedep(line_grid, pot, None, psi, 1.0, 1e-2).amplitudes
-    nl0 = evolve_nls(line_grid, pot, 0.0, psi, 1.0, 1e-2).amplitudes
+    lin = evolve_split(line_grid, pot, None, psi, 1.0, 1e-2)
+    nl0 = evolve_split(line_grid, pot, None, psi, 1.0, 1e-2, nonlinearity=0.0)
     np.testing.assert_allclose(nl0, lin, atol=1e-12)
 
 
@@ -121,8 +121,8 @@ def test_evolve_nls_mass_conservation():
     pot = Potential.gaussian(0.2)
     psi = 0.1 * gaussian_state(g, width=1.0)
     mass0 = norm(g, psi, "L2") ** 2
-    out = evolve_nls(g, pot, 1.0, psi, 10.0, 1e-3)
-    assert abs(norm(g, out.amplitudes, "L2") ** 2 - mass0) <= 1e-10
+    out = evolve_split(g, pot, None, psi, 10.0, 1e-3, nonlinearity=1.0)
+    assert abs(norm(g, out, "L2") ** 2 - mass0) <= 1e-10
 
 
 def test_evolve_nls_energy_drift_order_two():
@@ -132,7 +132,7 @@ def test_evolve_nls_energy_drift_order_two():
     e0 = nls_energy(g, pot, 1.0, psi)
 
     def drift(dt):
-        out = evolve_nls(g, pot, 1.0, psi, 1.0, dt).amplitudes
+        out = evolve_split(g, pot, None, psi, 1.0, dt, nonlinearity=1.0)
         return abs(nls_energy(g, pot, 1.0, out) - e0)
 
     d1, d2 = drift(0.02), drift(0.01)
@@ -142,21 +142,21 @@ def test_evolve_nls_energy_drift_order_two():
 def test_evolve_nls_rejects_focusing(line_grid):
     psi = gaussian_state(line_grid, width=1.0)
     with pytest.raises(ValueError, match="focusing"):
-        evolve_nls(line_grid, None, -1.0, psi, 1.0, 1e-2)
+        evolve_split(line_grid, None, None, psi, 1.0, 1e-2, nonlinearity=-1.0)
 
 
 def test_evolve_nls_rejects_radial(radial_grid):
     psi = gaussian_state(radial_grid, width=1.0)
     with pytest.raises(ValueError, match="line"):
-        evolve_nls(radial_grid, None, 1.0, psi, 1.0, 1e-2)
+        evolve_split(radial_grid, None, None, psi, 1.0, 1e-2, nonlinearity=1.0)
 
 
 def test_dt_validation(line_grid):
     psi = gaussian_state(line_grid)
     with pytest.raises(ValueError, match="dt"):
-        evolve_timedep(line_grid, None, None, psi, 1.0, -0.1)
+        evolve_split(line_grid, None, None, psi, 1.0, -0.1)
     with pytest.raises(ValueError, match="divide"):
-        evolve_timedep(line_grid, None, None, psi, 1.0, 0.3)
+        evolve_split(line_grid, None, None, psi, 1.0, 0.3)
 
 
 def test_step_times_come_from_the_step_index():
@@ -165,11 +165,11 @@ def test_step_times_come_from_the_step_index():
     g = make_grid("line", 8, 5.0)
     t0, dt, n_steps = 0.5, 1e-3, 20000
     seen = []
-    out = evolve_timedep(g, None, None, gaussian_state(g), t0 + n_steps * dt, dt, t0=t0,
-                         observer=lambda t, u: seen.append(t))
+    evolve_split(g, None, None, gaussian_state(g), t0 + n_steps * dt, dt, t0=t0,
+                 observer=lambda t, u: seen.append(t))
     expect = t0 + np.arange(n_steps + 1) * dt
     assert np.array_equal(np.asarray(seen), expect)
-    assert out.time == expect[-1]
+    assert seen[-1] == expect[-1]
 
 
 def test_trajectory_sampling_and_validity():

@@ -103,6 +103,24 @@ def test_run_determinism_byte_identical(tmp_path):
             assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("name, suite, changes", [
+    # validity horizon 3.1667 caps the timedep sweep
+    ("self_similar_W", "timedep", dict(grid_n=256, grid_extent=30.0, suites=("timedep",))),
+    ("morawetz_radial", "morawetz", dict(grid_n=160, t_max=3.0011)),
+])
+def test_sweep_end_off_the_dt_lattice_still_reports(tmp_path, name, suite, changes):
+    config = replace(load_scenario(name), name=f"{name}_off_lattice", **changes)
+    artifact = run_scenario(config, str(tmp_path))
+    assert suite in artifact.reports
+
+
+@pytest.mark.parametrize("name", ["self_similar_W", "morawetz_radial"])
+def test_suites_measured_from_t1_reject_short_t_max(tmp_path, name):
+    with pytest.raises(ConfigError, match="t_max"):
+        run_scenario(replace(load_scenario(name), t_max=0.8), str(tmp_path))
+    assert not os.listdir(tmp_path)
+
+
 def test_manifest_written_on_failing_run(tmp_path):
     config = replace(small_free_config(), name="free_broken", corrupt_db_dt=True)
     artifact = run_scenario(config, str(tmp_path))

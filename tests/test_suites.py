@@ -5,12 +5,15 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
                      momentum, norm, semilinear_G, trajectory_linear)
+from proplab import evolution
+from proplab.evolution import snap_to_lattice
 from proplab.suites import (conformal_identity_residual, first_level_series,
                             gronwall_monitor, lens_identity_residual,
                             lens_positivity_value, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
-                            operator_identity_suite, positive_potential_suite,
-                            timedep_suite, wall_trimmed)
+                            morawetz_suite, nls_suite, operator_identity_suite,
+                            positive_potential_suite, timedep_suite,
+                            wall_trimmed)
 
 
 def classified(grid, pot):
@@ -281,3 +284,39 @@ def test_timedep_suite_zero_w_reduces():
     assert np.abs(np.diff(f_series.values)).max() <= 1e-6
     ibp = [c for c in report.checks if "integration" in c.name][0]
     assert ibp.measured <= 1e-9
+
+
+def test_each_suite_sweeps_each_flow_once(monkeypatch):
+    # one stepper per flow: nls shares its dt reference with its trajectory
+    # (plus the dt/2 and dt/4 references), morawetz reads its L6 samples off
+    # the coarse smoothing sweep (plus the refined-grid sweep), timedep is one
+    # sweep from t=0
+    made = []
+    init = evolution._SplitStepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution._SplitStepper, "__init__", counting_init)
+    counts = {}
+
+    line = make_grid("line", 128, 40.0)
+    vsmall = Potential.gaussian(0.2)
+    psi = 0.1 * gaussian_state(line, width=1.0)
+    times = snap_to_lattice(np.geomspace(1.0, 3.0, 8), 0.01)
+    nls_suite(line, vsmall, psi, 1.0, 0.01, times, (1.0, 3.0))
+    counts["nls"], made[:] = len(made), []
+
+    radial = make_grid("radial3d", 96, 30.0)
+    pot = Potential.gaussian(1.5, width=1.0, center=3.0)
+    spec = classified(radial, pot)
+    w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
+    psi = gaussian_state(radial, width=1.0)
+    morawetz_suite(radial, spec, pot, w, psi, horizon=1.0, t_end=2.0, dt=0.01,
+                   l6_times=snap_to_lattice(np.geomspace(1.0, 2.0, 8), 0.01))
+    counts["morawetz"], made[:] = len(made), []
+
+    timedep_suite(radial, spec, pot, w, psi, t_end=2.0, dt=0.01, sample_count=12)
+    counts["timedep"] = len(made)
+    assert counts == {"nls": 3, "morawetz": 2, "timedep": 1}
