@@ -28,7 +28,7 @@ from .spectral import (SpectralData, classify_spectrum, diagonalize,
 from .suites import (adaptor_suite, conformal_identity_suite,
                      general_potential_suite, gronwall_monitor, morawetz_suite,
                      nls_suite, operator_identity_suite,
-                     positive_potential_suite, timedep_suite)
+                     positive_potential_suite, TimedepObserver)
 
 
 class ConfigError(ValueError):
@@ -344,7 +344,16 @@ class RunArtifact:
 
 
 class _Context:
-    """Lazy pipeline state shared by the suites of one run."""
+    """Lazy pipeline state shared by the suites of one run.
+
+    It owns the run's split-step sweep, one per flow (only the nonlinearity
+    tells two flows of a run apart).  ``plan`` registers, before any suite
+    runs, the sample times each suite reads off a flow and the per-step
+    observers it feeds; the first request sweeps the flow once over the union
+    of those times, and each suite gets the trajectory at its own times.  A
+    state at t = k dt is bit-identical whichever sweep computes it, so sharing
+    changes no output.  An unplanned time raises instead of sweeping again.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -361,6 +370,9 @@ class _Context:
         self._adaptor = None
         self._psi0 = None
         self._horizon = None
+        self._plans: dict[float, tuple] = {}  # nonlinearity -> (times, observers)
+        self._sweeps: dict[float, Trajectory] = {}
+        self.timedep_observer = None
 
     @property
     def spec(self) -> SpectralData:
@@ -427,12 +439,46 @@ class _Context:
             times = times[times > 0]
         return np.unique(times)
 
+    def plan(self, suites):
+        """Register what each selected suite reads off a split-step flow."""
+        c = self.config
+        for suite in suites:
+            if suite == "timedep":
+                self.timedep_observer = _timedep_observer(self)
+                self._request(0.0, self.timedep_observer.times, self.timedep_observer)
+            elif suite in _FLOW_TIMES and c.method == "split_step2":
+                for times in _FLOW_TIMES[suite](self):
+                    self._request(c.nonlinearity, times)
+
+    def _request(self, nonlinearity: float, times, observer=None):
+        planned, observers = self._plans.setdefault(nonlinearity, ([], []))
+        planned.extend(np.asarray(times, dtype=float))
+        if observer is not None:
+            observers.append(observer)
+
+    def swept(self, times, nonlinearity: float = 0.0) -> Trajectory:
+        """The planned split-step flow at ``times``, from the run's one sweep."""
+        if nonlinearity not in self._sweeps:
+            if nonlinearity not in self._plans:
+                raise ValueError("no sample times were planned for this flow")
+            planned, observers = self._plans[nonlinearity]
+            ts = np.unique(planned)
+            union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
+
+            def fan_out(t, u):
+                for observer in observers:
+                    observer(t, u)
+
+            self._sweeps[nonlinearity] = trajectory_split(
+                self.grid, self.potential, self.w_t, self.psi0, union, self.config.dt,
+                nonlinearity=nonlinearity, observer=fan_out if observers else None)
+        return self._sweeps[nonlinearity].restricted(times)
+
     def trajectory(self, times) -> Trajectory:
         c = self.config
         if c.method == "eigenbasis_exact":
             return trajectory_linear(self.spec, self.psi0, times)
-        return trajectory_split(self.grid, self.potential, self.w_t, self.psi0,
-                                times, c.dt, nonlinearity=c.nonlinearity)
+        return self.swept(times, c.nonlinearity)
 
     def adaptor(self):
         if self._adaptor is None:
@@ -452,7 +498,10 @@ def _suite_operator_identities(ctx: _Context) -> EstimateReport:
                                    state_width=c.state_width, dt_ref=c.dt)
 
 
-def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
+def _conformal_times(ctx: _Context):
+    """(eval_ts, delta, all_ts, free_ts): evaluation times, the centered
+    difference offset, the times the identity reads, and the free-flow times
+    (None unless V and W vanish)."""
     c = ctx.config
     shift = 1.0 if c.t0_shift else 0.0
     delta = max(10.0 * c.dt, 0.02) if c.method == "split_step2" else c.dt
@@ -461,9 +510,17 @@ def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
                                count=4)
     eval_ts = eval_ts[eval_ts + shift - delta > 0]
     all_ts = np.unique(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
-    free_traj = None
+    free_ts = None
     if not c.potential_terms and ctx.w_t is None:
-        free_traj = ctx.trajectory(ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9))
+        free_ts = ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9)
+    return eval_ts, delta, all_ts, free_ts
+
+
+def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
+    c = ctx.config
+    shift = 1.0 if c.t0_shift else 0.0
+    eval_ts, delta, all_ts, free_ts = _conformal_times(ctx)
+    free_traj = ctx.trajectory(free_ts) if free_ts is not None else None
     return conformal_identity_suite(
         ctx.trajectory(all_ts), ctx.spec, ctx.potential, ctx.w_t,
         ctx.adaptor() if c.potential_terms else None, eval_ts, delta, ctx.h_of_t,
@@ -496,10 +553,15 @@ def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
     return report
 
 
+def _monitor_times(ctx: _Context):
+    """Sample times of the positive-potential and Gronwall suites."""
+    c = ctx.config
+    return ctx.sample_times(lo=max(1.0, c.t0), hi=ctx.horizon, count=max(c.samples, 12))
+
+
 def _suite_positive_potential(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    times = ctx.sample_times(lo=max(1.0, c.t0), hi=ctx.horizon, count=max(c.samples, 12))
-    traj = ctx.trajectory(times)
+    traj = ctx.trajectory(_monitor_times(ctx))
     lnorm0 = norm(ctx.grid, ctx.psi0, "Lnorm")
     return positive_potential_suite(traj, ctx.potential, lnorm0,
                                     fit_window=(max(1.5, c.t0), ctx.horizon),
@@ -525,22 +587,25 @@ def _lattice_floor(t: float, dt: float) -> float:
     return math.floor(t / dt + 1e-9) * dt
 
 
+def _timedep_observer(ctx: _Context) -> TimedepObserver:
+    """The timedep suite's consumer of the linear W-flow: it reads from t = 1
+    to the horizon (at least 2, at most t_max), on the dt lattice."""
+    c = ctx.config
+    t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
+    return TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
+
+
 def _suite_timedep(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    adaptor = ctx.adaptor() if c.potential_terms else None
-    t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
-    return timedep_suite(ctx.grid, ctx.spec, ctx.potential, ctx.w_t, ctx.psi0,
-                         t_end=t_end, dt=c.dt,
-                         adaptor=adaptor, disp_cap_ratio=c.disp_cap,
-                         h1_cap_ratio=c.h1_cap,
-                         expect_log_growth=c.expect_log_growth)
+    observer = ctx.timedep_observer
+    return observer.report(ctx.swept(observer.times), disp_cap_ratio=c.disp_cap,
+                           h1_cap_ratio=c.h1_cap, expect_log_growth=c.expect_log_growth)
 
 
 def _suite_gronwall(ctx: _Context) -> EstimateReport:
     c = ctx.config
     report = EstimateReport("Gronwall monitor")
-    times = ctx.sample_times(lo=max(1.0, c.t0), hi=ctx.horizon, count=max(c.samples, 12))
-    traj = ctx.trajectory(times)
+    traj = ctx.trajectory(_monitor_times(ctx))
     d_const = max(c.timedep_delta, 1e-3)
     series, ok = gronwall_monitor(traj, c.sigma, d_const)
     report.series["gronwall_monitor"] = series
@@ -579,6 +644,14 @@ _SUITE_RUNNERS = {
     "morawetz": _suite_morawetz,
 }
 
+#: the sample-time arrays each suite passes to ``_Context.trajectory``; on a
+#: split-step config ``_Context.plan`` registers them before the flow is swept
+_FLOW_TIMES = {
+    "conformal_identity": lambda ctx: [ts for ts in _conformal_times(ctx)[2:] if ts is not None],
+    "positive_potential": lambda ctx: [_monitor_times(ctx)],
+    "gronwall": lambda ctx: [_monitor_times(ctx)],
+}
+
 #: suites that presume an H with no spectrum at zero
 _NEEDS_CLEAN_THRESHOLD = {"adaptor", "weighted_decay", "general_potential"}
 
@@ -594,6 +667,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     run_dir = os.path.join(out_dir, config.name)
     os.makedirs(run_dir, exist_ok=True)
     ctx = _Context(config)
+    ctx.plan(config.suites)
     reports: dict[str, EstimateReport] = {}
     skipped: dict[str, str] = {}
 

@@ -84,9 +84,19 @@ class SpectralData:
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
     def evolve(self, state, t: float):
-        """e^{-iHt} state through the eigenbasis."""
-        c = self.eigenvectors.conj().T @ np.asarray(state, dtype=complex)
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * c)
+        """e^{-iHt} state through the eigenbasis.
+
+        Real eigenvectors act on the (n, 2) float view of the state (real and
+        imaginary parts as two columns), so the n x n matrix is never cast
+        to complex.
+        """
+        phase = np.exp(-1j * self.eigenvalues * t)
+        v = self.eigenvectors
+        if np.iscomplexobj(v):
+            return v @ (phase * (v.conj().T @ np.asarray(state, dtype=complex)))
+        pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
+        c = phase * np.ascontiguousarray(v.T @ pair).view(complex).ravel()
+        return np.ascontiguousarray(v @ c.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def diagonalize(op: HermitianOperator) -> SpectralData:

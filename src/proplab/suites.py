@@ -601,37 +601,29 @@ def _bump(center: float, halfwidth: float):
     return f
 
 
-def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
-                  w_t: TimeDependentPotential, psi0,
-                  t_end: float, dt: float, adaptor: AdaptorOperator | None = None,
-                  disp_cap_ratio: float = 10.0, h1_cap_ratio: float = 4.0,
-                  ibp_tol: float = 1e-4, expect_log_growth: bool = False,
-                  sample_count: int = 16) -> EstimateReport:
-    """Dispersive estimates under a time-dependent perturbation W(x, t).
-
-    Runs one Strang sweep from t=0, accumulating on [1, t_end]:
-    (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
-        against the L-norm at t=1 (bounded, or log-growing when the
-        smallness constant is order one);
-    (b) boundedness of the H^1 norm;
-    (c) Cauchy decrease of <psi(t), f(H) psi(t)> for a smooth compactly
-        supported f (asymptotic energy);
-    (d) the time integration-by-parts identity
-        int <4 dW/dt> = [<4W>] - int <4 (p.grad W + grad W.p)>.
+class TimedepObserver:
+    """The per-step half of ``timedep_suite``: fed every lattice time of a
+    Strang sweep from t = 0, it accumulates on [1, t_end] (earlier and later
+    times are ignored), and it reads the states at ``times`` = (1, t_end) off
+    that sweep's trajectory in ``report``.  A run shares one sweep among this
+    observer and the sample times of its other suites.
     """
-    x = grid.points
-    report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
 
-    sample_ts = np.geomspace(1.0, t_end, sample_count)
-    acc = {"disp": 0.0, "dtw": 0.0, "pgrad": 0.0, "t_prev": None, "prev": None}
-    disp_partial, h1_series, f_series, m_series, sampled_ts = [], [], [], [], []
-    f_of_h = _bump(center=1.0, halfwidth=1.0)
-    f_diag = f_of_h(spec.eigenvalues)
-    w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
-    p = momentum(grid)
-    next_sample = 0
+    def __init__(self, grid: Grid, spec: SpectralData, w_t: TimeDependentPotential,
+                 t_end: float, sample_count: int = 16):
+        self.grid, self.spec, self.w_t, self.t_end = grid, spec, w_t, t_end
+        self.times = np.array([1.0, t_end])
+        self.sample_ts = np.geomspace(1.0, t_end, sample_count)
+        self.acc = {"disp": 0.0, "dtw": 0.0, "pgrad": 0.0, "t_prev": None, "prev": None}
+        self.disp_partial, self.h1_series, self.f_series, self.m_series = [], [], [], []
+        self.sampled_ts = []
+        self.f_diag = _bump(center=1.0, halfwidth=1.0)(spec.eigenvalues)
+        self.w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
+        self.p = momentum(grid)
+        self.next_sample = 0
 
-    def integrand(t, u):
+    def _integrand(self, t, u):
+        grid, x, p, w_t = self.grid, self.grid.points, self.p, self.w_t
         l6 = norm(grid, u, "Lp", p=6.0)
         c_val = conformal_value(p, u, t)
         disp = (l6**2 + c_val / t**2) / t
@@ -641,84 +633,115 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
         pgrad = 4.0 * float(np.real(grid.inner(pu, dw * u) + grid.inner(u, dw * pu)))
         return disp, dtw_val, pgrad, c_val
 
-    def observer(t, u):
-        nonlocal next_sample
-        if t < 1.0 - 1e-12:
+    def __call__(self, t, u):
+        if t < 1.0 - 1e-12 or t > self.t_end + 1e-9:
             return
-        vals = integrand(t, u)
+        grid, acc = self.grid, self.acc
+        vals = self._integrand(t, u)
         if acc["prev"] is not None:
             h = t - acc["t_prev"]
             acc["disp"] += 0.5 * h * (acc["prev"][0] + vals[0])
             acc["dtw"] += 0.5 * h * (acc["prev"][1] + vals[1])
             acc["pgrad"] += 0.5 * h * (acc["prev"][2] + vals[2])
         acc["prev"], acc["t_prev"] = vals, t
-        if next_sample < len(sample_ts) and t >= sample_ts[next_sample] - 1e-9:
-            sampled_ts.append(t)
-            disp_partial.append(acc["disp"])
-            h1_series.append(norm(grid, u, "H1"))
-            coeff = spec.eigenvectors.conj().T @ u
-            f_series.append(float(np.sum(f_diag * np.abs(coeff) ** 2) * grid.quad_weight))
-            m_series.append(vals[3] / t**2 + float(np.real(grid.inner(u, w2sig * u))))
-            next_sample += 1
+        if self.next_sample < len(self.sample_ts) and t >= self.sample_ts[self.next_sample] - 1e-9:
+            self.sampled_ts.append(t)
+            self.disp_partial.append(acc["disp"])
+            self.h1_series.append(norm(grid, u, "H1"))
+            coeff = self.spec.eigenvectors.conj().T @ u
+            self.f_series.append(float(np.sum(self.f_diag * np.abs(coeff) ** 2) * grid.quad_weight))
+            self.m_series.append(vals[3] / t**2 + float(np.real(grid.inner(u, self.w2sig * u))))
+            self.next_sample += 1
 
-    def boundary_terms(u, t):
-        return 4.0 * float(np.real(grid.inner(u, w_t.w(x, t) * u)))
+    def report(self, traj: Trajectory, disp_cap_ratio: float = 10.0,
+               h1_cap_ratio: float = 4.0, ibp_tol: float = 1e-4,
+               expect_log_growth: bool = False) -> EstimateReport:
+        """The suite's checks, once the sweep has passed t_end; ``traj``
+        samples (at least) the observer's ``times``."""
+        grid, x, w_t, acc, t_end = self.grid, self.grid.points, self.w_t, self.acc, self.t_end
+        report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
 
-    traj = trajectory_split(grid, potential, w_t, psi0, [1.0, t_end], dt, observer=observer)
-    u1, uT = traj.states
-    lnorm1 = norm(grid, u1, "Lnorm")
-    w1_exp = boundary_terms(u1, 1.0)
-    wT_exp = boundary_terms(uT, t_end)
+        def boundary_terms(u, t):
+            return 4.0 * float(np.real(grid.inner(u, w_t.w(x, t) * u)))
 
-    ts_arr = np.asarray(sampled_ts)
-    disp_arr = np.asarray(disp_partial)
-    disp_series = ObservableSeries(ts_arr, np.maximum(disp_arr, 1e-300), "dispersive integral")
+        u1, uT = traj.state_at(1.0), traj.state_at(t_end)
+        lnorm1 = norm(grid, u1, "Lnorm")
+        w1_exp = boundary_terms(u1, 1.0)
+        wT_exp = boundary_terms(uT, t_end)
 
-    if not expect_log_growth:
-        ratio = ObservableSeries(ts_arr, disp_series.values / lnorm1**2, "dispersive/Lnorm^2")
-        # convergence certificate: the per-decade increment dI/dlog t must die
-        # (a bounded integral has derivative decaying faster than 1/t)
-        incs = np.diff(disp_arr) / np.diff(np.log(ts_arr))
-        deriv = ObservableSeries(ts_arr[1:], np.maximum(incs, 1e-300), "dI/dlogt")
-        dslope = trend_slope(deriv)
-        report.add("dispersive integral bounded", float(ratio.values.max()), disp_cap_ratio,
-                   ratio.values.max() <= disp_cap_ratio and dslope <= -0.5,
-                   note=f"increment decay slope {dslope:+.3f}")
-    else:
-        alpha, beta = log_growth_fit(disp_series)
-        power_slope = trend_slope(disp_series.restricted(ts_arr[len(ts_arr) // 2], ts_arr[-1]))
-        report.rates["log_coefficient"] = beta
-        report.add("log-growth envelope", power_slope, 0.1,
-                   math.isfinite(beta) and power_slope <= 0.1,
-                   note=f"value ~ {alpha:.3g} + {beta:.3g} log t")
+        ts_arr = np.asarray(self.sampled_ts)
+        disp_arr = np.asarray(self.disp_partial)
+        disp_series = ObservableSeries(ts_arr, np.maximum(disp_arr, 1e-300), "dispersive integral")
 
-    h1 = ObservableSeries(ts_arr, np.asarray(h1_series), "H1 norm")
-    report.checks.append(bounded_check("H1 norm bounded", ObservableSeries(
-        ts_arr, h1.values / lnorm1, "H1/Lnorm"), cap=h1_cap_ratio, trend_cap=TREND_CAP))
+        if not expect_log_growth:
+            ratio = ObservableSeries(ts_arr, disp_series.values / lnorm1**2, "dispersive/Lnorm^2")
+            # convergence certificate: the per-decade increment dI/dlog t must die
+            # (a bounded integral has derivative decaying faster than 1/t)
+            incs = np.diff(disp_arr) / np.diff(np.log(ts_arr))
+            deriv = ObservableSeries(ts_arr[1:], np.maximum(incs, 1e-300), "dI/dlogt")
+            dslope = trend_slope(deriv)
+            report.add("dispersive integral bounded", float(ratio.values.max()), disp_cap_ratio,
+                       ratio.values.max() <= disp_cap_ratio and dslope <= -0.5,
+                       note=f"increment decay slope {dslope:+.3f}")
+        else:
+            alpha, beta = log_growth_fit(disp_series)
+            power_slope = trend_slope(disp_series.restricted(ts_arr[len(ts_arr) // 2], ts_arr[-1]))
+            report.rates["log_coefficient"] = beta
+            report.add("log-growth envelope", power_slope, 0.1,
+                       math.isfinite(beta) and power_slope <= 0.1,
+                       note=f"value ~ {alpha:.3g} + {beta:.3g} log t")
 
-    f_arr = np.asarray(f_series)
-    incs = np.abs(np.diff(f_arr))
-    half = max(1, len(incs) // 2)
-    early_inc, late_inc = float(incs[:half].max()), float(incs[half:].max())
-    report.add("asymptotic energy Cauchy decrease", late_inc, early_inc,
-               late_inc <= early_inc + 1e-12,
-               note=f"increments {early_inc:.3g} -> {late_inc:.3g}")
+        h1 = ObservableSeries(ts_arr, np.asarray(self.h1_series), "H1 norm")
+        report.checks.append(bounded_check("H1 norm bounded", ObservableSeries(
+            ts_arr, h1.values / lnorm1, "H1/Lnorm"), cap=h1_cap_ratio, trend_cap=TREND_CAP))
 
-    # the identity's discretization share (momentum form vs the stencil the
-    # flow actually uses) scales with h^2 times the magnitude of the terms
-    ibp_gap = abs(acc["dtw"] - (wT_exp - w1_exp - acc["pgrad"]))
-    ibp_scale = abs(acc["dtw"]) + abs(wT_exp - w1_exp) + abs(acc["pgrad"])
-    ibp_bound = max(ibp_tol, grid.h**2 * ibp_scale)
-    report.add("integration by parts over time", ibp_gap, ibp_bound, ibp_gap <= ibp_bound)
+        f_arr = np.asarray(self.f_series)
+        incs = np.abs(np.diff(f_arr))
+        half = max(1, len(incs) // 2)
+        early_inc, late_inc = float(incs[:half].max()), float(incs[half:].max())
+        report.add("asymptotic energy Cauchy decrease", late_inc, early_inc,
+                   late_inc <= early_inc + 1e-12,
+                   note=f"increments {early_inc:.3g} -> {late_inc:.3g}")
 
-    report.rates["disp_integral"] = float(disp_arr[-1])
-    report.series = {
-        "dispersive_integral": disp_series,
-        "h1_norm": h1,
-        "asymptotic_energy": ObservableSeries(ts_arr, f_arr, "smooth energy expectation"),
-        "gronwall_monitor": ObservableSeries(ts_arr, np.asarray(m_series), "gronwall monitor"),
-    }
-    return report
+        # the identity's discretization share (momentum form vs the stencil the
+        # flow actually uses) scales with h^2 times the magnitude of the terms
+        ibp_gap = abs(acc["dtw"] - (wT_exp - w1_exp - acc["pgrad"]))
+        ibp_scale = abs(acc["dtw"]) + abs(wT_exp - w1_exp) + abs(acc["pgrad"])
+        ibp_bound = max(ibp_tol, grid.h**2 * ibp_scale)
+        report.add("integration by parts over time", ibp_gap, ibp_bound, ibp_gap <= ibp_bound)
+
+        report.rates["disp_integral"] = float(disp_arr[-1])
+        report.series = {
+            "dispersive_integral": disp_series,
+            "h1_norm": h1,
+            "asymptotic_energy": ObservableSeries(ts_arr, f_arr, "smooth energy expectation"),
+            "gronwall_monitor": ObservableSeries(ts_arr, np.asarray(self.m_series), "gronwall monitor"),
+        }
+        return report
+
+
+def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
+                  w_t: TimeDependentPotential, psi0,
+                  t_end: float, dt: float, disp_cap_ratio: float = 10.0,
+                  h1_cap_ratio: float = 4.0, ibp_tol: float = 1e-4,
+                  expect_log_growth: bool = False,
+                  sample_count: int = 16) -> EstimateReport:
+    """Dispersive estimates under a time-dependent perturbation W(x, t).
+
+    Runs one Strang sweep from t=0 with a ``TimedepObserver``, accumulating
+    on [1, t_end]:
+    (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
+        against the L-norm at t=1 (bounded, or log-growing when the
+        smallness constant is order one);
+    (b) boundedness of the H^1 norm;
+    (c) Cauchy decrease of <psi(t), f(H) psi(t)> for a smooth compactly
+        supported f (asymptotic energy);
+    (d) the time integration-by-parts identity
+        int <4 dW/dt> = [<4W>] - int <4 (p.grad W + grad W.p)>.
+    """
+    observer = TimedepObserver(grid, spec, w_t, t_end, sample_count)
+    traj = trajectory_split(grid, potential, w_t, psi0, observer.times, dt, observer=observer)
+    return observer.report(traj, disp_cap_ratio, h1_cap_ratio, ibp_tol, expect_log_growth)
 
 
 def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      classify_spectrum, diagonalize, evolve_split,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import eigenstate, kinetic_step, nls_energy, snap_to_lattice
+from proplab.evolution import (_sine_transform, eigenstate, kinetic_step, nls_energy,
+                               snap_to_lattice)
 
 
 def spec_for(grid, pot=None):
@@ -193,3 +195,27 @@ def test_trajectory_split_lattice_check(line_grid):
     assert len(traj.states) == 3
     with pytest.raises(ValueError, match="lattice|divide"):
         trajectory_split(line_grid, None, None, psi, np.array([0.5005]), 0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 767, 768, 2047, 2048])
+def test_sine_transform_is_scipy_dst_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    real = rng.standard_normal(n)
+    for data in (u, wide[::2], real):
+        out = _sine_transform(data)
+        assert out.shape == data.shape
+        assert np.array_equal(out, dst(data, type=1, norm="ortho"))
+
+
+def test_trajectory_restricted_keeps_samples_and_masses():
+    g = make_grid("line", 128, 10.0)
+    times = snap_to_lattice([0.5, 1.0, 2.0, 3.0, 4.0], 0.01)
+    traj = trajectory_split(g, None, None, gaussian_state(g, width=1.0), times, 0.01)
+    view = traj.restricted(times[[1, 3]])
+    assert np.array_equal(view.times, times[[1, 3]])
+    assert view.states[1] is traj.states[3]
+    assert np.array_equal(view.boundary_masses, traj.boundary_masses[[1, 3]])
+    with pytest.raises(ValueError, match="not sampled"):
+        traj.restricted([1.5])

@@ -6,8 +6,9 @@ import pytest
 
 from proplab import (ConfigError, ScenarioConfig, list_scenarios, load_scenario,
                      parse_config, render_report, run_scenario, serialize_config)
+from proplab import evolution
 from proplab.cli import main as cli_main
-from proplab.scenarios import SCENARIO_LIBRARY
+from proplab.scenarios import SCENARIO_LIBRARY, _Context
 
 MINIMAL = """
 [scenario]
@@ -119,6 +120,52 @@ def test_suites_measured_from_t1_reject_short_t_max(tmp_path, name):
     with pytest.raises(ConfigError, match="t_max"):
         run_scenario(replace(load_scenario(name), t_max=0.8), str(tmp_path))
     assert not os.listdir(tmp_path)
+
+
+def small_w_flow_config(suites=("timedep", "gronwall", "conformal_identity")):
+    return replace(load_scenario("self_similar_W"), name="w_flow_small", grid_n=128,
+                   grid_extent=30.0, t_max=1.8, dt=0.005, suites=suites)
+
+
+def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch):
+    # timedep, gronwall and conformal_identity read one W-flow: the run sweeps
+    # it once (past the timedep window, to the conformal samples at t_max +
+    # delta), and each suite's series and report equal those of a run of that
+    # suite alone
+    made = []
+    init = evolution._SplitStepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution._SplitStepper, "__init__", counting_init)
+    shared = run_scenario(small_w_flow_config(), str(tmp_path / "shared"))
+    assert len(made) == 1
+    assert set(shared.reports) == {"timedep", "gronwall", "conformal_identity"}
+    alone, reports = [], ""
+    for suite in shared.reports:
+        artifact = run_scenario(small_w_flow_config((suite,)), str(tmp_path / suite))
+        alone += artifact.series_files
+        with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
+            reports += fh.read()
+    with open(os.path.join(shared.run_dir, "report.txt")) as fh:
+        assert fh.read() == reports
+    assert sorted(map(os.path.basename, alone)) == sorted(map(os.path.basename, shared.series_files))
+    by_name = {os.path.basename(p): p for p in alone}
+    for path in shared.series_files:
+        with open(path, "rb") as fa, open(by_name[os.path.basename(path)], "rb") as fb:
+            assert fa.read() == fb.read(), path
+
+
+def test_unplanned_split_step_time_raises():
+    ctx = _Context(small_w_flow_config(("gronwall",)))
+    ctx.plan(ctx.config.suites)
+    planned = ctx._plans[0.0][0]
+    traj = ctx.trajectory(planned[:2])
+    assert np.array_equal(traj.times, planned[:2]) and len(traj.states) == 2
+    with pytest.raises(ValueError, match="not sampled"):
+        ctx.trajectory([planned[0] + 0.5 * ctx.config.dt])
 
 
 def test_manifest_written_on_failing_run(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from proplab import (HermitianOperator, Potential, classify_spectrum,
                      diagonalize, free_spectral_data, function_of_H,
-                     genericity_margin, laplacian, make_grid, multiplication,
-                     projector)
+                     genericity_margin, laplacian, make_grid, momentum,
+                     multiplication, projector)
 from proplab.spectral import (BOUND, CONTINUUM, default_threshold,
                               free_laplacian_eigenvalues)
 
@@ -168,3 +168,22 @@ def test_genericity_margin_phase_invariance(line_grid, rng):
     signs = rng.choice([-1.0, 1.0], size=line_grid.n)
     flipped = replace(spec, eigenvectors=spec.eigenvectors * signs)
     assert genericity_margin(flipped, lap) == pytest.approx(delta, abs=1e-8)
+
+
+def test_evolve_matches_complex_formula(line_grid, rng):
+    # real eigenvectors take the real-matvec path, complex ones the complex one
+    v = Potential.gaussian(-2.0).v(line_grid.points)
+    real_h = laplacian(line_grid) + multiplication(line_grid, v)
+    complex_h = real_h + HermitianOperator(0.7 * momentum(line_grid).matrix, line_grid, "p")
+    psi = rng.standard_normal(line_grid.n) + 1j * rng.standard_normal(line_grid.n)
+    for h_op, is_complex in ((real_h, False), (complex_h, True)):
+        spec = diagonalize(h_op)
+        assert np.iscomplexobj(spec.eigenvectors) == is_complex
+        phi, e = spec.eigenvectors, spec.eigenvalues
+        for t in (0.0, 0.37, 5.0):
+            expect = phi @ (np.exp(-1j * e * t) * (phi.conj().T @ psi))
+            got = spec.evolve(psi, t)
+            assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+        assert np.linalg.norm(spec.evolve(psi.real, 0.37)
+                              - phi @ (np.exp(-0.37j * e) * (phi.conj().T @ psi.real))) \
+            <= 1e-13 * np.linalg.norm(psi.real)
