@@ -23,8 +23,11 @@ Q is diagonal: on its support S, F = Phi_c e^{iE_c T} Phi_c[S, :]^* (n x |S|)
 gives remainder(T) = F diag(q_S) F^*, and P_c Q P_c at T = 0.  The thin QR
 factors R of W F and of W Phi_band (W = <x>^{-sigma}, k band modes) give
 ||W remainder W|| = ||R diag(q_S) R^*|| and ||W e^{-iHt} P_band W|| =
-||R e^{-iEt} R^*||, at O(n^2 |S|) and O(n k^2) cost.  B_V (spectral, O(n^3))
-and the matrix commutator_remainder returns stay dense n x n.
+||R e^{-iEt} R^*||, at O(n^2 |S|) and O(n k^2) cost.  At t = 0 over the
+whole continuum that norm is the top eigenvalue of W P_c W = W^2 - B B^*
+with B = W Phi_b (bound modes only), which Lanczos iteration reaches at
+O(n k_b) per step.  B_V (spectral, O(n^3)) and the matrix
+commutator_remainder returns stay dense n x n.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
 from .operators import HermitianOperator, Potential, commutator_i, dilation
-from .spectral import SpectralData
+from .spectral import BOUND, SpectralData
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +230,20 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
 
     ``e_max`` restricts P_c to the spectral band E <= e_max; decay fits use
     the box-transit limit so that no contributing mode has reflected inside
-    the fit window (and the unresolved lattice band is excluded).
+    the fit window (and the unresolved lattice band is excluded).  At t = 0
+    with no band limit, P_c = I - Phi_b Phi_b^* and the value is the top
+    eigenvalue of W^2 - (W Phi_b)(W Phi_b)^*, taken by Lanczos iteration.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     w = weight_vector(spec.grid, sigma).samples
+    if t == 0 and e_max is None:
+        b = w[:, None] * spec.eigenvectors[:, spec.indices(BOUND)]
+        op = LinearOperator((len(w), len(w)), dtype=b.dtype,
+                            matvec=lambda x: w**2 * x.ravel() - b @ (b.conj().T @ x.ravel()))
+        return float(eigsh(op, k=1, which="LA", v0=w, tol=0, return_eigenvectors=False)[0])
     cols, e = spec.continuum_basis(e_max=e_max)
     r = np.linalg.qr(w[:, None] * cols, mode="r")
     return _spectral_norm((r * np.exp(-1j * e * t)) @ r.conj().T)

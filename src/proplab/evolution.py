@@ -3,12 +3,17 @@
 Strang splitting, ``evolve_split``, for time-dependent potentials and the 1d
 defocusing cubic NLS; ``trajectory_split`` samples one such sweep.
 
-The kinetic half of the splitting is applied in the eigenbasis of the
-discrete Dirichlet Laplacian, which is the orthonormal type-I sine transform
-with closed-form eigenvalues; every factor is exactly unitary, so mass is
-conserved to roundoff no matter the step size.  The transform of a complex
-vector runs as one batched real DST-I over its (n, 2) float view, the real
-and imaginary parts side by side, bit-identical to scipy's complex call.
+The kinetic factor of the splitting is diagonal in the eigenbasis of the
+discrete Dirichlet Laplacian, the orthonormal type-I sine transform S, with
+closed-form eigenvalues.  The stepper applies S diag(d) S as the equivalent
+Toeplitz-minus-Hankel convolution (Martucci, IEEE Trans. Signal Process. 42
+(1994) 1038-1051), precomputed once per step size and run on complex FFTs of
+a fast length M >= 2n whatever the factors of n + 1 (on every shipped
+split-step grid 2(n + 1) has a large prime factor).  Every factor is unitary
+to roundoff, so mass is conserved to roundoff no matter the step size.
+One-off transforms (``kinetic_step``, ``h_half_norm_sq``) call the DST-I
+directly; the transform of a complex vector runs as one batched real DST-I
+over its (n, 2) float view, bit-identical to scipy's complex call.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, fft, ifft, next_fast_len
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential, laplacian
@@ -130,11 +135,48 @@ def h_half_norm_sq(grid: Grid, state) -> float:
     return float(grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(c) ** 2))
 
 
+def _sine_multiplier(d):
+    """u -> S diag(d) S u for the orthonormal DST-I S, as one convolution.
+
+    With N = n + 1 and K(r) = (1/N) sum_k (d_k - 1) cos(pi r k / N), the
+    matrix entry (S diag(d) S)[j, m] is delta_jm + K(j - m) - K(j + m)
+    (1-based j, m): the identity plus a Toeplitz and a Hankel part.  Both
+    are linear convolutions with lags inside (-n, 2n], so they run circularly
+    at any M >= 2n; the Hankel part reads the spectrum of u at reversed
+    frequencies.  Each call makes two complex FFTs of the fast length M.
+    Convolving with d - 1 rather than d scales the FFT roundoff with the
+    change a step makes rather than with u, which matters when d is near 1,
+    as in a Strang step.
+    """
+    n = len(d)
+    e = np.asarray(d) - 1.0
+    k = ifft(np.concatenate([[0.0], e, [0.0], e[::-1]]))  # K(r), r = 0 .. 2n + 1
+    m = next_fast_len(2 * n)
+    toeplitz = np.zeros(m, dtype=complex)
+    toeplitz[:n] = k[:n]
+    toeplitz[m - n + 1:] = k[n - 1:0:-1]
+    hankel = np.zeros(m, dtype=complex)
+    hankel[:2 * n - 1] = k[2:2 * n + 1]
+    a, b = fft(toeplitz), -fft(hankel)
+
+    def apply(u):
+        spectrum = fft(u, n=m)
+        out = a * spectrum
+        out[0] += b[0] * spectrum[0]
+        out[1:] += b[1:] * spectrum[:0:-1]  # spectrum[(-q) mod m]
+        return u + ifft(out, overwrite_x=True)[:n]
+
+    return apply
+
+
 class _SplitStepper:
     """Strang stepper: half potential phase, full kinetic, half phase.
 
     The potential phase freezes W at the step midpoint, which keeps the
-    scheme second order; each factor is unitary.
+    scheme second order.  The kinetic factor S diag(e^{-i lam dt}) S is the
+    sine-basis multiplier applied as a precomputed Toeplitz-minus-Hankel FFT
+    convolution at a fast length (``_sine_multiplier``), built once for the
+    dt it steps with; each factor is unitary to roundoff.
     """
 
     def __init__(self, grid: Grid, potential: Potential | None,
@@ -142,31 +184,40 @@ class _SplitStepper:
                  nonlinearity: float = 0.0):
         if nonlinearity < 0:
             raise ValueError("focusing nonlinearity (lambda < 0) is out of scope")
+        if nonlinearity and grid.kind != "line":
+            raise ValueError("the cubic flow is a line-grid scenario")
         self.grid = grid
         self.v = potential.v(grid.points) if potential is not None else np.zeros(grid.n)
         self.w_t = w_t
         self.lam_nl = float(nonlinearity)
         self._kin_lam = free_laplacian_eigenvalues(grid)
+        self._kin_dt = None
+        self._kinetic = None
 
-    def _phase_samples(self, u, t_mid):
-        v = self.v.copy()
+    def _half_phase(self, u, t_mid, dt):
+        """e^{-i v dt / 2} with v = V + W(t_mid) + lam |u|^2, from a real angle."""
+        v = self.v
         if self.w_t is not None:
             v = v + self.w_t.w(self.grid.points, t_mid)
         if self.lam_nl:
-            if self.grid.kind != "line":
-                raise ValueError("the cubic flow is a line-grid scenario")
-            v = v + self.lam_nl * np.abs(u) ** 2
-        return v
+            v = v + self.lam_nl * (u.real**2 + u.imag**2)
+        angle = (-0.5 * v) * dt
+        half = np.empty(len(angle), dtype=complex)
+        half.real = np.cos(angle)
+        half.imag = np.sin(angle)
+        return half
 
     def step(self, u, t: float, dt: float):
+        if dt != self._kin_dt:
+            self._kinetic = _sine_multiplier(np.exp(-1j * self._kin_lam * dt))
+            self._kin_dt = dt
         t_mid = t + 0.5 * dt
-        half = np.exp(-0.5j * self._phase_samples(u, t_mid) * dt)
-        u = half * u
-        u = _sine_transform(np.exp(-1j * self._kin_lam * dt) * _sine_transform(u))
+        half = self._half_phase(u, t_mid, dt)
+        u = self._kinetic(half * u)
         # second half phase: for the cubic flow |u| changed across the kinetic
         # step, so the phase is re-evaluated (still a unitary factor)
         if self.lam_nl:
-            half = np.exp(-0.5j * self._phase_samples(u, t_mid) * dt)
+            half = self._half_phase(u, t_mid, dt)
         return half * u
 
 

@@ -220,6 +220,15 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[scenario].suites: the nls suite needs [grid].kind = line")
     if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
+    if "timedep" in config.suites and config.timedep_type != "self_similar":
+        raise ConfigError("[timedep].type: the timedep suite needs a time-dependent W "
+                          f"(type = self_similar), got {config.timedep_type!r}")
+    if "nls" in config.suites and config.method != "split_step2":
+        raise ConfigError("[evolution].method: the nls suite steps the cubic flow and "
+                          f"needs split_step2, got {config.method!r}")
+    if config.state_recipe == "eigenstate" and not 0 <= config.state_k < config.grid_n:
+        raise ConfigError(f"[initial_state].k: need 0 <= k < [grid].n = {config.grid_n}, "
+                          f"got {config.state_k}")
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
     from_one = [s for s in config.suites if s in ("timedep", "morawetz")]

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from proplab import (HermitianOperator, Potential, QSelection, build_adaptor,
                      adaptor_expectation_series, adapted_dilation,
                      classify_spectrum, conformal_Q, conformal_Q_termwise,
-                     diagonalize, dilation_Q, laplacian, make_grid,
+                     diagonalize, dilation_Q, laplacian, load_scenario, make_grid,
                      weighted_propagator_norm)
 from proplab.adaptors import (commutator_closure_defect, commutator_remainder,
                               residual_weighted_scan)
 from proplab.adaptors import AdaptorOperator
 from proplab.evolution import gaussian_state
 from proplab.grids import Grid, weight_vector
+from proplab.scenarios import _Context
 from proplab.suites import adaptor_suite
 from proplab.spectral import SpectralData, classify_spectrum as classify
 
@@ -302,6 +303,29 @@ def test_weighted_propagator_norm_matches_dense(well_spec, sigma, t, e_max):
     spec, _ = well_spec
     ref = dense_propagator_norm(spec, sigma, t, e_max)
     assert weighted_propagator_norm(spec, sigma, t, e_max=e_max) == pytest.approx(ref, rel=1e-12)
+
+
+def qr_contraction(spec, sigma):
+    """||W P_c W|| the dense way: thin QR of W Phi_c, then the SVD of R R^*."""
+    w = weight_vector(spec.grid, sigma).samples
+    r = np.linalg.qr(w[:, None] * spec.continuum_basis()[0], mode="r")
+    return float(np.linalg.svd(r @ r.conj().T, compute_uv=False)[0])
+
+
+@pytest.fixture(scope="module")
+def shipped_positive_spec():
+    spec = _Context(load_scenario("positive_potential_radial")).spec
+    assert len(spec.indices("bound")) == 0  # P_c = I
+    return spec
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_contraction_at_t0_matches_dense(shipped_positive_spec, well_spec, sigma):
+    # the Lanczos path of weighted_propagator_norm at t = 0, on the shipped
+    # positive_potential_radial spectrum and on one with bound states
+    for spec in (shipped_positive_spec, well_spec[0]):
+        assert weighted_propagator_norm(spec, sigma, 0.0) == \
+            pytest.approx(qr_contraction(spec, sigma), rel=1e-12)
 
 
 def test_empty_band_and_empty_support_give_zero(well_spec):

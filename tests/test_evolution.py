@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import dst
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
@@ -7,8 +8,8 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_sine_transform, eigenstate, kinetic_step, nls_energy,
-                               snap_to_lattice)
+from proplab.evolution import (_sine_multiplier, _sine_transform, eigenstate, kinetic_step,
+                               nls_energy, snap_to_lattice)
 
 
 def spec_for(grid, pot=None):
@@ -219,3 +220,43 @@ def test_trajectory_restricted_keeps_samples_and_masses():
     assert np.array_equal(view.boundary_masses, traj.boundary_masses[[1, 3]])
     with pytest.raises(ValueError, match="not sampled"):
         traj.restricted([1.5])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 639, 640, 767, 768, 959, 961, 2047, 2048])
+def test_sine_multiplier_matches_dst_sandwich(n):
+    # the Toeplitz-minus-Hankel convolution is S diag(d) S, whatever the
+    # factors of n + 1, for unimodular and real d and any layout of u
+    rng = np.random.default_rng(n)
+    lam = rng.uniform(0.0, 4.0 * (n + 1) ** 2, n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    real = rng.standard_normal(n)
+    for d in (np.exp(-1j * lam * 1e-3), np.sqrt(1.0 + lam)):
+        apply = _sine_multiplier(d)
+        for data in (u, real, wide[::2]):
+            ref = _sine_transform(d * _sine_transform(data))
+            out = apply(data)
+            assert out.shape == (n,)
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 300), kind=st.sampled_from(["line", "radial3d"]),
+       extent=st.floats(5.0, 40.0), amp=st.floats(-5.0, 5.0), width=st.floats(0.3, 3.0),
+       with_w=st.booleans(), cubic=st.booleans(), dt=st.floats(1e-3, 5e-2),
+       steps=st.integers(1, 40))
+def test_split_step_unitary_and_reversible(n, kind, extent, amp, width, with_w, cubic,
+                                           dt, steps):
+    # every Strang factor is unitary, and the symmetric step run backwards
+    # undoes it (the midpoint W and the |u|-invariant cubic phase both agree)
+    grid = make_grid(kind, n, extent)
+    pot = Potential.gaussian(amp, width, 0.25 * extent)
+    w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5) if with_w else None
+    lam = 1.0 if cubic and kind == "line" else 0.0
+    psi0 = gaussian_state(grid, center=0.5 * extent if kind == "radial3d" else 0.0,
+                          width=0.1 * extent)
+    t_final = steps * dt
+    psi = evolve_split(grid, pot, w_t, psi0, t_final, dt, nonlinearity=lam)
+    assert abs(norm(grid, psi, "L2") - 1.0) <= 1e-12
+    back = evolve_split(grid, pot, w_t, psi, 0.0, dt, t0=t_final, nonlinearity=lam)
+    assert np.abs(back - psi0).max() <= 1e-10 * np.abs(psi0).max()

@@ -260,3 +260,24 @@ def test_cli_rejects_cubic_flow_on_radial_grid(tmp_path, capsys):
         path = tmp_path / "radial_nls.cfg"
         path.write_text(text)
         _assert_rejected(["run", str(path)], tmp_path, "tiny", key, capsys)
+
+
+_TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 128", "n = 64")
+
+
+@pytest.mark.parametrize("text, key", [
+    # no W: the timedep observer has no dW/dt to integrate
+    (_TIMEDEP_SMALL, "[timedep].type"),
+    (_TIMEDEP_SMALL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[timedep].type"),
+    # the eigenstate index must name one of the n eigenvectors
+    (MINIMAL.replace("n = 128", "n = 64") + "\n[initial_state]\nrecipe = eigenstate\nk = 64\n",
+     "[initial_state].k"),
+    # the cubic flow is only stepped; exact-method sample times are off its lattice
+    (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
+     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = eigenbasis_exact\n",
+     "[evolution].method"),
+], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method"])
+def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", key, capsys)
