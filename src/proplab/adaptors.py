@@ -26,8 +26,10 @@ factors R of W F and of W Phi_band (W = <x>^{-sigma}, k band modes) give
 ||R e^{-iEt} R^*||, at O(n^2 |S|) and O(n k^2) cost.  At t = 0 over the
 whole continuum that norm is the top eigenvalue of W P_c W = W^2 - B B^*
 with B = W Phi_b (bound modes only), which Lanczos iteration reaches at
-O(n k_b) per step.  B_V (spectral, O(n^3)) and the matrix
-commutator_remainder returns stay dense n x n.
+O(n k_b) per step.  Along a flow, <u, remainder(T) u> = sum_S q_s
+|(F^* u)_s|^2 costs O(n |S|) per state once F is built.  B_V (spectral,
+O(n^3)) stays dense n x n, and so does the matrix commutator_remainder
+returns for the entrywise closure check.
 """
 
 from __future__ import annotations
@@ -180,6 +182,14 @@ def commutator_remainder(spec: SpectralData, adaptor: AdaptorOperator) -> np.nda
     truncated commutation identity i[H, B] = P_c Q P_c - remainder."""
     f, q_s = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
     return (f * q_s) @ f.conj().T
+
+
+def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
+    """u -> <u, remainder(T) u> = sum_S q_s |(F^* u)_s|^2, with the n x |S|
+    factor F of ``_remainder_factor`` built once: O(n |S|) per state."""
+    f, q_s = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
+    weight = spec.grid.quad_weight
+    return lambda state: float(weight * np.sum(q_s * np.abs(np.asarray(state).conj() @ f) ** 2))
 
 
 def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,

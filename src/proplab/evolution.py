@@ -189,6 +189,8 @@ class _SplitStepper:
         self.grid = grid
         self.v = potential.v(grid.points) if potential is not None else np.zeros(grid.n)
         self.w_t = w_t
+        # W = amplitude(t) profile(x): the x-dependence is sampled once
+        self._w_profile = w_t.profile(grid.points) if w_t is not None else None
         self.lam_nl = float(nonlinearity)
         self._kin_lam = free_laplacian_eigenvalues(grid)
         self._kin_dt = None
@@ -198,7 +200,7 @@ class _SplitStepper:
         """e^{-i v dt / 2} with v = V + W(t_mid) + lam |u|^2, from a real angle."""
         v = self.v
         if self.w_t is not None:
-            v = v + self.w_t.w(self.grid.points, t_mid)
+            v = v + self.w_t.amplitude(t_mid) * self._w_profile
         if self.lam_nl:
             v = v + self.lam_nl * (u.real**2 + u.imag**2)
         angle = (-0.5 * v) * dt

@@ -5,6 +5,10 @@ A propagation observable is a time-dependent self-adjoint family B(t) whose
 Heisenberg derivative D_H B = i[H, B] + dB/dt splits into a nonnegative part
 C(t)^* C(t) plus an integrable remainder g(t); integrating the derivative of
 <psi(t), B(t) psi(t)> then bounds int ||C psi||^2 dt by sup <B> + ||g||_L1.
+
+Every number here is read from matvecs: <u, B u> from B u, and the
+commutator part of D_H B from <u, i[H, B] u> = -2 Im <H u, B u>.  No D_H B
+matrix and no sparse-plus-dense sum is formed.
 """
 
 from __future__ import annotations
@@ -16,10 +20,13 @@ import numpy as np
 
 from .evolution import Trajectory
 from .grids import Grid
-from .operators import HermitianOperator, heisenberg_derivative
+from .operators import HermitianOperator, OperatorSum
 
 REALNESS_TOL = 1e-9
 MIN_FIT_SAMPLES = 8
+
+#: what an observable family's members may be; both are read through apply
+Operator = HermitianOperator | OperatorSum
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,22 +90,24 @@ class EstimateReport:
 class PropagationObservable:
     """Builder bundle for a time-dependent observable family.
 
-    ``builder(t)`` and ``db_dt(t)`` return HermitianOperators (dB/dt comes
-    from the analytic formula of the family, never from differencing
-    matrices).  ``positive_factor(t)``, when known, returns the matrix C(t)
-    of the decomposition D_H B = C^*C + g, and ``g_values(t)`` the remainder.
+    ``builder(t)`` and ``db_dt(t)`` return Hermitian operators read through
+    ``apply``: a HermitianOperator, or an OperatorSum whose banded and dense
+    terms are never summed (dB/dt comes from the analytic formula of the
+    family, never from differencing matrices).  ``positive_factor(t)``, when
+    known, returns the matrix C(t) of the decomposition D_H B = C^*C + g, and
+    ``g_values(t)`` the remainder.
     """
 
     label: str
-    builder: Callable[[float], HermitianOperator]
-    db_dt: Callable[[float], HermitianOperator]
+    builder: Callable[[float], Operator]
+    db_dt: Callable[[float], Operator]
     positive_factor: Callable[[float], np.ndarray] | None = None
     g_values: Callable[[float], float] | None = None
 
 
-def expectation_value(grid: Grid, matrix, state) -> float:
-    """Quadratic form with a realness guard for Hermitian inputs."""
-    raw = grid.inner(state, matrix @ state)
+def expectation_value(grid: Grid, op: Operator, state) -> float:
+    """<u, op u> by one ``apply``, with a realness guard for Hermitian op."""
+    raw = grid.inner(state, op.apply(state))
     scale = max(1.0, abs(raw))
     if abs(raw.imag) > REALNESS_TOL * scale:
         raise ValueError(f"expectation has imaginary residue {raw.imag:.2e}")
@@ -110,25 +119,37 @@ def observable_series(traj: Trajectory, prob: PropagationObservable, times) -> O
     times = np.asarray(times, dtype=float)
     vals = np.empty(times.shape)
     for k, t in enumerate(times):
-        state = traj.state_at(t)
-        vals[k] = expectation_value(traj.grid, prob.builder(t).matrix, state)
+        vals[k] = expectation_value(traj.grid, prob.builder(t), traj.state_at(t))
     return ObservableSeries(times, vals, prob.label)
 
 
+def centered_derivative(traj: Trajectory, prob: PropagationObservable,
+                        t: float, dt_offset: float) -> float:
+    """(<B(t + d)> - <B(t - d)>) / 2d on the states the trajectory samples."""
+    grid = traj.grid
+    fwd = expectation_value(grid, prob.builder(t + dt_offset), traj.state_at(t + dt_offset))
+    bwd = expectation_value(grid, prob.builder(t - dt_offset), traj.state_at(t - dt_offset))
+    return (fwd - bwd) / (2.0 * dt_offset)
+
+
+def heisenberg_expectation(grid: Grid, h_op: Operator, b_op: Operator,
+                           db_dt: Operator, state) -> float:
+    """<u, (i[H, B] + dB/dt) u>, with <u, i[H, B] u> = -2 Im <H u, B u>."""
+    comm = -2.0 * float(np.imag(grid.inner(h_op.apply(state), b_op.apply(state))))
+    return comm + expectation_value(grid, db_dt, state)
+
+
 def heisenberg_consistency(traj: Trajectory, prob: PropagationObservable,
-                           h_of_t: Callable[[float], HermitianOperator],
+                           h_of_t: Callable[[float], Operator],
                            t: float, dt_offset: float) -> float:
     """|centered difference of <B> minus <i[H,B] + dB/dt>| at time t.
 
     The trajectory must sample t and t +- dt_offset.  On smooth states the
     residual is O(dt_offset^2 + h^2); a corrupted dB/dt blows it up.
     """
-    grid = traj.grid
-    fwd = expectation_value(grid, prob.builder(t + dt_offset).matrix, traj.state_at(t + dt_offset))
-    bwd = expectation_value(grid, prob.builder(t - dt_offset).matrix, traj.state_at(t - dt_offset))
-    lhs = (fwd - bwd) / (2.0 * dt_offset)
-    d_h = heisenberg_derivative(h_of_t(t), prob.builder(t), prob.db_dt(t))
-    return abs(lhs - expectation_value(grid, d_h.matrix, traj.state_at(t)))
+    d_h = heisenberg_expectation(traj.grid, h_of_t(t), prob.builder(t), prob.db_dt(t),
+                                 traj.state_at(t))
+    return abs(centered_derivative(traj, prob, t, dt_offset) - d_h)
 
 
 def pres_check(b_series: ObservableSeries, c_norm_sq: ObservableSeries,

@@ -4,7 +4,9 @@ conformal factor, commutators and Heisenberg derivatives.
 Every position-basis operator here is banded and is stored as a
 ``scipy.sparse`` CSR array, closed under sum, product, adjoint and i[., .].
 Dense matrices come only from the spectral calculus (eigenvectors,
-projectors, the adaptor B_V); a sparse plus dense sum is dense.
+projectors, the adaptor B_V).  A real combination of banded operators and
+B_V is an ``OperatorSum``, applied term by term, so no sparse-plus-dense
+n x n sum is formed.
 
 The kinetic operator is the 3-point Dirichlet stencil and the momentum is the
 central difference; they are independent discretizations, so continuum
@@ -58,6 +60,23 @@ class HermitianOperator:
                                  f"{scalar}*{self.label}")
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorSum:
+    """sum_k c_k T_k for real c_k and Hermitian operators T_k (anything with
+    ``apply``: banded HermitianOperators, the dense adaptor B_V), applied term
+    by term.  No matrix sum is formed; each term was checked Hermitian where
+    it was built, and a real combination of Hermitian terms is Hermitian."""
+
+    terms: tuple  # (coefficient, operator) pairs
+
+    def apply(self, state):
+        out = np.zeros(len(state), dtype=complex)
+        for coeff, op in self.terms:
+            if coeff != 0.0:
+                out += coeff * op.apply(state)
+        return out
 
 
 def _require_same_grid(a: HermitianOperator, b: HermitianOperator):
@@ -116,11 +135,12 @@ def conformal_factor_operator(grid: Grid, t: float) -> HermitianOperator:
     return HermitianOperator((m.conj().T @ m).tocsr(), grid, f"C({t})")
 
 
-def conformal_value(p: HermitianOperator, state, t: float) -> float:
+def conformal_value(p: HermitianOperator, state, t: float, p_state=None) -> float:
     """<u, C(t) u> = ||(x - 2tp) u||^2 by one momentum matvec; ``p`` is the
-    momentum operator of the state's grid, built once by the caller."""
+    momentum operator of the state's grid, built once by the caller, and
+    ``p_state`` is p u when the caller already has it."""
     grid, x, u = p.grid, p.grid.points, np.asarray(state)
-    xp_u = x * u - 2.0 * t * p.apply(u)
+    xp_u = x * u - 2.0 * t * (p.apply(u) if p_state is None else p_state)
     return float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
 
 

@@ -83,29 +83,57 @@ class SpectralData:
             idx = idx[self.eigenvalues[idx] <= e_max]
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
-    def evolve(self, state, t: float):
-        """e^{-iHt} state through the eigenbasis.
+    def coefficients(self, state):
+        """Phi^* state, the state's eigenbasis coefficients.
 
         Real eigenvectors act on the (n, 2) float view of the state (real and
         imaginary parts as two columns), so the n x n matrix is never cast
-        to complex.
+        to complex or copied.
         """
-        phase = np.exp(-1j * self.eigenvalues * t)
         v = self.eigenvectors
         if np.iscomplexobj(v):
-            return v @ (phase * (v.conj().T @ np.asarray(state, dtype=complex)))
+            return v.conj().T @ np.asarray(state, dtype=complex)
         pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
-        c = phase * np.ascontiguousarray(v.T @ pair).view(complex).ravel()
+        return np.ascontiguousarray(v.T @ pair).view(complex).ravel()
+
+    def evolve(self, state, t: float):
+        """e^{-iHt} state through the eigenbasis (float views as in
+        ``coefficients`` for real eigenvectors)."""
+        c = np.exp(-1j * self.eigenvalues * t) * self.coefficients(state)
+        v = self.eigenvectors
+        if np.iscomplexobj(v):
+            return v @ c
         return np.ascontiguousarray(v @ c.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
+def _real_tridiagonal(m):
+    """(diagonal, subdiagonal) of a real matrix with no entries beyond the
+    first off-diagonals, or None for any other matrix."""
+    count = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
+    bands = [m.diagonal(k) for k in (-1, 0, 1)]
+    if count != sum(np.count_nonzero(b) for b in bands) or any(np.any(b.imag) for b in bands):
+        return None
+    return bands[1].real, bands[0].real
+
+
 def diagonalize(op: HermitianOperator) -> SpectralData:
-    """Full eigendecomposition with orthonormal columns (LAPACK eigh); a
-    sparse H is densified here, where the spectral calculus starts."""
-    m = op.matrix.toarray() if scipy.sparse.issparse(op.matrix) else op.matrix
-    evals, evecs = scipy.linalg.eigh(m)
-    if np.abs(m.imag).max() == 0.0:
-        evecs = evecs.real.astype(float)
+    """Full eigendecomposition with orthonormal columns.
+
+    A real tridiagonal H (every shipped H = -lap + V) goes straight to
+    LAPACK's MRRR solver (stemr) on its diagonal and subdiagonal, the step
+    that dense eigh reaches only after reducing its input to that form.  Any
+    other Hermitian matrix is densified and goes to eigh.  Eigenvectors are
+    real whenever the matrix is.
+    """
+    m = op.matrix
+    tri = _real_tridiagonal(m)
+    if tri is not None:
+        evals, evecs = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stemr")
+    else:
+        m = m.toarray() if scipy.sparse.issparse(m) else m
+        evals, evecs = scipy.linalg.eigh(m)
+        if np.abs(m.imag).max() == 0.0:
+            evecs = evecs.real.astype(float)
     return SpectralData(grid=op.grid, eigenvalues=evals, eigenvectors=evecs, label=op.label)
 
 

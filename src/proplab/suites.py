@@ -12,24 +12,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
                        build_adaptor, commutator_closure_defect,
-                       commutator_remainder, negative_part, positive_part,
+                       negative_part, positive_part, remainder_expectation,
                        residual_weighted_scan)
 from .evolution import (Trajectory, evolve_split, gaussian_state,
                         h_half_norm_sq, kinetic_step, trajectory_split)
 from .grids import Grid, make_grid, norm, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
-                          expectation_value, fit_decay_rate,
+                          centered_derivative, expectation_value, fit_decay_rate,
                           heisenberg_consistency, log_growth_fit,
                           observable_series, pres_check_with_hooks,
                           trend_slope)
-from .operators import (HermitianOperator, Potential, TimeDependentPotential,
-                        commutator_i, conformal_factor_dt,
+from .operators import (HermitianOperator, OperatorSum, Potential,
+                        TimeDependentPotential, commutator_i, conformal_factor_dt,
                         conformal_factor_operator, conformal_value, dilation,
                         laplacian, momentum, multiplication, position)
 from .spectral import (BOUND, SpectralData, genericity_margin,
@@ -42,9 +40,42 @@ TREND_CAP = 0.05
 # propagation observables at the three scales of the conformal identity
 
 
+class _ConformalTerms:
+    """The banded operators the conformal family is combined from, each
+    built and checked Hermitian once: C(t) = (x - 2tp)^2 = x^2 - 2t(xp + px)
+    + 4t^2 p^2, V, and W(t) = a(t) profile(x).  Each method returns the
+    (coefficient, operator) terms of k times its quantity: ``c`` C(t),
+    ``c_dt`` dC/dt, ``vw`` V + W(t), ``w_at`` W(t) and ``w_dt`` dW/dt."""
+
+    def __init__(self, grid: Grid, potential: Potential | None,
+                 w_t: TimeDependentPotential | None):
+        self.grid, self.potential, self.w_t = grid, potential, w_t
+        x, xm, pm = grid.points, position(grid).matrix, momentum(grid).matrix
+        self.x2 = HermitianOperator((xm @ xm).tocsr(), grid, "x^2")
+        self.dil2 = HermitianOperator((xm @ pm + pm @ xm).tocsr(), grid, "xp+px")
+        self.p2 = HermitianOperator((pm @ pm).tocsr(), grid, "p^2")
+        self.v = multiplication(grid, potential.v(x) if potential is not None else np.zeros(grid.n))
+        self.w = multiplication(grid, w_t.profile(x)) if w_t is not None else None
+
+    def c(self, t, k):
+        return [(k, self.x2), (-2.0 * t * k, self.dil2), (4.0 * t * t * k, self.p2)]
+
+    def c_dt(self, t, k):
+        return [(-2.0 * k, self.dil2), (8.0 * t * k, self.p2)]
+
+    def vw(self, t, k):
+        return [(k, self.v)] + self.w_at(t, k)
+
+    def w_at(self, t, k):
+        return [] if self.w is None else [(k * self.w_t.amplitude(t), self.w)]
+
+    def w_dt(self, t, k):
+        return [] if self.w is None else [(k * self.w_t.d_amplitude(t), self.w)]
+
+
 def conformal_prob(grid: Grid, potential: Potential | None,
                    w_t: TimeDependentPotential | None,
-                   adaptor_matrix, scale: str = "inverse_t",
+                   adaptor, scale: str = "inverse_t",
                    shift: float = 0.0, corrupt_db_dt: bool = False) -> PropagationObservable:
     """B(t) at one of the three scales used by the conformal estimates:
 
@@ -53,53 +84,56 @@ def conformal_prob(grid: Grid, potential: Potential | None,
     * ``inverse_t2``: C(t)/t^2 + 4(V+W) + B/t
 
     with ts = t + shift replacing t when the initial time is moved to zero.
-    ``corrupt_db_dt`` flips the sign of the analytic derivative; it exists
-    for negative tests and must make the Heisenberg consistency fail.
+    Each member, and each dB/dt, is an OperatorSum of banded terms and
+    beta(t) B, with beta = 1, ts or 1/ts (beta' = 0, 1 or -1/ts^2), so no
+    sparse-plus-dense sum is formed.  ``adaptor`` is the dense B (the
+    HermitianOperator of an AdaptorOperator, or anything with ``apply``), or
+    None.  ``corrupt_db_dt`` flips the sign of the
+    analytic derivative; it exists for negative tests and must make the
+    Heisenberg consistency fail.
     """
-    x = grid.points
-    v = potential.v(x) if potential is not None else np.zeros(grid.n)
-    # scipy.sparse adds a scalar zero as a no-op, so the adaptor-free case
-    # keeps the banded operators sparse
-    b = 0.0 if adaptor_matrix is None else adaptor_matrix
+    return _conformal_family(_ConformalTerms(grid, potential, w_t), adaptor, scale,
+                             shift, corrupt_db_dt)
 
-    def diag(samples):
-        return multiplication(grid, samples).matrix
 
-    def vw(t):
-        return v if w_t is None else v + w_t.w(x, t)
+def _conformal_family(terms: _ConformalTerms, adaptor, scale: str, shift: float,
+                      corrupt_db_dt: bool = False) -> PropagationObservable:
+    """``conformal_prob`` on prebuilt terms."""
+    if scale not in ("inverse_t", "iterated", "inverse_t2"):
+        raise ValueError(f"unknown scale {scale!r}")
+    grid, potential, w_t = terms.grid, terms.potential, terms.w_t
+
+    def b(beta):
+        return [] if adaptor is None else [(beta, adaptor)]
 
     def builder(t):
         ts = t + shift
         if ts <= 0:
             raise ValueError("the scaled observable needs t + shift > 0")
-        c = conformal_factor_operator(grid, t).matrix
         if scale == "inverse_t":
-            m = c / ts + 4.0 * ts * diag(vw(t)) + b
+            parts = terms.c(t, 1.0 / ts) + terms.vw(t, 4.0 * ts) + b(1.0)
         elif scale == "iterated":
-            m = c + ts**2 * diag(v) + ts * b
-        elif scale == "inverse_t2":
-            m = c / ts**2 + 4.0 * diag(vw(t)) + b / ts
+            parts = terms.c(t, 1.0) + [(ts**2, terms.v)] + b(ts)
         else:
-            raise ValueError(f"unknown scale {scale!r}")
-        return HermitianOperator(m, grid, f"conformal[{scale}]({t:g})")
+            parts = terms.c(t, 1.0 / ts**2) + terms.vw(t, 4.0) + b(1.0 / ts)
+        return OperatorSum(tuple(parts))
 
     def db_dt(t):
         ts = t + shift
-        c = conformal_factor_operator(grid, t).matrix
-        cdot = conformal_factor_dt(grid, t).matrix
-        dtw = w_t.dt_w(x, t) if w_t is not None else 0.0
         if scale == "inverse_t":
-            m = cdot / ts - c / ts**2 + 4.0 * diag(vw(t)) + 4.0 * ts * diag(dtw)
+            parts = (terms.c_dt(t, 1.0 / ts) + terms.c(t, -1.0 / ts**2) + terms.vw(t, 4.0)
+                     + terms.w_dt(t, 4.0 * ts))
         elif scale == "iterated":
-            m = cdot + 2.0 * ts * diag(v) + b
-        elif scale == "inverse_t2":
-            m = cdot / ts**2 - 2.0 * c / ts**3 + 4.0 * diag(dtw) - b / ts**2
+            parts = terms.c_dt(t, 1.0) + [(2.0 * ts, terms.v)] + b(1.0)
+        else:
+            parts = (terms.c_dt(t, 1.0 / ts**2) + terms.c(t, -2.0 / ts**3) + terms.w_dt(t, 4.0)
+                     + b(-1.0 / ts**2))
         sign = -1.0 if corrupt_db_dt else 1.0
-        return HermitianOperator(sign * m, grid, f"d/dt conformal[{scale}]")
+        return OperatorSum(tuple((sign * k, op) for k, op in parts))
 
     positive_factor = None
     free_case = (potential is None or potential.is_zero) and w_t is None
-    if free_case and adaptor_matrix is None and scale == "inverse_t":
+    if free_case and adaptor is None and scale == "inverse_t":
         # free flow: D_H (C/ts) = -(C factor)^* (C factor) exactly, with the
         # factor (x - 2tp)/ts and no remainder
         xm = position(grid).matrix
@@ -195,24 +229,73 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
 # adapted conformal identity
 
 
-def conformal_rhs_matrix(grid: Grid, potential: Potential | None,
-                         w_t: TimeDependentPotential | None,
-                         adaptor: AdaptorOperator | None, t: float,
-                         shift: float = 0.0):
-    """Right side of the adapted conformal identity at the 1/t scale:
-    -C/ts^2 + [4 x.grad V + 4V]_- + (4 x.grad W + 4W + 4 ts dW/dt) + i[W, B]."""
-    ts = t + shift
-    x = grid.points
-    m = -conformal_factor_operator(grid, t).matrix / ts**2
-    if potential is not None:
-        m = m + multiplication(grid, negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))).matrix
-    if w_t is not None:
-        w_term = 4.0 * w_t.xdw(x, t) + 4.0 * w_t.w(x, t) + 4.0 * ts * w_t.dt_w(x, t)
-        m = m + multiplication(grid, w_term).matrix
-        if adaptor is not None:
-            w = w_t.w(x, t)
-            m = m + 1j * (w[:, None] * adaptor.matrix - adaptor.matrix * w[None, :])
-    return m
+class _OncePerState:
+    """``apply`` of one dense operator that keeps the product of each state
+    it has seen (keyed by the state's bytes), so the quadratic forms a state
+    enters share one O(n^2) matvec."""
+
+    def __init__(self, op):
+        self.op, self._products = op, {}
+
+    def apply(self, state):
+        key = np.asarray(state).tobytes()
+        if key not in self._products:
+            self._products[key] = self.op.apply(state)
+        return self._products[key]
+
+
+class _AdaptedConformal:
+    """The adapted conformal identity at the 1/t scale for one (grid, V, W,
+    B_V, shift), read by matvecs: B_V once per state (``b_v``), and the
+    truncation remainder through its n x |S| factor (``remainder``)."""
+
+    def __init__(self, spec: SpectralData, potential: Potential | None,
+                 w_t: TimeDependentPotential | None,
+                 adaptor: AdaptorOperator | None, shift: float = 0.0,
+                 corrupt_db_dt: bool = False):
+        grid, x = spec.grid, spec.grid.points
+        self.grid, self.w_t, self.shift, self.adaptor = grid, w_t, shift, adaptor
+        self.b_v = _OncePerState(adaptor.op) if adaptor is not None else None
+        self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
+        self.terms = _ConformalTerms(grid, potential, w_t)
+        self.prob = _conformal_family(self.terms, self.b_v, "inverse_t", shift, corrupt_db_dt)
+        self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
+        if potential is not None:
+            neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
+            self.v_neg.append((1.0, multiplication(grid, neg)))
+        if w_t is not None:
+            self.xdw = multiplication(grid, x * w_t.d_profile(x))
+
+    def rhs(self, t: float, state) -> float:
+        """<u, RHS(t) u> for RHS = -C/ts^2 + [4 x.grad V + 4V]_- +
+        (4 x.grad W + 4W + 4 ts dW/dt) + i[W, B]: the banded terms as one
+        OperatorSum, and <u, i[W, B] u> = -2 Im <W u, B u>."""
+        grid, w_t, ts = self.grid, self.w_t, t + self.shift
+        parts = self.terms.c(t, -1.0 / ts**2) + self.v_neg
+        if w_t is not None:
+            parts += [(4.0 * w_t.amplitude(t), self.xdw)] + self.terms.w_at(t, 4.0) \
+                + self.terms.w_dt(t, 4.0 * ts)
+        value = expectation_value(grid, OperatorSum(tuple(parts)), state)
+        if w_t is not None and self.b_v is not None:
+            w_u = w_t.w(grid.points, t) * state
+            value -= 2.0 * float(np.imag(grid.inner(w_u, self.b_v.apply(state))))
+        return value
+
+    def residual(self, traj: Trajectory, t: float, dt_offset: float,
+                 include_truncation_term: bool = False):
+        if t + self.shift <= 0:
+            raise ValueError("conformal identity is evaluated at t + shift > 0")
+        lhs = centered_derivative(traj, self.prob, t, dt_offset)
+        state = traj.state_at(t)
+        rhs = self.rhs(t, state)
+        bv_term = 0.0
+        if self.adaptor is not None and self.adaptor.horizon > 0:
+            rem = self.remainder(state)
+            if include_truncation_term:
+                rhs -= rem
+            else:
+                bv_term = abs(rem)
+        return abs(lhs - rhs), bv_term
 
 
 def conformal_identity_residual(traj: Trajectory, spec: SpectralData,
@@ -227,29 +310,12 @@ def conformal_identity_residual(traj: Trajectory, spec: SpectralData,
     The derivative is a centered difference of the quadratic form, so the
     residual is O(dt_offset^2 + h^2) plus the adaptor truncation term, whose
     exact expectation is returned alongside for the tolerance budget.  With
-    ``include_truncation_term`` the remainder matrix joins the right side,
-    which isolates the pure O(dt^2 + h^2) behavior for convergence checks.
+    ``include_truncation_term`` the remainder joins the right side, which
+    isolates the pure O(dt^2 + h^2) behavior for convergence checks.
     Needs t > -shift (the 1/t scale) and samples at t, t +- dt_offset.
     """
-    if t + shift <= 0:
-        raise ValueError("conformal identity is evaluated at t + shift > 0")
-    grid = traj.grid
-    b_matrix = adaptor.matrix if adaptor is not None else None
-    prob = conformal_prob(grid, potential, w_t, b_matrix, "inverse_t", shift=shift)
-    fwd = expectation_value(grid, prob.builder(t + dt_offset).matrix, traj.state_at(t + dt_offset))
-    bwd = expectation_value(grid, prob.builder(t - dt_offset).matrix, traj.state_at(t - dt_offset))
-    lhs = (fwd - bwd) / (2.0 * dt_offset)
-    state = traj.state_at(t)
-    rhs_matrix = conformal_rhs_matrix(grid, potential, w_t, adaptor, t, shift)
-    bv_term = 0.0
-    if adaptor is not None and adaptor.horizon > 0:
-        rem = commutator_remainder(spec, adaptor)
-        if include_truncation_term:
-            rhs_matrix = rhs_matrix - rem
-        else:
-            bv_term = abs(expectation_value(grid, rem, state))
-    rhs = expectation_value(grid, rhs_matrix, state)
-    return abs(lhs - rhs), bv_term
+    identity = _AdaptedConformal(spec, potential, w_t, adaptor, shift)
+    return identity.residual(traj, t, dt_offset, include_truncation_term)
 
 
 def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
@@ -263,27 +329,25 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                              free_traj: Trajectory | None = None) -> EstimateReport:
     """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
     delta, caps conformal_coeff (delta^2 + h^2) + truncation term), Heisenberg
-    consistency, propagation inequality, and on ``free_traj`` constancy of C."""
+    consistency, propagation inequality, and on ``free_traj`` constancy of C.
+    Every value is a quadratic form read by matvecs."""
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
     cap_scheme = conformal_coeff * (delta**2 + grid.h**2)
+    identity = _AdaptedConformal(spec, potential, w_t, adaptor, shift, corrupt_db_dt)
     for t in eval_ts:
-        resid, bv = conformal_identity_residual(traj, spec, potential, w_t, adaptor,
-                                                float(t), delta, shift=shift)
+        resid, bv = identity.residual(traj, float(t), delta)
         report.add(f"identity residual at t={t:g}", resid, cap_scheme + bv,
                    resid <= cap_scheme + bv)
 
-    b_matrix = adaptor.matrix if adaptor is not None else None
-    prob = conformal_prob(grid, potential, w_t, b_matrix, "inverse_t", shift=shift,
-                          corrupt_db_dt=corrupt_db_dt)
-    scale_prob = conformal_prob(grid, potential, w_t, b_matrix, prob_scale, shift=shift)
+    prob = identity.prob
+    scale_prob = _conformal_family(identity.terms, identity.b_v, prob_scale, shift)
     report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
     bv_mid = 0.0
     if adaptor is not None:
-        rem = commutator_remainder(spec, adaptor)
-        bv_mid = abs(expectation_value(grid, rem, traj.state_at(t_mid)))
+        bv_mid = abs(identity.remainder(traj.state_at(t_mid)))
     report.add("Heisenberg consistency", h_resid, cap_scheme + bv_mid,
                h_resid <= cap_scheme + bv_mid)
 
@@ -534,6 +598,8 @@ def semilinear_G(F):
     F(|psi|^2): the time derivative of <F> reorganizes into d/dt <G>.
     """
 
+    import scipy.integrate  # lazy: this is its only user
+
     def g(rho):
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
         out = np.empty_like(rho_arr)
@@ -620,17 +686,23 @@ class TimedepObserver:
         self.f_diag = _bump(center=1.0, halfwidth=1.0)(spec.eigenvalues)
         self.w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
         self.p = momentum(grid)
+        # W = amplitude(t) profile(x): the x-dependence is sampled once
+        self.profile = w_t.profile(grid.points)
+        self.d_profile = w_t.d_profile(grid.points)
+        # ||psi||_6^6 = sum l6_weight |u|^6, with psi = u/r on radial grids
+        self.l6_weight = grid.quad_weight / (1.0 if grid.kind == "line" else grid.points**4)
         self.next_sample = 0
 
     def _integrand(self, t, u):
-        grid, x, p, w_t = self.grid, self.grid.points, self.p, self.w_t
-        l6 = norm(grid, u, "Lp", p=6.0)
-        c_val = conformal_value(p, u, t)
-        disp = (l6**2 + c_val / t**2) / t
-        dtw_val = 4.0 * float(np.real(grid.inner(u, w_t.dt_w(x, t) * u)))
-        dw = w_t.dw(x, t)
-        pu = p.apply(u)
-        pgrad = 4.0 * float(np.real(grid.inner(pu, dw * u) + grid.inner(u, dw * pu)))
+        w_t, weight = self.w_t, self.grid.quad_weight
+        pu = self.p.apply(u)
+        mod2 = u.real**2 + u.imag**2
+        l6_sq = float(np.sum(self.l6_weight * (mod2 * mod2 * mod2))) ** (1.0 / 3.0)
+        c_val = conformal_value(self.p, u, t, p_state=pu)
+        disp = (l6_sq + c_val / t**2) / t
+        dtw_val = 4.0 * w_t.d_amplitude(t) * weight * float(np.sum(self.profile * mod2))
+        # <pu, dw u> + <u, dw pu> = 2 Re <pu, dw u>, dw = amplitude(t) d_profile
+        pgrad = 8.0 * w_t.amplitude(t) * weight * float(np.real(np.vdot(pu, self.d_profile * u)))
         return disp, dtw_val, pgrad, c_val
 
     def __call__(self, t, u):
@@ -648,7 +720,7 @@ class TimedepObserver:
             self.sampled_ts.append(t)
             self.disp_partial.append(acc["disp"])
             self.h1_series.append(norm(grid, u, "H1"))
-            coeff = self.spec.eigenvectors.conj().T @ u
+            coeff = self.spec.coefficients(u)
             self.f_series.append(float(np.sum(self.f_diag * np.abs(coeff) ** 2) * grid.quad_weight))
             self.m_series.append(vals[3] / t**2 + float(np.real(grid.inner(u, self.w2sig * u))))
             self.next_sample += 1
@@ -846,6 +918,8 @@ def smoothing_integral_fit(grid: Grid, potential: Potential | None,
     the last is sampled at ``l6_times`` (on the dt lattice) along the same
     sweep, or None without them.
     """
+    import scipy.optimize  # lazy: this is its only user
+
     if checkpoints is None:
         checkpoints = np.linspace(t_end / 6.0, t_end, 8)
     checkpoints = np.asarray(checkpoints, dtype=float)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -281,3 +283,15 @@ def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", key, capsys)
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # scipy.integrate and scipy.optimize are imported by their only users,
+    # semilinear_G and smoothing_integral_fit, not when proplab loads
+    code = ("import sys, proplab; proplab.load_scenario('free'); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

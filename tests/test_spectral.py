@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, classify_spectrum,
                      diagonalize, free_spectral_data, function_of_H,
                      genericity_margin, laplacian, make_grid, momentum,
                      multiplication, projector)
-from proplab.spectral import (BOUND, CONTINUUM, default_threshold,
+from proplab.grids import Grid
+from proplab.spectral import (BOUND, CONTINUUM, SpectralData, default_threshold,
                               free_laplacian_eigenvalues)
 
 
@@ -187,3 +191,63 @@ def test_evolve_matches_complex_formula(line_grid, rng):
         assert np.linalg.norm(spec.evolve(psi.real, 0.37)
                               - phi @ (np.exp(-0.37j * e) * (phi.conj().T @ psi.real))) \
             <= 1e-13 * np.linalg.norm(psi.real)
+
+
+def grid_of(kind, n, extent):
+    # make_grid's spacing at any n >= 1 (make_grid itself needs n >= 8)
+    h = (2.0 * extent if kind == "line" else extent) / (n + 1)
+    j = np.arange(1, n + 1, dtype=float)
+    return Grid(kind, n, h, extent, (-extent + j * h) if kind == "line" else j * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 200), kind=st.sampled_from(["line", "radial3d"]),
+       extent=st.floats(2.0, 30.0), shape=st.sampled_from(["hamiltonian", "diagonal", "random"]),
+       depth=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1))
+def test_diagonalize_tridiagonal_matches_dense_eigh(n, kind, extent, shape, depth, seed):
+    # the tridiagonal MRRR path against dense eigh of the same matrix: -lap
+    # + V with a well deep enough for bound states, a diagonal H, and random
+    # real diagonals
+    grid = grid_of(kind, n, extent)
+    rng = np.random.default_rng(seed)
+    if shape == "hamiltonian":
+        v = Potential.gaussian(-depth, width=0.2 * extent + 0.5).v(grid.points)
+        h_op = laplacian(grid) + multiplication(grid, v)
+    elif shape == "diagonal":
+        h_op = multiplication(grid, depth * rng.standard_normal(n))
+    else:
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        h_op = HermitianOperator(sp.diags_array([e, d, e], offsets=[-1, 0, 1]).tocsr(), grid, "T")
+    dense = h_op.matrix.toarray()
+    ref_e, ref_v = scipy.linalg.eigh(dense)
+    spec = diagonalize(h_op)
+    assert not np.iscomplexobj(spec.eigenvectors)
+    scale = max(1.0, float(np.abs(ref_e).max()))
+    assert np.abs(spec.eigenvalues - ref_e).max() <= 1e-14 * scale
+
+    ref = SpectralData(grid, ref_e, ref_v)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    for t in (0.3, 2.0 / scale):
+        assert np.linalg.norm(spec.evolve(psi, t) - ref.evolve(psi, t)) <= 1e-12
+    eps = default_threshold(grid)
+    got, expect = classify_spectrum(spec, eps), classify_spectrum(ref, eps)
+    for which in ("bound", "continuous"):
+        assert np.abs(projector(got, which).matrix - projector(expect, which).matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["complex", "pentadiagonal"])
+def test_diagonalize_other_hermitian_keeps_dense_eigh(line_grid, rng, kind):
+    # a complex tridiagonal H or a real H with a wider band is not handed to
+    # the tridiagonal solver: the result is dense eigh's, bit for bit
+    h_op = laplacian(line_grid) + multiplication(line_grid, Potential.gaussian(-3.0).v(line_grid.points))
+    if kind == "complex":
+        h_op = h_op + HermitianOperator(0.7 * momentum(line_grid).matrix, line_grid, "p")
+    else:
+        h_op = h_op + HermitianOperator(momentum(line_grid).matrix @ momentum(line_grid).matrix,
+                                        line_grid, "p^2")
+        assert not np.any(h_op.matrix.toarray().imag)
+    ref_e, ref_v = scipy.linalg.eigh(h_op.matrix.toarray())
+    spec = diagonalize(h_op)
+    np.testing.assert_array_equal(spec.eigenvalues, ref_e)
+    np.testing.assert_array_equal(spec.eigenvectors, ref_v if kind == "complex" else ref_v.real)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
-                     momentum, norm, semilinear_G, trajectory_linear)
+                     momentum, multiplication, norm, semilinear_G, trajectory_linear)
 from proplab import evolution
+from proplab.adaptors import negative_part, remainder_expectation
 from proplab.evolution import snap_to_lattice
-from proplab.suites import (conformal_identity_residual, first_level_series,
+from proplab.observables import expectation_value, heisenberg_expectation
+from proplab.suites import (_AdaptedConformal, conformal_identity_residual,
+                            conformal_prob, first_level_series,
                             gronwall_monitor, lens_identity_residual,
                             lens_positivity_value, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
@@ -320,3 +324,76 @@ def test_each_suite_sweeps_each_flow_once(monkeypatch):
     timedep_suite(radial, spec, pot, w, psi, t_end=2.0, dt=0.01, sample_count=12)
     counts["timedep"] = len(made)
     assert counts == {"nls": 3, "morawetz": 2, "timedep": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 64), kind=st.sampled_from(["line", "radial3d"]),
+       with_v=st.booleans(), with_w=st.booleans(), with_adaptor=st.booleans(),
+       scale=st.sampled_from(["inverse_t", "iterated", "inverse_t2"]),
+       shift=st.sampled_from([0.0, 1.0]), t=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adaptor,
+                                              scale, shift, t, seed):
+    # every quadratic form the conformal suite reads by matvecs, against the
+    # dense n x n formula written out here
+    grid = make_grid(kind, n, 10.0)
+    x, h, ts = grid.points, grid.h, t + shift
+    pot = Potential.gaussian(1.5, width=1.5) if with_v else None
+    w_t = TimeDependentPotential.self_similar(0.3, 2.0, 0.5) if with_w else None
+    v = pot.v(x) if with_v else np.zeros(n)
+    w = w_t.w(x, t) if with_w else np.zeros(n)
+    dw = w_t.dt_w(x, t) if with_w else np.zeros(n)
+    spec = classified(grid, pot or Potential.zero())
+    # the adaptor's Q comes from a fixed bump, so B_V is nontrivial even with V off
+    adaptor = build_adaptor(spec, conformal_Q(Potential.gaussian(1.5, width=1.5), grid), 2.0) \
+        if with_adaptor else None
+
+    xm = np.diag(x).astype(complex)
+    pm = (np.diag(np.full(n - 1, -1j), 1) + np.diag(np.full(n - 1, 1j), -1)) / (2.0 * h)
+    lap = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+    vm, wm, dwm = np.diag(v), np.diag(w), np.diag(dw)
+    bv = adaptor.matrix if with_adaptor else np.zeros((n, n))
+    c = (xm - 2.0 * t * pm).conj().T @ (xm - 2.0 * t * pm)
+    cdot = -2.0 * (xm @ pm + pm @ xm) + 8.0 * t * pm @ pm
+    if scale == "inverse_t":
+        b = c / ts + 4.0 * ts * (vm + wm) + bv
+        db = cdot / ts - c / ts**2 + 4.0 * (vm + wm) + 4.0 * ts * dwm
+    elif scale == "iterated":
+        b = c + ts**2 * vm + ts * bv
+        db = cdot + 2.0 * ts * vm + bv
+    else:
+        b = c / ts**2 + 4.0 * (vm + wm) + bv / ts
+        db = cdot / ts**2 - 2.0 * c / ts**3 + 4.0 * dwm - bv / ts**2
+    hm = lap + vm + wm
+    banded_rhs = -c / ts**2 + 4.0 * ts * dwm
+    if with_v:
+        banded_rhs += np.diag(negative_part(4.0 * x * pot.dv(x) + 4.0 * v))
+    if with_w:
+        banded_rhs += np.diag(4.0 * x * w_t.dw(x, t) + 4.0 * w)
+    rhs = banded_rhs + 1j * (wm @ bv - bv @ wm)
+
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def assert_form(got, m, scale_form=None):
+        # 1e-12 relative to |u| |M u|, the Cauchy-Schwarz size of the form
+        expect = float(np.real(grid.inner(u, m @ u)))
+        size = scale_form or grid.quad_weight * np.linalg.norm(u) * np.linalg.norm(m @ u)
+        assert abs(got - expect) <= 1e-12 * max(size, 1e-300)
+
+    prob = conformal_prob(grid, pot, w_t, adaptor.op if with_adaptor else None, scale, shift=shift)
+    assert_form(expectation_value(grid, prob.builder(t), u), b)
+    assert_form(expectation_value(grid, prob.db_dt(t), u), db)
+    h_op = laplacian(grid) + multiplication(grid, v + w)
+    d_h = 1j * (hm @ b - b @ hm) + db
+    size = grid.quad_weight * (2.0 * np.linalg.norm(hm @ u) * np.linalg.norm(b @ u)
+                               + np.linalg.norm(u) * np.linalg.norm(db @ u))
+    assert_form(heisenberg_expectation(grid, h_op, prob.builder(t), prob.db_dt(t), u), d_h, size)
+    identity = _AdaptedConformal(spec, pot, w_t, adaptor, shift)
+    size = grid.quad_weight * (np.linalg.norm(u) * np.linalg.norm(banded_rhs @ u)
+                               + 2.0 * np.linalg.norm(wm @ u) * np.linalg.norm(bv @ u))
+    assert_form(identity.rhs(t, u), rhs, size)
+    if with_adaptor:
+        cols, e = spec.continuum_basis()
+        flow = (cols * np.exp(1j * e * adaptor.horizon)) @ cols.conj().T
+        remainder = flow @ np.diag(adaptor.q.samples) @ flow.conj().T
+        assert_form(remainder_expectation(spec, adaptor)(u), remainder)
