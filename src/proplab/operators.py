@@ -150,6 +150,26 @@ def conformal_factor_dt(grid: Grid, t: float) -> HermitianOperator:
     return HermitianOperator(-4.0 * dilation(grid).matrix + 8.0 * t * (p @ p), grid, f"dC/dt({t})")
 
 
+class ConformalFactor:
+    """C(t) = x^2 - 4tA + 4t^2 p^2 (A the dilation), the expansion of
+    ``conformal_factor_operator``, as OperatorSum terms so that one set of
+    banded operators, built and checked Hermitian once, serves every t.
+    ``terms`` and ``dt_terms`` give the (coefficient, operator) pairs of
+    k C(t) and k dC/dt."""
+
+    def __init__(self, grid: Grid):
+        x, p = position(grid).matrix, momentum(grid).matrix
+        self.x2 = HermitianOperator((x @ x).tocsr(), grid, "x^2")
+        self.a = dilation(grid)
+        self.p2 = HermitianOperator((p @ p).tocsr(), grid, "p^2")
+
+    def terms(self, t: float, k: float = 1.0) -> list:
+        return [(k, self.x2), (-4.0 * t * k, self.a), (4.0 * t * t * k, self.p2)]
+
+    def dt_terms(self, t: float, k: float = 1.0) -> list:
+        return [(-4.0 * k, self.a), (8.0 * t * k, self.p2)]
+
+
 def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """i[A, B]; Hermitian whenever both inputs are."""
     _require_same_grid(a, b)

@@ -26,7 +26,7 @@ from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           heisenberg_consistency, log_growth_fit,
                           observable_series, pres_check_with_hooks,
                           trend_slope)
-from .operators import (HermitianOperator, OperatorSum, Potential,
+from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
                         TimeDependentPotential, commutator_i, conformal_factor_dt,
                         conformal_factor_operator, conformal_value, dilation,
                         laplacian, momentum, multiplication, position)
@@ -42,26 +42,19 @@ TREND_CAP = 0.05
 
 class _ConformalTerms:
     """The banded operators the conformal family is combined from, each
-    built and checked Hermitian once: C(t) = (x - 2tp)^2 = x^2 - 2t(xp + px)
-    + 4t^2 p^2, V, and W(t) = a(t) profile(x).  Each method returns the
-    (coefficient, operator) terms of k times its quantity: ``c`` C(t),
-    ``c_dt`` dC/dt, ``vw`` V + W(t), ``w_at`` W(t) and ``w_dt`` dW/dt."""
+    built and checked Hermitian once: C(t) (``ConformalFactor``), V and the
+    W profile.  Each returns the (coefficient, operator) terms of k times its
+    quantity: ``c`` C(t), ``c_dt`` dC/dt, ``vw`` V + W(t), ``w_at`` W(t) and
+    ``w_dt`` dW/dt."""
 
     def __init__(self, grid: Grid, potential: Potential | None,
                  w_t: TimeDependentPotential | None):
-        self.grid, self.potential, self.w_t = grid, potential, w_t
-        x, xm, pm = grid.points, position(grid).matrix, momentum(grid).matrix
-        self.x2 = HermitianOperator((xm @ xm).tocsr(), grid, "x^2")
-        self.dil2 = HermitianOperator((xm @ pm + pm @ xm).tocsr(), grid, "xp+px")
-        self.p2 = HermitianOperator((pm @ pm).tocsr(), grid, "p^2")
+        x, self.w_t = grid.points, w_t
+        factor = ConformalFactor(grid)
+        self.c, self.c_dt = factor.terms, factor.dt_terms
         self.v = multiplication(grid, potential.v(x) if potential is not None else np.zeros(grid.n))
-        self.w = multiplication(grid, w_t.profile(x)) if w_t is not None else None
-
-    def c(self, t, k):
-        return [(k, self.x2), (-2.0 * t * k, self.dil2), (4.0 * t * t * k, self.p2)]
-
-    def c_dt(self, t, k):
-        return [(-2.0 * k, self.dil2), (8.0 * t * k, self.p2)]
+        self.w_profile = w_t.profile(x) if w_t is not None else None
+        self.w = multiplication(grid, self.w_profile) if w_t is not None else None
 
     def vw(self, t, k):
         return [(k, self.v)] + self.w_at(t, k)
@@ -92,16 +85,9 @@ def conformal_prob(grid: Grid, potential: Potential | None,
     analytic derivative; it exists for negative tests and must make the
     Heisenberg consistency fail.
     """
-    return _conformal_family(_ConformalTerms(grid, potential, w_t), adaptor, scale,
-                             shift, corrupt_db_dt)
-
-
-def _conformal_family(terms: _ConformalTerms, adaptor, scale: str, shift: float,
-                      corrupt_db_dt: bool = False) -> PropagationObservable:
-    """``conformal_prob`` on prebuilt terms."""
     if scale not in ("inverse_t", "iterated", "inverse_t2"):
         raise ValueError(f"unknown scale {scale!r}")
-    grid, potential, w_t = terms.grid, terms.potential, terms.w_t
+    terms = _ConformalTerms(grid, potential, w_t)
 
     def b(beta):
         return [] if adaptor is None else [(beta, adaptor)]
@@ -229,25 +215,10 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
 # adapted conformal identity
 
 
-class _OncePerState:
-    """``apply`` of one dense operator that keeps the product of each state
-    it has seen (keyed by the state's bytes), so the quadratic forms a state
-    enters share one O(n^2) matvec."""
-
-    def __init__(self, op):
-        self.op, self._products = op, {}
-
-    def apply(self, state):
-        key = np.asarray(state).tobytes()
-        if key not in self._products:
-            self._products[key] = self.op.apply(state)
-        return self._products[key]
-
-
 class _AdaptedConformal:
     """The adapted conformal identity at the 1/t scale for one (grid, V, W,
-    B_V, shift), read by matvecs: B_V once per state (``b_v``), and the
-    truncation remainder through its n x |S| factor (``remainder``)."""
+    B_V, shift), read by matvecs, with the truncation remainder through its
+    n x |S| factor (``remainder``)."""
 
     def __init__(self, spec: SpectralData, potential: Potential | None,
                  w_t: TimeDependentPotential | None,
@@ -255,10 +226,10 @@ class _AdaptedConformal:
                  corrupt_db_dt: bool = False):
         grid, x = spec.grid, spec.grid.points
         self.grid, self.w_t, self.shift, self.adaptor = grid, w_t, shift, adaptor
-        self.b_v = _OncePerState(adaptor.op) if adaptor is not None else None
+        self.b_v = adaptor.op if adaptor is not None else None
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = _conformal_family(self.terms, self.b_v, "inverse_t", shift, corrupt_db_dt)
+        self.prob = conformal_prob(grid, potential, w_t, self.b_v, "inverse_t", shift, corrupt_db_dt)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -277,7 +248,7 @@ class _AdaptedConformal:
                 + self.terms.w_dt(t, 4.0 * ts)
         value = expectation_value(grid, OperatorSum(tuple(parts)), state)
         if w_t is not None and self.b_v is not None:
-            w_u = w_t.w(grid.points, t) * state
+            w_u = (w_t.amplitude(t) * self.terms.w_profile) * state
             value -= 2.0 * float(np.imag(grid.inner(w_u, self.b_v.apply(state))))
         return value
 
@@ -341,7 +312,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                    resid <= cap_scheme + bv)
 
     prob = identity.prob
-    scale_prob = _conformal_family(identity.terms, identity.b_v, prob_scale, shift)
+    scale_prob = conformal_prob(grid, potential, w_t, identity.b_v, prob_scale, shift)
     report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)

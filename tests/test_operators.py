@@ -7,7 +7,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      heisenberg_derivative, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
-from proplab.operators import conformal_factor_dt, parity_matrix
+from proplab.operators import ConformalFactor, OperatorSum, conformal_factor_dt, parity_matrix
 
 
 def weak(grid, m, phi):
@@ -202,6 +202,23 @@ def test_sparse_builders_match_dense_reference():
                                            atol=1e-13 * np.abs(dense).max(),
                                            err_msg=f"{op.label} on {kind} n={n}")
 
+
+
+def test_conformal_factor_terms_match_matrix_forms():
+    # the expanded C(t) and dC/dt, applied term by term, against the matrix
+    # forms conformal_factor_operator and conformal_factor_dt
+    rng = np.random.default_rng(3)
+    for kind in ("line", "radial3d"):
+        g = make_grid(kind, 64, 10.0)
+        u = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        factor = ConformalFactor(g)
+        for t, k in ((0.0, 1.0), (0.7, 1.0), (2.5, -0.3)):
+            pairs = [(OperatorSum(tuple(factor.terms(t, k))), k * conformal_factor_operator(g, t).matrix),
+                     (OperatorSum(tuple(factor.dt_terms(t, k))), k * conformal_factor_dt(g, t).matrix)]
+            for terms, m in pairs:
+                expect = m @ u
+                np.testing.assert_allclose(terms.apply(u), expect, rtol=0,
+                                           atol=1e-13 * np.abs(expect).max())
 
 def test_potential_evaluator_consistency(line_grid):
     pot = Potential.gaussian(2.0, width=1.3, center=0.7) + Potential.gaussian(-1.0, width=2.0)
