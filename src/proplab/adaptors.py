@@ -122,10 +122,14 @@ def _spectral_norm(m) -> float:
 
 def _remainder_factor(spec: SpectralData, q_samples, t: float):
     """(F, q_S) with F = Phi_c e^{iE_c t} Phi_c[S, :]^* on the support S of Q,
-    so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*."""
+    so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*.  Real eigenvectors
+    act on the (n_c, 2|S|) float view of the right factor, so the n x n_c
+    block is never cast to complex."""
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q_samples)
-    return cols @ (np.exp(1j * e * t)[:, None] * cols[s].conj().T), q_samples[s]
+    right = np.ascontiguousarray(np.exp(1j * e * t)[:, None] * cols[s].conj().T)
+    f = cols @ right if np.iscomplexobj(cols) else (cols @ right.view(float)).view(complex)
+    return f, q_samples[s]
 
 
 def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
@@ -226,11 +230,7 @@ def adaptor_expectation_series(adaptor: AdaptorOperator, spec: SpectralData,
     tail of the local-decay integral.
     """
     times = np.asarray(times, dtype=float)
-    grid = spec.grid
-    vals = np.empty(times.shape)
-    for k, t in enumerate(times):
-        u = spec.evolve(phi, t)
-        vals[k] = grid.expectation(adaptor.matrix, u)
+    vals = np.array([spec.grid.expectation(adaptor.matrix, u) for u in spec.flow(phi, times)])
     return times, vals
 
 

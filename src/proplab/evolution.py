@@ -1,7 +1,8 @@
 """Time evolution: exact eigenbasis propagation for static H
-(``SpectralData.evolve``, ``trajectory_linear``) and one second-order
-Strang splitting, ``evolve_split``, for time-dependent potentials and the 1d
-defocusing cubic NLS; ``trajectory_split`` samples one such sweep.
+(``trajectory_linear`` and ``validity_horizon``, each reading all its times
+off one ``SpectralData.flow`` block) and one second-order Strang splitting,
+``evolve_split``, for time-dependent potentials and the 1d defocusing cubic
+NLS; ``trajectory_split`` samples one such sweep.
 
 The kinetic factor of the splitting is diagonal in the eigenbasis of the
 discrete Dirichlet Laplacian, the orthonormal type-I sine transform S, with
@@ -105,7 +106,7 @@ def eigenstate(spec: SpectralData, k: int):
 
 def trajectory_linear(spec: SpectralData, psi0, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
-    states = [spec.evolve(psi0, t) for t in times]
+    states = list(spec.flow(psi0, times))
     bm = np.array([boundary_mass(spec.grid, s) for s in states])
     return Trajectory(spec.grid, times, states, "eigenbasis_exact", bm)
 
@@ -303,14 +304,13 @@ def nls_energy(grid: Grid, potential: Potential | None, lam: float, state) -> fl
 
 def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) -> float:
     """Last probed time before the boundary mass of the exact flow crosses
-    its tolerance, on a uniform grid up to t_max; t_max if it never does."""
+    its tolerance, on a uniform grid up to t_max; t_max if it never does.
+    Every probe comes from one ``SpectralData.flow`` block."""
     ts = np.linspace(0.0, t_max, samples + 1)
-    last_good = 0.0
-    for t in ts[1:]:
-        if boundary_mass(spec.grid, spec.evolve(psi0, t)) > BOUNDARY_MASS_TOL:
-            return last_good
-        last_good = float(t)
-    return float(t_max)
+    crossed = [boundary_mass(spec.grid, u) > BOUNDARY_MASS_TOL for u in spec.flow(psi0, ts[1:])]
+    if not any(crossed):
+        return float(t_max)
+    return float(ts[crossed.index(True)])
 
 
 def snap_to_lattice(times, dt: float, t0: float = 0.0):

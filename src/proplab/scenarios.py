@@ -231,6 +231,9 @@ def _validate(config: ScenarioConfig):
                           f"got {config.state_k}")
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
+    if "adaptor" in config.suites and not any(amp for amp, _, _ in config.potential_terms):
+        raise ConfigError("[potential].gaussians: the adaptor suite needs V != 0 "
+                          "(with V = 0, B_V = 0 and its expectation cannot decay)")
     from_one = [s for s in config.suites if s in ("timedep", "morawetz")]
     if from_one and config.t_max <= 1.0:
         raise ConfigError(f"[evolution].t_max: suites {', '.join(from_one)} measure from "

@@ -1,5 +1,6 @@
 """Diagonalization, bound/continuum classification, spectral projectors,
-functional calculus and the genericity margin.
+functional calculus, the genericity margin, and the exact flow
+e^{-iHt} psi at a block of times (``SpectralData.flow``).
 
 On a finite Dirichlet box the spectrum is discrete; the continuous subspace
 is modeled as the E > eps_thr cloud, bound states as E < -eps_thr, and the
@@ -96,14 +97,33 @@ class SpectralData:
         pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
         return np.ascontiguousarray(v.T @ pair).view(complex).ravel()
 
-    def evolve(self, state, t: float):
-        """e^{-iHt} state through the eigenbasis (float views as in
-        ``coefficients`` for real eigenvectors)."""
-        c = np.exp(-1j * self.eigenvalues * t) * self.coefficients(state)
+    def flow(self, state, times):
+        """e^{-iH t_k} state for every t_k in ``times``, as the C-contiguous
+        rows of a (K, n) complex array.
+
+        The coefficients are computed once; the n x K block of phases times
+        coefficients then takes one real matrix product on its (n, 2K) float
+        view.  Real eigenvectors enter as they are.  Complex ones enter as
+        the (2n, n) float form whose rows 2i and 2i + 1 are Re and Im of row
+        i, so the product holds (Re Phi) block and (Im Phi) block.  With
+        column-major eigenvectors (LAPACK's layout) the real product gives
+        each row the same bits whatever K is, so ``evolve`` equals the row
+        of any block; complex BLAS kernels, and numpy's matrix-vector call at
+        K = 1, do not.
+        """
+        phases = np.exp(np.multiply.outer(-1j * self.eigenvalues, np.asarray(times, dtype=float)))
+        block = phases * self.coefficients(state)[:, None]
         v = self.eigenvectors
         if np.iscomplexobj(v):
-            return v @ c
-        return np.ascontiguousarray(v @ c.view(float).reshape(-1, 2)).view(complex).ravel()
+            parts = (np.asfortranarray(v).T.view(float).T @ block.view(float)).view(complex)
+            out = parts[0::2] + 1j * parts[1::2]
+        else:
+            out = (v @ block.view(float)).view(complex)
+        return np.ascontiguousarray(out.T)
+
+    def evolve(self, state, t: float):
+        """e^{-iHt} state: the one-row case of ``flow``."""
+        return self.flow(state, [t])[0]
 
 
 def _real_tridiagonal(m):
@@ -139,12 +159,18 @@ def diagonalize(op: HermitianOperator) -> SpectralData:
 
 def free_spectral_data(grid: Grid) -> SpectralData:
     """Closed-form eigenpairs of the free Dirichlet stencil: the orthonormal
-    sine basis sqrt(2/(n+1)) sin(j k pi/(n+1)) with the cosine spectrum."""
+    sine basis sqrt(2/(n+1)) sin(j k pi/(n+1)) with the cosine spectrum.
+
+    The basis is symmetric, so its transpose is the same matrix laid out
+    column-major, as LAPACK returns eigenvectors; with that layout BLAS
+    gives each row of ``SpectralData.flow`` the same bits whatever the
+    number of times in the block.
+    """
     n = grid.n
     j = np.arange(1, n + 1)
     basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
     return SpectralData(grid=grid, eigenvalues=free_laplacian_eigenvalues(grid),
-                        eigenvectors=basis, label="-lap (closed form)")
+                        eigenvectors=basis.T, label="-lap (closed form)")
 
 
 def classify_spectrum(spec: SpectralData, eps_thr: float | None = None) -> SpectralData:

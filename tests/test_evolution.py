@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import dst
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     classify_spectrum, diagonalize, evolve_split,
+                     adaptor_expectation_series, build_adaptor, classify_spectrum,
+                     conformal_Q, diagonalize, evolve_split,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (_sine_multiplier, _sine_transform, eigenstate, kinetic_step,
                                nls_energy, snap_to_lattice)
+from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
+from proplab.spectral import SpectralData
 
 
 def spec_for(grid, pot=None):
@@ -187,6 +190,63 @@ def test_trajectory_sampling_and_validity():
     # the packet reaches the wall of this small box well before t = 8
     assert traj.validity_horizon < 8.0
     assert validity_horizon(spec, psi, 10.0) < 10.0
+
+
+def sequential_horizon(spec, psi, t_max, samples=60):
+    # the probe loop validity_horizon replaces: one time at a time, each
+    # state from the written-out eigenbasis formula, stopping at the first
+    # probe whose boundary mass crosses the tolerance
+    phi, e = spec.eigenvectors, spec.eigenvalues
+    last_good = 0.0
+    for t in np.linspace(0.0, t_max, samples + 1)[1:]:
+        u = phi @ (np.exp(-1j * e * t) * (phi.conj().T @ psi))
+        if boundary_mass(spec.grid, u) > BOUNDARY_MASS_TOL:
+            return last_good
+        last_good = float(t)
+    return float(t_max)
+
+
+@pytest.mark.parametrize("center, t_max, expect", [
+    (14.0, 10.0, "first"),   # starts at the wall: crosses at the first probe
+    (0.0, 10.0, "midway"),
+    (0.0, 0.5, "never"),
+])
+def test_validity_horizon_matches_sequential_probes(center, t_max, expect):
+    g = make_grid("line", 256, 15.0)
+    spec = spec_for(g, Potential.gaussian(0.5))
+    psi = gaussian_state(g, center=center, width=1.0)
+    got = validity_horizon(spec, psi, t_max)
+    assert got == sequential_horizon(spec, psi, t_max)
+    if expect == "first":
+        assert got == 0.0
+    elif expect == "never":
+        assert got == t_max
+    else:
+        assert 0.0 < got < t_max
+
+
+def test_exact_flow_consumers_compute_coefficients_once(line_grid, monkeypatch):
+    # one Phi^T psi0 per call of each consumer, however many times it samples
+    pot = Potential.gaussian(1.0)
+    spec = spec_for(line_grid, pot)
+    adaptor = build_adaptor(spec, conformal_Q(pot, line_grid), 2.0)
+    psi = gaussian_state(line_grid, width=1.0)
+    calls = []
+    coefficients = SpectralData.coefficients
+
+    def counted(self, state):
+        calls.append(1)
+        return coefficients(self, state)
+
+    monkeypatch.setattr(SpectralData, "coefficients", counted)
+    for k in (1, 7, 40):
+        times = np.linspace(0.1, 2.0, k)
+        for consumer in (lambda: validity_horizon(spec, psi, 3.0, samples=k),
+                         lambda: trajectory_linear(spec, psi, times),
+                         lambda: adaptor_expectation_series(adaptor, spec, psi, times)):
+            calls.clear()
+            consumer()
+            assert len(calls) == 1
 
 
 def test_trajectory_split_lattice_check(line_grid):

@@ -278,7 +278,10 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
      + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = eigenbasis_exact\n",
      "[evolution].method"),
-], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method"])
+    # with V = 0, B_V = 0 and the expectation decay check fails by construction
+    (MINIMAL.replace("conformal_identity", "adaptor"), "[potential].gaussians"),
+], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
+        "adaptor_without_potential"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -193,6 +193,36 @@ def test_evolve_matches_complex_formula(line_grid, rng):
             <= 1e-13 * np.linalg.norm(psi.real)
 
 
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(["tridiagonal", "dense", "free"]),
+       kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 200),
+       times=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)), max_size=8),
+       real_state=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_flow_block_matches_written_out_formula(path, kind, n, times, real_state, seed):
+    # the tridiagonal MRRR path and the closed-form sine basis have real
+    # eigenvectors; adding a first-order term sends H to dense complex eigh
+    grid = make_grid(kind, n, 10.0)
+    if path == "free":
+        spec = free_spectral_data(grid)
+    else:
+        h_op = laplacian(grid) + multiplication(grid, Potential.gaussian(-3.0).v(grid.points))
+        if path == "dense":
+            h_op = h_op + HermitianOperator(0.7 * momentum(grid).matrix, grid, "p")
+        spec = diagonalize(h_op)
+    assert np.iscomplexobj(spec.eigenvectors) == (path == "dense")
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(n) + (0.0 if real_state else 1j * rng.standard_normal(n))
+
+    block = spec.flow(psi, times)
+    assert block.shape == (len(times), n) and block.dtype == complex
+    assert block.flags.c_contiguous
+    phi, e = spec.eigenvectors, spec.eigenvalues
+    for t, row in zip(times, block):
+        expect = phi @ (np.exp(-1j * e * t) * (phi.conj().T @ psi))
+        assert np.linalg.norm(row - expect) <= 1e-13 * np.linalg.norm(psi)
+        assert np.array_equal(spec.evolve(psi, t), row)
+
+
 def grid_of(kind, n, extent):
     # make_grid's spacing at any n >= 1 (make_grid itself needs n >= 8)
     h = (2.0 * extent if kind == "line" else extent) / (n + 1)
