@@ -7,8 +7,12 @@ truncated at a horizon T:
 
     B(T) = P_c [ integral_0^T e^{iHs} (-Q) e^{-iHs} ds ] P_c,
 
-assembled in the eigenbasis through the kernel
-kappa(omega, T) = (e^{i omega T} - 1)/(i omega), kappa(0, T) = T.  The
+assembled in the eigenbasis as B = Phi_c (-q~ o kappa) Phi_c^*, q~ = Phi_c^* Q Phi_c,
+kappa(omega, T) = (e^{i omega T} - 1)/(i omega) = e^{i omega T/2} K with the real
+K = 2 sin(omega T/2)/omega, K(0) = T.  So B = Phi_c D core D^* Phi_c^* with
+D = diag(e^{i E_c T/2}) and core = -q~ o K (real symmetric for real eigenvectors),
+and spec(B) = spec(core) u {0}^(n - n_c): one eigvalsh of the n_c x n_c core and two
+real products on float views, about 0.15 s at n = n_c = 768 on one thread.  The
 truncation makes the commutation identity exact with a measurable remainder:
 
     i[H, B(T)] = P_c Q P_c - remainder(T),
@@ -120,16 +124,18 @@ def _spectral_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
+def _apply_basis(cols, m):
+    """cols @ m for a complex m; real cols act on its float view, uncast."""
+    m = np.ascontiguousarray(m)
+    return cols @ m if np.iscomplexobj(cols) else (cols @ m.view(float)).view(complex)
+
+
 def _remainder_factor(spec: SpectralData, q_samples, t: float):
     """(F, q_S) with F = Phi_c e^{iE_c t} Phi_c[S, :]^* on the support S of Q,
-    so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*.  Real eigenvectors
-    act on the (n_c, 2|S|) float view of the right factor, so the n x n_c
-    block is never cast to complex."""
+    so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*."""
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q_samples)
-    right = np.ascontiguousarray(np.exp(1j * e * t)[:, None] * cols[s].conj().T)
-    f = cols @ right if np.iscomplexobj(cols) else (cols @ right.view(float)).view(complex)
-    return f, q_samples[s]
+    return _apply_basis(cols, np.exp(1j * e * t)[:, None] * cols[s].conj().T), q_samples[s]
 
 
 def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
@@ -142,6 +148,10 @@ def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: flo
 def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
                   sigma: float = 1.0, validity_horizon: float | None = None) -> AdaptorOperator:
     """Assemble B(T) in the continuum eigenbasis.
+
+    B = Phi_c D core D^* Phi_c^* (module notes); ``norm_bound`` and
+    ``min_eigenvalue`` come from one eigvalsh of the n_c x n_c core, since
+    spec(B) = spec(core) u {0}^(n - n_c).  About 4 n^3 real flops in all.
 
     Parameters
     ----------
@@ -166,19 +176,19 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
 
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q.samples)
-    q_tilde = cols[s].conj().T @ (q.samples[s, None] * cols[s])
-    omega = e[:, None] - e[None, :]
-    small = np.abs(omega) < 1e-13
-    safe = np.where(small, 1.0, omega)
-    kappa = np.where(small, horizon, (np.exp(1j * omega * horizon) - 1.0) / (1j * safe))
-    b = cols @ (-q_tilde * kappa) @ cols.conj().T
+    core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
+    core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))  # -q~ o K
+    evals = np.append(np.linalg.eigvalsh(core), np.zeros(min(1, grid.n - len(e))))  # 0 on Ran P_b
+    d = np.exp(0.5j * horizon * e)
+    m = d[:, None] * core * d.conj()  # D core D^*
+    del core
+    b = _apply_basis(cols, _apply_basis(cols, m).conj().T)  # Phi_c M Phi_c^*
     b = 0.5 * (b + b.conj().T)  # scrub roundoff asymmetry
     op = HermitianOperator(b, grid, f"B_V(T={horizon:g})")
 
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
-    evals = np.linalg.eigvalsh(b)
     return AdaptorOperator(op, q, float(horizon), float(sigma), residual,
-                           float(np.abs(evals).max()), float(evals[0]), warnings)
+                           float(np.abs(evals).max()), float(evals.min()), warnings)
 
 
 def commutator_remainder(spec: SpectralData, adaptor: AdaptorOperator) -> np.ndarray:

@@ -210,18 +210,22 @@ class _SplitStepper:
         half.imag = np.sin(angle)
         return half
 
-    def step(self, u, t: float, dt: float):
+    def step(self, u, t: float, dt: float, half=None):
+        """One step from t; returns (state, carry).  Without W, carry is the last
+        half phase, equal to the next step's first (V static, |u| phase invariant),
+        to pass back as ``half``; with W it is None.  ``half=None`` computes it from u."""
         if dt != self._kin_dt:
             self._kinetic = _sine_multiplier(np.exp(-1j * self._kin_lam * dt))
             self._kin_dt = dt
         t_mid = t + 0.5 * dt
-        half = self._half_phase(u, t_mid, dt)
+        if half is None:
+            half = self._half_phase(u, t_mid, dt)
         u = self._kinetic(half * u)
         # second half phase: for the cubic flow |u| changed across the kinetic
         # step, so the phase is re-evaluated (still a unitary factor)
         if self.lam_nl:
             half = self._half_phase(u, t_mid, dt)
-        return half * u
+        return half * u, (half if self.w_t is None else None)
 
 
 def evolve_split(grid: Grid, potential: Potential | None,
@@ -249,11 +253,11 @@ def evolve_split(grid: Grid, potential: Potential | None,
         raise ValueError(f"dt={dt} does not divide the span {span}")
     signed_dt = math.copysign(dt, span) if span != 0 else dt
     u = np.asarray(psi0, dtype=complex).copy()
-    t = t0
+    t, half = t0, None
     if observer is not None:
         observer(t, u)
     for k in range(1, n_steps + 1):
-        u = stepper.step(u, t, signed_dt)
+        u, half = stepper.step(u, t, signed_dt, half)
         t = t0 + k * signed_dt  # from the step index: no drift from repeated addition
         if observer is not None:
             observer(t, u)

@@ -218,6 +218,10 @@ def _validate(config: ScenarioConfig):
             raise ConfigError(f"[scenario].suites: unknown suite {s!r}")
     if config.grid_kind == "radial3d" and "nls" in config.suites:
         raise ConfigError("[scenario].suites: the nls suite needs [grid].kind = line")
+    radial_only = [s for s in config.suites if s in ("weighted_decay", "morawetz")]
+    if config.grid_kind == "line" and radial_only:
+        raise ConfigError(f"[grid].kind: suites {', '.join(radial_only)} check 3d radial "
+                          "estimates and need [grid].kind = radial3d")
     if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if "timedep" in config.suites and config.timedep_type != "self_similar":

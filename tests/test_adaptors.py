@@ -101,11 +101,13 @@ def test_conformal_q_guard():
 
 
 def test_build_adaptor_trivial_cases(line_grid):
+    # empty support of Q and zero horizon: exact zeros, spectrum included
     spec, _ = classified(line_grid, Potential.gaussian(0.5))
-    q = conformal_Q(Potential.zero(), line_grid)
-    assert np.abs(build_adaptor(spec, q, 5.0).matrix).max() == 0.0
-    q2 = conformal_Q(Potential.gaussian(0.5), line_grid)
-    assert np.abs(build_adaptor(spec, q2, 0.0).matrix).max() == 0.0
+    for q, horizon in ((conformal_Q(Potential.zero(), line_grid), 5.0),
+                       (conformal_Q(Potential.gaussian(0.5), line_grid), 0.0)):
+        adaptor = build_adaptor(spec, q, horizon)
+        assert np.abs(adaptor.matrix).max() == 0.0
+        assert (adaptor.norm_bound, adaptor.min_eigenvalue, adaptor.residual_weighted) == (0, 0, 0)
 
 
 def test_build_adaptor_matches_brute_force_three_level():
@@ -377,3 +379,64 @@ def test_truncated_commutator_closure_property(kind, n, extent, amp, width, hori
     defect = np.abs(comm - p_c @ np.diag(q.samples) @ p_c + commutator_remainder(spec, adaptor)).max()
     assert defect <= 1e-10 * max(1.0, np.abs(q.samples).max())
     assert commutator_closure_defect(spec, h, adaptor) <= 1e-10 * max(1.0, np.abs(q.samples).max())
+
+
+# ---------------------------------------------------------------------------
+# the real symmetric core of build_adaptor against the dense complex formula
+
+
+def dense_complex_adaptor(spec, q_samples, horizon):
+    """B = Phi_c (-q~ o kappa) Phi_c^* with the complex kernel
+    kappa = (e^{i omega T} - 1)/(i omega), kappa(0) = T, and its spectrum from
+    eigvalsh of the n x n B: (B, max |lambda|, min lambda)."""
+    cols, e = spec.continuum_basis()
+    cols = cols.astype(complex)
+    q_tilde = cols.conj().T @ (q_samples[:, None] * cols)
+    omega = e[:, None] - e[None, :]
+    small = np.abs(omega) < 1e-13
+    kappa = np.where(small, horizon,
+                     (np.exp(1j * omega * horizon) - 1.0) / (1j * np.where(small, 1.0, omega)))
+    b = cols @ (-q_tilde * kappa) @ cols.conj().T
+    b = 0.5 * (b + b.conj().T)
+    evals = np.linalg.eigvalsh(b)
+    return b, float(np.abs(evals).max()), float(evals[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 48),
+       extent=st.floats(4.0, 20.0), amp=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
+       width=st.floats(0.5, 2.0), horizon=st.floats(0.05, 6.0),
+       q_kind=st.sampled_from(["conformal", "dilation", "flipped"]), complex_basis=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_real_core_adaptor_matches_dense_complex_formula(kind, n, extent, amp, width, horizon,
+                                                         q_kind, complex_basis, seed):
+    grid = make_grid(kind, n, extent)
+    pot = Potential.gaussian(amp, width=width)
+    h = laplacian(grid).matrix.toarray() + np.diag(pot.v(grid.points))
+    if complex_basis:
+        # U H U^* with a diagonal phase U: complex H, complex eigenvectors, same Q
+        u = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * np.pi, n))
+        h = u[:, None] * h * u.conj()[None, :]
+    spec = classify_spectrum(diagonalize(HermitianOperator(h, grid, "H")))
+    assert np.iscomplexobj(spec.eigenvectors) == complex_basis
+    q = _q_case({"conformal": "conformal_well"}.get(q_kind, q_kind), pot, grid)
+    adaptor = build_adaptor(spec, q, horizon)
+    b, norm_bound, min_eig = dense_complex_adaptor(spec, q.samples, horizon)
+    tol = 1e-12 * max(1.0, norm_bound)
+    assert np.abs(adaptor.matrix - b).max() <= tol
+    assert abs(adaptor.norm_bound - norm_bound) <= tol
+    assert abs(adaptor.min_eigenvalue - min_eig) <= tol
+
+
+def test_bound_states_add_an_exact_zero_eigenvalue(well_spec):
+    # Q = -1: q~ = -I on Ran P_c, so core = T I and B = T P_c, whose spectrum
+    # is T on the continuum and exactly 0 on the bound states
+    spec, _ = well_spec
+    n = spec.grid.n
+    assert len(spec.continuum_indices()) < n
+    adaptor = build_adaptor(spec, QSelection("custom", -np.ones(n), "uniform"), 7.0)
+    cols = spec.continuum_basis()[0]
+    assert np.abs(adaptor.matrix - 7.0 * cols @ cols.T).max() <= 1e-12 * 7.0
+    assert adaptor.min_eigenvalue == 0.0
+    assert adaptor.norm_bound == pytest.approx(7.0, rel=1e-12)
+

@@ -9,10 +9,10 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_sine_multiplier, _sine_transform, eigenstate, kinetic_step,
-                               nls_energy, snap_to_lattice)
+from proplab.evolution import (_SplitStepper, _sine_multiplier, _sine_transform, eigenstate,
+                               kinetic_step, nls_energy, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
-from proplab.spectral import SpectralData
+from proplab.spectral import SpectralData, free_laplacian_eigenvalues
 
 
 def spec_for(grid, pot=None):
@@ -320,3 +320,50 @@ def test_split_step_unitary_and_reversible(n, kind, extent, amp, width, with_w, 
     assert abs(norm(grid, psi, "L2") - 1.0) <= 1e-12
     back = evolve_split(grid, pot, w_t, psi, 0.0, dt, t0=t_final, nonlinearity=lam)
     assert np.abs(back - psi0).max() <= 1e-10 * np.abs(psi0).max()
+
+
+def recomputed_strang_states(grid, pot, lam, psi0, dt, steps):
+    """Strang steps with both half phases evaluated from the state they act
+    on, every step: the states at t = 0, dt, ..., steps dt."""
+    kinetic = _sine_multiplier(np.exp(-1j * free_laplacian_eigenvalues(grid) * dt))
+    v = pot.v(grid.points)
+
+    def half(u):
+        angle = (-0.5 * (v + lam * (u.real**2 + u.imag**2))) * dt
+        return np.cos(angle) + 1j * np.sin(angle)
+
+    states = [np.asarray(psi0, dtype=complex)]
+    for _ in range(steps):
+        u = kinetic(half(states[-1]) * states[-1])
+        states.append(half(u) * u)
+    return states
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+def test_carried_half_phase_matches_recomputed_phases(lam):
+    # without W the sweep reuses each step's last half phase as the next
+    # step's first; the observer still sees every lattice state
+    grid = make_grid("line", 64, 12.0)
+    pot = Potential.gaussian(0.5, 1.0, 1.0)
+    psi0 = gaussian_state(grid, center=-1.0, width=1.5, momentum=1.0)
+    dt, steps = 0.004, 1200
+    seen = []
+    evolve_split(grid, pot, None, psi0, steps * dt, dt, nonlinearity=lam,
+                 observer=lambda t, u: seen.append(u.copy()))
+    ref = recomputed_strang_states(grid, pot, lam, psi0, dt, steps)
+    assert len(seen) == steps + 1
+    scale = np.abs(np.array(ref)).max(axis=1)
+    assert np.all(np.abs(np.array(seen) - ref).max(axis=1) <= 1e-13 * scale)
+
+
+def test_bare_step_computes_its_phases_and_w_carries_none(rng):
+    grid = make_grid("line", 64, 12.0)
+    pot = Potential.gaussian(0.5)
+    u = rng.normal(size=64) + 1j * rng.normal(size=64)  # not a state of any sweep
+    for lam in (1.0, 0.0):
+        out, carry = _SplitStepper(grid, pot, nonlinearity=lam).step(u, 0.3, 0.01)
+        ref = recomputed_strang_states(grid, pot, lam, u, 0.01, 1)[1]
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert carry is not None
+    w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5)
+    assert _SplitStepper(grid, pot, w_t=w_t).step(u, 0.3, 0.01)[1] is None

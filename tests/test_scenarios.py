@@ -280,8 +280,13 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
      "[evolution].method"),
     # with V = 0, B_V = 0 and the expectation decay check fails by construction
     (MINIMAL.replace("conformal_identity", "adaptor"), "[potential].gaussians"),
+    # the 1/t weighted-norm rate and the kinetic Morawetz positivity are 3d
+    # radial statements; on a line grid both fail by construction
+    (MINIMAL.replace("conformal_identity", "weighted_decay"), "[grid].kind"),
+    (MINIMAL.replace("conformal_identity", "morawetz") + "\n[evolution]\nt_max = 2.0\n",
+     "[grid].kind"),
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
-        "adaptor_without_potential"])
+        "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -281,3 +281,21 @@ def test_diagonalize_other_hermitian_keeps_dense_eigh(line_grid, rng, kind):
     spec = diagonalize(h_op)
     np.testing.assert_array_equal(spec.eigenvalues, ref_e)
     np.testing.assert_array_equal(spec.eigenvectors, ref_v if kind == "complex" else ref_v.real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 64),
+       extent=st.floats(4.0, 30.0),
+       terms=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.3, 3.0), st.floats(0.0, 1.0)),
+                      min_size=0, max_size=3),
+       eps_scale=st.floats(0.0, 4.0))
+def test_continuous_and_bound_projectors_resolve_identity(kind, n, extent, terms, eps_scale):
+    # P_c + P_b = I and P_c P_b = 0, whatever falls near threshold
+    grid = make_grid(kind, n, extent)
+    pot = Potential([(a, w, c * 0.5 * extent) for a, w, c in terms]) if terms else Potential.zero()
+    spec = classify_spectrum(diagonalize(hamiltonian(grid, pot)),
+                             eps_thr=eps_scale * default_threshold(grid))
+    p_c = projector(spec, "continuous").matrix
+    p_b = projector(spec, "bound").matrix
+    assert np.abs(p_c + p_b - np.eye(n)).max() <= 1e-10
+    assert np.abs(p_c @ p_b).max() <= 1e-10
