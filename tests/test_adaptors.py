@@ -406,8 +406,8 @@ def dense_complex_adaptor(spec, q_samples, horizon):
 @given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 48),
        extent=st.floats(4.0, 20.0), amp=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
        width=st.floats(0.5, 2.0), horizon=st.floats(0.05, 6.0),
-       q_kind=st.sampled_from(["conformal", "dilation", "flipped"]), complex_basis=st.booleans(),
-       seed=st.integers(0, 2**16))
+       q_kind=st.sampled_from(["conformal_well", "dilation", "flipped"]),
+       complex_basis=st.booleans(), seed=st.integers(0, 2**16))
 def test_real_core_adaptor_matches_dense_complex_formula(kind, n, extent, amp, width, horizon,
                                                          q_kind, complex_basis, seed):
     grid = make_grid(kind, n, extent)
@@ -419,7 +419,7 @@ def test_real_core_adaptor_matches_dense_complex_formula(kind, n, extent, amp, w
         h = u[:, None] * h * u.conj()[None, :]
     spec = classify_spectrum(diagonalize(HermitianOperator(h, grid, "H")))
     assert np.iscomplexobj(spec.eigenvectors) == complex_basis
-    q = _q_case({"conformal": "conformal_well"}.get(q_kind, q_kind), pot, grid)
+    q = _q_case(q_kind, pot, grid)
     adaptor = build_adaptor(spec, q, horizon)
     b, norm_bound, min_eig = dense_complex_adaptor(spec, q.samples, horizon)
     tol = 1e-12 * max(1.0, norm_bound)
