@@ -17,7 +17,7 @@ from proplab import (Potential, classify_spectrum, diagonalize, fit_decay_rate,
 from proplab.grids import transit_energy_limit
 from proplab.observables import ObservableSeries
 from proplab.spectral import resolution_energy_limit
-from proplab.suites import lens_positivity_value
+from proplab.suites import lens_positivity_values
 
 print(__doc__)
 
@@ -45,7 +45,7 @@ h_well = laplacian(grid) + multiplication(grid, well.v(grid.points))
 spec_well = classify_spectrum(diagonalize(h_well))
 print(f"  bound states: {len(spec_well.indices('bound'))}")
 e_res = resolution_energy_limit(grid)
-for t in (1.0, 5.0, 20.0, 50.0):
-    val = lens_positivity_value(spec_well, well, t, e_max=e_res)
+lens_ts = (1.0, 5.0, 20.0, 50.0)
+for t, val in zip(lens_ts, lens_positivity_values(spec_well, well, lens_ts, e_max=e_res)):
     print(f"  t = {t:5.1f}   min eig of P_c[4Vt + C(t)/t]P_c = {val:+.4f}")
 print("bounded below uniformly in t: the lens conjugation exposes 4tH >= 0 on Ran P_c")

@@ -29,7 +29,7 @@ from .observables import (EstimateReport, ObservableSeries,
                           pres_check)
 from .suites import (conformal_identity_residual, conformal_prob,
                      free_conformal_prob, general_potential_suite,
-                     gronwall_monitor, lens_positivity_value, morawetz_suite,
+                     gronwall_monitor, lens_positivity_values, morawetz_suite,
                      operator_identity_suite, positive_potential_suite,
                      semilinear_G, timedep_suite)
 from .scenarios import (ConfigError, RunArtifact, ScenarioConfig,

@@ -7,12 +7,14 @@ truncated at a horizon T:
 
     B(T) = P_c [ integral_0^T e^{iHs} (-Q) e^{-iHs} ds ] P_c,
 
-assembled in the eigenbasis as B = Phi_c (-q~ o kappa) Phi_c^*, q~ = Phi_c^* Q Phi_c,
+in the eigenbasis as B = Phi_c (-q~ o kappa) Phi_c^*, q~ = Phi_c^* Q Phi_c,
 kappa(omega, T) = (e^{i omega T} - 1)/(i omega) = e^{i omega T/2} K with the real
 K = 2 sin(omega T/2)/omega, K(0) = T.  So B = Phi_c D core D^* Phi_c^* with
 D = diag(e^{i E_c T/2}) and core = -q~ o K (real symmetric for real eigenvectors),
-and spec(B) = spec(core) u {0}^(n - n_c): one eigvalsh of the n_c x n_c core and two
-real products on float views, about 0.15 s at n = n_c = 768 on one thread.  The
+and spec(B) = spec(core) u {0}^(n - n_c).  B is kept as these factors: B u takes
+three products on float views, O(n n_c) each.  The dense n x n B (two real
+O(n^2 n_c) products) and the spectrum bounds (one eigvalsh of the core) are
+formed on first read, for the checks that need them.  The
 truncation makes the commutation identity exact with a measurable remainder:
 
     i[H, B(T)] = P_c Q P_c - remainder(T),
@@ -31,9 +33,9 @@ factors R of W F and of W Phi_band (W = <x>^{-sigma}, k band modes) give
 whole continuum that norm is the top eigenvalue of W P_c W = W^2 - B B^*
 with B = W Phi_b (bound modes only), which Lanczos iteration reaches at
 O(n k_b) per step.  Along a flow, <u, remainder(T) u> = sum_S q_s
-|(F^* u)_s|^2 costs O(n |S|) per state once F is built.  B_V (spectral,
-O(n^3)) stays dense n x n, and so does the matrix commutator_remainder
-returns for the entrywise closure check.
+|(F^* u)_s|^2 costs O(n |S|) per state once F is built.  The entrywise
+closure check runs over row blocks of i[H, B] (H banded) and of the factored
+P_c Q P_c and remainder, so it forms no n x n array beyond B.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
-from .operators import HermitianOperator, Potential, commutator_i, dilation
+from .operators import HermitianOperator, Potential, dilation, require_hermitian
 from .spectral import BOUND, SpectralData
 
 
@@ -101,22 +103,64 @@ def dilation_Q(potential: Potential, grid: Grid) -> QSelection:
     return QSelection("dilation", f, provenance="2V + x.grad V")
 
 
-@dataclass(frozen=True, eq=False)
 class AdaptorOperator:
-    """Truncated-horizon adaptor with its residual diagnostics and spectrum bounds."""
+    """Truncated-horizon adaptor with its residual diagnostics and spectrum bounds.
 
-    op: HermitianOperator
-    q: QSelection
-    horizon: float
-    sigma: float
-    residual_weighted: float
-    norm_bound: float
-    min_eigenvalue: float
-    warnings: tuple = ()
+    B is held as its factors (grid, Phi_c, D, core) or, once ``op``/``matrix``
+    is read, as the dense matrix they assemble (cached; ``apply`` then uses
+    it).  ``norm_bound`` and ``min_eigenvalue`` take one eigvalsh of the core
+    on first read, before assembly drops the core.
+    """
+
+    def __init__(self, op: HermitianOperator | None, q: QSelection, horizon: float,
+                 sigma: float, residual_weighted: float, norm_bound: float | None = None,
+                 min_eigenvalue: float | None = None, warnings: tuple = (), factors=None):
+        self._op, self._factors = op, factors
+        self._bounds = None if norm_bound is None else (float(norm_bound), float(min_eigenvalue))
+        self.q, self.horizon, self.sigma = q, horizon, sigma
+        self.residual_weighted, self.warnings = residual_weighted, warnings
+
+    def _spectrum_bounds(self) -> tuple:
+        if self._bounds is None:
+            grid, _, _, core = self._factors
+            evals = np.append(np.linalg.eigvalsh(core), np.zeros(min(1, grid.n - len(core))))  # 0 on Ran P_b
+            self._bounds = (float(np.abs(evals).max()), float(evals.min()))
+        return self._bounds
+
+    norm_bound = property(lambda self: self._spectrum_bounds()[0])
+    min_eigenvalue = property(lambda self: self._spectrum_bounds()[1])
+
+    @property
+    def op(self) -> HermitianOperator:
+        """The dense B; each n x n temporary is freed before the next."""
+        if self._op is None:
+            self._spectrum_bounds()
+            grid, cols, d, core = self._factors
+            self._factors = None
+            m = d[:, None] * core * d.conj()  # D core D^*
+            del core
+            b = _apply_basis(cols, m)  # Phi_c M
+            del m
+            b_h = np.conjugate(b.T, out=np.empty(b.T.shape, dtype=complex))
+            del b
+            b = _apply_basis(cols, b_h)  # Phi_c M^* Phi_c^* = B, M being Hermitian
+            del b_h
+            b += b.conj().T  # scrub roundoff asymmetry
+            b *= 0.5
+            self._op = HermitianOperator(b, grid, f"B_V(T={self.horizon:g})")
+        return self._op
 
     @property
     def matrix(self) -> np.ndarray:
         return self.op.matrix
+
+    def apply(self, state):
+        """B u: by the assembled B once it exists, else Phi_c D core D^* Phi_c^* u."""
+        if self._op is not None:
+            return self._op.apply(state)
+        _, cols, d, core = self._factors
+        c = d.conj()[:, None] * _apply_basis(cols.conj().T, np.asarray(state, dtype=complex)[:, None])
+        return _apply_basis(cols, d[:, None] * _apply_basis(core, c)).ravel()
 
 
 def _spectral_norm(m) -> float:
@@ -147,11 +191,9 @@ def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: flo
 
 def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
                   sigma: float = 1.0, validity_horizon: float | None = None) -> AdaptorOperator:
-    """Assemble B(T) in the continuum eigenbasis.
-
-    B = Phi_c D core D^* Phi_c^* (module notes); ``norm_bound`` and
-    ``min_eigenvalue`` come from one eigvalsh of the n_c x n_c core, since
-    spec(B) = spec(core) u {0}^(n - n_c).  About 4 n^3 real flops in all.
+    """B(T) = Phi_c D core D^* Phi_c^* (module notes), kept as its factors:
+    the core is checked Hermitian within HERMITICITY_RTOL and symmetrized;
+    the dense B and the spectrum bounds wait for a first read.
 
     Parameters
     ----------
@@ -178,17 +220,12 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
     s = np.flatnonzero(q.samples)
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
     core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))  # -q~ o K
-    evals = np.append(np.linalg.eigvalsh(core), np.zeros(min(1, grid.n - len(e))))  # 0 on Ran P_b
-    d = np.exp(0.5j * horizon * e)
-    m = d[:, None] * core * d.conj()  # D core D^*
-    del core
-    b = _apply_basis(cols, _apply_basis(cols, m).conj().T)  # Phi_c M Phi_c^*
-    b = 0.5 * (b + b.conj().T)  # scrub roundoff asymmetry
-    op = HermitianOperator(b, grid, f"B_V(T={horizon:g})")
-
+    require_hermitian(core, f"B_V(T={horizon:g}) core")
+    core += core.conj().T
+    core *= 0.5
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
-    return AdaptorOperator(op, q, float(horizon), float(sigma), residual,
-                           float(np.abs(evals).max()), float(evals.min()), warnings)
+    return AdaptorOperator(None, q, float(horizon), float(sigma), residual, warnings=warnings,
+                           factors=(grid, cols, np.exp(0.5j * horizon * e), core))
 
 
 def commutator_remainder(spec: SpectralData, adaptor: AdaptorOperator) -> np.ndarray:
@@ -209,11 +246,18 @@ def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
 def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
                               adaptor: AdaptorOperator) -> float:
     """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
-    so this is roundoff-level regardless of physics."""
-    comm = commutator_i(h_op, adaptor.op).matrix
+    so this is roundoff-level regardless of physics.  Taken over blocks of
+    128 rows, from rows of the banded H, of B and of the n x |S| factors."""
+    h, b = h_op.matrix, adaptor.matrix
     f0, q_s = _remainder_factor(spec, adaptor.q.samples, 0.0)
-    rem = commutator_remainder(spec, adaptor)
-    return float(np.abs(comm - (f0 * q_s) @ f0.conj().T + rem).max())
+    f, _ = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
+    f0_h, f_h = f0.conj().T, f.conj().T
+    defect = 0.0
+    for lo in range(0, len(b), 128):
+        rows = slice(lo, lo + 128)
+        gap = 1j * (h[rows] @ b - b[rows] @ h) - (f0[rows] * q_s) @ f0_h + (f[rows] * q_s) @ f_h
+        defect = max(defect, float(np.abs(gap).max()))
+    return defect
 
 
 def residual_weighted_scan(spec: SpectralData, q: QSelection, horizons,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,11 @@ class Grid:
     h: float
     extent: float
     points: np.ndarray = field(repr=False)
+
+    @cached_property
+    def paired_points(self) -> np.ndarray:
+        """Each point twice, in the order of a complex state's float view."""
+        return np.repeat(self.points, 2)
 
     @property
     def quad_weight(self) -> float:

@@ -39,10 +39,7 @@ class HermitianOperator:
     label: str = ""
 
     def __post_init__(self):
-        scale = float(abs(self.matrix).max()) or 1.0
-        defect = self.hermiticity_defect()
-        if defect > HERMITICITY_RTOL * scale:
-            raise ValueError(f"matrix {self.label!r} is not Hermitian: defect {defect:.2e}")
+        require_hermitian(self.matrix, self.label)
 
     def hermiticity_defect(self) -> float:
         return float(abs(self.matrix - self.matrix.conj().T).max())
@@ -77,6 +74,14 @@ class OperatorSum:
             if coeff != 0.0:
                 out += coeff * op.apply(state)
         return out
+
+
+def require_hermitian(matrix, label: str):
+    """Raise unless max|M - M^*| <= HERMITICITY_RTOL max|M|."""
+    scale = float(abs(matrix).max()) or 1.0
+    defect = float(abs(matrix - matrix.conj().T).max())
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(f"matrix {label!r} is not Hermitian: defect {defect:.2e}")
 
 
 def _require_same_grid(a: HermitianOperator, b: HermitianOperator):
@@ -135,13 +140,26 @@ def conformal_factor_operator(grid: Grid, t: float) -> HermitianOperator:
     return HermitianOperator((m.conj().T @ m).tocsr(), grid, f"C({t})")
 
 
-def conformal_value(p: HermitianOperator, state, t: float, p_state=None) -> float:
-    """<u, C(t) u> = ||(x - 2tp) u||^2 by one momentum matvec; ``p`` is the
-    momentum operator of the state's grid, built once by the caller, and
-    ``p_state`` is p u when the caller already has it."""
-    grid, x, u = p.grid, p.grid.points, np.asarray(state)
-    xp_u = x * u - 2.0 * t * (p.apply(u) if p_state is None else p_state)
-    return float(grid.quad_weight * np.sum(np.abs(xp_u) ** 2))
+def central_difference(grid: Grid, state) -> np.ndarray:
+    """p u = (u[j+1] - u[j-1]) (-i/2h) with Dirichlet zeros beyond the ends:
+    the stencil of ``momentum``, by slices."""
+    u = np.asarray(state)
+    out = np.empty(len(u), dtype=complex)
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[0], out[-1] = u[1], -u[-2]
+    out *= -0.5j / grid.h
+    return out
+
+
+def conformal_value(grid: Grid, state, t: float, p_state=None) -> float:
+    """<u, C(t) u> = ||(x - 2tp) u||^2 as a real dot product on the (n, 2)
+    float views; ``p_state`` is p u (``central_difference``) when the caller
+    already has it."""
+    u = np.ascontiguousarray(state, dtype=complex)
+    pu = central_difference(grid, u) if p_state is None else p_state
+    v = grid.paired_points * u.view(float)
+    v -= (2.0 * t) * pu.view(float)
+    return float(grid.quad_weight * v.dot(v))
 
 
 def conformal_factor_dt(grid: Grid, t: float) -> HermitianOperator:

@@ -27,7 +27,8 @@ from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           observable_series, pres_check_with_hooks,
                           trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
-                        TimeDependentPotential, commutator_i, conformal_factor_dt,
+                        TimeDependentPotential, central_difference,
+                        commutator_i, conformal_factor_dt,
                         conformal_factor_operator, conformal_value, dilation,
                         laplacian, momentum, multiplication, position)
 from .spectral import (BOUND, SpectralData, genericity_margin,
@@ -79,9 +80,8 @@ def conformal_prob(grid: Grid, potential: Potential | None,
     with ts = t + shift replacing t when the initial time is moved to zero.
     Each member, and each dB/dt, is an OperatorSum of banded terms and
     beta(t) B, with beta = 1, ts or 1/ts (beta' = 0, 1 or -1/ts^2), so no
-    sparse-plus-dense sum is formed.  ``adaptor`` is the dense B (the
-    HermitianOperator of an AdaptorOperator, or anything with ``apply``), or
-    None.  ``corrupt_db_dt`` flips the sign of the
+    sparse-plus-dense sum is formed.  ``adaptor`` is B (an AdaptorOperator,
+    or anything with ``apply``), or None.  ``corrupt_db_dt`` flips the sign of the
     analytic derivative; it exists for negative tests and must make the
     Heisenberg consistency fail.
     """
@@ -172,10 +172,8 @@ def free_conformal_residual(grid: Grid, state, t: float, dt_offset: float) -> fl
     """
     if t <= 0:
         raise ValueError("needs t > 0")
-    p = momentum(grid)
-
     def c_value(s):
-        return conformal_value(p, kinetic_step(grid, np.asarray(state, dtype=complex), s), s)
+        return conformal_value(grid, kinetic_step(grid, np.asarray(state, dtype=complex), s), s)
 
     fwd = c_value(t + dt_offset) / (t + dt_offset)
     bwd = c_value(t - dt_offset) / (t - dt_offset)
@@ -226,10 +224,9 @@ class _AdaptedConformal:
                  corrupt_db_dt: bool = False):
         grid, x = spec.grid, spec.grid.points
         self.grid, self.w_t, self.shift, self.adaptor = grid, w_t, shift, adaptor
-        self.b_v = adaptor.op if adaptor is not None else None
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = conformal_prob(grid, potential, w_t, self.b_v, "inverse_t", shift, corrupt_db_dt)
+        self.prob = conformal_prob(grid, potential, w_t, self.adaptor, "inverse_t", shift, corrupt_db_dt)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -247,9 +244,9 @@ class _AdaptedConformal:
             parts += [(4.0 * w_t.amplitude(t), self.xdw)] + self.terms.w_at(t, 4.0) \
                 + self.terms.w_dt(t, 4.0 * ts)
         value = expectation_value(grid, OperatorSum(tuple(parts)), state)
-        if w_t is not None and self.b_v is not None:
+        if w_t is not None and self.adaptor is not None:
             w_u = (w_t.amplitude(t) * self.terms.w_profile) * state
-            value -= 2.0 * float(np.imag(grid.inner(w_u, self.b_v.apply(state))))
+            value -= 2.0 * float(np.imag(grid.inner(w_u, self.adaptor.apply(state))))
         return value
 
     def residual(self, traj: Trajectory, t: float, dt_offset: float,
@@ -312,7 +309,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                    resid <= cap_scheme + bv)
 
     prob = identity.prob
-    scale_prob = conformal_prob(grid, potential, w_t, identity.b_v, prob_scale, shift)
+    scale_prob = conformal_prob(grid, potential, w_t, identity.adaptor, prob_scale, shift)
     report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
@@ -323,8 +320,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                h_resid <= cap_scheme + bv_mid)
 
     if free_traj is not None:
-        p = momentum(grid)
-        vals = np.array([conformal_value(p, free_traj.state_at(t), t) for t in free_traj.times])
+        vals = np.array([conformal_value(grid, free_traj.state_at(t), t) for t in free_traj.times])
         drift = float(np.abs(vals - vals[0]).max() / vals[0])
         report.add("free conformal factor constant", drift, 1e-6, drift <= 1e-6)
         report.series["conformal_factor"] = ObservableSeries(free_traj.times, vals,
@@ -400,13 +396,12 @@ def conformal_energy_series(traj: Trajectory, potential: Potential, times) -> Ob
     """S(t) = ||(x - 2pt) psi||^2 + t^2 <V>, the quantity the sharp
     propagation estimate bounds by the initial L-norm squared."""
     grid = traj.grid
-    p = momentum(grid)
     v = potential.v(grid.points)
     vals = []
     for t in times:
         u = traj.state_at(t)
         v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(conformal_value(p, u, t) + t**2 * v_val)
+        vals.append(conformal_value(grid, u, t) + t**2 * v_val)
     return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals),
                             "conformal+potential energy")
 
@@ -416,13 +411,12 @@ def first_level_series(traj: Trajectory, potential: Potential, times) -> Observa
     functional; it tracks the 1/sqrt(t) rate the first pass certifies for
     the L^6 norm before the estimate is iterated."""
     grid = traj.grid
-    p = momentum(grid)
     v = potential.v(grid.points)
     vals = []
     for t in times:
         u = traj.state_at(t)
         v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(math.sqrt(max(conformal_value(p, u, t) / t + 4.0 * t * v_val, 0.0)))
+        vals.append(math.sqrt(max(conformal_value(grid, u, t) / t + 4.0 * t * v_val, 0.0)))
     return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals), "first-level functional")
 
 
@@ -491,27 +485,36 @@ def iterated_bound_series(traj: Trajectory, potential: Potential, times) -> Obse
                             "t^2 [(-x.grad V)]_+ expectation")
 
 
-def lens_positivity_value(spec: SpectralData, potential: Potential, t: float,
-                          e_max: float | None = None) -> float:
-    """Smallest eigenvalue of the continuum compression of 4Vt + C(t)/t.
+def lens_positivity_values(spec: SpectralData, potential: Potential, times,
+                           e_max: float | None = None) -> np.ndarray:
+    """Smallest eigenvalue of the continuum compression of 4Vt + C(t)/t at
+    each t in ``times``.
 
     The lens conjugation turns C(t)/t into 4t p^2, so on the continuum
     subspace the combination is 4t H up to O(1/t) mixing through the bound
     states; boundedness from below, uniformly in t, is the claim.  The band
     limit strips lattice modes whose discrete momentum misrepresents their
-    energy.
+    energy.  Since C(t)/t = x^2/t - 4A + 4t p^2, the compressions of x^2, A
+    and V + p^2 onto the band, taken once, give each t as a k x k
+    combination and one eigvalsh.
     """
-    if t <= 0:
+    times = np.asarray(times, dtype=float)
+    if np.any(times <= 0):
         raise ValueError("lens positivity needs t > 0")
     grid = spec.grid
     if e_max is None:
         e_max = resolution_energy_limit(grid)
     cols, _ = spec.continuum_basis(e_max=e_max)
-    v = potential.v(grid.points)
-    m_cols = (v[:, None] * cols) * (4.0 * t) + (conformal_factor_operator(grid, t).matrix @ cols) / t
-    m = cols.conj().T @ m_cols
-    m = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(m)[0])
+    factor = ConformalFactor(grid)
+
+    def compress(m):
+        c = cols.conj().T @ (m @ cols)
+        c += c.conj().T
+        return 0.5 * c
+
+    x2, a = compress(factor.x2.matrix), compress(factor.a.matrix)
+    vp2 = compress(factor.p2.matrix + multiplication(grid, potential.v(grid.points)).matrix)
+    return np.array([np.linalg.eigvalsh(x2 / t - 4.0 * a + 4.0 * t * vp2)[0] for t in times])
 
 
 def lens_identity_residual(grid: Grid, t: float, state) -> float:
@@ -522,10 +525,8 @@ def lens_identity_residual(grid: Grid, t: float, state) -> float:
     x = grid.points
     u_phase = np.exp(1j * x**2 / (4.0 * t))
     s = np.asarray(state, dtype=complex)
-    p = momentum(grid)
-    lhs = conformal_value(p, s, t) / t
-    chi = u_phase.conj() * s
-    p_chi = p.apply(chi)
+    lhs = conformal_value(grid, s, t) / t
+    p_chi = central_difference(grid, u_phase.conj() * s)
     rhs = 4.0 * t * float(grid.quad_weight * np.sum(np.abs(p_chi) ** 2))
     return abs(lhs - rhs)
 
@@ -541,8 +542,7 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
     report.rates["delta_star"] = delta
     report.add("genericity margin delta* > 0", delta, 0.0, delta > 0.0)
 
-    lens_times = np.asarray(lens_times, dtype=float)
-    vals = np.array([lens_positivity_value(spec, potential, t, e_max=e_max) for t in lens_times])
+    vals = lens_positivity_values(spec, potential, lens_times, e_max=e_max)
     c_neg = np.maximum(0.0, -vals)
     scale = max(float(np.abs(vals).max()), 1.0)
     early = c_neg[: max(1, len(c_neg) // 2)]
@@ -656,24 +656,23 @@ class TimedepObserver:
         self.sampled_ts = []
         self.f_diag = _bump(center=1.0, halfwidth=1.0)(spec.eigenvalues)
         self.w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
-        self.p = momentum(grid)
-        # W = amplitude(t) profile(x): the x-dependence is sampled once
-        self.profile = w_t.profile(grid.points)
-        self.d_profile = w_t.d_profile(grid.points)
-        # ||psi||_6^6 = sum l6_weight |u|^6, with psi = u/r on radial grids
-        self.l6_weight = grid.quad_weight / (1.0 if grid.kind == "line" else grid.points**4)
+        # weighted samples, so that each sum is one dot product: W = amplitude(t)
+        # profile(x), and ||psi||_6^6 = sum l6_weight |u|^6 with psi = u/r on radial grids
+        self.profile = grid.quad_weight * w_t.profile(grid.points)
+        self.d_profile_pairs = np.repeat(grid.quad_weight * w_t.d_profile(grid.points), 2)
+        self.l6_weight = grid.quad_weight / (np.ones(grid.n) if grid.kind == "line" else grid.points**4)
         self.next_sample = 0
 
     def _integrand(self, t, u):
-        w_t, weight = self.w_t, self.grid.quad_weight
-        pu = self.p.apply(u)
+        w_t, u = self.w_t, np.ascontiguousarray(u, dtype=complex)
+        pu = central_difference(self.grid, u)
         mod2 = u.real**2 + u.imag**2
-        l6_sq = float(np.sum(self.l6_weight * (mod2 * mod2 * mod2))) ** (1.0 / 3.0)
-        c_val = conformal_value(self.p, u, t, p_state=pu)
+        l6_sq = float(self.l6_weight.dot(mod2 * mod2 * mod2)) ** (1.0 / 3.0)
+        c_val = conformal_value(self.grid, u, t, p_state=pu)
         disp = (l6_sq + c_val / t**2) / t
-        dtw_val = 4.0 * w_t.d_amplitude(t) * weight * float(np.sum(self.profile * mod2))
+        dtw_val = 4.0 * w_t.d_amplitude(t) * float(self.profile.dot(mod2))
         # <pu, dw u> + <u, dw pu> = 2 Re <pu, dw u>, dw = amplitude(t) d_profile
-        pgrad = 8.0 * w_t.amplitude(t) * weight * float(np.real(np.vdot(pu, self.d_profile * u)))
+        pgrad = 8.0 * w_t.amplitude(t) * float(self.d_profile_pairs.dot(u.view(float) * pu.view(float)))
         return disp, dtw_val, pgrad, c_val
 
     def __call__(self, t, u):
@@ -792,14 +791,13 @@ def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
     """M(s) = <psi(s), [ |x-2ps|^2/s^2 + <x>^{-2 sigma} ] psi(s)> and the flag
     M(t) <= M(t0) e^{d (t - t0)} for the scenario's declared d."""
     grid = traj.grid
-    p = momentum(grid)
     w2 = weight_vector(grid, 2.0 * sigma).samples
     ts = traj.valid_window() if times is None else np.asarray(times, dtype=float)
     ts = ts[ts > 0]
     vals = []
     for t in ts:
         u = traj.state_at(t)
-        vals.append(conformal_value(p, u, t) / t**2 + float(np.real(grid.inner(u, w2 * u))))
+        vals.append(conformal_value(grid, u, t) / t**2 + float(np.real(grid.inner(u, w2 * u))))
     series = ObservableSeries(ts, np.asarray(vals), "gronwall monitor")
     envelope = series.values[0] * np.exp(d_const * (ts - ts[0]))
     return series, bool(np.all(series.values <= envelope + 1e-12))

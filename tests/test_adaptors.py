@@ -106,6 +106,8 @@ def test_build_adaptor_trivial_cases(line_grid):
     for q, horizon in ((conformal_Q(Potential.zero(), line_grid), 5.0),
                        (conformal_Q(Potential.gaussian(0.5), line_grid), 0.0)):
         adaptor = build_adaptor(spec, q, horizon)
+        u = gaussian_state(line_grid, center=1.0)
+        assert np.abs(adaptor.apply(u)).max() == 0.0
         assert np.abs(adaptor.matrix).max() == 0.0
         assert (adaptor.norm_bound, adaptor.min_eigenvalue, adaptor.residual_weighted) == (0, 0, 0)
 
@@ -360,6 +362,28 @@ def test_support_check_matches_dense_projector_formula(well_spec, rng):
     assert positivity.measured == evals[0]
 
 
+def test_closure_defect_row_blocks_match_dense_formula(well_spec, rng):
+    # a Hermitian B that does not solve the commutation equation, with a
+    # spike on one diagonal entry so that the maximum sits in a chosen row
+    # block (n = 160 spans two); the defect is then far above roundoff
+    spec, h = well_spec
+    grid = spec.grid
+    q = conformal_Q(WELL, grid)
+    cols = spec.eigenvectors[:, spec.continuum_indices()]
+    p_c = cols @ cols.conj().T
+    hm = h.matrix
+    m = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
+    m = 0.5 * (m + m.conj().T)
+    for row in (3, 120, 128, grid.n - 1):
+        spiked = m.copy()
+        spiked[row, row] += 1e3
+        fake = AdaptorOperator(HermitianOperator(spiked, grid, "M"), q, 3.0, 1.0, 0.0, 1.0, -1.0)
+        dense = np.abs(1j * (hm @ spiked - spiked @ hm) - p_c @ np.diag(q.samples) @ p_c
+                       + commutator_remainder(spec, fake)).max()
+        assert dense > 1e3
+        assert commutator_closure_defect(spec, h, fake) == pytest.approx(dense, rel=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 40),
        extent=st.floats(4.0, 20.0), amp=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
@@ -423,9 +447,16 @@ def test_real_core_adaptor_matches_dense_complex_formula(kind, n, extent, amp, w
     adaptor = build_adaptor(spec, q, horizon)
     b, norm_bound, min_eig = dense_complex_adaptor(spec, q.samples, horizon)
     tol = 1e-12 * max(1.0, norm_bound)
-    assert np.abs(adaptor.matrix - b).max() <= tol
+    # factored first: the bounds from the core and B u from the factors,
+    # then the assembled B, which apply uses from then on
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    bu = adaptor.apply(u)
     assert abs(adaptor.norm_bound - norm_bound) <= tol
     assert abs(adaptor.min_eigenvalue - min_eig) <= tol
+    assert np.abs(adaptor.matrix - b).max() <= tol
+    assert np.abs(bu - adaptor.matrix @ u).max() <= tol * np.linalg.norm(u)
+    assert np.array_equal(adaptor.apply(u), adaptor.matrix @ u)
 
 
 def test_bound_states_add_an_exact_zero_eigenvalue(well_spec):

@@ -7,7 +7,9 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      heisenberg_derivative, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
-from proplab.operators import ConformalFactor, OperatorSum, conformal_factor_dt, parity_matrix
+from proplab.operators import (ConformalFactor, OperatorSum, central_difference,
+                                conformal_factor_dt, conformal_value, parity_matrix)
+from hypothesis import given, settings, strategies as st
 
 
 def weak(grid, m, phi):
@@ -45,6 +47,21 @@ def test_momentum_on_constant_interior(line_grid):
     c = np.ones(line_grid.n, dtype=complex)
     out = momentum(line_grid).apply(c)
     assert np.abs(out[1:-1]).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 300),
+       extent=st.floats(2.0, 100.0), t=st.floats(0.0, 20.0), seed=st.integers(0, 2**16))
+def test_central_difference_and_conformal_value_match_momentum(kind, n, extent, t, seed):
+    # the slice stencil against the CSR momentum, and ||(x - 2tp) u||^2
+    # against the quadratic form of the CSR matrix C(t)
+    grid = make_grid(kind, n, extent)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    pu = momentum(grid).apply(u)
+    assert np.abs(central_difference(grid, u) - pu).max() <= 1e-15 * np.abs(pu).max()
+    c_form = weak(grid, conformal_factor_operator(grid, t).matrix, u)
+    assert conformal_value(grid, u, t) == pytest.approx(c_form, rel=1e-13)
 
 
 def test_momentum_plane_wave_symbol(line_grid):

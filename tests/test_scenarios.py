@@ -160,6 +160,21 @@ def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch):
             assert fa.read() == fb.read(), path
 
 
+def test_w_flow_run_applies_b_v_without_assembling_it(tmp_path, monkeypatch):
+    # the conformal identity reads B_V only through matvecs, so a
+    # self_similar_W run takes them from the factors and never forms the
+    # dense n x n B (nor its Hermiticity check)
+    from proplab.adaptors import AdaptorOperator
+    reads, applies = [], []
+    op, apply = AdaptorOperator.op, AdaptorOperator.apply
+    monkeypatch.setattr(AdaptorOperator, "op",
+                        property(lambda self: reads.append(1) or op.fget(self)))
+    monkeypatch.setattr(AdaptorOperator, "apply",
+                        lambda self, state: applies.append(1) or apply(self, state))
+    run_scenario(small_w_flow_config(), str(tmp_path))
+    assert applies and not reads
+
+
 def test_unplanned_split_step_time_raises():
     ctx = _Context(small_w_flow_config(("gronwall",)))
     ctx.plan(ctx.config.suites)

@@ -8,16 +8,17 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      momentum, multiplication, norm, semilinear_G, trajectory_linear)
 from proplab import evolution
 from proplab.adaptors import negative_part, remainder_expectation
-from proplab.evolution import snap_to_lattice
+from proplab.evolution import evolve_split, snap_to_lattice
 from proplab.observables import expectation_value, heisenberg_expectation
+from proplab.operators import conformal_factor_operator
 from proplab.suites import (_AdaptedConformal, conformal_identity_residual,
                             conformal_prob, first_level_series,
                             gronwall_monitor, lens_identity_residual,
-                            lens_positivity_value, morawetz_commutator_check,
+                            lens_positivity_values, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
                             morawetz_suite, nls_suite, operator_identity_suite,
                             positive_potential_suite, timedep_suite,
-                            wall_trimmed)
+                            wall_trimmed, TimedepObserver)
 
 
 def classified(grid, pot):
@@ -112,10 +113,30 @@ def test_first_level_series_free_constant_conformal():
 
 def test_lens_positivity_free_and_errors(line_grid):
     spec = classify_spectrum(diagonalize(laplacian(line_grid)))
-    val = lens_positivity_value(spec, Potential.zero(), 2.0)
+    val, = lens_positivity_values(spec, Potential.zero(), [2.0])
     assert val >= -1e-8
     with pytest.raises(ValueError, match="t > 0"):
-        lens_positivity_value(spec, Potential.zero(), 0.0)
+        lens_positivity_values(spec, Potential.zero(), [2.0, 0.0])
+
+
+def test_lens_positivity_values_match_per_time_compression():
+    # three band compressions taken once against the compression of
+    # 4Vt + C(t)/t rebuilt at each t, on a spectrum with bound states
+    g = make_grid("radial3d", 160, 30.0)
+    pot = Potential([(-6.0, 1.0, 1.5), (0.5, 1.0, 3.5)])
+    spec = classified(g, pot)
+    assert len(spec.indices("bound")) > 0
+    e_max = 20.0
+    cols, _ = spec.continuum_basis(e_max=e_max)
+    ts = np.geomspace(1.0, 50.0, 5)
+    want = []
+    for t in ts:
+        m = cols.conj().T @ ((4.0 * t) * (pot.v(g.points)[:, None] * cols)
+                             + (conformal_factor_operator(g, t).matrix @ cols) / t)
+        want.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    got = lens_positivity_values(spec, pot, ts, e_max=e_max)
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale * ts.max())
 
 
 def test_lens_identity_weak_residual_ratio():
@@ -271,6 +292,42 @@ def test_timedep_suite_gaussian_profile_perturbation():
     psi = gaussian_state(g, width=1.0)
     report = timedep_suite(g, spec, pot, w, psi, t_end=5.0, dt=5e-3, sample_count=12)
     assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("kind", ["radial3d", "line"])
+def test_timedep_integrand_matches_the_sums_it_replaced(kind):
+    # the observer's slice stencil and dot products against the CSR momentum
+    # and plain weighted sums, at every lattice time of a 300-step W-flow
+    g = make_grid(kind, 96, 24.0)
+    pot = Potential.gaussian(0.5)
+    spec = classified(g, pot)
+    w = TimeDependentPotential.self_similar(0.3, 2.0, 0.5)
+    obs = TimedepObserver(g, spec, w, t_end=1.5)
+    x, weight, p = g.points, g.quad_weight, momentum(g)
+    l6_weight = weight / (1.0 if kind == "line" else x**4)
+
+    def written_out(t, u):
+        pu = p.apply(u)
+        mod2 = np.abs(u) ** 2
+        c_val = weight * float(np.sum(np.abs(x * u - 2.0 * t * pu) ** 2))
+        disp = (float(np.sum(l6_weight * mod2**3)) ** (1.0 / 3.0) + c_val / t**2) / t
+        dtw = 4.0 * w.d_amplitude(t) * weight * float(np.sum(w.profile(x) * mod2))
+        pgrad_terms = 8.0 * w.amplitude(t) * weight * (np.conj(pu) * w.d_profile(x) * u)
+        return (disp, dtw, float(np.sum(pgrad_terms).real), c_val), float(np.abs(pgrad_terms).sum())
+
+    seen = []
+
+    def compare(t, u):
+        if t > 0:
+            (disp, dtw, pgrad, c_val), pgrad_scale = written_out(t, u)
+            got = obs._integrand(t, u)
+            for value, want, scale in zip(got, (disp, dtw, pgrad, c_val),
+                                          (disp, dtw, pgrad_scale, c_val)):
+                assert abs(value - want) <= 1e-13 * abs(scale)
+            seen.append(t)
+
+    evolve_split(g, pot, w, gaussian_state(g, center=2.0, width=1.0), 1.5, 5e-3, observer=compare)
+    assert len(seen) == 300
 
 
 def test_timedep_suite_zero_w_reduces():
