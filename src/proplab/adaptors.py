@@ -46,7 +46,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
-from .operators import HermitianOperator, Potential, dilation, require_hermitian
+from .operators import HERMITICITY_RTOL, HermitianOperator, Potential, dilation
 from .spectral import BOUND, SpectralData
 
 
@@ -220,7 +220,9 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
     s = np.flatnonzero(q.samples)
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
     core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))  # -q~ o K
-    require_hermitian(core, f"B_V(T={horizon:g}) core")
+    defect = float(np.abs(core - core.conj().T).max())  # as HermitianOperator checks
+    if defect > HERMITICITY_RTOL * (float(np.abs(core).max()) or 1.0):
+        raise ValueError(f"B_V(T={horizon:g}) core is not Hermitian: defect {defect:.2e}")
     core += core.conj().T
     core *= 0.5
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)

@@ -39,7 +39,10 @@ class HermitianOperator:
     label: str = ""
 
     def __post_init__(self):
-        require_hermitian(self.matrix, self.label)
+        scale = float(abs(self.matrix).max()) or 1.0
+        defect = self.hermiticity_defect()
+        if defect > HERMITICITY_RTOL * scale:
+            raise ValueError(f"matrix {self.label!r} is not Hermitian: defect {defect:.2e}")
 
     def hermiticity_defect(self) -> float:
         return float(abs(self.matrix - self.matrix.conj().T).max())
@@ -62,7 +65,7 @@ class HermitianOperator:
 @dataclass(frozen=True, eq=False)
 class OperatorSum:
     """sum_k c_k T_k for real c_k and Hermitian operators T_k (anything with
-    ``apply``: banded HermitianOperators, the dense adaptor B_V), applied term
+    ``apply``: banded HermitianOperators, the adaptor B_V), applied term
     by term.  No matrix sum is formed; each term was checked Hermitian where
     it was built, and a real combination of Hermitian terms is Hermitian."""
 
@@ -74,14 +77,6 @@ class OperatorSum:
             if coeff != 0.0:
                 out += coeff * op.apply(state)
         return out
-
-
-def require_hermitian(matrix, label: str):
-    """Raise unless max|M - M^*| <= HERMITICITY_RTOL max|M|."""
-    scale = float(abs(matrix).max()) or 1.0
-    defect = float(abs(matrix - matrix.conj().T).max())
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(f"matrix {label!r} is not Hermitian: defect {defect:.2e}")
 
 
 def _require_same_grid(a: HermitianOperator, b: HermitianOperator):
@@ -152,8 +147,8 @@ def central_difference(grid: Grid, state) -> np.ndarray:
 
 
 def conformal_value(grid: Grid, state, t: float, p_state=None) -> float:
-    """<u, C(t) u> = ||(x - 2tp) u||^2 as a real dot product on the (n, 2)
-    float views; ``p_state`` is p u (``central_difference``) when the caller
+    """<u, C(t) u> = ||(x - 2tp) u||^2 as a real dot product on the float
+    views; ``p_state`` is p u (``central_difference``) when the caller
     already has it."""
     u = np.ascontiguousarray(state, dtype=complex)
     pu = central_difference(grid, u) if p_state is None else p_state
