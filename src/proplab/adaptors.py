@@ -14,7 +14,9 @@ D = diag(e^{i E_c T/2}) and core = -q~ o K (real symmetric for real eigenvectors
 and spec(B) = spec(core) u {0}^(n - n_c).  B is kept as these factors: B u takes
 three products on float views, O(n n_c) each.  The dense n x n B (two real
 O(n^2 n_c) products) and the spectrum bounds (one eigvalsh of the core) are
-formed on first read, for the checks that need them.  The
+formed on first read, for the checks that need them.  Held dense: the
+eigenvectors (Phi_c is a view), the core and B; every other dense elementwise
+step (kernel, Hermiticity checks, (M + M^*)/2 scrubs) runs by row blocks.  The
 truncation makes the commutation identity exact with a measurable remainder:
 
     i[H, B(T)] = P_c Q P_c - remainder(T),
@@ -46,7 +48,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
-from .operators import HERMITICITY_RTOL, HermitianOperator, Potential, dilation
+from .operators import (HERMITICITY_RTOL, HermitianOperator, Potential,
+                        _hermiticity_defect_and_scale, _row_blocks, dilation)
 from .spectral import BOUND, SpectralData
 
 
@@ -137,16 +140,16 @@ class AdaptorOperator:
             self._spectrum_bounds()
             grid, cols, d, core = self._factors
             self._factors = None
-            m = d[:, None] * core * d.conj()  # D core D^*
+            m = d[:, None] * core
             del core
+            m *= d.conj()  # D core D^*, its second product in place
             b = _apply_basis(cols, m)  # Phi_c M
             del m
             b_h = np.conjugate(b.T, out=np.empty(b.T.shape, dtype=complex))
             del b
             b = _apply_basis(cols, b_h)  # Phi_c M^* Phi_c^* = B, M being Hermitian
             del b_h
-            b += b.conj().T  # scrub roundoff asymmetry
-            b *= 0.5
+            _symmetrize(b)  # scrub roundoff asymmetry
             self._op = HermitianOperator(b, grid, f"B_V(T={self.horizon:g})")
         return self._op
 
@@ -161,6 +164,13 @@ class AdaptorOperator:
         _, cols, d, core = self._factors
         c = d.conj()[:, None] * _apply_basis(cols.conj().T, np.asarray(state, dtype=complex)[:, None])
         return _apply_basis(cols, d[:, None] * _apply_basis(core, c)).ravel()
+
+
+def _symmetrize(m):
+    """m <- (m + m^*)/2 in place by pairs of row blocks, entry by entry as the dense formula."""
+    for i in _row_blocks(len(m)):
+        for j in _row_blocks(i.stop):
+            m[i, j], m[j, i] = (m[i, j] + m[j, i].conj().T) * 0.5, (m[j, i] + m[i, j].conj().T) * 0.5
 
 
 def _spectral_norm(m) -> float:
@@ -185,7 +195,8 @@ def _remainder_factor(spec: SpectralData, q_samples, t: float):
 def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
     """||W remainder(t) W|| = ||R diag(q_S) R^*|| with R from the thin QR of W F."""
     f, q_s = _remainder_factor(spec, q_samples, t)
-    r = np.linalg.qr(weight_vector(spec.grid, sigma).samples[:, None] * f, mode="r")
+    f *= weight_vector(spec.grid, sigma).samples[:, None]
+    r = np.linalg.qr(f, mode="r")
     return _spectral_norm((r * q_s) @ r.conj().T)
 
 
@@ -219,12 +230,12 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q.samples)
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
-    core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))  # -q~ o K
-    defect = float(np.abs(core - core.conj().T).max())  # as HermitianOperator checks
-    if defect > HERMITICITY_RTOL * (float(np.abs(core).max()) or 1.0):
+    for rows in _row_blocks(len(e)):  # -q~ o K
+        core[rows] *= -horizon * np.sinc(np.subtract.outer(e[rows], e) * (0.5 * horizon / np.pi))
+    defect, scale = _hermiticity_defect_and_scale(core)  # as HermitianOperator checks
+    if defect > HERMITICITY_RTOL * (scale or 1.0):
         raise ValueError(f"B_V(T={horizon:g}) core is not Hermitian: defect {defect:.2e}")
-    core += core.conj().T
-    core *= 0.5
+    _symmetrize(core)
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
     return AdaptorOperator(None, q, float(horizon), float(sigma), residual, warnings=warnings,
                            factors=(grid, cols, np.exp(0.5j * horizon * e), core))
@@ -248,15 +259,14 @@ def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
 def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
                               adaptor: AdaptorOperator) -> float:
     """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
-    so this is roundoff-level regardless of physics.  Taken over blocks of
-    128 rows, from rows of the banded H, of B and of the n x |S| factors."""
+    so this is roundoff-level regardless of physics.  Taken over row blocks,
+    from rows of the banded H, of B and of the n x |S| factors."""
     h, b = h_op.matrix, adaptor.matrix
     f0, q_s = _remainder_factor(spec, adaptor.q.samples, 0.0)
     f, _ = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
     f0_h, f_h = f0.conj().T, f.conj().T
     defect = 0.0
-    for lo in range(0, len(b), 128):
-        rows = slice(lo, lo + 128)
+    for rows in _row_blocks(len(b)):
         gap = 1j * (h[rows] @ b - b[rows] @ h) - (f0[rows] * q_s) @ f0_h + (f[rows] * q_s) @ f_h
         defect = max(defect, float(np.abs(gap).max()))
     return defect

@@ -4,9 +4,10 @@ conformal factor, commutators and Heisenberg derivatives.
 Every position-basis operator here is banded and is stored as a
 ``scipy.sparse`` CSR array, closed under sum, product, adjoint and i[., .].
 Dense matrices come only from the spectral calculus (eigenvectors,
-projectors, the adaptor B_V).  A real combination of banded operators and
-B_V is an ``OperatorSum``, applied term by term, so no sparse-plus-dense
-n x n sum is formed.
+projectors, the adaptor B_V); their elementwise checks and fills run over
+blocks of ROW_BLOCK rows (``_row_blocks``).  A real combination of banded
+operators and B_V is an ``OperatorSum``, applied term by term, so no
+sparse-plus-dense n x n sum is formed.
 
 The kinetic operator is the 3-point Dirichlet stencil and the momentum is the
 central difference; they are independent discretizations, so continuum
@@ -27,6 +28,21 @@ import scipy.sparse as sp
 from .grids import Grid
 
 HERMITICITY_RTOL = 1e-12
+ROW_BLOCK = 64  # rows per block of a dense elementwise pass
+
+
+def _row_blocks(n: int):
+    """Slices of ROW_BLOCK rows covering range(n); the last may reach past n."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
+
+
+def _hermiticity_defect_and_scale(m) -> tuple:
+    """(max |m - m^*|, max |m|); a dense m by row blocks, with no n x n temporary."""
+    if sp.issparse(m):
+        return float(abs(m - m.conj().T).max()), float(abs(m).max())
+    defect, scale = np.max([(np.abs(m[r] - m[:, r].conj().T).max(), np.abs(m[r]).max())
+                            for r in _row_blocks(len(m))], axis=0)
+    return float(defect), float(scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +55,9 @@ class HermitianOperator:
     label: str = ""
 
     def __post_init__(self):
-        scale = float(abs(self.matrix).max()) or 1.0
-        defect = self.hermiticity_defect()
-        if defect > HERMITICITY_RTOL * scale:
+        defect, scale = _hermiticity_defect_and_scale(self.matrix)
+        if defect > HERMITICITY_RTOL * (scale or 1.0):
             raise ValueError(f"matrix {self.label!r} is not Hermitian: defect {defect:.2e}")
-
-    def hermiticity_defect(self) -> float:
-        return float(abs(self.matrix - self.matrix.conj().T).max())
 
     def apply(self, state):
         return self.matrix @ state

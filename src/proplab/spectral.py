@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .grids import Grid
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _row_blocks
 
 BOUND = "bound"
 CONTINUUM = "continuum"
@@ -58,6 +58,9 @@ class SpectralData:
     tags: np.ndarray | None = field(default=None, repr=False)
     eps_thr: float | None = None
 
+    def __post_init__(self):  # continuum_basis hands out views of these arrays
+        self.eigenvalues.flags.writeable = self.eigenvectors.flags.writeable = False
+
     @property
     def classified(self) -> bool:
         return self.tags is not None
@@ -78,10 +81,13 @@ class SpectralData:
         return np.flatnonzero(self.tags != BOUND)
 
     def continuum_basis(self, e_max: float | None = None):
-        """Continuum eigenvector columns and energies, optionally band-limited."""
+        """Continuum eigenvector columns and energies, optionally band-limited;
+        read-only views when the columns are a contiguous run (ascending E)."""
         idx = self.continuum_indices()
         if e_max is not None:
             idx = idx[self.eigenvalues[idx] <= e_max]
+        if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+            idx = slice(idx[0], idx[-1] + 1)
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
     def coefficients(self, state):
@@ -168,7 +174,12 @@ def free_spectral_data(grid: Grid) -> SpectralData:
     """
     n = grid.n
     j = np.arange(1, n + 1)
-    basis = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+    basis = np.empty((n, n))
+    for rows in _row_blocks(n):  # sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in the rows
+        b = np.multiply(np.outer(j[rows], j), np.pi, out=basis[rows])
+        b /= n + 1
+        np.sin(b, out=b)
+        b *= np.sqrt(2.0 / (n + 1))
     return SpectralData(grid=grid, eigenvalues=free_laplacian_eigenvalues(grid),
                         eigenvectors=basis.T, label="-lap (closed form)")
 

@@ -27,10 +27,10 @@ from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           observable_series, pres_check_with_hooks,
                           trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
-                        TimeDependentPotential, central_difference,
-                        commutator_i, conformal_factor_dt,
-                        conformal_factor_operator, conformal_value, dilation,
-                        laplacian, momentum, multiplication, position)
+                        TimeDependentPotential, _hermiticity_defect_and_scale,
+                        _row_blocks, central_difference, commutator_i,
+                        conformal_factor_dt, conformal_factor_operator, conformal_value,
+                        dilation, laplacian, momentum, multiplication, position)
 from .spectral import (BOUND, SpectralData, genericity_margin,
                        resolution_energy_limit)
 
@@ -348,12 +348,14 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     b = adaptor.matrix
     scale = max(adaptor.norm_bound, 1e-30)
 
-    herm = float(np.abs(b - b.conj().T).max())
+    herm = _hermiticity_defect_and_scale(b)[0]
     report.add("hermiticity", herm, 1e-10 * max(1.0, scale), herm <= 1e-10 * max(1.0, scale))
 
     phi_b = spec.eigenvectors[:, spec.indices(BOUND)]  # B - P_c B P_c = P_b (B - B P_b) + B P_b
-    b_pb = (b @ phi_b) @ phi_b.conj().T
-    supp = float(np.abs(phi_b @ (phi_b.conj().T @ (b - b_pb)) + b_pb).max())
+    phi_h, b_phi, phi_h_b = phi_b.conj().T, b @ phi_b, phi_b.conj().T @ b
+    phi_h_b -= (phi_h_b @ phi_b) @ phi_h  # Phi_b^* (B - B P_b); rows of the sum by blocks
+    supp = float(np.max([np.abs(phi_b[r] @ phi_h_b + b_phi[r] @ phi_h).max()
+                         for r in _row_blocks(len(b))]))
     report.add("continuous-subspace support", supp, 1e-10 * max(1.0, scale),
                supp <= 1e-10 * max(1.0, scale))
 

@@ -7,7 +7,8 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      heisenberg_derivative, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
-from proplab.operators import (ConformalFactor, OperatorSum, central_difference,
+from proplab.operators import (ROW_BLOCK, ConformalFactor, OperatorSum,
+                                _hermiticity_defect_and_scale, central_difference,
                                 conformal_factor_dt, conformal_value, parity_matrix)
 from hypothesis import given, settings, strategies as st
 
@@ -23,10 +24,39 @@ def test_hermitian_operator_rejects_asymmetric(line_grid):
         HermitianOperator(m, line_grid, "bad")
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 200), complex_entries=st.booleans(), seed=st.integers(0, 2**16))
+def test_blocked_hermiticity_reductions_match_dense(n, complex_entries, seed):
+    # max |m - m^*| and max |m| by row blocks equal the dense maxima exactly,
+    # with both maxima planted in each row block in turn (the last, partial
+    # block included); an asymmetry confined to the last block is rejected
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_entries else 0.0)
+    m = 0.5 * (m + m.conj().T)
+    grid = make_grid("line", 8, 10.0)  # a tag only: the check reads the matrix
+    HermitianOperator(m, grid, "exactly Hermitian")
+    noisy = m + 1e-13 * rng.normal(size=(n, n))
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        planted = noisy.copy()
+        planted[rng.integers(lo, hi), rng.integers(lo, hi)] += 50.0
+        dense = (float(np.abs(planted - planted.conj().T).max()), float(np.abs(planted).max()))
+        assert _hermiticity_defect_and_scale(planted) == dense
+    lo = ROW_BLOCK * ((n - 1) // ROW_BLOCK)
+    bad = m.astype(complex)
+    if lo == n - 1:
+        bad[lo, lo] += 1e-6j * np.abs(m).max()  # a one-row last block
+    else:
+        bad[n - 1, lo] += 1e-6 * np.abs(m).max()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(bad if complex_entries or lo == n - 1 else bad.real, grid, "bad")
+
+
 def test_constructors_are_hermitian(line_grid):
     for op in (laplacian(line_grid), momentum(line_grid), dilation(line_grid),
                position(line_grid), conformal_factor_operator(line_grid, 1.3)):
-        assert op.hermiticity_defect() <= 1e-12 * max(1.0, np.abs(op.matrix).max())
+        defect = _hermiticity_defect_and_scale(op.matrix)[0]
+        assert defect <= 1e-12 * max(1.0, np.abs(op.matrix).max())
 
 
 def test_laplacian_zero_vector(line_grid):

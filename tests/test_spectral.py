@@ -72,6 +72,10 @@ def test_free_spectral_data_is_exact(line_grid):
     assert np.abs(phi.T @ phi - np.eye(line_grid.n)).max() <= 1e-10
     lap = laplacian(line_grid).matrix.real
     assert np.abs(phi @ np.diag(spec.eigenvalues) @ phi.T - lap).max() <= 1e-9 * lap.max()
+    for n in (line_grid.n, 150):  # the row-blocked fill against the one-expression formula
+        j = np.arange(1, n + 1)
+        dense = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+        assert np.array_equal(free_spectral_data(make_grid("line", n, 12.0)).eigenvectors, dense)
 
 
 def test_classification_free_has_no_bound_states(line_grid):
@@ -299,3 +303,23 @@ def test_continuous_and_bound_projectors_resolve_identity(kind, n, extent, terms
     p_b = projector(spec, "bound").matrix
     assert np.abs(p_c + p_b - np.eye(n)).max() <= 1e-10
     assert np.abs(p_c @ p_b).max() <= 1e-10
+
+
+def test_continuum_basis_is_a_read_only_view():
+    grid = make_grid("line", 150, 12.0)
+    spec = classify_spectrum(diagonalize(hamiltonian(grid, Potential.gaussian(-6.0))))
+    idx = spec.continuum_indices()
+    assert 0 < idx[0]  # bound states below: the view starts past column 0
+    for e_max in (None, 20.0):
+        cols, e = spec.continuum_basis(e_max=e_max)
+        keep = idx if e_max is None else idx[spec.eigenvalues[idx] <= e_max]
+        assert np.array_equal(cols, spec.eigenvectors[:, keep])
+        assert np.shares_memory(cols, spec.eigenvectors) and np.shares_memory(e, spec.eigenvalues)
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            e[0] = 1.0
+    # columns that are no contiguous run come back as copies
+    shuffled = classify_spectrum(SpectralData(grid, np.array([2.0, -1.0, 3.0]), np.eye(3)))
+    cols, e = shuffled.continuum_basis()
+    assert e.tolist() == [2.0, 3.0] and np.array_equal(cols, np.eye(3)[:, [0, 2]])
