@@ -475,11 +475,10 @@ def test_bound_states_add_an_exact_zero_eigenvalue(well_spec):
     assert adaptor.norm_bound == pytest.approx(7.0, rel=1e-12)
 
 
-
 def dense_core_and_matrix(spec, q_samples, horizon):
     """The core and the assembled B written out densely: np.sinc over the
     full outer difference of the continuum energies, D core D^* as one
-    expression, and the unscrubbed (m + m^*)/2 over whole matrices."""
+    expression, and the scrubs (m + m^*)/2 over whole matrices."""
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q_samples)
     core = cols[s].conj().T @ (q_samples[s, None] * cols[s])
