@@ -13,8 +13,8 @@ a fast length M >= 2n whatever the factors of n + 1 (on every shipped
 split-step grid 2(n + 1) has a large prime factor).  Every factor is unitary
 to roundoff, so mass is conserved to roundoff no matter the step size.
 One-off transforms (``kinetic_step``, ``h_half_norm_sq``) call the DST-I
-directly; the transform of a complex vector runs as one batched real DST-I
-over its (n, 2) float view, bit-identical to scipy's complex call.
+directly, through ``spectral._sine_transform``, the helper that also runs
+the free spectrum's exact flow.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, fft, ifft, next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential, laplacian
-from .spectral import SpectralData, free_laplacian_eigenvalues
+from .spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
 
 
 @dataclass(eq=False)
@@ -113,15 +113,6 @@ def trajectory_linear(spec: SpectralData, psi0, times) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # split-step machinery
-
-
-def _sine_transform(u):
-    # orthonormal DST-I: symmetric involution diagonalizing the Dirichlet stencil.
-    # One real transform along axis 0 of the (n, 2) view; scipy would split a
-    # complex vector into two separate real calls.
-    u = np.ascontiguousarray(u, dtype=complex)
-    out = dst(u.view(float).reshape(-1, 2), type=1, norm="ortho", axis=0)
-    return np.ascontiguousarray(out).view(complex).reshape(u.shape)
 
 
 def kinetic_step(grid: Grid, u, dt: float):

@@ -24,7 +24,7 @@ from .observables import EstimateReport, ObservableSeries, fit_decay_rate
 from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         laplacian, multiplication)
 from .spectral import (SpectralData, classify_spectrum, diagonalize,
-                       free_spectral_data, projector, resolution_energy_limit)
+                       free_spectral_data, resolution_energy_limit)
 from .suites import (adaptor_suite, conformal_identity_suite,
                      general_potential_suite, gronwall_monitor, morawetz_suite,
                      nls_suite, operator_identity_suite,
@@ -586,8 +586,7 @@ def _suite_positive_potential(ctx: _Context) -> EstimateReport:
 
 def _suite_general_potential(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    p_c = projector(ctx.spec, "continuous").matrix
-    psi = p_c @ ctx.psi0
+    psi = ctx.spec.continuum_part(ctx.psi0)
     psi = psi / norm(ctx.grid, psi, "L2")
     horizon = validity_horizon(ctx.spec, psi, c.t_max)
     times = np.geomspace(max(c.t0, 1.0), max(horizon, c.t0 * 1.5), max(c.samples, 12))

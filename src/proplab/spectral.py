@@ -2,6 +2,10 @@
 functional calculus, the genericity margin, and the exact flow
 e^{-iHt} psi at a block of times (``SpectralData.flow``).
 
+The free stencil's sine eigenbasis is applied by the DST-I
+(``_sine_transform``, shared with the split stepper), and its n x n matrix
+is filled only if something reads ``eigenvectors``.
+
 On a finite Dirichlet box the spectrum is discrete; the continuous subspace
 is modeled as the E > eps_thr cloud, bound states as E < -eps_thr, and the
 near-threshold band |E| <= eps_thr is flagged rather than fatal (suites that
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.fft import dst
 
 from .grids import Grid
 from .operators import HermitianOperator, _row_blocks
@@ -45,6 +50,25 @@ def resolution_energy_limit(grid: Grid, fraction: float = 0.5) -> float:
     with h -> 0.
     """
     return fraction * 4.0 / grid.h**2
+
+
+def _sine_transform(u):
+    """Orthonormal DST-I S (the symmetric involution that diagonalizes the
+    Dirichlet stencil) along axis 0 of a vector or an (n, K) block, as one
+    real transform of the (n, 2K) float view; every column gets the bits of
+    scipy's transform of that column alone (a complex call would run two)."""
+    u = np.ascontiguousarray(u, dtype=complex)
+    out = dst(u.view(float).reshape(len(u), -1), type=1, norm="ortho", axis=0)
+    return np.ascontiguousarray(out).view(complex).reshape(u.shape)
+
+
+def _product(m, state):
+    """m @ state.  A real m acts on the (n, 2) float view of the state (real
+    and imaginary parts as two columns), so it is never cast to complex."""
+    if np.iscomplexobj(m):
+        return m @ np.asarray(state, dtype=complex)
+    pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
+    return np.ascontiguousarray(m @ pair).view(complex).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,41 +115,37 @@ class SpectralData:
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
     def coefficients(self, state):
-        """Phi^* state, the state's eigenbasis coefficients.
+        """Phi^* state, the state's eigenbasis coefficients."""
+        return _product(self.eigenvectors.conj().T, state)
 
-        Real eigenvectors act on the (n, 2) float view of the state (real and
-        imaginary parts as two columns), so the n x n matrix is never cast
-        to complex or copied.
-        """
-        v = self.eigenvectors
-        if np.iscomplexobj(v):
-            return v.conj().T @ np.asarray(state, dtype=complex)
-        pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
-        return np.ascontiguousarray(v.T @ pair).view(complex).ravel()
+    def continuum_part(self, state):
+        """P_c state as Phi_c (Phi_c^* state), without forming P_c."""
+        cols, _ = self.continuum_basis()
+        return _product(cols, _product(cols.conj().T, state))
 
     def flow(self, state, times):
         """e^{-iH t_k} state for every t_k in ``times``, as the C-contiguous
         rows of a (K, n) complex array.
 
         The coefficients are computed once; the n x K block of phases times
-        coefficients then takes one real matrix product on its (n, 2K) float
-        view.  Real eigenvectors enter as they are.  Complex ones enter as
-        the (2n, n) float form whose rows 2i and 2i + 1 are Re and Im of row
-        i, so the product holds (Re Phi) block and (Im Phi) block.  With
-        column-major eigenvectors (LAPACK's layout) the real product gives
-        each row the same bits whatever K is, so ``evolve`` equals the row
-        of any block; complex BLAS kernels, and numpy's matrix-vector call at
-        K = 1, do not.
+        coefficients then goes back to position space in one call
+        (``_synthesize``), and each row has the same bits whatever K is, so
+        ``evolve`` equals the row of any block.
         """
         phases = np.exp(np.multiply.outer(-1j * self.eigenvalues, np.asarray(times, dtype=float)))
-        block = phases * self.coefficients(state)[:, None]
+        return np.ascontiguousarray(self._synthesize(phases * self.coefficients(state)[:, None]).T)
+
+    def _synthesize(self, block):
+        """Phi block, as one real product on the (n, 2K) float view of the
+        block; complex Phi enters as the (2n, n) float form whose rows 2i and
+        2i + 1 are Re and Im of row i.  With column-major eigenvectors
+        (LAPACK's layout) each column gets the same bits whatever K is;
+        complex BLAS kernels, and numpy's matrix-vector call at K = 1, do not."""
         v = self.eigenvectors
         if np.iscomplexobj(v):
             parts = (np.asfortranarray(v).T.view(float).T @ block.view(float)).view(complex)
-            out = parts[0::2] + 1j * parts[1::2]
-        else:
-            out = (v @ block.view(float)).view(complex)
-        return np.ascontiguousarray(out.T)
+            return parts[0::2] + 1j * parts[1::2]
+        return (v @ block.view(float)).view(complex)
 
     def evolve(self, state, t: float):
         """e^{-iHt} state: the one-row case of ``flow``."""
@@ -163,25 +183,42 @@ def diagonalize(op: HermitianOperator) -> SpectralData:
     return SpectralData(grid=op.grid, eigenvalues=evals, eigenvectors=evecs, label=op.label)
 
 
+@dataclass(frozen=True, eq=False)
+class _SineSpectralData(SpectralData):
+    """The free stencil's spectrum, whose eigenbasis is the symmetric DST-I
+    S: the coefficients are S psi and the flow is S e^{-iEt} S psi.  The
+    n x n basis is filled on the first read of ``eigenvectors`` and cached;
+    it is no init field, so ``dataclasses.replace`` does not fill it."""
+
+    eigenvectors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.eigenvalues.flags.writeable = False
+
+    def __getattr__(self, name):  # reached only while the basis is unfilled
+        if name != "eigenvectors":
+            raise AttributeError(name)
+        n = self.grid.n
+        j = np.arange(1, n + 1)
+        basis = np.empty((n, n))
+        for rows in _row_blocks(n):  # sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in the rows
+            b = np.multiply(np.outer(j[rows], j), np.pi, out=basis[rows])
+            b /= n + 1
+            np.sin(b, out=b)
+            b *= np.sqrt(2.0 / (n + 1))
+        basis.flags.writeable = False
+        object.__setattr__(self, name, basis.T)  # symmetric: .T is LAPACK's column-major layout
+        return self.eigenvectors
+
+    coefficients = _synthesize = staticmethod(_sine_transform)
+
+
 def free_spectral_data(grid: Grid) -> SpectralData:
     """Closed-form eigenpairs of the free Dirichlet stencil: the orthonormal
-    sine basis sqrt(2/(n+1)) sin(j k pi/(n+1)) with the cosine spectrum.
-
-    The basis is symmetric, so its transpose is the same matrix laid out
-    column-major, as LAPACK returns eigenvectors; with that layout BLAS
-    gives each row of ``SpectralData.flow`` the same bits whatever the
-    number of times in the block.
-    """
-    n = grid.n
-    j = np.arange(1, n + 1)
-    basis = np.empty((n, n))
-    for rows in _row_blocks(n):  # sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in the rows
-        b = np.multiply(np.outer(j[rows], j), np.pi, out=basis[rows])
-        b /= n + 1
-        np.sin(b, out=b)
-        b *= np.sqrt(2.0 / (n + 1))
-    return SpectralData(grid=grid, eigenvalues=free_laplacian_eigenvalues(grid),
-                        eigenvectors=basis.T, label="-lap (closed form)")
+    sine basis sqrt(2/(n+1)) sin(j k pi/(n+1)) with the cosine spectrum,
+    applied by the DST-I (``_SineSpectralData``)."""
+    return _SineSpectralData(grid=grid, eigenvalues=free_laplacian_eigenvalues(grid),
+                             label="-lap (closed form)")
 
 
 def classify_spectrum(spec: SpectralData, eps_thr: float | None = None) -> SpectralData:
@@ -231,16 +268,20 @@ def genericity_margin(spec: SpectralData, lap: HermitianOperator) -> float:
     """delta* = min over unit u in Ran P_c of <u, H u>/<u, -lap u>.
 
     Computed as the smallest generalized eigenvalue of the continuum-basis
-    compressions (diag E_c, Phi_c^T (-lap) Phi_c).  The scenario passes the
-    genericity gate iff delta* > 0.
+    compressions (diag E_c, Phi_c^T (-lap) Phi_c), in real arithmetic when
+    the eigenvectors and -lap are real.  The scenario passes the genericity
+    gate iff delta* > 0.
     """
-    idx = spec.continuum_indices()
-    if len(idx) == 0:
+    cols, e = spec.continuum_basis()
+    if len(e) == 0:
         raise ValueError("empty continuum subspace")
-    cols = spec.eigenvectors[:, idx]
-    a = np.diag(spec.eigenvalues[idx])
-    b = cols.conj().T @ (lap.matrix @ cols)
-    b = 0.5 * (b + b.conj().T)
-    vals = scipy.linalg.eigh(a, b.real if np.abs(b.imag).max() < 1e-13 else b,
-                             eigvals_only=True)
+    m = lap.matrix if np.iscomplexobj(cols) or abs(lap.matrix.imag).max() else lap.matrix.real
+    # column-major, so LAPACK takes b (and the symmetric diag E_c) without a copy
+    b = ((m @ cols).T @ cols.conj()).T
+    for rows in _row_blocks(len(b)):  # (b + b^*)/2 in place on the lower triangle eigh reads
+        lower = b[rows, :rows.stop]
+        lower += b[:rows.stop, rows].T.conj()
+        lower *= 0.5
+    vals = scipy.linalg.eigh(np.diag(e).T, b, eigvals_only=True, overwrite_a=True,
+                             overwrite_b=True, subset_by_index=[0, 0])
     return float(vals[0])

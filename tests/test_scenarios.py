@@ -175,6 +175,23 @@ def test_w_flow_run_applies_b_v_without_assembling_it(tmp_path, monkeypatch):
     assert applies and not reads
 
 
+def test_free_run_never_fills_the_sine_basis(tmp_path, monkeypatch):
+    # the free spectrum applies its sine basis by the DST-I, and a run of the
+    # shipped free suites reads it only through coefficients and flows, so
+    # the n x n eigenvector array is never filled
+    from proplab import scenarios
+    made = []
+    classify = scenarios.classify_spectrum
+    monkeypatch.setattr(scenarios, "classify_spectrum",
+                        lambda spec, **kw: made.append((spec, classify(spec, **kw))) or made[-1][1])
+    config = replace(load_scenario("free"), name="free_dst", grid_n=256, grid_extent=16.0)
+    artifact = run_scenario(config, str(tmp_path))
+    assert set(artifact.reports) == {"operator_identities", "conformal_identity"}
+    assert len(made) == 1
+    for spec in made[0]:
+        assert "eigenvectors" not in vars(spec)
+
+
 def test_unplanned_split_step_time_raises():
     ctx = _Context(small_w_flow_config(("gronwall",)))
     ctx.plan(ctx.config.suites)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, classify_spectrum,
                      diagonalize, free_spectral_data, function_of_H,
@@ -323,3 +323,84 @@ def test_continuum_basis_is_a_read_only_view():
     shuffled = classify_spectrum(SpectralData(grid, np.array([2.0, -1.0, 3.0]), np.eye(3)))
     cols, e = shuffled.continuum_basis()
     assert e.tolist() == [2.0, 3.0] and np.array_equal(cols, np.eye(3)[:, [0, 2]])
+
+
+_PRIME_SUCCESSORS = [p - 1 for p in range(3, 302) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(2, 300), st.sampled_from(_PRIME_SUCCESSORS)),
+       kind=st.sampled_from(["line", "radial3d"]), extent=st.floats(2.0, 30.0),
+       times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=70),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=292, kind="line", extent=10.0, times=[0.0, 0.5, 3.0], seed=0)  # n + 1 = 293 is prime
+@example(n=2, kind="radial3d", extent=5.0, times=[1.0], seed=1)
+def test_free_flow_by_dst_matches_dense_sine_basis(n, kind, extent, times, seed):
+    # the free spectrum runs its coefficients and flow as DST-Is and fills
+    # no n x n basis for them; against that basis, read afterwards, they
+    # match the written-out formulas, and each row of a block is evolve's
+    grid = grid_of(kind, n, extent)
+    spec = free_spectral_data(grid)
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block, coeff = spec.flow(psi, times), spec.coefficients(psi)
+    assert block.shape == (len(times), n) and block.flags.c_contiguous
+    assert "eigenvectors" not in vars(spec)
+    phi, e = spec.eigenvectors, spec.eigenvalues
+    tol = 1e-13 * np.linalg.norm(psi)
+    assert np.linalg.norm(coeff - phi.T @ psi) <= tol
+    for t, row in zip(times, block):
+        assert np.linalg.norm(row - phi @ (np.exp(-1j * e * t) * (phi.T @ psi))) <= tol
+        assert np.array_equal(spec.evolve(psi, t), row)
+
+
+def test_free_spectrum_fills_its_basis_once_and_classifies_without_it(line_grid):
+    spec = free_spectral_data(line_grid)
+    classified = classify_spectrum(spec)
+    assert "eigenvectors" not in vars(spec) and "eigenvectors" not in vars(classified)
+    phi = spec.eigenvectors
+    assert spec.eigenvectors is phi and not phi.flags.writeable
+    assert phi.flags.f_contiguous  # LAPACK's column-major layout
+    assert np.array_equal(classified.eigenvectors, phi)
+
+
+def _random_well(seed, n=160):
+    # a real tridiagonal H = -lap + V with a random well deep enough for bound states
+    grid = make_grid("line", n, 10.0)
+    rng = np.random.default_rng(seed)
+    v = -rng.uniform(2.0, 8.0) * np.exp(-((grid.points - rng.uniform(-3, 3)) ** 2)) \
+        + rng.uniform(0.0, 1.0, n)
+    return grid, laplacian(grid) + multiplication(grid, v)
+
+
+def _old_genericity_margin(spec, lap):
+    # the complex-arithmetic formula this module used before the real path
+    idx = spec.continuum_indices()
+    cols = spec.eigenvectors[:, idx]
+    b = cols.conj().T @ (lap.matrix @ cols)
+    b = 0.5 * (b + b.conj().T)
+    return float(scipy.linalg.eigh(np.diag(spec.eigenvalues[idx]),
+                                   b.real if np.abs(b.imag).max() < 1e-13 else b,
+                                   eigvals_only=True)[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("basis", ["real", "complex"])
+def test_continuum_part_and_genericity_margin_match_old_formulas(seed, basis):
+    # P_c psi from the continuum columns equals the dense projector's product,
+    # and the genericity margin in real arithmetic equals the complex formula
+    grid, h_op = _random_well(seed)
+    if basis == "complex":
+        h_op = h_op + HermitianOperator(0.7 * momentum(grid).matrix, grid, "p")
+    spec = classify_spectrum(diagonalize(h_op))
+    assert len(spec.indices(BOUND)) >= 1
+    assert np.iscomplexobj(spec.eigenvectors) == (basis == "complex")
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    got = spec.continuum_part(psi)
+    assert got.shape == (grid.n,) and got.dtype == complex
+    assert np.linalg.norm(got - projector(spec, "continuous").matrix @ psi) \
+        <= 1e-13 * np.linalg.norm(psi)
+    lap = laplacian(grid)
+    old = _old_genericity_margin(spec, lap)
+    assert abs(genericity_margin(spec, lap) - old) <= 1e-12 * max(1.0, abs(old))
