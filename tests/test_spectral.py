@@ -374,7 +374,7 @@ def _random_well(seed, n=160):
 
 
 def _old_genericity_margin(spec, lap):
-    # the complex-arithmetic formula this module used before the real path
+    # reference: the compression in complex arithmetic, symmetrized as a whole matrix
     idx = spec.continuum_indices()
     cols = spec.eigenvectors[:, idx]
     b = cols.conj().T @ (lap.matrix @ cols)
