@@ -48,7 +48,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
-from .operators import (HERMITICITY_RTOL, HermitianOperator, Potential,
+from .operators import (HERMITICITY_RTOL, Banded, HermitianOperator, Potential,
                         _hermiticity_defect_and_scale, _row_blocks, dilation)
 from .spectral import BOUND, SpectralData
 
@@ -260,14 +260,16 @@ def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
                               adaptor: AdaptorOperator) -> float:
     """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
     so this is roundoff-level regardless of physics.  Taken over row blocks,
-    from rows of the banded H, of B and of the n x |S| factors."""
+    from rows of B and of the n x |S| factors; the rows of H B come from the
+    bands of a Banded H (a dense H gives its rows)."""
     h, b = h_op.matrix, adaptor.matrix
     f0, q_s = _remainder_factor(spec, adaptor.q.samples, 0.0)
     f, _ = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
     f0_h, f_h = f0.conj().T, f.conj().T
     defect = 0.0
     for rows in _row_blocks(len(b)):
-        gap = 1j * (h[rows] @ b - b[rows] @ h) - (f0[rows] * q_s) @ f0_h + (f[rows] * q_s) @ f_h
+        hb = h.matmul(b, rows) if isinstance(h, Banded) else h[rows] @ b
+        gap = 1j * (hb - b[rows] @ h) - (f0[rows] * q_s) @ f0_h + (f[rows] * q_s) @ f_h
         defect = max(defect, float(np.abs(gap).max()))
     return defect
 

@@ -100,7 +100,7 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0,
 
 
 def eigenstate(spec: SpectralData, k: int):
-    phi = spec.eigenvectors[:, k].astype(complex)
+    phi = spec.eigenvector(k).astype(complex)
     return phi / norm(spec.grid, phi, "L2")
 
 

@@ -8,7 +8,7 @@ C(t)^* C(t) plus an integrable remainder g(t); integrating the derivative of
 
 Every number here is read from matvecs: <u, B u> from B u, and the
 commutator part of D_H B from <u, i[H, B] u> = -2 Im <H u, B u>.  No D_H B
-matrix and no sparse-plus-dense sum is formed.
+matrix and no banded-plus-dense sum is formed.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Position-basis operators: Laplacian, momentum, dilation, potentials,
 conformal factor, commutators and Heisenberg derivatives.
 
-Every position-basis operator here is banded and is stored as a
-``scipy.sparse`` CSR array, closed under sum, product, adjoint and i[., .].
-Dense matrices come only from the spectral calculus (eigenvectors,
-projectors, the adaptor B_V); their elementwise checks and fills run over
-blocks of ROW_BLOCK rows (``_row_blocks``).  A real combination of banded
-operators and B_V is an ``OperatorSum``, applied term by term, so no
-sparse-plus-dense n x n sum is formed.
+Every position-basis operator here is banded and is stored as its bands
+(``Banded``: {offset k: band}, band k holding the entries (j, j + k)),
+closed under sum, product, adjoint and i[., .].  Dense matrices come only
+from the spectral calculus (eigenvectors, projectors, the adaptor B_V);
+their elementwise checks and fills run over blocks of ROW_BLOCK rows
+(``_row_blocks``).  A real combination of banded operators and B_V is an
+``OperatorSum``, applied term by term, so no banded-plus-dense n x n sum is
+formed.
 
 The kinetic operator is the 3-point Dirichlet stencil and the momentum is the
 central difference; they are independent discretizations, so continuum
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import Grid
 
@@ -36,9 +36,112 @@ def _row_blocks(n: int):
     return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
+def _in_band(k: int, lo: int, hi: int) -> slice:
+    """Where band k holds its entries of rows lo..hi-1."""
+    return slice(lo - max(0, -k), hi - max(0, -k))
+
+
+class Banded:
+    """An n x n matrix held as its bands {k: band}, band k holding the entries
+    (j, j + k) in the order of ``ndarray.diagonal(k)``.  A product sums each
+    entry's terms into a zeroed output in the order a CSR product does, so
+    it has CSR's bits; a product with a dense matrix runs by row blocks.
+    NumPy hands every operator with a Banded operand to the methods here
+    (``__array_ufunc__``), so an ndarray never densifies one."""
+
+    def __init__(self, n: int, bands: dict):
+        self.n, self.bands = n, dict(sorted(bands.items()))
+
+    shape = property(lambda self: (self.n, self.n))
+    dtype = property(lambda self: np.result_type(float, *self.bands.values()))
+    T = property(lambda self: Banded(self.n, {-k: b for k, b in self.bands.items()}))
+    real = property(lambda self: self._map(np.real))
+    imag = property(lambda self: self._map(np.imag))
+    conj = lambda self: self._map(np.conj)
+    __abs__ = lambda self: self._map(np.abs)
+    __neg__ = lambda self: self._map(np.negative)
+    __truediv__ = lambda self, c: self * (1.0 / c)  # as CSR divides by a scalar
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
+    diagonal = lambda self, k=0: self.bands.get(k, np.zeros(self.n - abs(k))).copy()
+
+    def _map(self, f) -> "Banded":
+        return Banded(self.n, {k: f(b) for k, b in self.bands.items()})
+
+    def __mul__(self, c) -> "Banded":
+        return self._map(lambda b: b * c) if np.ndim(c) == 0 else NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, Banded):
+            return other + self.toarray()
+        bands = dict(self.bands)
+        for k, b in other.bands.items():
+            bands[k] = bands[k] + b if k in bands else b
+        return Banded(self.n, bands)
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def __matmul__(self, other):
+        if not isinstance(other, Banded):
+            return self.matmul(other)
+        n, bands, dtype = self.n, {}, np.result_type(self.dtype, other.dtype)
+        for a, ba in self.bands.items():
+            for b, bb in other.bands.items():  # rows i with both (i, i + a) and (i + a, i + a + b)
+                lo, hi, c = max(0, -a, -a - b), min(n, n - a, n - a - b), a + b
+                if lo < hi:
+                    terms = ba[_in_band(a, lo, hi)] * bb[_in_band(b, lo + a, hi + a)]
+                    bands.setdefault(c, np.zeros(n - abs(c), dtype))[_in_band(c, lo, hi)] += terms
+        return Banded(n, bands)
+
+    def matmul(self, other, rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of self @ other for a dense vector or matrix other."""
+        other, (lo, hi, _) = np.asarray(other), rows.indices(self.n)
+        out = np.zeros((hi - lo,) + other.shape[1:], np.result_type(self.dtype, other))
+        step, col = (ROW_BLOCK, np.s_[:, None]) if other.ndim == 2 else (max(hi - lo, 1), np.s_[:])
+        for start in range(lo, hi, step):
+            for k, b in self.bands.items():
+                i0, i1 = max(start, -k), min(start + step, hi, self.n - k)
+                if i0 < i1:
+                    out[i0 - lo:i1 - lo] += b[_in_band(k, i0, i1)][col] * other[i0 + k:i1 + k]
+        return out
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        """other @ self; descending offsets, the row order of CSR's transposed product."""
+        other = np.asarray(other)
+        out = np.zeros(other.shape[:-1] + (self.n,), np.result_type(self.dtype, other))
+        for rows in _row_blocks(len(other)) if other.ndim == 2 else [Ellipsis]:
+            for k, b in reversed(self.bands.items()):
+                r0, c0 = max(0, -k), max(0, k)
+                out[rows, c0:c0 + len(b)] += other[rows, r0:r0 + len(b)] * b
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        name = {np.add: "__radd__", np.subtract: "__rsub__", np.multiply: "__rmul__",
+                np.matmul: "__rmatmul__", np.absolute: "__abs__"}.get(ufunc)
+        if method != "__call__" or kwargs or name is None or inputs[-1] is not self:
+            return NotImplemented
+        return getattr(self, name)(*inputs[:-1])
+
+    def __getitem__(self, key) -> "Banded":
+        """The principal block [a:b, a:b]."""
+        (lo, hi, step), cols = (k.indices(self.n) for k in key)
+        if (lo, hi, step) != cols or step != 1:
+            raise IndexError("a Banded matrix gives principal blocks [a:b, a:b] only")
+        return Banded(max(hi - lo, 0),
+                      {k: b[lo:hi - abs(k)] for k, b in self.bands.items() if hi - lo > abs(k)})
+
+    def max(self):
+        """The largest entry, the zeros off the bands included."""
+        full = sum(map(len, self.bands.values())) == self.n**2
+        return max([b.max() for b in self.bands.values() if len(b)] + [0.0] * (not full))
+
+    def toarray(self) -> np.ndarray:
+        return sum((np.diag(b, k) for k, b in self.bands.items()), np.zeros(self.shape, self.dtype))
+
+
 def _hermiticity_defect_and_scale(m) -> tuple:
     """(max |m - m^*|, max |m|); a dense m by row blocks, with no n x n temporary."""
-    if sp.issparse(m):
+    if isinstance(m, Banded):
         return float(abs(m - m.conj().T).max()), float(abs(m).max())
     defect, scale = np.max([(np.abs(m[r] - m[:, r].conj().T).max(), np.abs(m[r]).max())
                             for r in _row_blocks(len(m))], axis=0)
@@ -48,9 +151,9 @@ def _hermiticity_defect_and_scale(m) -> tuple:
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Self-adjoint matrix tagged with its grid and a provenance label: a
-    sparse CSR array for banded operators, a dense ndarray for spectral ones."""
+    ``Banded`` for banded operators, a dense ndarray for spectral ones."""
 
-    matrix: np.ndarray | sp.csr_array = field(repr=False)
+    matrix: np.ndarray | Banded = field(repr=False)
     grid: Grid
     label: str = ""
 
@@ -97,10 +200,9 @@ def _require_same_grid(a: HermitianOperator, b: HermitianOperator):
         raise ValueError(f"operators {a.label!r} and {b.label!r} live on different grids")
 
 
-def _banded(grid: Grid, diagonals: dict) -> sp.csr_array:
-    # complex CSR array from {offset: band}; a scalar band is broadcast
-    return sp.diags_array(list(diagonals.values()), offsets=list(diagonals),
-                          shape=(grid.n, grid.n), dtype=complex).tocsr()
+def _banded(grid: Grid, diagonals: dict) -> Banded:
+    # complex Banded from {offset: band}; a scalar band is broadcast
+    return Banded(grid.n, {k: np.full(grid.n - abs(k), b, complex) for k, b in diagonals.items()})
 
 
 def laplacian(grid: Grid) -> HermitianOperator:
@@ -144,7 +246,7 @@ def conformal_factor_operator(grid: Grid, t: float) -> HermitianOperator:
     if t < 0:
         raise ValueError("t must be nonnegative")
     m = position(grid).matrix - 2.0 * t * momentum(grid).matrix
-    return HermitianOperator((m.conj().T @ m).tocsr(), grid, f"C({t})")
+    return HermitianOperator(m.conj().T @ m, grid, f"C({t})")
 
 
 def central_difference(grid: Grid, state) -> np.ndarray:
@@ -184,9 +286,9 @@ class ConformalFactor:
 
     def __init__(self, grid: Grid):
         x, p = position(grid).matrix, momentum(grid).matrix
-        self.x2 = HermitianOperator((x @ x).tocsr(), grid, "x^2")
+        self.x2 = HermitianOperator(x @ x, grid, "x^2")
         self.a = dilation(grid)
-        self.p2 = HermitianOperator((p @ p).tocsr(), grid, "p^2")
+        self.p2 = HermitianOperator(p @ p, grid, "p^2")
 
     def terms(self, t: float, k: float = 1.0) -> list:
         return [(k, self.x2), (-4.0 * t * k, self.a), (4.0 * t * t * k, self.p2)]

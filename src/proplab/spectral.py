@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.fft import dst
 
 from .grids import Grid
-from .operators import HermitianOperator, _row_blocks
+from .operators import Banded, HermitianOperator, _row_blocks
 
 BOUND = "bound"
 CONTINUUM = "continuum"
@@ -114,6 +113,9 @@ class SpectralData:
             idx = slice(idx[0], idx[-1] + 1)
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
+    def eigenvector(self, k: int) -> np.ndarray:
+        return self.eigenvectors[:, k]
+
     def coefficients(self, state):
         """Phi^* state, the state's eigenbasis coefficients."""
         return _product(self.eigenvectors.conj().T, state)
@@ -152,31 +154,21 @@ class SpectralData:
         return self.flow(state, [t])[0]
 
 
-def _real_tridiagonal(m):
-    """(diagonal, subdiagonal) of a real matrix with no entries beyond the
-    first off-diagonals, or None for any other matrix."""
-    count = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
-    bands = [m.diagonal(k) for k in (-1, 0, 1)]
-    if count != sum(np.count_nonzero(b) for b in bands) or any(np.any(b.imag) for b in bands):
-        return None
-    return bands[1].real, bands[0].real
-
-
 def diagonalize(op: HermitianOperator) -> SpectralData:
     """Full eigendecomposition with orthonormal columns.
 
-    A real tridiagonal H (every shipped H = -lap + V) goes straight to
-    LAPACK's MRRR solver (stemr) on its diagonal and subdiagonal, the step
-    that dense eigh reaches only after reducing its input to that form.  Any
-    other Hermitian matrix is densified and goes to eigh.  Eigenvectors are
-    real whenever the matrix is.
+    A real Banded H with no bands beyond offsets -1..1 (every shipped
+    H = -lap + V) goes straight to LAPACK's MRRR solver (stemr) on its
+    diagonal and subdiagonal, the step that dense eigh reaches only after
+    reducing its input to that form.  Any other Hermitian matrix is densified
+    and goes to eigh.  Eigenvectors are real whenever the matrix is.
     """
     m = op.matrix
-    tri = _real_tridiagonal(m)
-    if tri is not None:
-        evals, evecs = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stemr")
+    if isinstance(m, Banded) and set(m.bands) <= {-1, 0, 1} and not abs(m.imag).max():
+        evals, evecs = scipy.linalg.eigh_tridiagonal(m.diagonal(0).real, m.diagonal(-1).real,
+                                                     lapack_driver="stemr")
     else:
-        m = m.toarray() if scipy.sparse.issparse(m) else m
+        m = m.toarray() if isinstance(m, Banded) else m
         evals, evecs = scipy.linalg.eigh(m)
         if np.abs(m.imag).max() == 0.0:
             evecs = evecs.real.astype(float)
@@ -198,17 +190,25 @@ class _SineSpectralData(SpectralData):
     def __getattr__(self, name):  # reached only while the basis is unfilled
         if name != "eigenvectors":
             raise AttributeError(name)
-        n = self.grid.n
-        j = np.arange(1, n + 1)
-        basis = np.empty((n, n))
-        for rows in _row_blocks(n):  # sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in the rows
-            b = np.multiply(np.outer(j[rows], j), np.pi, out=basis[rows])
-            b /= n + 1
-            np.sin(b, out=b)
-            b *= np.sqrt(2.0 / (n + 1))
+        basis = np.empty((self.grid.n, self.grid.n))
+        for rows in _row_blocks(self.grid.n):
+            self._basis_rows(rows, out=basis[rows])
         basis.flags.writeable = False
         object.__setattr__(self, name, basis.T)  # symmetric: .T is LAPACK's column-major layout
         return self.eigenvectors
+
+    def _basis_rows(self, rows, out=None):
+        """Rows ``rows`` of sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in ``out``."""
+        n = self.grid.n
+        j = np.arange(1, n + 1)
+        b = np.multiply(np.outer(j[rows], j), np.pi, out=out)
+        b /= n + 1
+        np.sin(b, out=b)
+        b *= np.sqrt(2.0 / (n + 1))
+        return b
+
+    def eigenvector(self, k: int) -> np.ndarray:  # row k of the symmetric basis, left unfilled
+        return self._basis_rows(slice(k, k + 1))[0]
 
     coefficients = _synthesize = staticmethod(_sine_transform)
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      commutator_i, conformal_factor_operator, dilation,
                      heisenberg_derivative, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
-from proplab.operators import (ROW_BLOCK, ConformalFactor, OperatorSum,
+from proplab.operators import (ROW_BLOCK, Banded, ConformalFactor, OperatorSum,
                                 _hermiticity_defect_and_scale, central_difference,
                                 conformal_factor_dt, conformal_value, parity_matrix)
 from hypothesis import given, settings, strategies as st
@@ -52,6 +51,43 @@ def test_blocked_hermiticity_reductions_match_dense(n, complex_entries, seed):
         HermitianOperator(bad if complex_entries or lo == n - 1 else bad.real, grid, "bad")
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), offsets=st.sets(st.integers(-3, 3), min_size=1),
+       other_offsets=st.sets(st.integers(-3, 3)), complex_entries=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_banded_matches_its_dense_form(n, offsets, other_offsets, complex_entries, seed):
+    # every operation of Banded against the same operation on toarray()
+    rng = np.random.default_rng(seed)
+
+    def draw(offs):
+        bands = {k: rng.normal(size=n - abs(k)) for k in offs if abs(k) < n}
+        if complex_entries:
+            bands = {k: b + 1j * rng.normal(size=len(b)) for k, b in bands.items()}
+        return Banded(n, bands)
+
+    a, b = draw(offsets), draw(other_offsets)
+    da, db = a.toarray(), b.toarray()
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    d = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    sq = rng.normal(size=(n, n))
+    lo, hi = sorted(rng.integers(0, n + 1, size=2))
+    pairs = [(a @ u, da @ u), (a @ d, da @ d), (d.T @ a, d.T @ da), (sq @ a, sq @ da),
+             (u @ a, u @ da), ((a @ b).toarray(), da @ db), ((a + b).toarray(), da + db),
+             ((a - b).toarray(), da - db), (a + sq, da + sq), (sq - a, sq - da),
+             ((-2.5 * a).toarray(), -2.5 * da), ((a / 3.0).toarray(), da / 3.0),
+             (a.conj().T.toarray(), da.conj().T), (np.abs(a).toarray(), np.abs(da)),
+             (a[lo:hi, lo:hi].toarray(), da[lo:hi, lo:hi]),
+             (a.matmul(d, slice(lo, hi)), (da @ d)[lo:hi])]
+    for got, expect in pairs:
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(expect).max(initial=0.0))
+    assert a.shape == (n, n) and abs(a).max() == np.abs(da).max()
+    for k in range(-n + 1, n):
+        assert np.array_equal(a.diagonal(k), np.diagonal(da, k))
+    dense_defect = (float(np.abs(da - da.conj().T).max()), float(np.abs(da).max()))
+    assert _hermiticity_defect_and_scale(a) == dense_defect
+
+
 def test_constructors_are_hermitian(line_grid):
     for op in (laplacian(line_grid), momentum(line_grid), dilation(line_grid),
                position(line_grid), conformal_factor_operator(line_grid, 1.3)):
@@ -83,8 +119,8 @@ def test_momentum_on_constant_interior(line_grid):
 @given(kind=st.sampled_from(["line", "radial3d"]), n=st.integers(8, 300),
        extent=st.floats(2.0, 100.0), t=st.floats(0.0, 20.0), seed=st.integers(0, 2**16))
 def test_central_difference_and_conformal_value_match_momentum(kind, n, extent, t, seed):
-    # the slice stencil against the CSR momentum, and ||(x - 2tp) u||^2
-    # against the quadratic form of the CSR matrix C(t)
+    # the slice stencil against the banded momentum, and ||(x - 2tp) u||^2
+    # against the quadratic form of the banded matrix C(t)
     grid = make_grid(kind, n, extent)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -244,7 +280,7 @@ def test_sparse_builders_match_dense_reference():
                      (conformal_factor_operator(g, t), xp.conj().T @ xp),
                      (conformal_factor_dt(g, t), -2.0 * (x @ p + p @ x) + 8.0 * t * (p @ p))]
             for op, dense in cases:
-                assert sp.issparse(op.matrix), op.label
+                assert isinstance(op.matrix, Banded), op.label
                 np.testing.assert_allclose(op.matrix.toarray(), dense, rtol=0,
                                            atol=1e-13 * np.abs(dense).max(),
                                            err_msg=f"{op.label} on {kind} n={n}")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, classify_spectrum,
                      diagonalize, free_spectral_data, function_of_H,
                      genericity_margin, laplacian, make_grid, momentum,
                      multiplication, projector)
+from proplab.evolution import eigenstate
 from proplab.grids import Grid
+from proplab.operators import Banded
 from proplab.spectral import (BOUND, CONTINUUM, SpectralData, default_threshold,
                               free_laplacian_eigenvalues)
 
@@ -64,6 +65,20 @@ def test_diagonalize_invariants(line_grid):
     assert np.abs(phi.conj().T @ phi - np.eye(line_grid.n)).max() <= 1e-10
     recon = (phi * spec.eigenvalues) @ phi.conj().T
     assert np.abs(recon - h.matrix).max() <= 1e-9 * scale
+
+
+def test_free_eigenvector_reads_one_column_without_filling_the_basis():
+    # column k by the fill formula's operations has the bits of the filled
+    # basis's column, and reading it (or eigenstate) leaves the basis unfilled
+    for n in (8, 64, 65, 150, 1024):
+        spec = free_spectral_data(make_grid("line", n, 12.0))
+        cols = [spec.eigenvector(k) for k in range(n)]
+        phi = eigenstate(spec, n // 3)
+        assert "eigenvectors" not in vars(spec)
+        for k, col in enumerate(cols):
+            assert np.array_equal(col, spec.eigenvectors[:, k])
+        dense = SpectralData(spec.grid, spec.eigenvalues, spec.eigenvectors)
+        assert np.array_equal(phi, eigenstate(dense, n // 3))
 
 
 def test_free_spectral_data_is_exact(line_grid):
@@ -251,11 +266,15 @@ def test_diagonalize_tridiagonal_matches_dense_eigh(n, kind, extent, shape, dept
         h_op = multiplication(grid, depth * rng.standard_normal(n))
     else:
         d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-        h_op = HermitianOperator(sp.diags_array([e, d, e], offsets=[-1, 0, 1]).tocsr(), grid, "T")
+        h_op = HermitianOperator(Banded(n, {-1: e, 0: d, 1: e}), grid, "T")
     dense = h_op.matrix.toarray()
     ref_e, ref_v = scipy.linalg.eigh(dense)
     spec = diagonalize(h_op)
     assert not np.iscomplexobj(spec.eigenvectors)
+    # the bands go to stemr as they are: the same bits as the solver called directly
+    tri_e, tri_v = scipy.linalg.eigh_tridiagonal(dense.diagonal().real, dense.diagonal(-1).real,
+                                                 lapack_driver="stemr")
+    assert np.array_equal(spec.eigenvalues, tri_e) and np.array_equal(spec.eigenvectors, tri_v)
     scale = max(1.0, float(np.abs(ref_e).max()))
     assert np.abs(spec.eigenvalues - ref_e).max() <= 1e-14 * scale
 
@@ -270,18 +289,21 @@ def test_diagonalize_tridiagonal_matches_dense_eigh(n, kind, extent, shape, dept
         assert np.abs(projector(got, which).matrix - projector(expect, which).matrix).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["complex", "pentadiagonal"])
+@pytest.mark.parametrize("kind", ["complex", "pentadiagonal", "dense"])
 def test_diagonalize_other_hermitian_keeps_dense_eigh(line_grid, rng, kind):
-    # a complex tridiagonal H or a real H with a wider band is not handed to
-    # the tridiagonal solver: the result is dense eigh's, bit for bit
+    # a complex tridiagonal H, a real H with a wider band or a dense ndarray
+    # H is not handed to the tridiagonal solver: the result is dense eigh's,
+    # bit for bit
     h_op = laplacian(line_grid) + multiplication(line_grid, Potential.gaussian(-3.0).v(line_grid.points))
     if kind == "complex":
         h_op = h_op + HermitianOperator(0.7 * momentum(line_grid).matrix, line_grid, "p")
+    elif kind == "dense":
+        h_op = HermitianOperator(h_op.matrix.toarray(), line_grid, "H")
     else:
         h_op = h_op + HermitianOperator(momentum(line_grid).matrix @ momentum(line_grid).matrix,
                                         line_grid, "p^2")
         assert not np.any(h_op.matrix.toarray().imag)
-    ref_e, ref_v = scipy.linalg.eigh(h_op.matrix.toarray())
+    ref_e, ref_v = scipy.linalg.eigh(h_op.matrix if kind == "dense" else h_op.matrix.toarray())
     spec = diagonalize(h_op)
     np.testing.assert_array_equal(spec.eigenvalues, ref_e)
     np.testing.assert_array_equal(spec.eigenvectors, ref_v if kind == "complex" else ref_v.real)

@@ -10,7 +10,7 @@ from proplab import evolution
 from proplab.adaptors import negative_part, remainder_expectation
 from proplab.evolution import evolve_split, snap_to_lattice
 from proplab.observables import expectation_value, heisenberg_expectation
-from proplab.operators import conformal_factor_operator
+from proplab.operators import commutator_i, conformal_factor_operator
 from proplab.suites import (_AdaptedConformal, conformal_identity_residual,
                             conformal_prob, first_level_series,
                             gronwall_monitor, lens_identity_residual,
@@ -206,6 +206,23 @@ def test_morawetz_commutator_unit_profile_reduces_to_dilation(line_grid):
     assert res.passed
 
 
+def test_morawetz_commutator_check_matches_dense_eigensolve(radial_grid, line_grid):
+    # the banded eigensolve against eigvalsh and the SVD 2-norm of the dense
+    # wall-trimmed commutator, for a positive, a unit and a sign-flipped profile
+    g_radial = 1.0 / np.sqrt(1.0 + radial_grid.points**2)
+    flipped = np.where(radial_grid.points > 10.0, 3.0 * g_radial, g_radial)
+    for grid, g_samples in ((radial_grid, g_radial), (line_grid, np.ones(line_grid.n)),
+                            (radial_grid, flipped)):
+        comm = commutator_i(laplacian(grid), morawetz_multiplier(grid, g_samples))
+        trimmed = wall_trimmed(comm.matrix, grid).toarray()
+        scale = float(np.linalg.norm(trimmed, 2))
+        min_eig = float(np.linalg.eigvalsh(trimmed)[0])
+        res = morawetz_commutator_check(grid, g_samples)
+        assert res.measured == pytest.approx(min_eig, rel=1e-12, abs=1e-14 * scale)
+        assert res.bound == pytest.approx(-1e-8 * scale, rel=1e-13)
+        assert res.passed == (min_eig >= -1e-8 * scale)
+
+
 def test_morawetz_commutator_sign_flip_fails(radial_grid):
     # a sign flip in the profile inverts the commutator: strongly indefinite
     g_samples = 1.0 / np.sqrt(1.0 + radial_grid.points**2)
@@ -296,7 +313,7 @@ def test_timedep_suite_gaussian_profile_perturbation():
 
 @pytest.mark.parametrize("kind", ["radial3d", "line"])
 def test_timedep_integrand_matches_the_sums_it_replaced(kind):
-    # the observer's slice stencil and dot products against the CSR momentum
+    # the observer's slice stencil and dot products against the banded momentum
     # and plain weighted sums, at every lattice time of a 300-step W-flow
     g = make_grid(kind, 96, 24.0)
     pot = Potential.gaussian(0.5)
