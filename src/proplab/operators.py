@@ -82,6 +82,8 @@ class Banded:
     __rmul__, __radd__ = __mul__, __add__
 
     def __matmul__(self, other):
+        if np.shape(other)[0] != self.n:
+            raise ValueError(f"matmul: shapes {self.shape} and {np.shape(other)} do not align")
         if not isinstance(other, Banded):
             return self.matmul(other)
         n, bands, dtype = self.n, {}, np.result_type(self.dtype, other.dtype)
@@ -108,6 +110,8 @@ class Banded:
     def __rmatmul__(self, other) -> np.ndarray:
         """other @ self; descending offsets, the row order of CSR's transposed product."""
         other = np.asarray(other)
+        if other.shape[-1] != self.n:
+            raise ValueError(f"matmul: shapes {other.shape} and {self.shape} do not align")
         out = np.zeros(other.shape[:-1] + (self.n,), np.result_type(self.dtype, other))
         for rows in _row_blocks(len(other)) if other.ndim == 2 else [Ellipsis]:
             for k, b in reversed(self.bands.items()):

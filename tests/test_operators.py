@@ -86,6 +86,10 @@ def test_banded_matches_its_dense_form(n, offsets, other_offsets, complex_entrie
         assert np.array_equal(a.diagonal(k), np.diagonal(da, k))
     dense_defect = (float(np.abs(da - da.conj().T).max()), float(np.abs(da).max()))
     assert _hermiticity_defect_and_scale(a) == dense_defect
+    for misfit in (lambda: a @ np.ones(n + 1), lambda: np.ones(n + 1) @ a,
+                   lambda: a @ Banded(n + 1, {})):
+        with pytest.raises(ValueError, match="do not align"):
+            misfit()
 
 
 def test_constructors_are_hermitian(line_grid):
