@@ -12,32 +12,28 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
-from .adaptors import build_adaptor, conformal_Q, weighted_propagator_norm
+from .adaptors import build_adaptor, conformal_Q
 from .evolution import (Trajectory, gaussian_state, eigenstate, snap_to_lattice,
                         trajectory_linear, trajectory_split, validity_horizon)
-from .grids import make_grid, norm, transit_energy_limit
-from .observables import EstimateReport, ObservableSeries, fit_decay_rate
+from .grids import make_grid, norm
+from .observables import EstimateReport, ObservableSeries
 from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         laplacian, multiplication)
 from .spectral import (SpectralData, classify_spectrum, diagonalize,
                        free_spectral_data, resolution_energy_limit)
 from .suites import (adaptor_suite, conformal_identity_suite,
-                     general_potential_suite, gronwall_monitor, morawetz_suite,
+                     general_potential_suite, gronwall_suite, morawetz_suite,
                      nls_suite, operator_identity_suite,
-                     positive_potential_suite, TimedepObserver)
+                     positive_potential_suite, weighted_decay_suite, TimedepObserver)
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration (CLI exit code 2)."""
-
-
-KNOWN_SUITES = ("operator_identities", "conformal_identity", "adaptor",
-                "weighted_decay", "positive_potential", "general_potential",
-                "timedep", "gronwall", "nls", "morawetz")
 
 
 @dataclass(frozen=True)
@@ -85,45 +81,28 @@ class ScenarioConfig:
     waive_box_policy: bool = False
 
 
+#: section -> key -> (kind, ScenarioConfig field)
 _SCHEMA = {
-    "scenario": {"name": str, "suites": "suites"},
-    "grid": {"kind": str, "n": int, "extent": float},
-    "potential": {"gaussians": "gaussians"},
-    "timedep": {"type": str, "delta": float, "sigma": float, "a": float,
-                "profile": str, "lambda": float},
-    "initial_state": {"recipe": str, "center": float, "width": float,
-                      "momentum": float, "k": int, "lnorm_target": float},
-    "evolution": {"method": str, "dt": float, "t_max": float, "samples": int,
-                  "t0": float},
-    "overrides": {"t_b": float, "sigma": float, "theta": float, "eps_m": float,
-                  "prob_scale": str, "eps_thr": float, "energy_cap": float,
-                  "iterated_cap": float, "disp_cap": float, "h1_cap": float,
-                  "conformal_coeff": float, "fit_t_lo": float, "fit_t_hi": float,
-                  "t0_shift": bool, "expect_log_growth": bool,
-                  "corrupt_q_sign": bool, "corrupt_db_dt": bool,
-                  "waive_box_policy": bool},
+    "scenario": {"name": (str, "name"), "suites": ("suites", "suites")},
+    "grid": {"kind": (str, "grid_kind"), "n": (int, "grid_n"),
+             "extent": (float, "grid_extent")},
+    "potential": {"gaussians": ("gaussians", "potential_terms")},
+    "timedep": {"type": (str, "timedep_type"), "delta": (float, "timedep_delta"),
+                "sigma": (float, "timedep_sigma"), "a": (float, "timedep_a"),
+                "profile": (str, "timedep_profile"), "lambda": (float, "nonlinearity")},
+    "initial_state": {"recipe": (str, "state_recipe"), "center": (float, "state_center"),
+                      "width": (float, "state_width"), "momentum": (float, "state_momentum"),
+                      "k": (int, "state_k"), "lnorm_target": (float, "lnorm_target")},
+    "evolution": {"method": (str, "method"), "dt": (float, "dt"), "t_max": (float, "t_max"),
+                  "samples": (int, "samples"), "t0": (float, "t0")},
+    "overrides": {key: (kind, key) for key, kind in (
+        ("t_b", float), ("sigma", float), ("theta", float), ("eps_m", float),
+        ("prob_scale", str), ("eps_thr", float), ("energy_cap", float),
+        ("iterated_cap", float), ("disp_cap", float), ("h1_cap", float),
+        ("conformal_coeff", float), ("fit_t_lo", float), ("fit_t_hi", float),
+        ("t0_shift", bool), ("expect_log_growth", bool), ("corrupt_q_sign", bool),
+        ("corrupt_db_dt", bool), ("waive_box_policy", bool))},
 }
-
-_FIELD_OF = {
-    ("scenario", "name"): "name", ("scenario", "suites"): "suites",
-    ("grid", "kind"): "grid_kind", ("grid", "n"): "grid_n",
-    ("grid", "extent"): "grid_extent",
-    ("potential", "gaussians"): "potential_terms",
-    ("timedep", "type"): "timedep_type", ("timedep", "delta"): "timedep_delta",
-    ("timedep", "sigma"): "timedep_sigma", ("timedep", "a"): "timedep_a",
-    ("timedep", "profile"): "timedep_profile", ("timedep", "lambda"): "nonlinearity",
-    ("initial_state", "recipe"): "state_recipe",
-    ("initial_state", "center"): "state_center",
-    ("initial_state", "width"): "state_width",
-    ("initial_state", "momentum"): "state_momentum",
-    ("initial_state", "k"): "state_k",
-    ("initial_state", "lnorm_target"): "lnorm_target",
-    ("evolution", "method"): "method", ("evolution", "dt"): "dt",
-    ("evolution", "t_max"): "t_max", ("evolution", "samples"): "samples",
-    ("evolution", "t0"): "t0",
-}
-for _key in _SCHEMA["overrides"]:
-    _FIELD_OF[("overrides", _key)] = _key
 
 
 def _parse_value(kind, raw: str, path: str):
@@ -142,11 +121,7 @@ def _parse_value(kind, raw: str, path: str):
                 return False
             raise ValueError(raw)
         if kind == "suites":
-            names = tuple(s.strip() for s in raw.split(",") if s.strip())
-            for s in names:
-                if s not in KNOWN_SUITES:
-                    raise ConfigError(f"{path}: unknown suite {s!r}")
-            return names
+            return tuple(s.strip() for s in raw.split(",") if s.strip())
         if kind == "gaussians":
             if raw.lower() in ("none", ""):
                 return ()
@@ -157,8 +132,6 @@ def _parse_value(kind, raw: str, path: str):
                     raise ValueError(chunk)
                 terms.append(tuple(float(p) for p in parts))
             return tuple(terms)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: cannot parse value {raw!r}") from exc
     raise ConfigError(f"{path}: unhandled kind")
@@ -184,8 +157,8 @@ def parse_config(text: str) -> ScenarioConfig:
         key, raw = (p.strip() for p in stripped.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"[{section}]: unknown key {key!r}")
-        path = f"[{section}].{key}"
-        values[_FIELD_OF[(section, key)]] = _parse_value(_SCHEMA[section][key], raw, path)
+        kind, fname = _SCHEMA[section][key]
+        values[fname] = _parse_value(kind, raw, f"[{section}].{key}")
 
     if "name" not in values:
         raise ConfigError("[scenario].name is required")
@@ -205,6 +178,8 @@ def _validate(config: ScenarioConfig):
         raise ConfigError(f"[timedep].a: need 0 < a < 1, got {config.timedep_a}")
     if config.timedep_type == "semilinear" and config.nonlinearity < 0:
         raise ConfigError("[timedep].lambda: focusing (lambda < 0) is rejected")
+    if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
+        raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if config.method not in ("eigenbasis_exact", "split_step2"):
         raise ConfigError(f"[evolution].method: unknown method {config.method!r}")
     if config.dt <= 0:
@@ -213,40 +188,25 @@ def _validate(config: ScenarioConfig):
         raise ConfigError(f"[initial_state].recipe: unknown recipe {config.state_recipe!r}")
     if config.prob_scale not in ("inverse_t", "iterated", "inverse_t2"):
         raise ConfigError(f"[overrides].prob_scale: unknown scale {config.prob_scale!r}")
-    for s in config.suites:
-        if s not in KNOWN_SUITES:
-            raise ConfigError(f"[scenario].suites: unknown suite {s!r}")
-    if config.grid_kind == "radial3d" and "nls" in config.suites:
-        raise ConfigError("[scenario].suites: the nls suite needs [grid].kind = line")
-    radial_only = [s for s in config.suites if s in ("weighted_decay", "morawetz")]
-    if config.grid_kind == "line" and radial_only:
-        raise ConfigError(f"[grid].kind: suites {', '.join(radial_only)} check 3d radial "
-                          "estimates and need [grid].kind = radial3d")
-    if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
-        raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
-    if "timedep" in config.suites and config.timedep_type != "self_similar":
-        raise ConfigError("[timedep].type: the timedep suite needs a time-dependent W "
-                          f"(type = self_similar), got {config.timedep_type!r}")
-    if "nls" in config.suites and config.method != "split_step2":
-        raise ConfigError("[evolution].method: the nls suite steps the cubic flow and "
-                          f"needs split_step2, got {config.method!r}")
     if config.state_recipe == "eigenstate" and not 0 <= config.state_k < config.grid_n:
         raise ConfigError(f"[initial_state].k: need 0 <= k < [grid].n = {config.grid_n}, "
                           f"got {config.state_k}")
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
-    if "adaptor" in config.suites and not any(amp for amp, _, _ in config.potential_terms):
-        raise ConfigError("[potential].gaussians: the adaptor suite needs V != 0 "
-                          "(with V = 0, B_V = 0 and its expectation cannot decay)")
-    from_one = [s for s in config.suites if s in ("timedep", "morawetz")]
-    if from_one and config.t_max <= 1.0:
-        raise ConfigError(f"[evolution].t_max: suites {', '.join(from_one)} measure from "
-                          f"t = 1 and need t_max > 1, got {config.t_max}")
-    gated = [s for s in config.suites if s in ("positive_potential", "morawetz")]
-    grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
-    if gated and not _potential(config).is_nonnegative(grid.points):
-        raise ConfigError(f"[potential].gaussians: suites {', '.join(gated)} need V >= 0 "
-                          "on the grid")
+    for s in config.suites:
+        if s not in _SUITES:
+            raise ConfigError(f"[scenario].suites: unknown suite {s!r}")
+        for path, need, holds in _SUITES[s].needs:
+            if not holds(config):
+                raise ConfigError(f"{path}: suite {s} in [scenario].suites needs {need}")
+    # the run steps one flow, and every split-step suite reads it
+    if config.nonlinearity != 0 and config.timedep_type != "semilinear":
+        raise ConfigError("[timedep].lambda: a cubic term needs type = semilinear, "
+                          f"got type {config.timedep_type!r}")
+    if config.method != "split_step2" and (config.timedep_type == "self_similar"
+                                           or config.nonlinearity != 0):
+        raise ConfigError("[evolution].method: a time-dependent W or a cubic term is only "
+                          f"stepped and needs split_step2, got {config.method!r}")
 
 
 def _potential(config: ScenarioConfig) -> Potential:
@@ -266,8 +226,7 @@ def serialize_config(config: ScenarioConfig) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         body = []
-        for key, kind in keys.items():
-            fname = _FIELD_OF[(section, key)]
+        for key, (kind, fname) in keys.items():
             value = getattr(config, fname)
             if kind == "suites":
                 body.append(f"{key} = {', '.join(value)}")
@@ -362,12 +321,13 @@ class RunArtifact:
 class _Context:
     """Lazy pipeline state shared by the suites of one run.
 
-    It owns the run's split-step sweep, one per flow (only the nonlinearity
-    tells two flows of a run apart).  ``plan`` registers, before any suite
-    runs, the sample times each suite reads off a flow and the per-step
-    observers it feeds; the first request sweeps the flow once over the union
-    of those times, and each suite gets the trajectory at its own times.  A
-    state at t = k dt is bit-identical whichever sweep computes it, so sharing
+    A run has one split-step flow: the config's nonlinearity, with its W if
+    there is one (``_validate`` rejects every config whose suites would need
+    another).  ``plan`` registers, before any suite runs, the sample times
+    each suite reads off that flow and the per-step observers it feeds; the
+    first split-step ``trajectory`` sweeps the flow once over the union of
+    those times, and each suite gets the trajectory at its own times.  A state
+    at t = k dt is bit-identical whichever sweep computes it, so sharing
     changes no output.  An unplanned time raises instead of sweeping again.
     """
 
@@ -382,12 +342,12 @@ class _Context:
                 config.timedep_delta, config.timedep_sigma, config.timedep_a,
                 profile=config.timedep_profile)
         self._spec = None
-        self._traj = None
         self._adaptor = None
         self._psi0 = None
         self._horizon = None
-        self._plans: dict[float, tuple] = {}  # nonlinearity -> (times, observers)
-        self._sweeps: dict[float, Trajectory] = {}
+        self._planned: list[float] = []
+        self._observers: list = []
+        self._sweep: Trajectory | None = None
         self.timedep_observer = None
 
     @property
@@ -441,60 +401,46 @@ class _Context:
     def t_b(self) -> float:
         return self.config.t_b if self.config.t_b > 0 else 0.5 * self.horizon
 
-    def sample_times(self, lo=None, hi=None, count=None, pad_offsets=()):
+    def sample_times(self, lo: float, hi: float, count: int):
+        """``count`` geometric times on [lo, hi], on the dt lattice (and
+        positive) on a split-step run."""
         c = self.config
-        lo = c.t0 if lo is None else lo
-        hi = min(c.t_max, self.horizon) if hi is None else hi
-        count = c.samples if count is None else count
-        base = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
-        times = sorted(set(float(t) for t in base) |
-                       {float(t + off) for t in base for off in pad_offsets})
-        times = np.asarray(times)
+        times = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
         if c.method == "split_step2":
             times = snap_to_lattice(times, c.dt)
             times = times[times > 0]
         return np.unique(times)
 
     def plan(self, suites):
-        """Register what each selected suite reads off a split-step flow."""
-        c = self.config
+        """Register what each selected suite reads off the split-step flow."""
+        if self.config.method != "split_step2":
+            return
         for suite in suites:
-            if suite == "timedep":
-                self.timedep_observer = _timedep_observer(self)
-                self._request(0.0, self.timedep_observer.times, self.timedep_observer)
-            elif suite in _FLOW_TIMES and c.method == "split_step2":
-                for times in _FLOW_TIMES[suite](self):
-                    self._request(c.nonlinearity, times)
-
-    def _request(self, nonlinearity: float, times, observer=None):
-        planned, observers = self._plans.setdefault(nonlinearity, ([], []))
-        planned.extend(np.asarray(times, dtype=float))
-        if observer is not None:
-            observers.append(observer)
-
-    def swept(self, times, nonlinearity: float = 0.0) -> Trajectory:
-        """The planned split-step flow at ``times``, from the run's one sweep."""
-        if nonlinearity not in self._sweeps:
-            if nonlinearity not in self._plans:
-                raise ValueError("no sample times were planned for this flow")
-            planned, observers = self._plans[nonlinearity]
-            ts = np.unique(planned)
-            union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
-
-            def fan_out(t, u):
-                for observer in observers:
-                    observer(t, u)
-
-            self._sweeps[nonlinearity] = trajectory_split(
-                self.grid, self.potential, self.w_t, self.psi0, union, self.config.dt,
-                nonlinearity=nonlinearity, observer=fan_out if observers else None)
-        return self._sweeps[nonlinearity].restricted(times)
+            if _SUITES[suite].flow is not None:
+                times, observer = _SUITES[suite].flow(self)
+                self._planned.extend(np.asarray(times, dtype=float))
+                if observer is not None:
+                    self._observers.append(observer)
 
     def trajectory(self, times) -> Trajectory:
         c = self.config
         if c.method == "eigenbasis_exact":
             return trajectory_linear(self.spec, self.psi0, times)
-        return self.swept(times, c.nonlinearity)
+        if self._sweep is None:
+            if not self._planned:
+                raise ValueError("no sample times were planned for the split-step flow")
+            ts = np.unique(self._planned)
+            union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
+            observers = self._observers
+
+            def fan_out(t, u):
+                for observer in observers:
+                    observer(t, u)
+
+            self._sweep = trajectory_split(
+                self.grid, self.potential, self.w_t, self.psi0, union, c.dt,
+                nonlinearity=c.nonlinearity, observer=fan_out if observers else None)
+        return self._sweep.restricted(times)
 
     def adaptor(self):
         if self._adaptor is None:
@@ -552,21 +498,7 @@ def _suite_adaptor(ctx: _Context) -> EstimateReport:
 
 def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    report = EstimateReport("pointwise weighted decay")
-    e_cut = min(transit_energy_limit(ctx.grid, c.fit_t_hi),
-                resolution_energy_limit(ctx.grid))
-    ts = np.geomspace(c.fit_t_lo, c.fit_t_hi, 10)
-    vals = np.array([weighted_propagator_norm(ctx.spec, c.sigma, float(t), e_max=e_cut)
-                     for t in ts])
-    series = ObservableSeries(ts, vals, "weighted propagator norm")
-    report.series["weighted_norm"] = series
-    slope, width = fit_decay_rate(series)
-    report.rates["weighted_norm"] = slope
-    report.add("weighted norm decay slope", slope, -0.80,
-               -1.25 <= slope <= -0.80, note=f"band E<={e_cut:g}, width {width:.3f}")
-    t0_val = weighted_propagator_norm(ctx.spec, c.sigma, 0.0, e_max=None)
-    report.add("contraction at t=0", t0_val, 1.0, t0_val <= 1.0 + 1e-9)
-    return report
+    return weighted_decay_suite(ctx.spec, c.sigma, c.fit_t_lo, c.fit_t_hi)
 
 
 def _monitor_times(ctx: _Context):
@@ -602,32 +534,24 @@ def _lattice_floor(t: float, dt: float) -> float:
     return math.floor(t / dt + 1e-9) * dt
 
 
-def _timedep_observer(ctx: _Context) -> TimedepObserver:
-    """The timedep suite's consumer of the linear W-flow: it reads from t = 1
-    to the horizon (at least 2, at most t_max), on the dt lattice."""
+def _timedep_flow(ctx: _Context):
+    """The timedep suite's consumer of the W-flow: it reads from t = 1 to the
+    horizon (at least 2, at most t_max), on the dt lattice."""
     c = ctx.config
     t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
-    return TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
+    ctx.timedep_observer = TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
+    return ctx.timedep_observer.times, ctx.timedep_observer
 
 
 def _suite_timedep(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    observer = ctx.timedep_observer
-    return observer.report(ctx.swept(observer.times), disp_cap_ratio=c.disp_cap,
+    c, observer = ctx.config, ctx.timedep_observer
+    return observer.report(ctx.trajectory(observer.times), disp_cap_ratio=c.disp_cap,
                            h1_cap_ratio=c.h1_cap, expect_log_growth=c.expect_log_growth)
 
 
 def _suite_gronwall(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    report = EstimateReport("Gronwall monitor")
-    traj = ctx.trajectory(_monitor_times(ctx))
-    d_const = max(c.timedep_delta, 1e-3)
-    series, ok = gronwall_monitor(traj, c.sigma, d_const)
-    report.series["gronwall_monitor"] = series
-    report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
-               float(series.values.max()), float(series.values[0] * np.exp(d_const * (series.times[-1] - series.times[0]))),
-               ok)
-    return report
+    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), c.sigma, c.timedep_delta)
 
 
 def _suite_nls(ctx: _Context) -> EstimateReport:
@@ -646,29 +570,60 @@ def _suite_morawetz(ctx: _Context) -> EstimateReport:
                           horizon=ctx.t_b, t_end=t_end, dt=c.dt, l6_times=l6_times)
 
 
-_SUITE_RUNNERS = {
-    "operator_identities": _suite_operator_identities,
-    "conformal_identity": _suite_conformal_identity,
-    "adaptor": _suite_adaptor,
-    "weighted_decay": _suite_weighted_decay,
-    "positive_potential": _suite_positive_potential,
-    "general_potential": _suite_general_potential,
-    "timedep": _suite_timedep,
-    "gronwall": _suite_gronwall,
-    "nls": _suite_nls,
-    "morawetz": _suite_morawetz,
+@dataclass(frozen=True)
+class SuiteSpec:
+    """Everything a run needs to know about one suite."""
+
+    run: Callable[[_Context], EstimateReport]
+    #: ctx -> (sample times, per-step observer or None) read off the split-step flow
+    flow: Callable[[_Context], tuple] | None = None
+    #: presumes an H with no spectrum at zero (skipped on a near-threshold spectrum)
+    clean_threshold: bool = False
+    #: (config path, what is needed, test on the config), checked by ``_validate``
+    needs: tuple = ()
+
+
+_RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
+           lambda c: c.grid_kind == "radial3d")
+_FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
+_V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: _potential(c)
+                  .is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
+
+_SUITES = {
+    "operator_identities": SuiteSpec(_suite_operator_identities),
+    "conformal_identity": SuiteSpec(
+        _suite_conformal_identity,
+        flow=lambda ctx: (np.concatenate([ts for ts in _conformal_times(ctx)[2:]
+                                          if ts is not None]), None)),
+    "adaptor": SuiteSpec(_suite_adaptor, clean_threshold=True, needs=(
+        ("[potential].gaussians",
+         "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
+         lambda c: any(amp for amp, _, _ in c.potential_terms)),)),
+    "weighted_decay": SuiteSpec(_suite_weighted_decay, clean_threshold=True, needs=(
+        _RADIAL, ("[overrides].fit_t_lo", "fit_t_lo < fit_t_hi (its fit window)",
+                  lambda c: c.fit_t_lo < c.fit_t_hi))),
+    "positive_potential": SuiteSpec(
+        _suite_positive_potential, flow=lambda ctx: (_monitor_times(ctx), None), needs=(
+            _V_NONNEGATIVE,
+            ("[evolution].t_max", "t_max > max(1.5, t0) (its fit window starts there)",
+             lambda c: c.t_max > max(1.5, c.t0)))),
+    "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True),
+    "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(
+        ("[timedep].type", "a time-dependent W (type = self_similar)",
+         lambda c: c.timedep_type == "self_similar"), _FROM_ONE)),
+    "gronwall": SuiteSpec(_suite_gronwall, flow=lambda ctx: (_monitor_times(ctx), None)),
+    "nls": SuiteSpec(_suite_nls, needs=(
+        ("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
+        ("[evolution].method", "split_step2 (it steps the cubic flow)",
+         lambda c: c.method == "split_step2"),
+        ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
+         lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max)))),
+    "morawetz": SuiteSpec(_suite_morawetz, needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE)),
 }
 
-#: the sample-time arrays each suite passes to ``_Context.trajectory``; on a
-#: split-step config ``_Context.plan`` registers them before the flow is swept
-_FLOW_TIMES = {
-    "conformal_identity": lambda ctx: [ts for ts in _conformal_times(ctx)[2:] if ts is not None],
-    "positive_potential": lambda ctx: [_monitor_times(ctx)],
-    "gronwall": lambda ctx: [_monitor_times(ctx)],
-}
-
-#: suites that presume an H with no spectrum at zero
-_NEEDS_CLEAN_THRESHOLD = {"adaptor", "weighted_decay", "general_potential"}
+#: suite -> runner; ``run_scenario`` dispatches through this dict, so its
+#: entries can be replaced in place (perfbench's tracer wraps them)
+_SUITE_RUNNERS = {name: spec.run for name, spec in _SUITES.items()}
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
@@ -685,14 +640,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     ctx.plan(config.suites)
     reports: dict[str, EstimateReport] = {}
     skipped: dict[str, str] = {}
+    errors: list[str] = []  # "<suite>: ERROR (<exception>)" of the suites that raised
 
     for suite in config.suites:
-        if suite in _NEEDS_CLEAN_THRESHOLD and ctx.spec.near_threshold_count > 0:
-            skipped[suite] = "near-threshold spectrum: the suite assumes no zero eigenvalues"
-            continue
-        reports[suite] = _SUITE_RUNNERS[suite](ctx)
+        try:
+            if _SUITES[suite].clean_threshold and ctx.spec.near_threshold_count > 0:
+                skipped[suite] = "near-threshold spectrum: the suite assumes no zero eigenvalues"
+                continue
+            reports[suite] = _SUITE_RUNNERS[suite](ctx)
+        except ValueError as exc:
+            errors.append(f"{suite}: ERROR ({exc})")
 
-    passed = all(r.passed for r in reports.values()) and bool(reports)
+    passed = all(r.passed for r in reports.values()) and bool(reports) and not errors
     artifact = RunArtifact(config=config, run_dir=run_dir, passed=passed, reports=reports)
 
     for suite, report in reports.items():
@@ -708,7 +667,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
         "suites_run": ", ".join(reports) or "none",
         "suites_skipped": "; ".join(f"{k}: {v}" for k, v in skipped.items()) or "none",
         "validity_horizon": repr(ctx._horizon) if ctx._horizon is not None else "not probed",
-        "warnings": "; ".join(ctx.warnings + sum((r.warnings for r in reports.values()), [])) or "none",
+        "warnings": "; ".join(ctx.warnings + sum((r.warnings for r in reports.values()), [])
+                              + errors) or "none",
     }
     artifact.manifest = manifest
     with open(os.path.join(run_dir, "manifest.txt"), "w") as fh:
@@ -721,6 +681,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     with open(os.path.join(run_dir, "report.txt"), "w") as fh:
         for suite, report in reports.items():
             fh.write(report.render() + "\n\n")
+        for error in errors:
+            fh.write(error + "\n")
         for suite, reason in skipped.items():
             fh.write(f"{suite}: SKIPPED ({reason})\n")
     return artifact

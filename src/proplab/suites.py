@@ -17,10 +17,10 @@ import scipy.linalg
 from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
                        build_adaptor, commutator_closure_defect,
                        negative_part, positive_part, remainder_expectation,
-                       residual_weighted_scan)
+                       residual_weighted_scan, weighted_propagator_norm)
 from .evolution import (Trajectory, evolve_split, gaussian_state,
                         h_half_norm_sq, kinetic_step, trajectory_split)
-from .grids import Grid, make_grid, norm, weight_vector
+from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
                           centered_derivative, expectation_value, fit_decay_rate,
@@ -388,6 +388,26 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
         slope, ok = math.nan, False
     report.rates["adaptor_expectation"] = slope
     report.add("expectation decay slope <= -0.8", slope, -0.8, ok)
+    return report
+
+
+def weighted_decay_suite(spec: SpectralData, sigma: float, fit_t_lo: float,
+                         fit_t_hi: float) -> EstimateReport:
+    """Pointwise weighted decay: the fitted slope of ||W_sigma e^{-iHt} P_c
+    W_sigma|| on [fit_t_lo, fit_t_hi], over the band no wave leaves the box
+    by fit_t_hi and the lattice resolves, and the contraction at t = 0."""
+    report = EstimateReport("pointwise weighted decay")
+    e_cut = min(transit_energy_limit(spec.grid, fit_t_hi), resolution_energy_limit(spec.grid))
+    ts = np.geomspace(fit_t_lo, fit_t_hi, 10)
+    vals = np.array([weighted_propagator_norm(spec, sigma, float(t), e_max=e_cut) for t in ts])
+    series = ObservableSeries(ts, vals, "weighted propagator norm")
+    report.series["weighted_norm"] = series
+    slope, width = fit_decay_rate(series)
+    report.rates["weighted_norm"] = slope
+    report.add("weighted norm decay slope", slope, -0.80,
+               -1.25 <= slope <= -0.80, note=f"band E<={e_cut:g}, width {width:.3f}")
+    t0_val = weighted_propagator_norm(spec, sigma, 0.0, e_max=None)
+    report.add("contraction at t=0", t0_val, 1.0, t0_val <= 1.0 + 1e-9)
     return report
 
 
@@ -804,6 +824,19 @@ def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
     series = ObservableSeries(ts, np.asarray(vals), "gronwall monitor")
     envelope = series.values[0] * np.exp(d_const * (ts - ts[0]))
     return series, bool(np.all(series.values <= envelope + 1e-12))
+
+
+def gronwall_suite(traj: Trajectory, sigma: float, delta: float) -> EstimateReport:
+    """The Gronwall monitor under its envelope, with d = max(delta, 1e-3)
+    for the self-similar W of strength delta."""
+    report = EstimateReport("Gronwall monitor")
+    d_const = max(delta, 1e-3)
+    series, ok = gronwall_monitor(traj, sigma, d_const)
+    report.series["gronwall_monitor"] = series
+    envelope = series.values[0] * np.exp(d_const * (series.times[-1] - series.times[0]))
+    report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
+               float(series.values.max()), float(envelope), ok)
+    return report
 
 
 # ---------------------------------------------------------------------------

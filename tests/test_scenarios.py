@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proplab import (ConfigError, ScenarioConfig, list_scenarios, load_scenario,
                      parse_config, render_report, run_scenario, serialize_config)
-from proplab import evolution
+from proplab import evolution, scenarios
 from proplab.cli import main as cli_main
 from proplab.scenarios import SCENARIO_LIBRARY, _Context
 
@@ -195,7 +196,7 @@ def test_free_run_never_fills_the_sine_basis(tmp_path, monkeypatch):
 def test_unplanned_split_step_time_raises():
     ctx = _Context(small_w_flow_config(("gronwall",)))
     ctx.plan(ctx.config.suites)
-    planned = ctx._plans[0.0][0]
+    planned = ctx._planned
     traj = ctx.trajectory(planned[:2])
     assert np.array_equal(traj.times, planned[:2]) and len(traj.states) == 2
     with pytest.raises(ValueError, match="not sampled"):
@@ -317,12 +318,95 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL.replace("conformal_identity", "weighted_decay"), "[grid].kind"),
     (MINIMAL.replace("conformal_identity", "morawetz") + "\n[evolution]\nt_max = 2.0\n",
      "[grid].kind"),
+    # a cubic term outside the semilinear type: on a radial W-flow the stepper
+    # raises mid-run, on a line grid the exact method ignores it
+    (_TIMEDEP_SMALL.replace("kind = line", "kind = radial3d")
+     + "\n[timedep]\ntype = self_similar\ndelta = 0.05\nlambda = 1.0\n"
+     "[evolution]\nmethod = split_step2\nt_max = 1.5\n", "[timedep].lambda"),
+    (MINIMAL + "\n[timedep]\nlambda = 1.0\n", "[timedep].lambda"),
+    # W and the cubic term are only stepped: the exact method would measure
+    # the linear flow without them
+    (MINIMAL + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n", "[evolution].method"),
+    (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[evolution].method"),
+    # empty fit windows: positive_potential fits from max(1.5, t0), nls from fit_t_lo,
+    # weighted_decay on [fit_t_lo, fit_t_hi]
+    (MINIMAL.replace("conformal_identity", "positive_potential") + "\n[evolution]\nt_max = 1.2\n",
+     "[evolution].t_max"),
+    (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
+     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = split_step2\n"
+     "t_max = 0.8\n", "[overrides].fit_t_lo"),
+    (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
+     + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 6.0\nfit_t_hi = 5.0\n",
+     "[overrides].fit_t_lo"),
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
-        "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line"])
+        "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
+        "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
+        "cubic_flow_exact_method",
+        "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", key, capsys)
+
+
+def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path):
+    # at t_max 1.6 the positive-potential fit window on [1.5, horizon] holds 3
+    # samples, which only the measured horizon decides: the suite's ValueError
+    # is recorded, the other suite still runs, and the CLI exits 1
+    config = replace(load_scenario("positive_potential_radial"), name="short_fit",
+                     grid_n=96, grid_extent=30.0, t_max=1.6,
+                     suites=("positive_potential", "conformal_identity"))
+    path = tmp_path / "short_fit.cfg"
+    path.write_text(serialize_config(config))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == 1
+    run_dir = tmp_path / "runs" / "short_fit"
+    error = "positive_potential: ERROR (need at least 8 positive samples, got 3)"
+    assert error in (run_dir / "report.txt").read_text().splitlines()
+    manifest = (run_dir / "manifest.txt").read_text()
+    assert "passed = false" in manifest and error in manifest
+    assert "suites_run = conformal_identity\n" in manifest
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_SMALL_CONFIGS = st.builds(
+    ScenarioConfig, name=st.just("contract"),
+    suites=st.lists(st.sampled_from(sorted(scenarios._SUITES)), max_size=3, unique=True).map(tuple),
+    grid_kind=st.sampled_from(["line", "radial3d"]), grid_n=st.integers(8, 64),
+    grid_extent=_finite(5.0, 40.0),
+    potential_terms=st.lists(st.tuples(_finite(-3.0, 3.0), _finite(0.3, 2.0), _finite(-3.0, 3.0)),
+                             max_size=2).map(tuple),
+    timedep_type=st.sampled_from(["none", "self_similar", "semilinear"]),
+    timedep_delta=_finite(0.0, 0.2), timedep_a=_finite(0.1, 0.9),
+    nonlinearity=st.sampled_from([0.0, 1.0]),
+    state_recipe=st.sampled_from(["gaussian", "eigenstate"]), state_width=_finite(0.5, 2.0),
+    state_k=st.integers(0, 64), lnorm_target=st.sampled_from([0.0, 0.2]),
+    method=st.sampled_from(["eigenbasis_exact", "split_step2"]),
+    dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(4, 16),
+    t0=_finite(0.5, 2.0), fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0),
+    t0_shift=st.booleans(), prob_scale=st.sampled_from(["inverse_t", "iterated", "inverse_t2"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_SMALL_CONFIGS)
+def test_small_configs_are_rejected_or_leave_manifest_and_report(tmp_path_factory, config):
+    # the config contract: a config either raises ConfigError at parse time and
+    # leaves no run directory, or round-trips through its text and its run
+    # writes a manifest and a report, whatever its suites measure
+    out_dir = tmp_path_factory.mktemp("contract")
+    try:
+        parsed = parse_config(serialize_config(config))
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            run_scenario(config, str(out_dir))
+        assert not os.listdir(out_dir)
+        return
+    assert parsed == config
+    artifact = run_scenario(config, str(out_dir))
+    for name in ("manifest.txt", "report.txt"):
+        assert os.path.isfile(os.path.join(artifact.run_dir, name))
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
