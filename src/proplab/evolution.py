@@ -8,10 +8,12 @@ The kinetic factor of the splitting is diagonal in the eigenbasis of the
 discrete Dirichlet Laplacian, the orthonormal type-I sine transform S, with
 closed-form eigenvalues.  The stepper applies S diag(d) S as the equivalent
 Toeplitz-minus-Hankel convolution (Martucci, IEEE Trans. Signal Process. 42
-(1994) 1038-1051), precomputed once per step size and run on complex FFTs of
-a fast length M >= 2n whatever the factors of n + 1 (on every shipped
-split-step grid 2(n + 1) has a large prime factor).  Every factor is unitary
-to roundoff, so mass is conserved to roundoff no matter the step size.
+(1994) 1038-1051), precomputed once per step size.  It runs at M = 2h, h >= n
+a fast FFT length whatever the factors of n + 1 (on every shipped split-step
+grid 2(n + 1) has a large prime factor), as one FFT over two rows of length h
+after a radix-2 decimation step (Cooley & Tukey, Math. Comp. 19 (1965)
+297-301).  Every factor is unitary to roundoff, so mass is conserved to
+roundoff no matter the step size.
 One-off transforms (``kinetic_step``, ``h_half_norm_sq``) call the DST-I
 directly, through ``spectral._sine_transform``, the helper that also runs
 the free spectrum's exact flow.
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
-from .operators import Potential, TimeDependentPotential, laplacian
+from .operators import Potential, TimeDependentPotential
 from .spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
 
 
@@ -134,29 +136,48 @@ def _sine_multiplier(d):
     matrix entry (S diag(d) S)[j, m] is delta_jm + K(j - m) - K(j + m)
     (1-based j, m): the identity plus a Toeplitz and a Hankel part.  Both
     are linear convolutions with lags inside (-n, 2n], so they run circularly
-    at any M >= 2n; the Hankel part reads the spectrum of u at reversed
-    frequencies.  Each call makes two complex FFTs of the fast length M.
-    Convolving with d - 1 rather than d scales the FFT roundoff with the
-    change a step makes rather than with u, which matters when d is near 1,
-    as in a Strang step.
+    at any M >= 2n; the Hankel part reads the spectrum U of u at
+    U[(-q) mod M].  With M = 2h, h = next_fast_len(n), one FFT of the rows
+    (u, u e^{-i pi m / h}) gives the even and odd frequencies of U, the
+    reversed read stays inside each row, and the first n outputs are
+    (1/2)(IFFT_h(even) + e^{i pi m / h} IFFT_h(odd)).  Convolving with d - 1
+    rather than d scales the FFT roundoff with the change a step makes rather
+    than with u, which matters when d is near 1, as in a Strang step.
+    ``apply`` reuses its padded input and product buffers (it is not
+    reentrant); the array it returns is fresh.
     """
     n = len(d)
     e = np.asarray(d) - 1.0
     k = ifft(np.concatenate([[0.0], e, [0.0], e[::-1]]))  # K(r), r = 0 .. 2n + 1
-    m = next_fast_len(2 * n)
+    h = next_fast_len(n)
+    m = 2 * h
     toeplitz = np.zeros(m, dtype=complex)
     toeplitz[:n] = k[:n]
     toeplitz[m - n + 1:] = k[n - 1:0:-1]
     hankel = np.zeros(m, dtype=complex)
     hankel[:2 * n - 1] = k[2:2 * n + 1]
-    a, b = fft(toeplitz), -fft(hankel)
+    # rows: even and odd frequencies; the inverse decimation's 1/2 is exact
+    a = (0.5 * fft(toeplitz)).reshape(h, 2).T.copy()
+    b = (-0.5 * fft(hankel)).reshape(h, 2).T.copy()
+    twiddle = np.exp(-1j * np.pi * np.arange(n) / h)
+    untwiddle = twiddle.conj()
+    rows = np.zeros((2, h), dtype=complex)  # columns n .. h - 1 stay zero
+    product = np.empty((2, h), dtype=complex)
 
     def apply(u):
-        spectrum = fft(u, n=m)
-        out = a * spectrum
-        out[0] += b[0] * spectrum[0]
-        out[1:] += b[1:] * spectrum[:0:-1]  # spectrum[(-q) mod m]
-        return u + ifft(out, overwrite_x=True)[:n]
+        rows[0, :n] = u
+        np.multiply(u, twiddle, out=rows[1, :n])
+        s = fft(rows, axis=1)  # s[0, j] = U[2j], s[1, j] = U[2j + 1]
+        product[0, 0] = b[0, 0] * s[0, 0]
+        np.multiply(b[0, 1:], s[0, :0:-1], out=product[0, 1:])  # U[(-2j) mod M]
+        np.multiply(b[1], s[1, ::-1], out=product[1])  # U[(-2j - 1) mod M]
+        s *= a
+        np.add(product, s, out=product)
+        o = ifft(product, axis=1, overwrite_x=True)
+        out = untwiddle * o[1, :n]
+        out += o[0, :n]
+        out += u
+        return out
 
     return apply
 
@@ -167,8 +188,10 @@ class _SplitStepper:
     The potential phase freezes W at the step midpoint, which keeps the
     scheme second order.  The kinetic factor S diag(e^{-i lam dt}) S is the
     sine-basis multiplier applied as a precomputed Toeplitz-minus-Hankel FFT
-    convolution at a fast length (``_sine_multiplier``), built once for the
-    dt it steps with; each factor is unitary to roundoff.
+    convolution, one forward and one inverse FFT over two rows of a fast
+    length h >= n (``_sine_multiplier``), built once for the dt it steps
+    with; each factor is unitary to roundoff.  The multiplier keeps its work
+    buffers, but every state ``step`` returns is a fresh array.
     """
 
     def __init__(self, grid: Grid, potential: Potential | None,
@@ -194,11 +217,15 @@ class _SplitStepper:
         if self.w_t is not None:
             v = v + self.w_t.amplitude(t_mid) * self._w_profile
         if self.lam_nl:
-            v = v + self.lam_nl * (u.real**2 + u.imag**2)
-        angle = (-0.5 * v) * dt
+            dens = u.real * u.real
+            dens += u.imag * u.imag
+            dens *= self.lam_nl
+            dens += v
+            v = dens
+        angle = v * (-0.5 * dt)  # = (-0.5 v) dt bit for bit: halving is exact
         half = np.empty(len(angle), dtype=complex)
-        half.real = np.cos(angle)
-        half.imag = np.sin(angle)
+        np.cos(angle, out=half.real)
+        np.sin(angle, out=half.imag)
         return half
 
     def step(self, u, t: float, dt: float, half=None):
@@ -285,16 +312,6 @@ def trajectory_split(grid: Grid, potential: Potential | None,
         raise ValueError(f"sample times not on the dt lattice: {want[:3]}")
     method = "split_step2" + ("+cubic" if nonlinearity else "")
     return Trajectory(grid, sample_times, states, method, np.asarray(bms))
-
-
-def nls_energy(grid: Grid, potential: Potential | None, lam: float, state) -> float:
-    """Conserved energy functional of the cubic flow (up to O(dt^2) drift)."""
-    u = np.asarray(state, dtype=complex)
-    kinetic = float(np.real(grid.inner(u, laplacian(grid).apply(u))))
-    v = potential.v(grid.points) if potential is not None else 0.0
-    pot = float(np.real(grid.inner(u, v * u)))
-    quart = 0.5 * lam * grid.quad_weight * float(np.sum(np.abs(u) ** 4))
-    return kinetic + pot + quart
 
 
 def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) -> float:

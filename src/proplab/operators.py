@@ -316,13 +316,6 @@ def heisenberg_derivative(h_op: HermitianOperator, b_op: HermitianOperator,
     return HermitianOperator(m, h_op.grid, f"D_H {b_op.label}")
 
 
-def parity_matrix(grid: Grid) -> np.ndarray:
-    """Order-reversing permutation; commutes with H for even potentials on the line."""
-    if grid.kind != "line":
-        raise ValueError("parity is a line-grid notion")
-    return np.eye(grid.n)[::-1].copy()
-
-
 class Potential:
     """Static potential with closed-form evaluators for V, grad V and x.grad V.
 

@@ -10,7 +10,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (_SplitStepper, _sine_multiplier, _sine_transform, eigenstate,
-                               kinetic_step, nls_energy, snap_to_lattice)
+                               kinetic_step, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
 from proplab.spectral import SpectralData, free_laplacian_eigenvalues
 
@@ -129,6 +129,16 @@ def test_evolve_nls_mass_conservation():
     mass0 = norm(g, psi, "L2") ** 2
     out = evolve_split(g, pot, None, psi, 10.0, 1e-3, nonlinearity=1.0)
     assert abs(norm(g, out, "L2") ** 2 - mass0) <= 1e-10
+
+
+def nls_energy(grid, potential, lam, state):
+    """Conserved energy functional of the cubic flow (up to O(dt^2) drift)."""
+    u = np.asarray(state, dtype=complex)
+    kinetic = float(np.real(grid.inner(u, laplacian(grid).apply(u))))
+    v = potential.v(grid.points) if potential is not None else 0.0
+    pot = float(np.real(grid.inner(u, v * u)))
+    quart = 0.5 * lam * grid.quad_weight * float(np.sum(np.abs(u) ** 4))
+    return kinetic + pot + quart
 
 
 def test_evolve_nls_energy_drift_order_two():
@@ -367,3 +377,43 @@ def test_bare_step_computes_its_phases_and_w_carries_none(rng):
         assert carry is not None
     w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5)
     assert _SplitStepper(grid, pot, w_t=w_t).step(u, 0.3, 0.01)[1] is None
+
+
+def held_arrays(stepper):
+    """Every array the stepper holds, its kinetic multiplier's buffers included."""
+    cells = [c.cell_contents for c in stepper._kinetic.__closure__]
+    held = list(vars(stepper).values()) + cells
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("case", ["cubic", "w"])
+def test_states_never_alias_the_stepper_buffers(case):
+    # the kinetic multiplier reuses its padded input and product buffers from
+    # step to step; an observer that keeps every state without copying must
+    # still end up with the states a copying observer sees
+    if case == "cubic":
+        grid, w_t, lam = make_grid("line", 96, 12.0), None, 1.0
+        psi0 = gaussian_state(grid, center=-1.0, width=1.5, momentum=1.0)
+    else:
+        grid, lam = make_grid("radial3d", 96, 12.0), 0.0
+        w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5)
+        psi0 = gaussian_state(grid, center=4.0, width=1.5)
+    pot = Potential.gaussian(0.5, 1.0, 1.0)
+    dt, steps = 0.01, 30
+    kept, copied = [], []
+    evolve_split(grid, pot, w_t, psi0, steps * dt, dt, nonlinearity=lam,
+                 observer=lambda t, u: kept.append(u))
+    evolve_split(grid, pot, w_t, psi0, steps * dt, dt, nonlinearity=lam,
+                 observer=lambda t, u: copied.append(u.copy()))
+    assert len(kept) == steps + 1
+    assert all(np.array_equal(k, c) for k, c in zip(kept, copied))
+
+    stepper = _SplitStepper(grid, pot, w_t=w_t, nonlinearity=lam)
+    out, half = stepper.step(psi0, 0.0, dt)
+    out2, _ = stepper.step(out, dt, dt, half)
+    kinetic_out = stepper._kinetic(psi0)
+    held = held_arrays(stepper)
+    assert sum(a.ndim == 2 for a in held) >= 2  # the (2, h) buffers are found
+    for state in (out, out2, kinetic_out):
+        assert not any(np.shares_memory(state, a) for a in held)
+    assert not np.shares_memory(out, out2)

@@ -8,7 +8,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
 from proplab.evolution import gaussian_state
 from proplab.operators import (ROW_BLOCK, Banded, ConformalFactor, OperatorSum,
                                 _hermiticity_defect_and_scale, central_difference,
-                                conformal_factor_dt, conformal_value, parity_matrix)
+                                conformal_factor_dt, conformal_value)
 from hypothesis import given, settings, strategies as st
 
 
@@ -259,6 +259,11 @@ def test_heisenberg_derivative_scaled_conformal(line_grid):
     got = weak(line_grid, d.matrix, phi)
     expect = -weak(line_grid, c.matrix, phi) / t**2
     assert got == pytest.approx(expect, abs=1e-8)
+
+
+def parity_matrix(grid):
+    """Order-reversing permutation; commutes with H for even potentials on the line."""
+    return np.eye(grid.n)[::-1]
 
 
 def test_parity_commutes_with_even_hamiltonian(line_grid):
