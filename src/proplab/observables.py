@@ -1,5 +1,6 @@
 """Propagation observables, their time series along a flow, Heisenberg
-consistency, the integrated propagation inequality and decay-rate fitting.
+consistency, the integrated propagation inequality, decay-rate fitting, and
+checks whose verdict is the conjunction of the clauses they print.
 
 A propagation observable is a time-dependent self-adjoint family B(t) whose
 Heisenberg derivative D_H B = i[H, B] + dB/dt splits into a nonnegative part
@@ -13,6 +14,7 @@ matrix and no banded-plus-dense sum is formed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +26,8 @@ from .operators import HermitianOperator, OperatorSum
 
 REALNESS_TOL = 1e-9
 MIN_FIT_SAMPLES = 8
+#: largest fitted growth trend a series may show and still count as bounded
+TREND_CAP = 0.05
 
 #: what an observable family's members may be; both are read through apply
 Operator = HermitianOperator | OperatorSum
@@ -48,15 +52,53 @@ class ObservableSeries:
 
 @dataclass
 class CheckResult:
+    """A check passes when every clause ``(measured, relation, bound[, label])``
+    holds: relation ``<=``, ``>=``, ``<``, ``>``, or ``in`` a closed window
+    ``(lo, hi)``, with any tolerance inside the bound; a NaN fails its clause.
+    ``measured`` and ``bound`` read the first clause (a window's upper end)."""
+
     name: str
-    measured: float
-    bound: float
-    passed: bool
+    clauses: tuple
     note: str = ""
+
+    def __post_init__(self):
+        self.clauses = tuple(_clause(*c) for c in self.clauses)
+        self.measured, relation, bound, _ = self.clauses[0]
+        self.bound = bound[1] if relation == "in" else bound
+
+    @staticmethod
+    def holds(clause) -> bool:
+        return bool(_RELATIONS[clause[1]](clause[0], clause[2]))
+
+    @property
+    def passed(self) -> bool:
+        return all(map(self.holds, self.clauses))
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
-        return f"  [{flag}] {self.name}: measured {self.measured:.4g} vs bound {self.bound:.4g} {self.note}"
+        note = f" ({self.note})" if self.note else ""
+        return f"  [{flag}] {self.name}: " + "; ".join(map(_clause_text, self.clauses)) + note
+
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+              "in": lambda measured, window: window[0] <= measured <= window[1]}
+
+
+def _clause(measured, relation, bound, label="measured"):
+    bound = tuple(map(float, bound)) if relation == "in" else float(bound)
+    return float(measured), relation, bound, label
+
+
+def _clause_text(clause) -> str:
+    """A clause as printed: at 4 significant digits, unless the rounded
+    numbers would tell another verdict than the clause; then in full."""
+    measured, relation, bound, label = clause
+    window = relation == "in"
+    for fmt in ("{:.4g}", "{!r}"):
+        m, b = fmt.format(measured), [fmt.format(v) for v in (bound if window else [bound])]
+        if CheckResult.holds(_clause(m, relation, b if window else b[0])) == CheckResult.holds(clause):
+            break
+    return f"{label} {m} {relation} " + (f"[{b[0]}, {b[1]}]" if window else b[0])
 
 
 @dataclass
@@ -67,10 +109,8 @@ class EstimateReport:
     warnings: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
 
-    def add(self, name, measured, bound, passed, note="") -> CheckResult:
-        res = CheckResult(name, float(measured), float(bound), bool(passed), note)
-        self.checks.append(res)
-        return res
+    def add(self, name, *clauses, note=""):
+        self.checks.append(CheckResult(name, clauses, note))
 
     @property
     def passed(self) -> bool:
@@ -94,15 +134,13 @@ class PropagationObservable:
     ``apply``: a HermitianOperator, or an OperatorSum whose banded and dense
     terms are never summed (dB/dt comes from the analytic formula of the
     family, never from differencing matrices).  ``positive_factor(t)``, when
-    known, returns the matrix C(t) of the decomposition D_H B = C^*C + g, and
-    ``g_values(t)`` the remainder.
+    known, returns the matrix C(t) of the decomposition D_H B = C^*C + g.
     """
 
     label: str
     builder: Callable[[float], Operator]
     db_dt: Callable[[float], Operator]
     positive_factor: Callable[[float], np.ndarray] | None = None
-    g_values: Callable[[float], float] | None = None
 
 
 def expectation_value(grid: Grid, op: Operator, state) -> float:
@@ -158,17 +196,16 @@ def pres_check(b_series: ObservableSeries, c_norm_sq: ObservableSeries,
     int ||C psi||^2 dt <= sup <B> + ||g||_L1 + tolerance."""
     integral = float(np.trapezoid(c_norm_sq.values, c_norm_sq.times))
     bound = float(np.max(b_series.values)) + abs(g_abs_integral) + tolerance
-    return CheckResult("propagation inequality", integral, bound, integral <= bound,
-                       note=f"slack {bound - integral:.3g}")
+    return CheckResult("propagation inequality", [(integral, "<=", bound)])
 
 
-def pres_check_with_hooks(traj: Trajectory, prob: PropagationObservable, times,
-                          g_abs_integral: float = 0.0, tolerance: float = 1e-9):
-    """Propagation inequality through the PROB's own decomposition hooks.
+def pres_check_with_hooks(traj: Trajectory, prob: PropagationObservable, times):
+    """Propagation inequality through the PROB's own decomposition hooks,
+    with no remainder g.
 
     Returns (CheckResult, None), or (None, warning) when the observable
     carries no positive-part factor.  The factor convention is
-    D_H B = +-(C^*C) + g; for a PSD observable both signs yield the same
+    D_H B = +-(C^*C); for a PSD observable both signs yield the same
     integrated bound.
     """
     if prob.positive_factor is None:
@@ -181,11 +218,7 @@ def pres_check_with_hooks(traj: Trajectory, prob: PropagationObservable, times,
         cu = c_factor @ traj.state_at(t)
         vals.append(float(traj.grid.quad_weight * np.sum(np.abs(cu) ** 2)))
     c_series = ObservableSeries(times, np.asarray(vals), "||C psi||^2")
-    g_total = abs(g_abs_integral)
-    if prob.g_values is not None:
-        g_samples = np.array([abs(prob.g_values(t)) for t in times])
-        g_total += float(np.trapezoid(g_samples, times))
-    return pres_check(b_series, c_series, g_total, tolerance), None
+    return pres_check(b_series, c_series, 0.0), None
 
 
 def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None = None):
@@ -219,14 +252,11 @@ def trend_slope(series: ObservableSeries) -> float:
     return slope
 
 
-def bounded_check(name: str, series: ObservableSeries, cap: float,
-                  trend_cap: float = 0.05) -> CheckResult:
+def bounded_check(name: str, series: ObservableSeries, cap: float) -> CheckResult:
     """Operationalized "bounded up to a constant": the series stays below the
-    declared cap and its fitted growth trend does not exceed trend_cap."""
-    peak = float(np.max(series.values))
-    slope = trend_slope(series)
-    ok = peak <= cap and slope <= trend_cap
-    return CheckResult(name, peak, cap, ok, note=f"trend {slope:+.3f} (cap {trend_cap})")
+    declared cap and its fitted growth trend does not exceed TREND_CAP."""
+    return CheckResult(name, [(np.max(series.values), "<=", cap),
+                              (trend_slope(series), "<=", TREND_CAP, "trend")])
 
 
 def log_growth_fit(series: ObservableSeries):

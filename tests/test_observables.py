@@ -1,10 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proplab import (ObservableSeries, Potential, fit_decay_rate,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
                      observable_series, pres_check, trajectory_linear)
-from proplab.observables import (EstimateReport, bounded_check,
+from proplab.observables import (CheckResult, EstimateReport, bounded_check,
                                  heisenberg_consistency, log_growth_fit)
 from proplab.operators import HermitianOperator
 from proplab.suites import conformal_prob, free_conformal_prob
@@ -113,9 +117,9 @@ def test_pres_check_free_flow_and_violation():
     c_series = ObservableSeries(times, b_series.values / times, "C/t^2")
     res2 = pres_check(b_series, c_series, 0.0)
     assert res2.passed and res2.measured <= res2.bound
-    # wrong-sign remainder: a large negative C_g breaks the inequality
+    # a negative remainder integral enters the bound as |g|, so it only loosens it
     res3 = pres_check(b_series, c_series, -1e9)
-    assert isinstance(res3.bound, float)
+    assert res3.passed and res3.bound >= 1e9
     bad = pres_check(ObservableSeries(times, -np.ones_like(times), "B"),
                      ObservableSeries(times, np.ones_like(times), "C"), 0.0)
     assert not bad.passed
@@ -173,7 +177,59 @@ def test_bounded_check_and_log_fit():
 
 def test_report_rendering():
     rep = EstimateReport("demo")
-    rep.add("alpha", 1.0, 2.0, True)
-    rep.add("beta", 3.0, 2.0, False, note="over")
+    rep.add("alpha", (1.0, "<=", 2.0))
+    rep.add("beta", (3.0, "<=", 2.0), note="over")
     text = rep.render()
     assert "FAIL" in text and "alpha" in text and not rep.passed
+
+
+_RELATION = {"<=": lambda m, b: m <= b, ">=": lambda m, b: m >= b,
+             "<": lambda m, b: m < b, ">": lambda m, b: m > b,
+             "in": lambda m, b: b[0] <= m <= b[1]}
+_VALUES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 1e-300, math.inf, -math.inf,
+                                                  math.nan]))
+
+
+@st.composite
+def _clauses(draw):
+    """A clause whose numbers are often equal, or equal once rounded to 4 digits."""
+    measured = draw(_VALUES)
+    near = st.one_of(_VALUES, st.just(measured),
+                     st.floats(-1e-5, 1e-5).map(lambda d: measured + d * abs(measured)))
+    relation = draw(st.sampled_from(sorted(_RELATION)))
+    bound = (draw(near), draw(near)) if relation == "in" else draw(near)
+    return measured, relation, bound, draw(st.sampled_from(["measured", "scan span"]))
+
+
+def _printed_holds(text):
+    """The verdict a reader takes from a printed clause."""
+    window = re.fullmatch(r"(.+) (\S+) in \[(\S+), (\S+)\]", text)
+    if window:
+        m, lo, hi = map(float, window.groups()[1:])
+        return lo <= m <= hi
+    _, m, relation, b = re.fullmatch(r"(.+) (\S+) (<=|>=|<|>) (\S+)", text).groups()
+    return _RELATION[relation](float(m), float(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(clauses=st.lists(_clauses(), min_size=1, max_size=4))
+def test_check_verdict_is_the_conjunction_of_its_printed_clauses(clauses):
+    check = CheckResult("random", clauses)
+    truths = [_RELATION[r](m, b) for m, r, b, _ in clauses]
+    assert check.passed == all(truths)
+    m0, r0, b0, _ = clauses[0]
+    assert check.measured == m0 or math.isnan(m0)
+    assert check.bound == (b0[1] if r0 == "in" else b0) or math.isnan(check.bound)
+    head, body = check.line().split(": ", 1)
+    assert head == ("  [PASS] random" if check.passed else "  [FAIL] random")
+    # no printed clause, rounded or not, tells another verdict than the one tested
+    assert [_printed_holds(text) for text in body.split("; ")] == truths
+
+
+def test_check_prints_four_digits_unless_rounding_would_mislead():
+    assert CheckResult("c", [(1.23456, "<=", 2.0)]).line() == "  [PASS] c: measured 1.235 <= 2"
+    assert CheckResult("c", [(1.00001, ">", 1.0)]).line() == "  [PASS] c: measured 1.00001 > 1.0"
+    assert CheckResult("c", [(1.00001, "<=", 1.0)]).line() == "  [FAIL] c: measured 1.00001 <= 1.0"
+    nan = CheckResult("c", [(math.nan, "in", (3.5, 4.5)), (2, ">", 0, "span")], note="n")
+    assert nan.line() == "  [FAIL] c: measured nan in [3.5, 4.5]; span 2 > 0 (n)"
+    assert not nan.passed and nan.bound == 4.5

@@ -367,6 +367,34 @@ def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path):
     assert "suites_run = conformal_identity\n" in manifest
 
 
+def _backward_scan(t_max):
+    # a validity horizon below the scan's first horizon max(T/4, 0.5)
+    return ScenarioConfig(name="backward_scan", suites=("adaptor",), grid_kind="line",
+                          grid_n=46, grid_extent=10.0, potential_terms=((1.0, 1.0, 0.0),),
+                          t_max=t_max)
+
+
+@pytest.mark.parametrize("config, suite, check, label", [
+    pytest.param(_backward_scan(0.3), "adaptor", "weighted residual non-increasing in horizon",
+                 "scan span", id="scan-0.3"),
+    pytest.param(_backward_scan(0.45), "adaptor", "weighted residual non-increasing in horizon",
+                 "scan span", id="scan-0.45"),
+    # on a small box the band E <= min(transit, resolution) limit holds no mode
+    pytest.param(replace(load_scenario("positive_potential_radial"), name="empty_band", grid_n=42,
+                         grid_extent=8.0, suites=("weighted_decay",)),
+                 "weighted_decay", "weighted norm decay slope", "continuum modes in band",
+                 id="empty-band"),
+])
+def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
+                                                                 label):
+    artifact = run_scenario(config, str(tmp_path))
+    with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
+        assert "ERROR" not in fh.read()
+    result = {c.name: c for c in artifact.reports[suite].checks}[check]
+    clause = next(c for c in result.clauses if c[3] == label)
+    assert not result.holds(clause) and not result.passed and not artifact.passed
+
+
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
