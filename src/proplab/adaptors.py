@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grids import Grid, weight_vector
 from .operators import (HERMITICITY_RTOL, Banded, HermitianOperator, Potential,
@@ -318,6 +317,8 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
         raise ValueError("sigma must be nonnegative")
     w = weight_vector(spec.grid, sigma).samples
     if t == 0 and e_max is None:
+        from scipy.sparse.linalg import LinearOperator, eigsh  # this branch is its only user
+
         b = w[:, None] * spec.eigenvectors[:, spec.indices(BOUND)]
         op = LinearOperator((len(w), len(w)), dtype=b.dtype,
                             matvec=lambda x: w**2 * x.ravel() - b @ (b.conj().T @ x.ravel()))

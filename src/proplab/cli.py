@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .scenarios import (ConfigError, SCENARIO_LIBRARY, list_scenarios,
+from .scenarios import (ConfigError, SCENARIO_LIBRARY, list_scenarios, load_scenario,
                         parse_config, render_report, run_scenario)
 
 EXIT_PASS = 0
@@ -34,7 +34,7 @@ def _load(target: str):
         with open(target) as fh:
             return parse_config(fh.read())
     if target in SCENARIO_LIBRARY:
-        return SCENARIO_LIBRARY[target]
+        return load_scenario(target)
     raise ConfigError(f"{target!r} is neither a config file nor a shipped scenario")
 
 

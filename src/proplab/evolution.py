@@ -14,18 +14,21 @@ grid 2(n + 1) has a large prime factor), as one FFT over two rows of length h
 after a radix-2 decimation step (Cooley & Tukey, Math. Comp. 19 (1965)
 297-301).  Every factor is unitary to roundoff, so mass is conserved to
 roundoff no matter the step size.
-One-off transforms (``kinetic_step``, ``h_half_norm_sq``) call the DST-I
-directly, through ``spectral._sine_transform``, the helper that also runs
-the free spectrum's exact flow.
+``h_half_norm_sq`` reads the same Toeplitz-minus-Hankel form as a quadratic
+form from one FFT, with kernel spectra built once per grid.  Both import
+``scipy.fft`` when they are first called, so only a run that steps or
+measures a split-step flow loads it.  ``kinetic_step`` calls the DST-I
+directly, through ``spectral._sine_transform``, the numpy helper that also
+runs the free spectrum's exact flow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential
@@ -49,7 +52,7 @@ class Trajectory:
     warnings: list = field(default_factory=list)
 
     def _index(self, t: float) -> int:
-        hits = np.flatnonzero(np.isclose(self.times, t, rtol=0, atol=1e-9))
+        hits = np.flatnonzero(np.abs(self.times - t) <= 1e-9)
         if len(hits) == 0:
             raise ValueError(f"time {t} not sampled by this trajectory")
         return int(hits[0])
@@ -122,43 +125,78 @@ def kinetic_step(grid: Grid, u, dt: float):
     return _sine_transform(np.exp(-1j * lam * dt) * _sine_transform(u))
 
 
-def h_half_norm_sq(grid: Grid, state) -> float:
-    """<u, (1 + (-lap))^{1/2} u> through the sine-transform calculus."""
-    c = _sine_transform(state)
-    lam = free_laplacian_eigenvalues(grid)
-    return float(grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(c) ** 2))
+def _sine_kernel_spectra(e, m: int):
+    """Length-m spectra of the Toeplitz and Hankel parts of S diag(1 + e) S - I.
 
-
-def _sine_multiplier(d):
-    """u -> S diag(d) S u for the orthonormal DST-I S, as one convolution.
-
-    With N = n + 1 and K(r) = (1/N) sum_k (d_k - 1) cos(pi r k / N), the
-    matrix entry (S diag(d) S)[j, m] is delta_jm + K(j - m) - K(j + m)
-    (1-based j, m): the identity plus a Toeplitz and a Hankel part.  Both
-    are linear convolutions with lags inside (-n, 2n], so they run circularly
-    at any M >= 2n; the Hankel part reads the spectrum U of u at
-    U[(-q) mod M].  With M = 2h, h = next_fast_len(n), one FFT of the rows
-    (u, u e^{-i pi m / h}) gives the even and odd frequencies of U, the
-    reversed read stays inside each row, and the first n outputs are
-    (1/2)(IFFT_h(even) + e^{i pi m / h} IFFT_h(odd)).  Convolving with d - 1
-    rather than d scales the FFT roundoff with the change a step makes rather
-    than with u, which matters when d is near 1, as in a Strang step.
-    ``apply`` reuses its padded input and product buffers (it is not
-    reentrant); the array it returns is fresh.
+    With N = n + 1 and K(r) = (1/N) sum_k e_k cos(pi r k / N), the matrix
+    entry (S diag(1 + e) S)[j, l] is delta_jl + K(j - l) - K(j + l) (1-based
+    j, l): the identity plus a Toeplitz and a Hankel part.  Both are linear
+    convolutions with lags inside (-n, 2n], so they run circularly at any
+    m >= 2n; the Hankel part reads the spectrum U of u at U[(-q) mod m].
+    Returned: the spectra of K(r) at the wrapped lags r = -(n - 1) .. n - 1
+    and of K(r + 2), r = 0 .. 2n - 2.
     """
-    n = len(d)
-    e = np.asarray(d) - 1.0
+    from scipy.fft import fft, ifft
+
+    n = len(e)
     k = ifft(np.concatenate([[0.0], e, [0.0], e[::-1]]))  # K(r), r = 0 .. 2n + 1
-    h = next_fast_len(n)
-    m = 2 * h
     toeplitz = np.zeros(m, dtype=complex)
     toeplitz[:n] = k[:n]
     toeplitz[m - n + 1:] = k[n - 1:0:-1]
     hankel = np.zeros(m, dtype=complex)
     hankel[:2 * n - 1] = k[2:2 * n + 1]
+    return fft(toeplitz), fft(hankel)
+
+
+@lru_cache(maxsize=4)
+def _h_half_kernels(grid: Grid):
+    """(m, Toeplitz spectrum / m as reals, Hankel spectrum / m) of
+    S diag(sqrt(1 + lam) - 1) S on ``grid``, at m = next_fast_len(2n)."""
+    from scipy.fft import next_fast_len
+
+    m = next_fast_len(2 * grid.n)
+    a, b = _sine_kernel_spectra(np.sqrt(1.0 + free_laplacian_eigenvalues(grid)) - 1.0, m)
+    return m, a.real / m, b / m  # K is real and even, so the Toeplitz spectrum is real
+
+
+def h_half_norm_sq(grid: Grid, state) -> float:
+    """<u, (1 + (-lap))^{1/2} u>, with (1 + (-lap))^{1/2} = S diag(sqrt(1 + lam)) S
+    read as the identity plus a Toeplitz-minus-Hankel form: with U the FFT of
+    the zero-padded u, <u, T u> = (1/m) sum_q a_q |U_q|^2 and
+    <u, H u> = (1/m) Re sum_q b_q conj(U_q) U_{-q} (``_sine_kernel_spectra``)."""
+    from scipy.fft import fft
+
+    m, a, b = _h_half_kernels(grid)
+    u = np.asarray(state, dtype=complex)
+    spec = fft(u, n=m)
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    reflected = np.concatenate([spec[:1], spec[:0:-1]])  # U_{(-q) mod m}
+    form = np.vdot(u, u).real + np.dot(a, power) - np.vdot(spec, b * reflected).real
+    return float(grid.quad_weight * form)
+
+
+def _sine_multiplier(d):
+    """u -> S diag(d) S u for the orthonormal DST-I S, as one convolution.
+
+    S diag(d) S is the identity plus the Toeplitz-minus-Hankel convolution of
+    ``_sine_kernel_spectra`` with e = d - 1.  With M = 2h, h = next_fast_len(n),
+    one FFT of the rows (u, u e^{-i pi m / h}) gives the even and odd
+    frequencies of U, the reversed read stays inside each row, and the first
+    n outputs are (1/2)(IFFT_h(even) + e^{i pi m / h} IFFT_h(odd)).
+    Convolving with d - 1 rather than d scales the FFT roundoff with the
+    change a step makes rather than with u, which matters when d is near 1,
+    as in a Strang step.  ``apply`` reuses its padded input and product
+    buffers (it is not reentrant); the array it returns is fresh.
+    """
+    from scipy.fft import fft, ifft, next_fast_len
+
+    n = len(d)
+    h = next_fast_len(n)
+    toeplitz, hankel = _sine_kernel_spectra(np.asarray(d) - 1.0, 2 * h)
     # rows: even and odd frequencies; the inverse decimation's 1/2 is exact
-    a = (0.5 * fft(toeplitz)).reshape(h, 2).T.copy()
-    b = (-0.5 * fft(hankel)).reshape(h, 2).T.copy()
+    a = (0.5 * toeplitz).reshape(h, 2).T.copy()
+    b = (-0.5 * hankel).reshape(h, 2).T.copy()
     twiddle = np.exp(-1j * np.pi * np.arange(n) / h)
     untwiddle = twiddle.conj()
     rows = np.zeros((2, h), dtype=complex)  # columns n .. h - 1 stay zero
@@ -327,5 +365,15 @@ def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) 
 
 def snap_to_lattice(times, dt: float, t0: float = 0.0):
     """Round times onto the t0 + k dt lattice (deduplicated, ascending)."""
-    k = np.unique(np.maximum(np.round((np.asarray(times, dtype=float) - t0) / dt), 0))
+    k = _distinct(np.maximum(np.round((np.asarray(times, dtype=float) - t0) / dt), 0))
     return t0 + k * dt
+
+
+def _distinct(values):
+    """The sorted distinct values, as ``np.unique`` gives them, by sort and
+    drop-repeats (numpy 2.4's ``np.unique`` imports ``numpy.ma`` on its first
+    call, about 20 ms)."""
+    values = np.sort(np.ravel(values))
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]

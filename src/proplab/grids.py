@@ -42,6 +42,12 @@ class Grid:
     points: np.ndarray = field(repr=False)
 
     @cached_property
+    def wall_mask(self) -> np.ndarray:
+        """Points beyond ``BOUNDARY_FRACTION`` of the extent, where
+        ``boundary_mass`` reads the mass at the walls."""
+        return np.abs(self.points) > BOUNDARY_FRACTION * self.extent
+
+    @cached_property
     def paired_points(self) -> np.ndarray:
         """Each point twice, in the order of a complex state's float view."""
         return np.repeat(self.points, 2)
@@ -141,8 +147,9 @@ def norm(grid: Grid, state, kind: str = "L2", p: float | None = None) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def boundary_mass(grid: Grid, state, fraction: float = BOUNDARY_FRACTION) -> float:
-    """Fraction of the total mass sitting beyond ``fraction * extent``.
+def boundary_mass(grid: Grid, state) -> float:
+    """Fraction of the total mass sitting beyond ``BOUNDARY_FRACTION * extent``
+    (``Grid.wall_mask``).
 
     Decay claims on a finite box are only meaningful while this stays below
     ``BOUNDARY_MASS_TOL``; afterwards the walls reflect.
@@ -151,8 +158,7 @@ def boundary_mass(grid: Grid, state, fraction: float = BOUNDARY_FRACTION) -> flo
     total = float(np.sum(prob))
     if total == 0.0:
         return 0.0
-    sel = np.abs(grid.points) > fraction * grid.extent
-    return float(np.sum(prob[sel])) / total
+    return float(np.sum(prob[grid.wall_mask])) / total
 
 
 def transit_energy_limit(grid: Grid, t_max: float, fraction: float = BOUNDARY_FRACTION) -> float:

@@ -9,6 +9,7 @@ with their path, and ``parse_config(serialize_config(c)) == c``.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .adaptors import build_adaptor, conformal_Q
-from .evolution import (Trajectory, gaussian_state, eigenstate, snap_to_lattice,
+from .evolution import (Trajectory, _distinct, gaussian_state, eigenstate, snap_to_lattice,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .grids import make_grid, norm
 from .observables import EstimateReport, ObservableSeries
@@ -164,6 +165,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("[scenario].name is required")
     config = ScenarioConfig(**values)
     _validate(config)
+    _import_what_runs(config)
     return config
 
 
@@ -299,9 +301,11 @@ def list_scenarios() -> list[str]:
 
 def load_scenario(name: str) -> ScenarioConfig:
     try:
-        return SCENARIO_LIBRARY[name]
+        config = SCENARIO_LIBRARY[name]
     except KeyError:
         raise ConfigError(f"unknown scenario {name!r}; shipped: {list_scenarios()}")
+    _import_what_runs(config)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,7 @@ class _Context:
         if c.method == "split_step2":
             times = snap_to_lattice(times, c.dt)
             times = times[times > 0]
-        return np.unique(times)
+        return _distinct(times)
 
     def plan(self, suites):
         """Register what each selected suite reads off the split-step flow."""
@@ -429,7 +433,7 @@ class _Context:
         if self._sweep is None:
             if not self._planned:
                 raise ValueError("no sample times were planned for the split-step flow")
-            ts = np.unique(self._planned)
+            ts = np.sort(self._planned)
             union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
             observers = self._observers
 
@@ -471,7 +475,7 @@ def _conformal_times(ctx: _Context):
     eval_ts = ctx.sample_times(lo=t_lo, hi=min(0.5 * ctx.horizon + c.t0, ctx.horizon),
                                count=4)
     eval_ts = eval_ts[eval_ts + shift - delta > 0]
-    all_ts = np.unique(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
+    all_ts = _distinct(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
     free_ts = None
     if not c.potential_terms and ctx.w_t is None:
         free_ts = ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9)
@@ -581,6 +585,10 @@ class SuiteSpec:
     clean_threshold: bool = False
     #: (config path, what is needed, test on the config), checked by ``_validate``
     needs: tuple = ()
+    #: reads the run's spectrum (so a config with a potential diagonalizes H)
+    spectrum: bool = True
+    #: scipy subpackages its own code calls, whatever the config
+    scipy: tuple = ()
 
 
 _RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
@@ -590,7 +598,7 @@ _V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: _pote
                   .is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
 
 _SUITES = {
-    "operator_identities": SuiteSpec(_suite_operator_identities),
+    "operator_identities": SuiteSpec(_suite_operator_identities, spectrum=False),
     "conformal_identity": SuiteSpec(
         _suite_conformal_identity,
         flow=lambda ctx: (np.concatenate([ts for ts in _conformal_times(ctx)[2:]
@@ -601,13 +609,14 @@ _SUITES = {
          lambda c: any(amp for amp, _, _ in c.potential_terms)),)),
     "weighted_decay": SuiteSpec(_suite_weighted_decay, clean_threshold=True, needs=(
         _RADIAL, ("[overrides].fit_t_lo", "fit_t_lo < fit_t_hi (its fit window)",
-                  lambda c: c.fit_t_lo < c.fit_t_hi))),
+                  lambda c: c.fit_t_lo < c.fit_t_hi)), scipy=("scipy.sparse.linalg",)),
     "positive_potential": SuiteSpec(
         _suite_positive_potential, flow=lambda ctx: (_monitor_times(ctx), None), needs=(
             _V_NONNEGATIVE,
             ("[evolution].t_max", "t_max > max(1.5, t0) (its fit window starts there)",
              lambda c: c.t_max > max(1.5, c.t0)))),
-    "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True),
+    "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True,
+                                   scipy=("scipy.linalg",)),
     "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(
         ("[timedep].type", "a time-dependent W (type = self_similar)",
          lambda c: c.timedep_type == "self_similar"), _FROM_ONE)),
@@ -617,13 +626,32 @@ _SUITES = {
         ("[evolution].method", "split_step2 (it steps the cubic flow)",
          lambda c: c.method == "split_step2"),
         ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
-         lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max)))),
-    "morawetz": SuiteSpec(_suite_morawetz, needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE)),
+         lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False, scipy=("scipy.fft",)),
+    "morawetz": SuiteSpec(_suite_morawetz, needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE),
+                          scipy=("scipy.fft", "scipy.linalg", "scipy.optimize")),
 }
 
 #: suite -> runner; ``run_scenario`` dispatches through this dict, so its
 #: entries can be replaced in place (perfbench's tracer wraps them)
 _SUITE_RUNNERS = {name: spec.run for name, spec in _SUITES.items()}
+
+
+def _import_what_runs(config: ScenarioConfig):
+    """Import the scipy subpackages a run of ``config`` will call, so that the
+    run does not pay for their import.  Read off the config's fields alone:
+    ``diagonalize`` (scipy.linalg) when a suite reads the spectrum of a
+    potential, the shared split-step sweep (scipy.fft) when a suite reads it,
+    and each suite's own ``SuiteSpec.scipy``.  A free eigenbasis run loads no
+    scipy at all."""
+    suites = [_SUITES[s] for s in config.suites]
+    modules = {m for spec in suites for m in spec.scipy}
+    if config.potential_terms and (config.state_recipe == "eigenstate"
+                                   or any(spec.spectrum for spec in suites)):
+        modules.add("scipy.linalg")
+    if config.method == "split_step2" and any(spec.flow for spec in suites):
+        modules.add("scipy.fft")
+    for module in sorted(modules):
+        importlib.import_module(module)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:

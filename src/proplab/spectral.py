@@ -3,8 +3,10 @@ functional calculus, the genericity margin, and the exact flow
 e^{-iHt} psi at a block of times (``SpectralData.flow``).
 
 The free stencil's sine eigenbasis is applied by the DST-I
-(``_sine_transform``, shared with the split stepper), and its n x n matrix
-is filled only if something reads ``eigenvectors``.
+(``_sine_transform``: the imaginary part of one real ``numpy.fft`` of the odd
+extension), and its n x n matrix is filled only if something reads
+``eigenvectors``.  scipy is imported by the two functions that call it,
+``diagonalize`` and ``genericity_margin``, so a free-spectrum run loads none.
 
 On a finite Dirichlet box the spectrum is discrete; the continuous subspace
 is modeled as the E > eps_thr cloud, bound states as E < -eps_thr, and the
@@ -17,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.fft import dst
+import numpy.fft  # numpy loads it on first use; here it is paid at import, not in a run
 
 from .grids import Grid
 from .operators import Banded, HermitianOperator, _row_blocks
@@ -53,12 +54,58 @@ def resolution_energy_limit(grid: Grid, fraction: float = 0.5) -> float:
 
 def _sine_transform(u):
     """Orthonormal DST-I S (the symmetric involution that diagonalizes the
-    Dirichlet stencil) along axis 0 of a vector or an (n, K) block, as one
-    real transform of the (n, 2K) float view; every column gets the bits of
-    scipy's transform of that column alone (a complex call would run two)."""
-    u = np.ascontiguousarray(u, dtype=complex)
-    out = dst(u.view(float).reshape(len(u), -1), type=1, norm="ortho", axis=0)
-    return np.ascontiguousarray(out).view(complex).reshape(u.shape)
+    Dirichlet stencil) along the last axis of a vector or a (K, n) block.
+
+    S u is the imaginary part of the real FFT of the odd extension
+    (0, u, 0, -reversed u) of length 2(n + 1) (Martucci, IEEE Trans. Signal
+    Process. 42 (1994) 1038-1051), taken of the real and imaginary parts of
+    each row by one ``numpy.fft.rfft`` call.  pocketfft computes scipy's
+    ``dst(type=1)`` the same way and scales by 1/sqrt(2(n + 1)) in long
+    double, so with that factor the result has scipy's bits, and each row has
+    the bits of its transform alone.
+    """
+    u = np.asarray(u, dtype=complex)
+    ext, rows = _odd_extension(u.shape)
+    rows[...] = u
+    return _sine_of_extension(ext)
+
+
+#: flow rows per DST-I call: the buffers stay a few hundred kB and are
+#: reused, where one call over a 60-row block would write several MB of fresh
+#: pages, whose first-touch faults cost more than the transform
+_SINE_ROWS = 8
+
+
+def _odd_extension(shape):
+    """A complex buffer for the odd extensions of rows of length n = shape[-1],
+    with its two zeros set, and the view of it that holds the rows."""
+    n = shape[-1]
+    ext = np.empty(shape[:-1] + (2 * n + 2,), dtype=complex)
+    ext[..., 0] = ext[..., n + 1] = 0.0
+    return ext, ext[..., 1:n + 1]
+
+
+def _sine_of_extension(ext, out=None):
+    """S u for the rows u written into an ``_odd_extension`` buffer, into
+    ``out`` (a new array by default): fills the odd half, then transforms the
+    (..., 2(n + 1), 2) float view along its second-last axis, the real and
+    imaginary parts as two columns."""
+    n = ext.shape[-1] // 2 - 1
+    np.negative(ext[..., n:0:-1], out=ext[..., n + 2:])
+    im = np.fft.rfft(ext.view(float).reshape(ext.shape + (2,)), axis=-2).imag[..., 1:n + 1, :]
+    out = np.empty(ext.shape[:-1] + (n,), dtype=complex) if out is None else out
+    np.multiply(im, -float(1.0 / np.sqrt(np.longdouble(2 * n + 2))),
+                out=out.view(float).reshape(im.shape))
+    return out
+
+
+def _phases(angle, out):
+    """e^{i angle} of a real array, as cos + i sin written into the real and
+    imaginary parts of the complex ``out``; ``angle`` may be ``out.imag``
+    (cos is taken first, sin in place)."""
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def _product(m, state):
@@ -134,8 +181,11 @@ class SpectralData:
         (``_synthesize``), and each row has the same bits whatever K is, so
         ``evolve`` equals the row of any block.
         """
-        phases = np.exp(np.multiply.outer(-1j * self.eigenvalues, np.asarray(times, dtype=float)))
-        return np.ascontiguousarray(self._synthesize(phases * self.coefficients(state)[:, None]).T)
+        times = np.asarray(times, dtype=float)
+        block = np.empty((len(self.eigenvalues), len(times)), dtype=complex)
+        _phases(np.multiply.outer(-self.eigenvalues, times, out=block.imag), out=block)
+        block *= self.coefficients(state)[:, None]
+        return np.ascontiguousarray(self._synthesize(block).T)
 
     def _synthesize(self, block):
         """Phi block, as one real product on the (n, 2K) float view of the
@@ -163,6 +213,8 @@ def diagonalize(op: HermitianOperator) -> SpectralData:
     reducing its input to that form.  Any other Hermitian matrix is densified
     and goes to eigh.  Eigenvectors are real whenever the matrix is.
     """
+    import scipy.linalg  # here, so that a run that diagonalizes nothing never loads it
+
     m = op.matrix
     if isinstance(m, Banded) and set(m.bands) <= {-1, 0, 1} and not abs(m.imag).max():
         evals, evecs = scipy.linalg.eigh_tridiagonal(m.diagonal(0).real, m.diagonal(-1).real,
@@ -180,7 +232,9 @@ class _SineSpectralData(SpectralData):
     """The free stencil's spectrum, whose eigenbasis is the symmetric DST-I
     S: the coefficients are S psi and the flow is S e^{-iEt} S psi.  The
     n x n basis is filled on the first read of ``eigenvectors`` and cached;
-    it is no init field, so ``dataclasses.replace`` does not fill it."""
+    it is no init field, so ``dataclasses.replace`` does not fill it.  Its
+    flow writes the phase block, K rows of length n, straight into the DST-I's
+    odd-extension buffer."""
 
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
@@ -210,7 +264,20 @@ class _SineSpectralData(SpectralData):
     def eigenvector(self, k: int) -> np.ndarray:  # row k of the symmetric basis, left unfilled
         return self._basis_rows(slice(k, k + 1))[0]
 
-    coefficients = _synthesize = staticmethod(_sine_transform)
+    coefficients = staticmethod(_sine_transform)
+
+    def flow(self, state, times):
+        times = np.asarray(times, dtype=float)
+        c = self.coefficients(state)
+        out = np.empty((len(times), self.grid.n), dtype=complex)
+        ext, rows = _odd_extension((min(len(times), _SINE_ROWS), self.grid.n))
+        for k in range(0, len(times), _SINE_ROWS):
+            t = times[k:k + _SINE_ROWS]
+            block = rows[:len(t)]
+            _phases(np.multiply.outer(t, -self.eigenvalues, out=block.imag), out=block)
+            block *= c
+            _sine_of_extension(ext[:len(t)], out=out[k:k + len(t)])
+        return out
 
 
 def free_spectral_data(grid: Grid) -> SpectralData:
@@ -272,6 +339,8 @@ def genericity_margin(spec: SpectralData, lap: HermitianOperator) -> float:
     the eigenvectors and -lap are real.  The scenario passes the genericity
     gate iff delta* > 0.
     """
+    import scipy.linalg  # here, so that a run that never calls it does not load it
+
     cols, e = spec.continuum_basis()
     if len(e) == 0:
         raise ValueError("empty continuum subspace")

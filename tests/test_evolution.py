@@ -9,8 +9,8 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_SplitStepper, _sine_multiplier, _sine_transform, eigenstate,
-                               kinetic_step, snap_to_lattice)
+from proplab.evolution import (_SplitStepper, _distinct, _sine_multiplier, _sine_transform,
+                               eigenstate, h_half_norm_sq, kinetic_step, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
 from proplab.spectral import SpectralData, free_laplacian_eigenvalues
 
@@ -278,6 +278,26 @@ def test_sine_transform_is_scipy_dst_bit_for_bit(n):
         out = _sine_transform(data)
         assert out.shape == data.shape
         assert np.array_equal(out, dst(data, type=1, norm="ortho"))
+
+
+@pytest.mark.parametrize("n", [8, 9, 640, 960, 961])
+def test_h_half_norm_sq_matches_sine_transform_form(n):
+    # the one-FFT quadratic form against sum_k sqrt(1 + lam_k) |(S u)_k|^2,
+    # including n + 1 prime (641) and 5-smooth 2n
+    grid = make_grid("radial3d", n, 100.0)
+    lam = free_laplacian_eigenvalues(grid)
+    rng = np.random.default_rng(n)
+    for u in (gaussian_state(grid, center=3.0, width=1.0),
+              rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)):
+        ref = grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(_sine_transform(u)) ** 2)
+        assert h_half_norm_sq(grid, u) == pytest.approx(ref, rel=1e-13)
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(3)
+    for values in (rng.integers(0, 9, 40) * 0.25, rng.standard_normal(7), np.array([0.0, -0.0, 1.0]),
+                   np.array([]), np.array([[2.0, 1.0], [1.0, 3.0]])):
+        assert np.array_equal(_distinct(values), np.unique(values))
 
 
 def test_trajectory_restricted_keeps_samples_and_masses():

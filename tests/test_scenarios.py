@@ -437,13 +437,45 @@ def test_small_configs_are_rejected_or_leave_manifest_and_report(tmp_path_factor
         assert os.path.isfile(os.path.join(artifact.run_dir, name))
 
 
-def test_import_leaves_integrate_and_optimize_unloaded():
-    # scipy.integrate and scipy.optimize are imported by their only users,
-    # semilinear_G and smoothing_integral_fit, not when proplab loads
-    code = ("import sys, proplab; proplab.load_scenario('free'); "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+def _python(code: str) -> str:
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # scipy.integrate and scipy.optimize are imported by their only users,
+    # semilinear_G and smoothing_integral_fit, not when proplab loads; the
+    # free scenario's run calls no scipy at all, so loading it loads none
+    out = _python("import sys, proplab; proplab.load_scenario('free'); "
+                  "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert out == "[]"
+
+
+#: shipped scenario -> t_max for the run (None: as shipped), as short as
+#: validation allows on the slow ones
+_SHORT_T_MAX = {"free": None, "positive_potential_radial": None, "well_with_barrier": None,
+                "self_similar_W": 1.2, "cubic_nls_small": 1.1, "morawetz_radial": 1.2}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORT_T_MAX))
+def test_run_imports_nothing_its_load_did_not(name):
+    # load_scenario imports the scipy subpackages the run will call, read off
+    # the config's fields, so the run itself starts no numpy or scipy import
+    assert sorted(_SHORT_T_MAX) == list_scenarios()
+    out = _python(
+        "import sys, tempfile\n"
+        "from dataclasses import replace\n"
+        "import proplab\n"
+        f"config = proplab.load_scenario({name!r})\n"
+        f"t_max = {_SHORT_T_MAX[name]!r}\n"
+        "config = config if t_max is None else replace(config, t_max=t_max)\n"
+        "before = set(sys.modules)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    artifact = proplab.run_scenario(config, out)\n"
+        "print(artifact.manifest['suites_run'], '|', sorted(m for m in set(sys.modules) - before\n"
+        "      if m.split('.')[0] in ('numpy', 'scipy')))")
+    suites_run, new_modules = out.split(" | ")
+    assert suites_run == ", ".join(load_scenario(name).suites)
+    assert new_modules == "[]"

@@ -9,9 +9,9 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
 from proplab import evolution
 from proplab.adaptors import negative_part, remainder_expectation
 from proplab.evolution import evolve_split, snap_to_lattice
-from proplab.observables import expectation_value, heisenberg_expectation
+from proplab.observables import ObservableSeries, expectation_value, heisenberg_expectation
 from proplab.operators import commutator_i, conformal_factor_operator
-from proplab.suites import (_AdaptedConformal, conformal_identity_residual,
+from proplab.suites import (_AdaptedConformal, _envelope_clause, conformal_identity_residual,
                             conformal_prob, first_level_series,
                             gronwall_monitor, lens_identity_residual,
                             lens_positivity_values, morawetz_commutator_check,
@@ -172,6 +172,16 @@ def test_gronwall_monitor_free_flow_decreasing():
     series, ok = gronwall_monitor(traj, 1.0, 0.05, times=times)
     assert ok
     assert np.all(np.diff(series.values) < 0)
+
+
+def test_envelope_clause_reads_the_worst_excess_after_the_first_sample():
+    times = np.array([1.0, 2.0, 3.0])
+    envelope = 2.0 * np.exp(0.1 * (times - 1.0))
+    under = ObservableSeries(times, envelope - np.array([0.0, 0.5, 0.25]), "M")
+    assert _envelope_clause(under, 0.1)[:3] == (-0.25, "<=", 1e-12)
+    over = ObservableSeries(times, envelope + np.array([0.0, -0.5, 1e-3]), "M")
+    assert _envelope_clause(over, 0.1)[0] == pytest.approx(1e-3, rel=1e-9)
+    assert _envelope_clause(ObservableSeries(times[:1], envelope[:1], "M"), 0.1)[0] == 0.0
 
 
 def test_gronwall_sigma_zero_is_mass_plus_conformal():
