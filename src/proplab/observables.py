@@ -245,18 +245,22 @@ def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None 
 
 def trend_slope(series: ObservableSeries) -> float:
     """Growth-trend reading of a (positive) series: fitted log-log slope,
-    with zero returned for an identically tiny series."""
+    with zero returned for an identically tiny series and NaN for one with
+    fewer than MIN_FIT_SAMPLES positive samples."""
     if np.all(series.values <= 1e-300):
         return 0.0
+    if np.count_nonzero(series.values > 0) < MIN_FIT_SAMPLES:
+        return np.nan
     slope, _ = fit_decay_rate(series)
     return slope
 
 
 def bounded_check(name: str, series: ObservableSeries, cap: float) -> CheckResult:
     """Operationalized "bounded up to a constant": the series stays below the
-    declared cap and its fitted growth trend does not exceed TREND_CAP."""
-    return CheckResult(name, [(np.max(series.values), "<=", cap),
-                              (trend_slope(series), "<=", TREND_CAP, "trend")])
+    declared cap and its fitted growth trend does not exceed TREND_CAP.  An
+    empty series reads NaN, and fails."""
+    peak = np.max(series.values) if len(series.values) else np.nan
+    return CheckResult(name, [(peak, "<=", cap), (trend_slope(series), "<=", TREND_CAP, "trend")])
 
 
 def log_growth_fit(series: ObservableSeries):

@@ -4,7 +4,10 @@ with delimited-text series and a manifest persisted per run.
 
 One scenario per config document.  The text format is strict INI-style
 sections of ``key = value`` lines; unknown sections or keys are rejected
-with their path, and ``parse_config(serialize_config(c)) == c``.
+with their path, and ``parse_config(serialize_config(c)) == c``.  A config
+sets what a scenario varies; the rest is fixed in code: each suite's caps,
+the weight sigma = 1, W's profile <x>^-2, the adaptor horizon (half the
+validity horizon) and the centered, momentum-free Gaussian state.
 """
 
 from __future__ import annotations
@@ -47,14 +50,10 @@ class ScenarioConfig:
     potential_terms: tuple = ()          # (amplitude, width, center) triples
     timedep_type: str = "none"           # none | self_similar | semilinear
     timedep_delta: float = 0.0
-    timedep_sigma: float = 2.0
     timedep_a: float = 0.5
-    timedep_profile: str = "weight"
     nonlinearity: float = 0.0
     state_recipe: str = "gaussian"       # gaussian | eigenstate
-    state_center: float = 0.0
     state_width: float = 1.0
-    state_momentum: float = 0.0
     state_k: int = 0
     lnorm_target: float = 0.0            # 0 disables rescaling
     method: str = "eigenbasis_exact"     # eigenbasis_exact | split_step2
@@ -62,24 +61,14 @@ class ScenarioConfig:
     t_max: float = 10.0
     samples: int = 16
     t0: float = 1.0
-    t_b: float = 0.0                     # 0 means auto (half validity horizon)
-    sigma: float = 1.0
-    theta: float = 0.5
-    eps_m: float = 0.1
     prob_scale: str = "inverse_t"
     eps_thr: float = 0.0                 # 0 means spacing-based default
-    energy_cap: float = 10.0
-    iterated_cap: float = 10.0
-    disp_cap: float = 10.0
-    h1_cap: float = 4.0
-    conformal_coeff: float = 5.0
     fit_t_lo: float = 5.0
     fit_t_hi: float = 50.0
     t0_shift: bool = False
     expect_log_growth: bool = False
     corrupt_q_sign: bool = False
     corrupt_db_dt: bool = False
-    waive_box_policy: bool = False
 
 
 #: section -> key -> (kind, ScenarioConfig field)
@@ -89,20 +78,15 @@ _SCHEMA = {
              "extent": (float, "grid_extent")},
     "potential": {"gaussians": ("gaussians", "potential_terms")},
     "timedep": {"type": (str, "timedep_type"), "delta": (float, "timedep_delta"),
-                "sigma": (float, "timedep_sigma"), "a": (float, "timedep_a"),
-                "profile": (str, "timedep_profile"), "lambda": (float, "nonlinearity")},
-    "initial_state": {"recipe": (str, "state_recipe"), "center": (float, "state_center"),
-                      "width": (float, "state_width"), "momentum": (float, "state_momentum"),
+                "a": (float, "timedep_a"), "lambda": (float, "nonlinearity")},
+    "initial_state": {"recipe": (str, "state_recipe"), "width": (float, "state_width"),
                       "k": (int, "state_k"), "lnorm_target": (float, "lnorm_target")},
     "evolution": {"method": (str, "method"), "dt": (float, "dt"), "t_max": (float, "t_max"),
                   "samples": (int, "samples"), "t0": (float, "t0")},
     "overrides": {key: (kind, key) for key, kind in (
-        ("t_b", float), ("sigma", float), ("theta", float), ("eps_m", float),
-        ("prob_scale", str), ("eps_thr", float), ("energy_cap", float),
-        ("iterated_cap", float), ("disp_cap", float), ("h1_cap", float),
-        ("conformal_coeff", float), ("fit_t_lo", float), ("fit_t_hi", float),
+        ("prob_scale", str), ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
         ("t0_shift", bool), ("expect_log_growth", bool), ("corrupt_q_sign", bool),
-        ("corrupt_db_dt", bool), ("waive_box_policy", bool))},
+        ("corrupt_db_dt", bool))},
 }
 
 
@@ -188,6 +172,8 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[evolution].dt must be positive")
     if config.state_recipe not in ("gaussian", "eigenstate"):
         raise ConfigError(f"[initial_state].recipe: unknown recipe {config.state_recipe!r}")
+    if config.state_width <= 0:
+        raise ConfigError(f"[initial_state].width must be positive, got {config.state_width}")
     if config.prob_scale not in ("inverse_t", "iterated", "inverse_t2"):
         raise ConfigError(f"[overrides].prob_scale: unknown scale {config.prob_scale!r}")
     if config.state_recipe == "eigenstate" and not 0 <= config.state_k < config.grid_n:
@@ -271,8 +257,7 @@ def _shipped() -> dict[str, ScenarioConfig]:
         name="self_similar_W", suites=("timedep", "gronwall", "conformal_identity"),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((0.5, 1.0, 0.0),),
-        timedep_type="self_similar", timedep_delta=0.05, timedep_sigma=2.0,
-        timedep_a=0.5, state_width=1.0,
+        timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
         method="split_step2", dt=0.002, t_max=10.0, samples=16)
     lib["cubic_nls_small"] = ScenarioConfig(
         name="cubic_nls_small", suites=("nls",),
@@ -286,8 +271,7 @@ def _shipped() -> dict[str, ScenarioConfig]:
         name="morawetz_radial", suites=("morawetz",),
         grid_kind="radial3d", grid_n=640, grid_extent=100.0,
         potential_terms=((1.5, 1.0, 3.0),),
-        timedep_type="self_similar", timedep_delta=0.05, timedep_sigma=2.0,
-        timedep_a=0.5, state_width=1.0,
+        timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
         method="split_step2", dt=0.002, t_max=10.0, samples=12)
     return lib
 
@@ -342,9 +326,8 @@ class _Context:
         self.potential = _potential(config)
         self.w_t = None
         if config.timedep_type == "self_similar":
-            self.w_t = TimeDependentPotential.self_similar(
-                config.timedep_delta, config.timedep_sigma, config.timedep_a,
-                profile=config.timedep_profile)
+            self.w_t = TimeDependentPotential.self_similar(  # W's profile <x>^-2
+                config.timedep_delta, sigma=2.0, a=config.timedep_a)
         self._spec = None
         self._adaptor = None
         self._psi0 = None
@@ -382,7 +365,7 @@ class _Context:
         if self._psi0 is None:
             c = self.config
             if c.state_recipe == "gaussian":
-                psi = gaussian_state(self.grid, c.state_center, c.state_width, c.state_momentum)
+                psi = gaussian_state(self.grid, width=c.state_width)
             else:
                 psi = eigenstate(self.spec, c.state_k)
             if c.lnorm_target > 0:
@@ -395,7 +378,7 @@ class _Context:
         """Box-validity horizon of the initial state under the exact flow."""
         if self._horizon is None:
             self._horizon = validity_horizon(self.spec, self.psi0, self.config.t_max)
-            if self._horizon < self.config.t_max and not self.config.waive_box_policy:
+            if self._horizon < self.config.t_max:
                 self.warnings.append(
                     f"validity horizon {self._horizon:g} < t_max {self.config.t_max:g};"
                     " estimates truncated at the horizon")
@@ -403,7 +386,8 @@ class _Context:
 
     @property
     def t_b(self) -> float:
-        return self.config.t_b if self.config.t_b > 0 else 0.5 * self.horizon
+        """The adaptor horizon: half the validity horizon."""
+        return 0.5 * self.horizon
 
     def sample_times(self, lo: float, hi: float, count: int):
         """``count`` geometric times on [lo, hi], on the dt lattice (and
@@ -451,9 +435,7 @@ class _Context:
             q = conformal_Q(self.potential, self.grid)
             if self.config.corrupt_q_sign:
                 q = q.flipped()
-            self._adaptor = build_adaptor(self.spec, q, self.t_b,
-                                          sigma=self.config.sigma,
-                                          validity_horizon=self.horizon)
+            self._adaptor = build_adaptor(self.spec, q, self.t_b, validity_horizon=self.horizon)
             self.warnings.extend(self._adaptor.warnings)
         return self._adaptor
 
@@ -490,19 +472,17 @@ def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
     return conformal_identity_suite(
         ctx.trajectory(all_ts), ctx.spec, ctx.potential, ctx.w_t,
         ctx.adaptor() if c.potential_terms else None, eval_ts, delta, ctx.h_of_t,
-        shift=shift, prob_scale=c.prob_scale, corrupt_db_dt=c.corrupt_db_dt,
-        conformal_coeff=c.conformal_coeff, free_traj=free_traj)
+        shift=shift, prob_scale=c.prob_scale, corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
 
 
 def _suite_adaptor(ctx: _Context) -> EstimateReport:
     times = ctx.sample_times(lo=max(ctx.config.t0, 0.5), hi=ctx.horizon, count=12)
-    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(), ctx.psi0, ctx.horizon,
-                         times, sigma=ctx.config.sigma)
+    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(), ctx.psi0, ctx.horizon, times)
 
 
 def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    return weighted_decay_suite(ctx.spec, c.sigma, c.fit_t_lo, c.fit_t_hi)
+    return weighted_decay_suite(ctx.spec, 1.0, c.fit_t_lo, c.fit_t_hi)  # sigma = 1
 
 
 def _monitor_times(ctx: _Context):
@@ -516,8 +496,7 @@ def _suite_positive_potential(ctx: _Context) -> EstimateReport:
     traj = ctx.trajectory(_monitor_times(ctx))
     lnorm0 = norm(ctx.grid, ctx.psi0, "Lnorm")
     return positive_potential_suite(traj, ctx.potential, lnorm0,
-                                    fit_window=(max(1.5, c.t0), ctx.horizon),
-                                    energy_cap_ratio=c.energy_cap)
+                                    fit_window=(max(1.5, c.t0), ctx.horizon))
 
 
 def _suite_general_potential(ctx: _Context) -> EstimateReport:
@@ -529,8 +508,7 @@ def _suite_general_potential(ctx: _Context) -> EstimateReport:
     traj = trajectory_linear(ctx.spec, psi, times)
     lens_ts = np.geomspace(1.0, 50.0, 8)
     return general_potential_suite(ctx.spec, laplacian(ctx.grid), ctx.potential,
-                                   traj, lens_ts, iterated_cap=c.iterated_cap,
-                                   e_max=resolution_energy_limit(ctx.grid))
+                                   traj, lens_ts, e_max=resolution_energy_limit(ctx.grid))
 
 
 def _lattice_floor(t: float, dt: float) -> float:
@@ -548,14 +526,14 @@ def _timedep_flow(ctx: _Context):
 
 
 def _suite_timedep(ctx: _Context) -> EstimateReport:
-    c, observer = ctx.config, ctx.timedep_observer
-    return observer.report(ctx.trajectory(observer.times), disp_cap_ratio=c.disp_cap,
-                           h1_cap_ratio=c.h1_cap, expect_log_growth=c.expect_log_growth)
+    observer = ctx.timedep_observer
+    return observer.report(ctx.trajectory(observer.times),
+                           expect_log_growth=ctx.config.expect_log_growth)
 
 
 def _suite_gronwall(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), c.sigma, c.timedep_delta)
+    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), 1.0, c.timedep_delta)  # sigma = 1
 
 
 def _suite_nls(ctx: _Context) -> EstimateReport:
@@ -570,8 +548,8 @@ def _suite_morawetz(ctx: _Context) -> EstimateReport:
     t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
     l6_times = snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt)
     return morawetz_suite(ctx.grid, ctx.spec, ctx.potential, ctx.w_t, ctx.psi0,
-                          eps_m=c.eps_m, a=c.timedep_a, theta=c.theta,
-                          horizon=ctx.t_b, t_end=t_end, dt=c.dt, l6_times=l6_times)
+                          a=c.timedep_a, horizon=ctx.t_b, t_end=t_end, dt=c.dt,
+                          l6_times=l6_times)
 
 
 @dataclass(frozen=True)
@@ -608,8 +586,8 @@ _SUITES = {
          "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
          lambda c: any(amp for amp, _, _ in c.potential_terms)),)),
     "weighted_decay": SuiteSpec(_suite_weighted_decay, clean_threshold=True, needs=(
-        _RADIAL, ("[overrides].fit_t_lo", "fit_t_lo < fit_t_hi (its fit window)",
-                  lambda c: c.fit_t_lo < c.fit_t_hi)), scipy=("scipy.sparse.linalg",)),
+        _RADIAL, ("[overrides].fit_t_lo", "0 < fit_t_lo < fit_t_hi (its fit window)",
+                  lambda c: 0.0 < c.fit_t_lo < c.fit_t_hi)), scipy=("scipy.sparse.linalg",)),
     "positive_potential": SuiteSpec(
         _suite_positive_potential, flow=lambda ctx: (_monitor_times(ctx), None), needs=(
             _V_NONNEGATIVE,

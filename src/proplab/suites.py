@@ -291,15 +291,14 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                              delta: float, h_of_t, shift: float = 0.0,
                              prob_scale: str = "inverse_t",
                              corrupt_db_dt: bool = False,
-                             conformal_coeff: float = 5.0,
                              free_traj: Trajectory | None = None) -> EstimateReport:
     """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
-    delta, caps conformal_coeff (delta^2 + h^2) + truncation term), Heisenberg
+    delta, caps 5 (delta^2 + h^2) + truncation term), Heisenberg
     consistency, propagation inequality, and on ``free_traj`` constancy of C.
     Every value is a quadratic form read by matvecs."""
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
-    cap_scheme = conformal_coeff * (delta**2 + grid.h**2)
+    cap_scheme = 5.0 * (delta**2 + grid.h**2)
     identity = _AdaptedConformal(spec, potential, w_t, adaptor, shift, corrupt_db_dt)
     for t in eval_ts:
         resid, bv = identity.residual(traj, float(t), delta)
@@ -449,11 +448,10 @@ def lp_norm_series(traj: Trajectory, p: float, times) -> ObservableSeries:
 
 
 def positive_potential_suite(traj: Trajectory, potential: Potential,
-                             lnorm0: float, fit_window=None,
-                             energy_cap_ratio: float = 10.0) -> EstimateReport:
+                             lnorm0: float, fit_window=None) -> EstimateReport:
     """Sharp propagation estimate for V >= 0, W = 0, and its decay corollaries.
 
-    (a) sup_t [ ||(x-2pt)psi||^2 + t^2 <V> ] <= C Lnorm(psi(0))^2, C reported,
+    (a) sup_t [ ||(x-2pt)psi||^2 + t^2 <V> ] <= C Lnorm(psi(0))^2, C <= 10,
         with no growth trend;
     (b) fitted L^6 slope in [-1.25, -0.80] (the iterated rate);
     (c) fitted slope of the first-level functional in [-0.70, -0.35].
@@ -469,8 +467,7 @@ def positive_potential_suite(traj: Trajectory, potential: Potential,
 
     energy = conformal_energy_series(traj, potential, times)
     ratio = ObservableSeries(energy.times, energy.values / lnorm0**2, "energy/Lnorm^2")
-    report.checks.append(bounded_check("uniform conformal+potential bound", ratio,
-                                       cap=energy_cap_ratio))
+    report.checks.append(bounded_check("uniform conformal+potential bound", ratio, cap=10.0))
 
     l6 = lp_norm_series(traj, 6.0, times)
     slope6, width6 = fit_decay_rate(l6)
@@ -551,8 +548,7 @@ def lens_identity_residual(grid: Grid, t: float, state) -> float:
 
 def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
                             potential: Potential, traj: Trajectory,
-                            lens_times, iterated_cap: float,
-                            e_max: float | None = None) -> EstimateReport:
+                            lens_times, e_max: float | None = None) -> EstimateReport:
     """Conformal estimate machinery for potentials with negative parts:
     genericity margin, lens positivity uniform in t, iterated boundedness."""
     report = EstimateReport("general time-independent potentials")
@@ -570,8 +566,7 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
 
     times = traj.valid_window()
     iterated = iterated_bound_series(traj, potential, times)
-    report.checks.append(bounded_check("iterated t^2 [(-x.grad V)]_+ bound",
-                                       iterated, cap=iterated_cap))
+    report.checks.append(bounded_check("iterated t^2 [(-x.grad V)]_+ bound", iterated, cap=10.0))
     return report
 
 
@@ -711,8 +706,7 @@ class TimedepObserver:
             self.m_series.append(vals[3] / t**2 + float(np.real(grid.inner(u, self.w2sig * u))))
             self.next_sample += 1
 
-    def report(self, traj: Trajectory, disp_cap_ratio: float = 10.0,
-               h1_cap_ratio: float = 4.0, expect_log_growth: bool = False) -> EstimateReport:
+    def report(self, traj: Trajectory, expect_log_growth: bool = False) -> EstimateReport:
         """The suite's checks, once the sweep has passed t_end; ``traj``
         samples (at least) the observer's ``times``."""
         grid, x, w_t, acc, t_end = self.grid, self.grid.points, self.w_t, self.acc, self.t_end
@@ -737,7 +731,7 @@ class TimedepObserver:
             deriv = ObservableSeries(ts_arr[1:], np.maximum(incs, 1e-300), "dI/dlogt")
             dslope = trend_slope(deriv)
             report.add("dispersive integral bounded",
-                       (disp_series.values.max() / lnorm1**2, "<=", disp_cap_ratio),
+                       (disp_series.values.max() / lnorm1**2, "<=", 10.0),
                        (dslope, "<=", -0.5, "increment decay slope"))
         else:
             alpha, beta = log_growth_fit(disp_series)
@@ -749,7 +743,7 @@ class TimedepObserver:
 
         h1 = ObservableSeries(ts_arr, np.asarray(self.h1_series), "H1 norm")
         report.checks.append(bounded_check("H1 norm bounded", ObservableSeries(
-            ts_arr, h1.values / lnorm1, "H1/Lnorm"), cap=h1_cap_ratio))
+            ts_arr, h1.values / lnorm1, "H1/Lnorm"), cap=4.0))
 
         f_arr = np.asarray(self.f_series)
         incs = np.abs(np.diff(f_arr))
@@ -776,17 +770,16 @@ class TimedepObserver:
 
 def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
                   w_t: TimeDependentPotential, psi0,
-                  t_end: float, dt: float, disp_cap_ratio: float = 10.0,
-                  h1_cap_ratio: float = 4.0, expect_log_growth: bool = False,
+                  t_end: float, dt: float, expect_log_growth: bool = False,
                   sample_count: int = 16) -> EstimateReport:
     """Dispersive estimates under a time-dependent perturbation W(x, t).
 
     Runs one Strang sweep from t=0 with a ``TimedepObserver``, accumulating
     on [1, t_end]:
     (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
-        against the L-norm at t=1 (bounded, or log-growing when the
-        smallness constant is order one);
-    (b) boundedness of the H^1 norm;
+        against the L-norm at t=1 (at most 10 Lnorm^2, or log-growing when
+        the smallness constant is order one);
+    (b) boundedness of the H^1 norm (at most 4 Lnorm);
     (c) Cauchy decrease of <psi(t), f(H) psi(t)> for a smooth compactly
         supported f (asymptotic energy);
     (d) the time integration-by-parts identity
@@ -794,7 +787,7 @@ def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
     """
     observer = TimedepObserver(grid, spec, w_t, t_end, sample_count)
     traj = trajectory_split(grid, potential, w_t, psi0, observer.times, dt, observer=observer)
-    return observer.report(traj, disp_cap_ratio, h1_cap_ratio, expect_log_growth)
+    return observer.report(traj, expect_log_growth)
 
 
 def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
@@ -972,13 +965,13 @@ def smoothing_integral_fit(grid: Grid, potential: Potential | None,
 
 def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
                    w_t: TimeDependentPotential | None, psi0,
-                   eps_m: float = 0.1, a: float = 0.5,
-                   theta: float = 0.5, horizon: float = 6.0,
+                   eps_m: float = 0.1, a: float = 0.5, horizon: float = 6.0,
                    t_end: float = 10.0, dt: float = 2e-3,
                    l6_times=None) -> EstimateReport:
     """Adapted Morawetz estimate: multiplier positivity, adaptor cancellation,
     the local-smoothing integral with its fitted constants (checked stable
-    under grid refinement), and the theta-weighted conformal corollary."""
+    under grid refinement), and the theta-weighted conformal corollary: the
+    fitted L^6-squared slope is at most -theta + 0.1, theta = 1/2."""
     x = grid.points
     g_samples = 1.0 / np.sqrt(1.0 + x**2)
     if not potential.is_nonnegative(x):
@@ -1012,5 +1005,5 @@ def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
     if l6sq is not None:
         slope, _ = fit_decay_rate(l6sq)
         report.rates["L6sq_theta"] = slope
-        report.add("theta-weighted conformal corollary", (slope, "<=", -theta + 0.1))
+        report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
     return report

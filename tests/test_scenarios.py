@@ -28,7 +28,6 @@ def test_parse_minimal_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.name == "tiny"
     assert config.method == "eigenbasis_exact"
-    assert config.sigma == 1.0
     assert config.t0 == 1.0
 
 
@@ -38,9 +37,20 @@ def test_parse_rejects_unknown_section():
         parse_config(bad)
 
 
-def test_parse_rejects_unknown_key():
-    bad = MINIMAL + "\n[grid]\nspacing = 0.1\n"
-    with pytest.raises(ConfigError, match="spacing"):
+# a misspelled key, and the keys retired because every run used their defaults:
+# the caps, theta, eps_m and sigma = 1 are fixed in the suites, W's profile is
+# <x>^-2, the adaptor horizon is half the validity horizon, and the Gaussian
+# state is centered with no momentum
+@pytest.mark.parametrize("section, key", [
+    ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
+    ("initial_state", "center"), ("initial_state", "momentum"),
+    ("overrides", "t_b"), ("overrides", "sigma"), ("overrides", "theta"), ("overrides", "eps_m"),
+    ("overrides", "energy_cap"), ("overrides", "iterated_cap"), ("overrides", "disp_cap"),
+    ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
+])
+def test_parse_rejects_unknown_key(section, key):
+    bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown key '{key}'"):
         parse_config(bad)
 
 
@@ -338,11 +348,18 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
      + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 6.0\nfit_t_hi = 5.0\n",
      "[overrides].fit_t_lo"),
+    # the fit samples geomspace(fit_t_lo, fit_t_hi), which needs fit_t_lo > 0
+    (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
+     + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 0.0\n",
+     "[overrides].fit_t_lo"),
+    # a Gaussian of width <= 0 is no state; every suite that reads it would raise
+    (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width"),
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
         "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
         "cubic_flow_exact_method",
-        "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window"])
+        "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
+        "weighted_decay_fit_from_zero", "state_width_zero"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -384,6 +401,20 @@ def _backward_scan(t_max):
                          grid_extent=8.0, suites=("weighted_decay",)),
                  "weighted_decay", "weighted norm decay slope", "continuum modes in band",
                  id="empty-band"),
+    # the continuum part's validity horizon ends before max(t0, 1): no sample in the window
+    pytest.param(ScenarioConfig(name="short_window", suites=("general_potential",),
+                                grid_kind="line", grid_n=12, grid_extent=14.4,
+                                potential_terms=((-2.65, 1.47, -0.45),), state_width=0.9,
+                                t_max=0.54, t0=0.63),
+                 "general_potential", "iterated t^2 [(-x.grad V)]_+ bound", "measured",
+                 id="empty-iterated-window"),
+    # one positive sample in the window: too few to fit a trend
+    pytest.param(ScenarioConfig(name="few_samples", suites=("general_potential",),
+                                grid_kind="line", grid_n=44, grid_extent=9.3,
+                                potential_terms=((-1.7, 0.45, -0.5), (-1.55, 1.24, -2.65)),
+                                state_width=1.9, t_max=1.06, t0=1.44),
+                 "general_potential", "iterated t^2 [(-x.grad V)]_+ bound", "trend",
+                 id="short-iterated-window"),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):
