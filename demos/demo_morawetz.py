@@ -16,11 +16,10 @@ grid refinement.
 import numpy as np
 
 from proplab import (Potential, TimeDependentPotential, classify_spectrum,
-                     commutator_i, diagonalize, gaussian_state, laplacian,
-                     make_grid, multiplication)
-from proplab.suites import (morawetz_cancellation_check,
-                            morawetz_commutator_check, morawetz_multiplier,
-                            smoothing_integral_fit, wall_trimmed)
+                     commutator_i, diagonalize, evolve_split, gaussian_state,
+                     laplacian, make_grid, multiplication)
+from proplab.suites import (SmoothingObserver, morawetz_cancellation_check,
+                            morawetz_commutator_check, morawetz_multiplier)
 
 print(__doc__)
 
@@ -48,15 +47,18 @@ print(f"\nadaptor cancellation of [i[V, gamma]]_-: defect {cancel.measured:.4f} 
       f"= truncation remainder {adaptor.residual_weighted:.4f}")
 
 w_t = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
-psi0 = gaussian_state(grid, width=1.0)
-(c0, c1), series, sup_h, _ = smoothing_integral_fit(grid, pot, w_t, psi0,
-                                                    t_end=8.0, dt=2e-3,
-                                                    eps_m=0.1, a=0.5)
+
+
+def smoothing_fit(grid):
+    """The smoothing observer fed by one Strang sweep to t = 8, then its fit."""
+    observer = SmoothingObserver(grid, t_end=8.0)
+    evolve_split(grid, pot, w_t, gaussian_state(grid, width=1.0), 8.0, 2e-3, observer=observer)
+    return observer.fit(a=0.5), observer.sup_h
+
+
+((c0, c1), _), sup_h = smoothing_fit(grid)
 print(f"\nsmoothing integral fit: C = {c0:.4f}, C' = {c1:.4f} "
       f"(sup ||psi||_H1/2^2 = {sup_h:.4f})")
-fine = make_grid("radial3d", 768, 80.0)
-psi_f = gaussian_state(fine, width=1.0)
-(c0f, c1f), _, _, _ = smoothing_integral_fit(fine, pot, w_t, psi_f,
-                                             t_end=8.0, dt=2e-3, eps_m=0.1, a=0.5)
+((c0f, c1f), _), _ = smoothing_fit(make_grid("radial3d", 768, 80.0))
 print(f"refined grid:           C = {c0f:.4f}, C' = {c1f:.4f} "
       f"(stable under refinement)")

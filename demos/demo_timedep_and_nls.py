@@ -17,7 +17,7 @@ from proplab import (Potential, TimeDependentPotential, classify_spectrum,
                      trajectory_split)
 from proplab.evolution import snap_to_lattice
 from proplab.observables import ObservableSeries
-from proplab.suites import gronwall_monitor, timedep_suite
+from proplab.suites import TimedepObserver, gronwall_monitor
 
 print(__doc__)
 
@@ -28,10 +28,12 @@ h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 psi0 = gaussian_state(grid, width=1.0)
 
-report = timedep_suite(grid, spec, pot, w_t, psi0, t_end=8.0, dt=2e-3)
-print(report.render())
-
+# the timedep suite: its observer accumulates along one Strang sweep from t = 0
 dt = 2e-3
+observer = TimedepObserver(grid, spec, w_t, t_end=8.0)
+traj = trajectory_split(grid, pot, w_t, psi0, observer.times, dt, observer=observer)
+print(observer.report(traj).render())
+
 times = snap_to_lattice(np.geomspace(1.0, 8.0, 10), dt)
 traj = trajectory_split(grid, pot, w_t, psi0, times, dt)
 monitor, ok = gronwall_monitor(traj, 1.0, 0.05)

@@ -31,7 +31,7 @@ from .suites import (conformal_identity_residual, conformal_prob,
                      free_conformal_prob, general_potential_suite,
                      gronwall_monitor, lens_positivity_values, morawetz_suite,
                      operator_identity_suite, positive_potential_suite,
-                     semilinear_G, timedep_suite)
+                     semilinear_G)
 from .scenarios import (ConfigError, RunArtifact, ScenarioConfig,
                         list_scenarios, load_scenario, parse_config,
                         render_report, run_scenario, serialize_config)

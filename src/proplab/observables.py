@@ -14,6 +14,7 @@ matrix and no banded-plus-dense sum is formed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -225,8 +226,8 @@ def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None 
     """Least-squares slope of log(value) against log(t).
 
     Returns (slope, width) with width twice the slope's standard error.
-    Non-positive values are dropped; at least 8 positive samples are needed
-    inside the window.
+    Non-positive values are dropped; with fewer than 8 positive samples
+    inside the window both read NaN, which fails any clause they enter.
     """
     ts, vs = series.times, series.values
     if window is not None:
@@ -235,7 +236,7 @@ def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None 
     keep = vs > 0
     ts, vs = ts[keep], vs[keep]
     if len(ts) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples, got {len(ts)}")
+        return math.nan, math.nan
     lx, ly = np.log(ts), np.log(vs)
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     slope = float(coeffs[0])
@@ -245,14 +246,11 @@ def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None 
 
 def trend_slope(series: ObservableSeries) -> float:
     """Growth-trend reading of a (positive) series: fitted log-log slope,
-    with zero returned for an identically tiny series and NaN for one with
-    fewer than MIN_FIT_SAMPLES positive samples."""
+    with zero returned for an identically tiny series (and NaN, as from
+    ``fit_decay_rate``, for one with too few positive samples)."""
     if np.all(series.values <= 1e-300):
         return 0.0
-    if np.count_nonzero(series.values > 0) < MIN_FIT_SAMPLES:
-        return np.nan
-    slope, _ = fit_decay_rate(series)
-    return slope
+    return fit_decay_rate(series)[0]
 
 
 def bounded_check(name: str, series: ObservableSeries, cap: float) -> CheckResult:

@@ -33,7 +33,8 @@ from .spectral import (SpectralData, classify_spectrum, diagonalize,
 from .suites import (adaptor_suite, conformal_identity_suite,
                      general_potential_suite, gronwall_suite, morawetz_suite,
                      nls_suite, operator_identity_suite,
-                     positive_potential_suite, weighted_decay_suite, TimedepObserver)
+                     positive_potential_suite, weighted_decay_suite,
+                     SmoothingObserver, TimedepObserver)
 
 
 class ConfigError(ValueError):
@@ -311,12 +312,15 @@ class _Context:
 
     A run has one split-step flow: the config's nonlinearity, with its W if
     there is one (``_validate`` rejects every config whose suites would need
-    another).  ``plan`` registers, before any suite runs, the sample times
-    each suite reads off that flow and the per-step observers it feeds; the
-    first split-step ``trajectory`` sweeps the flow once over the union of
-    those times, and each suite gets the trajectory at its own times.  A state
-    at t = k dt is bit-identical whichever sweep computes it, so sharing
-    changes no output.  An unplanned time raises instead of sweeping again.
+    another), and ``sweep`` makes every Strang sweep.  ``plan`` registers,
+    before any suite runs, the sample times each suite reads off that flow
+    and the per-step observer it feeds (``observers``); the first split-step
+    ``trajectory`` sweeps the flow once over the union of those times, and
+    each suite gets the trajectory at its own times.  A state at t = k dt is
+    bit-identical whichever sweep computes it, so sharing changes no output.
+    An unplanned time raises instead of sweeping again.  The other sweeps are
+    the auxiliary flows of ``_suite_nls`` (dt/2, dt/4) and ``_suite_morawetz``
+    (a finer grid).
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -333,9 +337,8 @@ class _Context:
         self._psi0 = None
         self._horizon = None
         self._planned: list[float] = []
-        self._observers: list = []
+        self.observers: dict = {}
         self._sweep: Trajectory | None = None
-        self.timedep_observer = None
 
     @property
     def spec(self) -> SpectralData:
@@ -408,26 +411,36 @@ class _Context:
                 times, observer = _SUITES[suite].flow(self)
                 self._planned.extend(np.asarray(times, dtype=float))
                 if observer is not None:
-                    self._observers.append(observer)
+                    self.observers[suite] = observer
+
+    def sweep(self, times, dt: float | None = None, grid=None, observer=None) -> Trajectory:
+        """One Strang sweep of the run's flow (V, W and the cubic term) from
+        t = 0 through the lattice times ``times``, at the config's dt or
+        ``dt``, on the run's grid or on ``grid`` from psi0 interpolated onto
+        it at the same L2 norm."""
+        c, psi0, grid = self.config, self.psi0, grid or self.grid
+        if grid is not self.grid:
+            x, y = grid.points, self.grid.points
+            fine = np.interp(x, y, psi0.real) + 1j * np.interp(x, y, psi0.imag)
+            psi0 = fine / norm(grid, fine, "L2") * norm(self.grid, psi0, "L2")
+        return trajectory_split(grid, self.potential, self.w_t, psi0, times, dt or c.dt,
+                                nonlinearity=c.nonlinearity, observer=observer)
 
     def trajectory(self, times) -> Trajectory:
-        c = self.config
-        if c.method == "eigenbasis_exact":
+        if self.config.method == "eigenbasis_exact":
             return trajectory_linear(self.spec, self.psi0, times)
         if self._sweep is None:
             if not self._planned:
                 raise ValueError("no sample times were planned for the split-step flow")
             ts = np.sort(self._planned)
             union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
-            observers = self._observers
+            observers = list(self.observers.values())
 
             def fan_out(t, u):
                 for observer in observers:
                     observer(t, u)
 
-            self._sweep = trajectory_split(
-                self.grid, self.potential, self.w_t, self.psi0, union, c.dt,
-                nonlinearity=c.nonlinearity, observer=fan_out if observers else None)
+            self._sweep = self.sweep(union, observer=fan_out if observers else None)
         return self._sweep.restricted(times)
 
     def adaptor(self):
@@ -521,12 +534,12 @@ def _timedep_flow(ctx: _Context):
     horizon (at least 2, at most t_max), on the dt lattice."""
     c = ctx.config
     t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
-    ctx.timedep_observer = TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
-    return ctx.timedep_observer.times, ctx.timedep_observer
+    observer = TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
+    return observer.times, observer
 
 
 def _suite_timedep(ctx: _Context) -> EstimateReport:
-    observer = ctx.timedep_observer
+    observer = ctx.observers["timedep"]
     return observer.report(ctx.trajectory(observer.times),
                            expect_log_growth=ctx.config.expect_log_growth)
 
@@ -536,20 +549,44 @@ def _suite_gronwall(ctx: _Context) -> EstimateReport:
     return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), 1.0, c.timedep_delta)  # sigma = 1
 
 
+def _nls_times(ctx: _Context):
+    """The nls suite's sample times, on its fit window."""
+    c = ctx.config
+    return ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=max(c.samples, 12))
+
+
 def _suite_nls(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    times = ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=max(c.samples, 12))
-    return nls_suite(ctx.grid, ctx.potential, ctx.psi0, c.nonlinearity, c.dt, times,
-                     (c.fit_t_lo, c.fit_t_hi))
+    # the state at t = 1 at dt (off the shared sweep), and the order-2 check's
+    # auxiliary references at dt/2 and dt/4
+    at_one = [ctx.trajectory([1.0]).states[0]]
+    at_one += [ctx.sweep([1.0], dt=c.dt / k).states[0] for k in (2.0, 4.0)]
+    return nls_suite(ctx.trajectory(_nls_times(ctx)), norm(ctx.grid, ctx.psi0, "L2") ** 2,
+                     at_one, (c.fit_t_lo, c.fit_t_hi))
+
+
+def _morawetz_times(ctx: _Context):
+    """(t_end, L6 times): the morawetz suite integrates to min(t_max, 10) and
+    fits the L6 norm at 10 times from 1, on the dt lattice."""
+    c = ctx.config
+    t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
+    return t_end, snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt)
+
+
+def _morawetz_flow(ctx: _Context):
+    t_end, l6_times = _morawetz_times(ctx)
+    return l6_times, SmoothingObserver(ctx.grid, t_end)
 
 
 def _suite_morawetz(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
-    l6_times = snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt)
-    return morawetz_suite(ctx.grid, ctx.spec, ctx.potential, ctx.w_t, ctx.psi0,
-                          a=c.timedep_a, horizon=ctx.t_b, t_end=t_end, dt=c.dt,
-                          l6_times=l6_times)
+    grid, smoothing = ctx.grid, ctx.observers["morawetz"]
+    l6 = ctx.trajectory(_morawetz_times(ctx)[1])
+    # the auxiliary sweep of the refinement check, on about 1.5 times the points
+    refined = SmoothingObserver(make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent),
+                                smoothing.t_end)
+    ctx.sweep([smoothing.t_end], grid=refined.grid, observer=refined)
+    return morawetz_suite(ctx.spec, ctx.potential, l6, smoothing, refined,
+                          a=ctx.config.timedep_a, horizon=ctx.t_b)
 
 
 @dataclass(frozen=True)
@@ -572,6 +609,8 @@ class SuiteSpec:
 _RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
            lambda c: c.grid_kind == "radial3d")
 _FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
+_STEPPED = ("[evolution].method", "split_step2 (it reads a Strang sweep)",
+            lambda c: c.method == "split_step2")
 _V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: _potential(c)
                   .is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
 
@@ -599,14 +638,19 @@ _SUITES = {
         ("[timedep].type", "a time-dependent W (type = self_similar)",
          lambda c: c.timedep_type == "self_similar"), _FROM_ONE)),
     "gronwall": SuiteSpec(_suite_gronwall, flow=lambda ctx: (_monitor_times(ctx), None)),
-    "nls": SuiteSpec(_suite_nls, needs=(
-        ("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
-        ("[evolution].method", "split_step2 (it steps the cubic flow)",
-         lambda c: c.method == "split_step2"),
-        ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
-         lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False, scipy=("scipy.fft",)),
-    "morawetz": SuiteSpec(_suite_morawetz, needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE),
-                          scipy=("scipy.fft", "scipy.linalg", "scipy.optimize")),
+    "nls": SuiteSpec(
+        _suite_nls, flow=lambda ctx: (np.append(_nls_times(ctx), 1.0), None), needs=(
+            ("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
+            _STEPPED,
+            ("[timedep].type", "no W (it checks the cubic flow alone)",
+             lambda c: c.timedep_type != "self_similar"),
+            ("[evolution].dt", "a dt that divides 1 (its order-2 check compares states at t = 1)",
+             lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10),
+            ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
+             lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False),
+    "morawetz": SuiteSpec(_suite_morawetz, flow=_morawetz_flow,
+                          needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _STEPPED),
+                          scipy=("scipy.linalg", "scipy.optimize")),
 }
 
 #: suite -> runner; ``run_scenario`` dispatches through this dict, so its

@@ -18,8 +18,7 @@ from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
                        build_adaptor, commutator_closure_defect,
                        negative_part, positive_part, remainder_expectation,
                        residual_weighted_scan, weighted_propagator_norm)
-from .evolution import (Trajectory, evolve_split, gaussian_state,
-                        h_half_norm_sq, kinetic_step, trajectory_split)
+from .evolution import Trajectory, gaussian_state, h_half_norm_sq, kinetic_step
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
@@ -376,11 +375,8 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
     floor = -1e-8 * scale
     report.add("expectation nonnegative", (vals.min(), ">=", floor))
-    try:
-        slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"),
-                                  window=(ts[0], ts[-1]))
-    except ValueError:
-        slope = math.nan
+    slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"),
+                              window=(ts[0], ts[-1]))
     report.rates["adaptor_expectation"] = slope
     report.add("expectation decay slope <= -0.8", (slope, "<=", -0.8))
     return report
@@ -597,31 +593,20 @@ def semilinear_G(F):
     return g
 
 
-def nls_suite(grid: Grid, potential: Potential, psi0, lam: float, dt: float,
-              times, fit_window) -> EstimateReport:
-    """Defocusing cubic flow: mass conservation at ``times``, the order-2
-    step-halving ratio at t=1, and the sup-norm decay slope on
-    ``fit_window``."""
+def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateReport:
+    """Defocusing cubic flow: mass conservation along ``traj`` against the
+    initial ``mass0``, the order-2 step-halving ratio of ``at_one`` (the
+    states at t = 1 stepped at dt, dt/2 and dt/4), and the sup-norm decay
+    slope on ``fit_window``."""
+    grid = traj.grid
     report = EstimateReport("defocusing cubic flow")
-    refs = {}
-
-    def at_one(t, u):
-        if abs(t - 1.0) <= 1e-9:
-            refs[dt] = u.copy()
-
-    traj = trajectory_split(grid, potential, None, psi0, times, dt, nonlinearity=lam,
-                            observer=at_one)
-    mass0 = norm(grid, psi0, "L2") ** 2
     masses = np.array([norm(grid, s, "L2") ** 2 for s in traj.states])
     drift = float(np.abs(masses - mass0).max())
     report.add("mass conservation", (drift, "<=", 1e-10))
 
-    for dt_k in (dt, dt / 2.0, dt / 4.0):
-        if dt_k not in refs:  # the sweep above holds the dt reference if it passed t=1
-            refs[dt_k] = evolve_split(grid, potential, None, psi0, 1.0, dt_k,
-                                      nonlinearity=lam)
-    d1 = norm(grid, refs[dt] - refs[dt / 2.0], "L2")
-    d2 = norm(grid, refs[dt / 2.0] - refs[dt / 4.0], "L2")
+    u1, u2, u4 = at_one
+    d1 = norm(grid, u1 - u2, "L2")
+    d2 = norm(grid, u2 - u4, "L2")
     ratio = d1 / d2 if d2 > 0 else math.inf
     report.add("order-2 step convergence ratio", (ratio, "in", ORDER2_WINDOW))
 
@@ -650,11 +635,20 @@ def _bump(center: float, halfwidth: float):
 
 
 class TimedepObserver:
-    """The per-step half of ``timedep_suite``: fed every lattice time of a
-    Strang sweep from t = 0, it accumulates on [1, t_end] (earlier and later
-    times are ignored), and it reads the states at ``times`` = (1, t_end) off
-    that sweep's trajectory in ``report``.  A run shares one sweep among this
-    observer and the sample times of its other suites.
+    """Dispersive estimates under a time-dependent perturbation W(x, t).
+
+    Fed every lattice time of a Strang sweep from t = 0, the observer
+    accumulates on [1, t_end] (earlier and later times are ignored); its
+    ``report`` reads the states at ``times`` = (1, t_end) off that sweep's
+    trajectory and checks
+    (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
+        against the L-norm at t=1 (at most 10 Lnorm^2, or log-growing when
+        the smallness constant is order one);
+    (b) boundedness of the H^1 norm (at most 4 Lnorm);
+    (c) Cauchy decrease of <psi(t), f(H) psi(t)> for a smooth compactly
+        supported f (asymptotic energy);
+    (d) the time integration-by-parts identity
+        int <4 dW/dt> = [<4W>] - int <4 (p.grad W + grad W.p)>.
     """
 
     def __init__(self, grid: Grid, spec: SpectralData, w_t: TimeDependentPotential,
@@ -766,28 +760,6 @@ class TimedepObserver:
             "gronwall_monitor": ObservableSeries(ts_arr, np.asarray(self.m_series), "gronwall monitor"),
         }
         return report
-
-
-def timedep_suite(grid: Grid, spec: SpectralData, potential: Potential | None,
-                  w_t: TimeDependentPotential, psi0,
-                  t_end: float, dt: float, expect_log_growth: bool = False,
-                  sample_count: int = 16) -> EstimateReport:
-    """Dispersive estimates under a time-dependent perturbation W(x, t).
-
-    Runs one Strang sweep from t=0 with a ``TimedepObserver``, accumulating
-    on [1, t_end]:
-    (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
-        against the L-norm at t=1 (at most 10 Lnorm^2, or log-growing when
-        the smallness constant is order one);
-    (b) boundedness of the H^1 norm (at most 4 Lnorm);
-    (c) Cauchy decrease of <psi(t), f(H) psi(t)> for a smooth compactly
-        supported f (asymptotic energy);
-    (d) the time integration-by-parts identity
-        int <4 dW/dt> = [<4W>] - int <4 (p.grad W + grad W.p)>.
-    """
-    observer = TimedepObserver(grid, spec, w_t, t_end, sample_count)
-    traj = trajectory_split(grid, potential, w_t, psi0, observer.times, dt, observer=observer)
-    return observer.report(traj, expect_log_growth)
 
 
 def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
@@ -907,71 +879,61 @@ def weighted_gradient_sq(grid: Grid, state, weight_samples_mid) -> float:
     return float(meas * np.sum(weight_samples_mid**2 * r2 * np.abs(d) ** 2))
 
 
-def smoothing_integral_fit(grid: Grid, potential: Potential | None,
-                           w_t: TimeDependentPotential | None, psi0,
-                           t_end: float, dt: float, eps_m: float, a: float,
-                           l6_times=None):
-    """Accumulate the local-smoothing integral and fit
-    I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 + C' T^{1-a} with nonnegative C, C'.
+class SmoothingObserver:
+    """The local-smoothing integral
+    I(t) = int_0^t ( ||<x>^{-1/2-eps} grad psi||^2 + ||<x>^{-1-eps} psi||^2 ) ds.
 
-    Returns ``((C, C'), partial integrals, sup H^{1/2} norm, L6^2 series)``;
-    the last is sampled at ``l6_times`` (on the dt lattice) along the same
-    sweep, or None without them.
+    Fed every lattice time of a Strang sweep from t = 0, the observer
+    accumulates I on [0, t_end] (later times are ignored), keeps its partial
+    values at 8 checkpoints and the sup of ||psi||_{H^{1/2}}^2; ``fit`` fits
+    the envelope to them.
     """
-    import scipy.optimize  # lazy: this is its only user
 
-    checkpoints = np.linspace(t_end / 6.0, t_end, 8)
-    x = grid.points
-    w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)
-    w_loc = (1.0 + x**2) ** (-(1.0 + eps_m))
+    def __init__(self, grid: Grid, t_end: float, eps_m: float = 0.1):
+        x = grid.points
+        self.grid, self.t_end = grid, t_end
+        self.checkpoints = np.linspace(t_end / 6.0, t_end, 8)
+        self.w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)
+        self.w_loc = (1.0 + x**2) ** (-(1.0 + eps_m))
+        self.integral, self.prev, self.t_prev, self.sup_h = 0.0, None, None, 0.0
+        self.partials = []
 
-    acc = {"val": 0.0, "prev": None, "t_prev": None, "sup_h": 0.0}
-    partials = []
-    l6_want, l6_vals = list(l6_times if l6_times is not None else ()), []
-    next_cp = 0
+    def __call__(self, t, u):
+        if t > self.t_end + 1e-9:
+            return
+        grid = self.grid
+        val = weighted_gradient_sq(grid, u, self.w_grad_mid) \
+            + float(grid.quad_weight * np.sum(self.w_loc * np.abs(u) ** 2))
+        if self.prev is not None:
+            self.integral += 0.5 * (t - self.t_prev) * (self.prev + val)
+        self.prev, self.t_prev = val, t
+        self.sup_h = max(self.sup_h, h_half_norm_sq(grid, u))
+        if (len(self.partials) < len(self.checkpoints)
+                and t >= self.checkpoints[len(self.partials)] - 1e-9):
+            self.partials.append((t, self.integral))
 
-    def density(t, u):
-        grad = weighted_gradient_sq(grid, u, w_grad_mid)
-        loc = float(grid.quad_weight * np.sum(w_loc * np.abs(u) ** 2))
-        return grad + loc
+    def fit(self, a: float):
+        """I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 + C' T^{1-a} with nonnegative C,
+        C', once the sweep has passed t_end; returns ``((C, C'), partial
+        integrals)``."""
+        import scipy.optimize  # lazy: this is its only user
 
-    def observer(t, u):
-        nonlocal next_cp
-        val = density(t, u)
-        if acc["prev"] is not None:
-            acc["val"] += 0.5 * (t - acc["t_prev"]) * (acc["prev"] + val)
-        acc["prev"], acc["t_prev"] = val, t
-        acc["sup_h"] = max(acc["sup_h"], h_half_norm_sq(grid, u))
-        if next_cp < len(checkpoints) and t >= checkpoints[next_cp] - 1e-9:
-            partials.append((t, acc["val"]))
-            next_cp += 1
-        if l6_want and abs(t - l6_want[0]) <= 1e-9:
-            l6_vals.append(norm(grid, u, "Lp", p=6.0) ** 2)
-            l6_want.pop(0)
-
-    evolve_split(grid, potential, w_t, psi0, t_end, dt, observer=observer)
-    if l6_want:
-        raise ValueError(f"L6 times not on the dt lattice up to t_end: {l6_want[:3]}")
-    ts = np.array([t for t, _ in partials])
-    vals = np.array([v for _, v in partials])
-    basis = np.column_stack([np.full_like(ts, acc["sup_h"]), ts ** (1.0 - a)])
-    coeffs, _ = scipy.optimize.nnls(basis, vals)
-    c0, c1 = float(coeffs[0]), float(coeffs[1])
-    l6sq = None
-    if l6_times is not None:
-        l6sq = ObservableSeries(np.asarray(l6_times, dtype=float), np.asarray(l6_vals), "L6^2")
-    return (c0, c1), ObservableSeries(ts, vals, "smoothing integral"), acc["sup_h"], l6sq
+        ts = np.array([t for t, _ in self.partials])
+        vals = np.array([v for _, v in self.partials])
+        basis = np.column_stack([np.full_like(ts, self.sup_h), ts ** (1.0 - a)])
+        coeffs, _ = scipy.optimize.nnls(basis, vals)
+        return (float(coeffs[0]), float(coeffs[1])), ObservableSeries(ts, vals, "smoothing integral")
 
 
-def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
-                   w_t: TimeDependentPotential | None, psi0,
-                   eps_m: float = 0.1, a: float = 0.5, horizon: float = 6.0,
-                   t_end: float = 10.0, dt: float = 2e-3,
-                   l6_times=None) -> EstimateReport:
+def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
+                   smoothing: SmoothingObserver, refined: SmoothingObserver,
+                   a: float = 0.5, horizon: float = 6.0) -> EstimateReport:
     """Adapted Morawetz estimate: multiplier positivity, adaptor cancellation,
-    the local-smoothing integral with its fitted constants (checked stable
-    under grid refinement), and the theta-weighted conformal corollary: the
-    fitted L^6-squared slope is at most -theta + 0.1, theta = 1/2."""
+    the local-smoothing integral with its fitted constants (``smoothing``,
+    checked stable against ``refined``, the same flow on a finer grid), and
+    the theta-weighted conformal corollary: the fitted slope of the L^6 norm
+    squared at the times of ``l6`` is at most -theta + 0.1, theta = 1/2."""
+    grid = l6.grid
     x = grid.points
     g_samples = 1.0 / np.sqrt(1.0 + x**2)
     if not potential.is_nonnegative(x):
@@ -982,28 +944,22 @@ def morawetz_suite(grid: Grid, spec: SpectralData, potential: Potential,
     cancel, adaptor = morawetz_cancellation_check(grid, spec, potential, g_samples, horizon)
     report.checks.append(cancel)
 
-    (c0, c1), smoothing, sup_h, l6sq = smoothing_integral_fit(
-        grid, potential, w_t, psi0, t_end, dt, eps_m, a, l6_times=l6_times)
-    fitted = c0 * sup_h + c1 * smoothing.times ** (1.0 - a)
-    fit_gap = float(np.abs(fitted - smoothing.values).max() / max(smoothing.values.max(), 1e-300))
+    (c0, c1), integral = smoothing.fit(a)
+    fitted = c0 * smoothing.sup_h + c1 * integral.times ** (1.0 - a)
+    fit_gap = float(np.abs(fitted - integral.values).max() / max(integral.values.max(), 1e-300))
     report.rates["smoothing_C"] = c0
     report.rates["smoothing_Cprime"] = c1
     report.add("smoothing integral envelope fit", (fit_gap, "<=", 0.25),
                note=f"C={c0:.3g}, C'={c1:.3g}")
 
-    refined_n = int(round(grid.n * 1.5)) | 1
-    fine = make_grid(grid.kind, refined_n, grid.extent)
-    psi0_fine = np.interp(fine.points, grid.points, np.asarray(psi0, dtype=complex).real) + \
-        1j * np.interp(fine.points, grid.points, np.asarray(psi0, dtype=complex).imag)
-    psi0_fine = psi0_fine / norm(fine, psi0_fine, "L2") * norm(grid, psi0, "L2")
-    (c0f, c1f), _, _, _ = smoothing_integral_fit(fine, potential, w_t, psi0_fine, t_end, dt,
-                                                 eps_m, a)
+    (c0f, c1f), _ = refined.fit(a)
     rel = max(abs(c0f - c0) / max(abs(c0), 1e-12), abs(c1f - c1) / max(abs(c1), 1e-12))
     report.add("smoothing constants stable under refinement", (rel, "<=", 0.20),
                note=f"refined C={c0f:.3g}, C'={c1f:.3g}")
 
-    if l6sq is not None:
-        slope, _ = fit_decay_rate(l6sq)
-        report.rates["L6sq_theta"] = slope
-        report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
+    l6sq = ObservableSeries(l6.times, np.array([norm(grid, u, "Lp", p=6.0) ** 2
+                                                for u in l6.states]), "L6^2")
+    slope, _ = fit_decay_rate(l6sq)
+    report.rates["L6sq_theta"] = slope
+    report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
     return report

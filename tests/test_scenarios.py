@@ -140,11 +140,28 @@ def small_w_flow_config(suites=("timedep", "gronwall", "conformal_identity")):
                    grid_extent=30.0, t_max=1.8, dt=0.005, suites=suites)
 
 
-def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch):
-    # timedep, gronwall and conformal_identity read one W-flow: the run sweeps
-    # it once (past the timedep window, to the conformal samples at t_max +
-    # delta), and each suite's series and report equal those of a run of that
-    # suite alone
+def small_morawetz_flow_config(suites=("timedep", "gronwall", "morawetz")):
+    return replace(load_scenario("morawetz_radial"), name="morawetz_flow_small", grid_n=128,
+                   grid_extent=30.0, t_max=2.0, dt=0.01, suites=suites)
+
+
+def small_nls_flow_config(suites=("nls", "conformal_identity")):
+    return replace(load_scenario("cubic_nls_small"), name="nls_flow_small", grid_n=256,
+                   grid_extent=60.0, t_max=2.0, dt=0.01, suites=suites)
+
+
+@pytest.mark.parametrize("small_config, builds", [
+    (small_w_flow_config, 1),
+    # the W-flow once, plus the Morawetz refinement on a finer grid
+    (small_morawetz_flow_config, 2),
+    # the cubic flow once, plus the order-2 references at dt/2 and dt/4
+    (small_nls_flow_config, 3),
+], ids=["w_flow", "morawetz_flow", "nls_flow"])
+def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch, small_config, builds):
+    # suites that read one flow share one sweep of it (for timedep, gronwall
+    # and conformal_identity: past the timedep window, to the conformal
+    # samples at t_max + delta), and each suite's series and report equal
+    # those of a run of that suite alone
     made = []
     init = evolution._SplitStepper.__init__
 
@@ -153,12 +170,13 @@ def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(evolution._SplitStepper, "__init__", counting_init)
-    shared = run_scenario(small_w_flow_config(), str(tmp_path / "shared"))
-    assert len(made) == 1
-    assert set(shared.reports) == {"timedep", "gronwall", "conformal_identity"}
+    config = small_config()
+    shared = run_scenario(config, str(tmp_path / "shared"))
+    assert len(made) == builds
+    assert list(shared.reports) == list(config.suites)
     alone, reports = [], ""
     for suite in shared.reports:
-        artifact = run_scenario(small_w_flow_config((suite,)), str(tmp_path / suite))
+        artifact = run_scenario(small_config((suite,)), str(tmp_path / suite))
         alone += artifact.series_files
         with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
             reports += fh.read()
@@ -338,6 +356,17 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     # the linear flow without them
     (MINIMAL + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n", "[evolution].method"),
     (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[evolution].method"),
+    # the Morawetz smoothing integral is accumulated along a Strang sweep
+    (MINIMAL.replace("conformal_identity", "morawetz").replace("kind = line", "kind = radial3d")
+     + "\n[evolution]\nt_max = 2.0\n", "[evolution].method"),
+    # nls compares the states at t = 1 stepped at dt, dt/2 and dt/4, of the
+    # cubic flow without W
+    (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
+     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = split_step2\n"
+     "dt = 0.003\n", "[evolution].dt"),
+    (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
+     + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n[evolution]\nmethod = split_step2\n",
+     "[timedep].type"),
     # empty fit windows: positive_potential fits from max(1.5, t0), nls from fit_t_lo,
     # weighted_decay on [fit_t_lo, fit_t_hi]
     (MINIMAL.replace("conformal_identity", "positive_potential") + "\n[evolution]\nt_max = 1.2\n",
@@ -357,7 +386,7 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
         "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
-        "cubic_flow_exact_method",
+        "cubic_flow_exact_method", "morawetz_exact_method", "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
         "weighted_decay_fit_from_zero", "state_width_zero"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
@@ -366,18 +395,26 @@ def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key
     _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", key, capsys)
 
 
-def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path):
+def _short_fit():
     # at t_max 1.6 the positive-potential fit window on [1.5, horizon] holds 3
-    # samples, which only the measured horizon decides: the suite's ValueError
-    # is recorded, the other suite still runs, and the CLI exits 1
-    config = replace(load_scenario("positive_potential_radial"), name="short_fit",
-                     grid_n=96, grid_extent=30.0, t_max=1.6,
-                     suites=("positive_potential", "conformal_identity"))
+    # samples, which only the measured horizon decides
+    return replace(load_scenario("positive_potential_radial"), name="short_fit",
+                   grid_n=96, grid_extent=30.0, t_max=1.6,
+                   suites=("positive_potential", "conformal_identity"))
+
+
+def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path, monkeypatch):
+    # a suite's ValueError is recorded, the other suite still runs, and the
+    # CLI exits 1
+    def raising(ctx):
+        raise ValueError("raised by the suite")
+
+    monkeypatch.setitem(scenarios._SUITE_RUNNERS, "positive_potential", raising)
     path = tmp_path / "short_fit.cfg"
-    path.write_text(serialize_config(config))
+    path.write_text(serialize_config(_short_fit()))
     assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == 1
     run_dir = tmp_path / "runs" / "short_fit"
-    error = "positive_potential: ERROR (need at least 8 positive samples, got 3)"
+    error = "positive_potential: ERROR (raised by the suite)"
     assert error in (run_dir / "report.txt").read_text().splitlines()
     manifest = (run_dir / "manifest.txt").read_text()
     assert "passed = false" in manifest and error in manifest
@@ -415,6 +452,9 @@ def _backward_scan(t_max):
                                 state_width=1.9, t_max=1.06, t0=1.44),
                  "general_potential", "iterated t^2 [(-x.grad V)]_+ bound", "trend",
                  id="short-iterated-window"),
+    # 3 samples in the L6 fit window: too few to fit a slope
+    pytest.param(_short_fit(), "positive_potential", "L6 decay slope", "measured",
+                 id="short-l6-window"),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):
@@ -453,7 +493,8 @@ _SMALL_CONFIGS = st.builds(
 def test_small_configs_are_rejected_or_leave_manifest_and_report(tmp_path_factory, config):
     # the config contract: a config either raises ConfigError at parse time and
     # leaves no run directory, or round-trips through its text and its run
-    # writes a manifest and a report, whatever its suites measure
+    # writes a manifest and a report, whatever its suites measure, in which no
+    # suite raised
     out_dir = tmp_path_factory.mktemp("contract")
     try:
         parsed = parse_config(serialize_config(config))
@@ -466,6 +507,8 @@ def test_small_configs_are_rejected_or_leave_manifest_and_report(tmp_path_factor
     artifact = run_scenario(config, str(out_dir))
     for name in ("manifest.txt", "report.txt"):
         assert os.path.isfile(os.path.join(artifact.run_dir, name))
+    with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
+        assert "ERROR" not in fh.read()
 
 
 def _python(code: str) -> str:
@@ -477,7 +520,7 @@ def _python(code: str) -> str:
 
 def test_import_leaves_integrate_and_optimize_unloaded():
     # scipy.integrate and scipy.optimize are imported by their only users,
-    # semilinear_G and smoothing_integral_fit, not when proplab loads; the
+    # semilinear_G and SmoothingObserver.fit, not when proplab loads; the
     # free scenario's run calls no scipy at all, so loading it loads none
     out = _python("import sys, proplab; proplab.load_scenario('free'); "
                   "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

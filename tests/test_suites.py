@@ -6,9 +6,9 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
                      momentum, multiplication, norm, semilinear_G, trajectory_linear)
-from proplab import evolution
+from proplab import suites
 from proplab.adaptors import negative_part, remainder_expectation
-from proplab.evolution import evolve_split, snap_to_lattice
+from proplab.evolution import evolve_split, trajectory_split
 from proplab.observables import ObservableSeries, expectation_value, heisenberg_expectation
 from proplab.operators import commutator_i, conformal_factor_operator
 from proplab.suites import (_AdaptedConformal, _envelope_clause, conformal_identity_residual,
@@ -16,8 +16,7 @@ from proplab.suites import (_AdaptedConformal, _envelope_clause, conformal_ident
                             gronwall_monitor, lens_identity_residual,
                             lens_positivity_values, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
-                            morawetz_suite, nls_suite, operator_identity_suite,
-                            positive_potential_suite, timedep_suite,
+                            operator_identity_suite, positive_potential_suite,
                             wall_trimmed, TimedepObserver)
 
 
@@ -309,6 +308,13 @@ def test_conformal_identity_with_shifted_time():
     assert resid <= 1e-5
 
 
+def timedep_report(grid, pot, spec, w, psi, t_end, dt, sample_count):
+    # the timedep suite: its observer fed by one Strang sweep from t = 0
+    observer = TimedepObserver(grid, spec, w, t_end, sample_count)
+    traj = trajectory_split(grid, pot, w, psi, observer.times, dt, observer=observer)
+    return observer.report(traj)
+
+
 def test_timedep_suite_gaussian_profile_perturbation():
     # W(x,t) = (delta/(1+t)) e^{-x^2}: a separable perturbation whose time
     # derivative decays one power faster than the envelope requires
@@ -317,7 +323,7 @@ def test_timedep_suite_gaussian_profile_perturbation():
     spec = classified(g, pot)
     w = TimeDependentPotential.self_similar(0.05, 2.0, 1.0, profile="gaussian")
     psi = gaussian_state(g, width=1.0)
-    report = timedep_suite(g, spec, pot, w, psi, t_end=5.0, dt=5e-3, sample_count=12)
+    report = timedep_report(g, pot, spec, w, psi, t_end=5.0, dt=5e-3, sample_count=12)
     assert report.passed, report.render()
 
 
@@ -365,7 +371,7 @@ def test_timedep_suite_zero_w_reduces():
     spec = classified(g, pot)
     w0 = TimeDependentPotential.self_similar(0.0, 2.0, 0.5)
     psi = gaussian_state(g, width=1.0)
-    report = timedep_suite(g, spec, pot, w0, psi, t_end=4.0, dt=0.01, sample_count=10)
+    report = timedep_report(g, pot, spec, w0, psi, t_end=4.0, dt=0.01, sample_count=10)
     assert report.passed, report.render()
     # constant up to the O(dt^2) drift of the splitting itself
     f_series = report.series["asymptotic_energy"]
@@ -374,40 +380,10 @@ def test_timedep_suite_zero_w_reduces():
     assert ibp.measured <= 1e-9
 
 
-def test_each_suite_sweeps_each_flow_once(monkeypatch):
-    # one stepper per flow: nls shares its dt reference with its trajectory
-    # (plus the dt/2 and dt/4 references), morawetz reads its L6 samples off
-    # the coarse smoothing sweep (plus the refined-grid sweep), timedep is one
-    # sweep from t=0
-    made = []
-    init = evolution._SplitStepper.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(evolution._SplitStepper, "__init__", counting_init)
-    counts = {}
-
-    line = make_grid("line", 128, 40.0)
-    vsmall = Potential.gaussian(0.2)
-    psi = 0.1 * gaussian_state(line, width=1.0)
-    times = snap_to_lattice(np.geomspace(1.0, 3.0, 8), 0.01)
-    nls_suite(line, vsmall, psi, 1.0, 0.01, times, (1.0, 3.0))
-    counts["nls"], made[:] = len(made), []
-
-    radial = make_grid("radial3d", 96, 30.0)
-    pot = Potential.gaussian(1.5, width=1.0, center=3.0)
-    spec = classified(radial, pot)
-    w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
-    psi = gaussian_state(radial, width=1.0)
-    morawetz_suite(radial, spec, pot, w, psi, horizon=1.0, t_end=2.0, dt=0.01,
-                   l6_times=snap_to_lattice(np.geomspace(1.0, 2.0, 8), 0.01))
-    counts["morawetz"], made[:] = len(made), []
-
-    timedep_suite(radial, spec, pot, w, psi, t_end=2.0, dt=0.01, sample_count=12)
-    counts["timedep"] = len(made)
-    assert counts == {"nls": 3, "morawetz": 2, "timedep": 1}
+def test_suites_make_no_sweep():
+    # every Strang sweep of a run is made by the run context: the suites read
+    # trajectories and per-step observers, and step nothing themselves
+    assert not hasattr(suites, "evolve_split") and not hasattr(suites, "trajectory_split")
 
 
 @settings(max_examples=40, deadline=None)
