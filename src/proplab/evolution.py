@@ -4,22 +4,22 @@ off one ``SpectralData.flow`` block) and one second-order Strang splitting,
 ``evolve_split``, for time-dependent potentials and the 1d defocusing cubic
 NLS; ``trajectory_split`` samples one such sweep.
 
-The kinetic factor of the splitting is diagonal in the eigenbasis of the
-discrete Dirichlet Laplacian, the orthonormal type-I sine transform S, with
-closed-form eigenvalues.  The stepper applies S diag(d) S as the equivalent
-Toeplitz-minus-Hankel convolution (Martucci, IEEE Trans. Signal Process. 42
-(1994) 1038-1051), precomputed once per step size.  It runs at M = 2h, h >= n
-a fast FFT length whatever the factors of n + 1 (on every shipped split-step
-grid 2(n + 1) has a large prime factor), as one FFT over two rows of length h
-after a radix-2 decimation step (Cooley & Tukey, Math. Comp. 19 (1965)
-297-301).  Every factor is unitary to roundoff, so mass is conserved to
-roundoff no matter the step size.
-``h_half_norm_sq`` reads the same Toeplitz-minus-Hankel form as a quadratic
-form from one FFT, with kernel spectra built once per grid.  Both import
-``scipy.fft`` when they are first called, so only a run that steps or
-measures a split-step flow loads it.  ``kinetic_step`` calls the DST-I
-directly, through ``spectral._sine_transform``, the numpy helper that also
-runs the free spectrum's exact flow.
+The kinetic factor of the splitting, S diag(e^{-i lam dt}) S with S the
+orthonormal DST-I that diagonalizes the Dirichlet Laplacian L, is the free
+propagator e^{-i dt L}: a convolution of the odd extension of the state whose
+taps are aliased Bessel coefficients J_r(z), z = 2|dt|/h^2 (Jacobi-Anger,
+DLMF 10.12.2).  ``_free_propagator`` keeps the taps inside the half-width b
+where the bound (z/2)^r / r! (DLMF 10.14.4) leaves a tail below 2^-60, or one
+whole period at the cap b = n + 1, and convolves by one FFT pair of a fast
+length m >= n + 2b.  Every factor is unitary to roundoff, so mass is
+conserved to roundoff no matter the step size.
+``h_half_norm_sq`` reads S diag(sqrt(1 + lam)) S as a Toeplitz-minus-Hankel
+quadratic form (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051)
+from one FFT, with kernel spectra built once per grid.  Both import
+``scipy.fft`` when first called, so only a run that steps or measures a
+split-step flow loads it.  ``kinetic_step`` calls the DST-I directly, through
+``spectral._sine_transform``, the numpy helper that also runs the free
+spectrum's exact flow.
 """
 
 from __future__ import annotations
@@ -176,45 +176,55 @@ def h_half_norm_sq(grid: Grid, state) -> float:
     return float(grid.quad_weight * form)
 
 
-def _sine_multiplier(d):
-    """u -> S diag(d) S u for the orthonormal DST-I S, as one convolution.
+def _half_width(z: float, cap: int) -> int:
+    """Smallest b >= 1 with 2 sum_{r > b} (z/2)^r / r! <= 2^-60, the tail
+    bounded by the geometric series from its first term; ``cap`` if none is."""
+    term = 0.5 * z  # (z/2)^b / b! at b = 1
+    for b in range(1, cap):
+        term *= z / (2 * b + 2)  # the first dropped term, r = b + 1
+        ratio = z / (2 * b + 4)  # bounds every later ratio of terms
+        if ratio < 1 and 2.0 * term <= 2.0**-60 * (1.0 - ratio):
+            return b
+    return cap
 
-    S diag(d) S is the identity plus the Toeplitz-minus-Hankel convolution of
-    ``_sine_kernel_spectra`` with e = d - 1.  With M = 2h, h = next_fast_len(n),
-    one FFT of the rows (u, u e^{-i pi m / h}) gives the even and odd
-    frequencies of U, the reversed read stays inside each row, and the first
-    n outputs are (1/2)(IFFT_h(even) + e^{i pi m / h} IFFT_h(odd)).
-    Convolving with d - 1 rather than d scales the FFT roundoff with the
-    change a step makes rather than with u, which matters when d is near 1,
-    as in a Strang step.  ``apply`` reuses its padded input and product
-    buffers (it is not reentrant); the array it returns is fresh.
+
+def _free_propagator(grid: Grid, dt: float):
+    """(u, phase) -> S diag(e^{-i lam dt}) S (phase u), the free Strang factor.
+
+    S diag(d) S is the identity plus the 2N-periodic convolution (N = n + 1)
+    of the odd extension (0, u, 0, -reversed u) with the taps K(r) of d - 1,
+    read off one length-2N ifft with lam extended to lam_N = 4/h^2, whose
+    alternating term the odd extension cancels.  The taps beyond
+    ``_half_width`` carry l1 mass at most 2^-60, so dropping them moves a
+    step by at most that in norm; at the cap b = N the lags (-N, N] are one
+    whole period and the product is exact.  Padding to m >= n + 2b keeps the
+    circular wrap off the n outputs.  Convolving with d - 1 and adding the
+    input back scales the FFT roundoff with what a step changes.  ``apply``
+    reuses its padded buffer (it is not reentrant); the array it returns is
+    fresh.
     """
     from scipy.fft import fft, ifft, next_fast_len
 
-    n = len(d)
-    h = next_fast_len(n)
-    toeplitz, hankel = _sine_kernel_spectra(np.asarray(d) - 1.0, 2 * h)
-    # rows: even and odd frequencies; the inverse decimation's 1/2 is exact
-    a = (0.5 * toeplitz).reshape(h, 2).T.copy()
-    b = (-0.5 * hankel).reshape(h, 2).T.copy()
-    twiddle = np.exp(-1j * np.pi * np.arange(n) / h)
-    untwiddle = twiddle.conj()
-    rows = np.zeros((2, h), dtype=complex)  # columns n .. h - 1 stay zero
-    product = np.empty((2, h), dtype=complex)
+    n = grid.n
+    e = np.exp(-1j * np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2) * dt) - 1.0
+    taps = ifft(np.concatenate([[0.0], e, e[-2::-1]]))  # K(r), r = 0 .. 2n + 1
+    b = _half_width(2.0 * abs(dt) / grid.h**2, n + 1)
+    left = min(b, n)  # lags -left .. b; at the cap, (-N, N]
+    m = next_fast_len(n + 2 * b)
+    spectrum = fft(np.concatenate([taps[:b + 1], np.zeros(m - b - 1 - left), taps[left:0:-1]]))
+    # buf[p] holds the odd extension at p - b + 1; its zeros at p = b - 1 and
+    # n + b are never written
+    buf = np.zeros(m, dtype=complex)
+    middle = buf[b:b + n]
 
-    def apply(u):
-        rows[0, :n] = u
-        np.multiply(u, twiddle, out=rows[1, :n])
-        s = fft(rows, axis=1)  # s[0, j] = U[2j], s[1, j] = U[2j + 1]
-        product[0, 0] = b[0, 0] * s[0, 0]
-        np.multiply(b[0, 1:], s[0, :0:-1], out=product[0, 1:])  # U[(-2j) mod M]
-        np.multiply(b[1], s[1, ::-1], out=product[1])  # U[(-2j - 1) mod M]
-        s *= a
-        np.add(product, s, out=product)
-        o = ifft(product, axis=1, overwrite_x=True)
-        out = untwiddle * o[1, :n]
-        out += o[0, :n]
-        out += u
+    def apply(u, phase):
+        np.multiply(phase, u, out=middle)
+        np.negative(buf[2 * b - 2:b - 1:-1], out=buf[:b - 1])  # extension at 1 - b .. -1
+        np.negative(buf[n + b - 1:n:-1], out=buf[n + b + 1:n + 2 * b])  # at N + 1 .. N + b - 1
+        s = fft(buf)
+        s *= spectrum
+        out = ifft(s, overwrite_x=True)[b:b + n]
+        out += middle
         return out
 
     return apply
@@ -224,12 +234,12 @@ class _SplitStepper:
     """Strang stepper: half potential phase, full kinetic, half phase.
 
     The potential phase freezes W at the step midpoint, which keeps the
-    scheme second order.  The kinetic factor S diag(e^{-i lam dt}) S is the
-    sine-basis multiplier applied as a precomputed Toeplitz-minus-Hankel FFT
-    convolution, one forward and one inverse FFT over two rows of a fast
-    length h >= n (``_sine_multiplier``), built once for the dt it steps
-    with; each factor is unitary to roundoff.  The multiplier keeps its work
-    buffers, but every state ``step`` returns is a fresh array.
+    scheme second order.  The kinetic factor is ``_free_propagator``, built
+    once for the dt it steps with: a convolution of the odd extension of the
+    state with the taps above the Jacobi-Anger tail bound 2^-60, or with one
+    whole period of them when that bound reaches n + 1.  Each factor is
+    unitary to roundoff.  The propagator keeps its padded buffer, but every
+    state ``step`` returns is a fresh array.
     """
 
     def __init__(self, grid: Grid, potential: Potential | None,
@@ -245,7 +255,6 @@ class _SplitStepper:
         # W = amplitude(t) profile(x): the x-dependence is sampled once
         self._w_profile = w_t.profile(grid.points) if w_t is not None else None
         self.lam_nl = float(nonlinearity)
-        self._kin_lam = free_laplacian_eigenvalues(grid)
         self._kin_dt = None
         self._kinetic = None
 
@@ -271,12 +280,12 @@ class _SplitStepper:
         half phase, equal to the next step's first (V static, |u| phase invariant),
         to pass back as ``half``; with W it is None.  ``half=None`` computes it from u."""
         if dt != self._kin_dt:
-            self._kinetic = _sine_multiplier(np.exp(-1j * self._kin_lam * dt))
+            self._kinetic = _free_propagator(self.grid, dt)
             self._kin_dt = dt
         t_mid = t + 0.5 * dt
         if half is None:
             half = self._half_phase(u, t_mid, dt)
-        u = self._kinetic(half * u)
+        u = self._kinetic(u, half)
         # second half phase: for the cubic flow |u| changed across the kinetic
         # step, so the phase is re-evaluated (still a unitary factor)
         if self.lam_nl:

@@ -169,8 +169,8 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if config.method not in ("eigenbasis_exact", "split_step2"):
         raise ConfigError(f"[evolution].method: unknown method {config.method!r}")
-    if config.dt <= 0:
-        raise ConfigError("[evolution].dt must be positive")
+    if not (math.isfinite(config.dt) and config.dt > 0):
+        raise ConfigError(f"[evolution].dt must be positive and finite, got {config.dt}")
     if config.state_recipe not in ("gaussian", "eigenstate"):
         raise ConfigError(f"[initial_state].recipe: unknown recipe {config.state_recipe!r}")
     if config.state_width <= 0:

@@ -9,9 +9,10 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_SplitStepper, _distinct, _sine_multiplier, _sine_transform,
-                               eigenstate, h_half_norm_sq, kinetic_step, snap_to_lattice)
-from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
+from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
+                               _sine_transform, eigenstate, h_half_norm_sq, kinetic_step,
+                               snap_to_lattice)
+from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.spectral import SpectralData, free_laplacian_eigenvalues
 
 
@@ -312,22 +313,42 @@ def test_trajectory_restricted_keeps_samples_and_masses():
         traj.restricted([1.5])
 
 
+def _grid_any_n(kind, n, extent=10.0):
+    """``make_grid``'s spacing without its n >= 8 floor (the points are unused)."""
+    h = (2.0 * extent if kind == "line" else extent) / (n + 1)
+    return Grid(kind, n, h, extent, h * np.arange(1.0, n + 1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 639, 640, 767, 768, 959, 961, 2047, 2048])
 def test_sine_multiplier_matches_dst_sandwich(n):
-    # the Toeplitz-minus-Hankel convolution is S diag(d) S, whatever the
-    # factors of n + 1, for unimodular and real d and any layout of u
+    # the free propagator is the sine multiplier S diag(e^{-i lam dt}) S of the
+    # DST sandwich, whatever the factors of n + 1, for dt of either sign, from
+    # a few taps (z = 2|dt|/h^2 small) to one whole period (z >> n + 1), with
+    # or without a phase and for any layout of u; the taps it drops, read off
+    # the full 2(n + 1)-tap ifft, carry l1 mass at most 2^-60 plus roundoff
     rng = np.random.default_rng(n)
-    lam = rng.uniform(0.0, 4.0 * (n + 1) ** 2, n)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     real = rng.standard_normal(n)
-    for d in (np.exp(-1j * lam * 1e-3), np.sqrt(1.0 + lam)):
-        apply = _sine_multiplier(d)
-        for data in (u, real, wide[::2]):
-            ref = _sine_transform(d * _sine_transform(data))
-            out = apply(data)
-            assert out.shape == (n,)
-            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    big_n = n + 1
+    lag = np.minimum(np.arange(2 * big_n), 2 * big_n - np.arange(2 * big_n))
+    for kind in ("line", "radial3d"):
+        grid = _grid_any_n(kind, n)
+        for z in (1e-3, 0.037, 0.37, 3.0, 10.0 * big_n):
+            for dt in (0.5 * z * grid.h**2, -0.5 * z * grid.h**2):
+                apply = _free_propagator(grid, dt)
+                for data, p in ((u, 1.0), (real, 1.0), (wide[::2], phase)):
+                    ref = kinetic_step(grid, p * data, dt)
+                    out = apply(data, p)
+                    assert out.shape == (n,)
+                    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+                lam = np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2)
+                e = np.exp(-1j * lam * dt) - 1.0
+                taps = np.fft.ifft(np.concatenate([[0.0], e, e[-2::-1]]))
+                dropped = np.abs(taps[lag > _half_width(z, big_n)]).sum()
+                # 2N taps, each off by a few eps (|e| <= 2)
+                assert dropped <= 2.0**-60 + 4 * big_n * np.finfo(float).eps
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,7 +376,7 @@ def test_split_step_unitary_and_reversible(n, kind, extent, amp, width, with_w, 
 def recomputed_strang_states(grid, pot, lam, psi0, dt, steps):
     """Strang steps with both half phases evaluated from the state they act
     on, every step: the states at t = 0, dt, ..., steps dt."""
-    kinetic = _sine_multiplier(np.exp(-1j * free_laplacian_eigenvalues(grid) * dt))
+    kinetic = _free_propagator(grid, dt)
     v = pot.v(grid.points)
 
     def half(u):
@@ -364,7 +385,7 @@ def recomputed_strang_states(grid, pot, lam, psi0, dt, steps):
 
     states = [np.asarray(psi0, dtype=complex)]
     for _ in range(steps):
-        u = kinetic(half(states[-1]) * states[-1])
+        u = kinetic(states[-1], half(states[-1]))
         states.append(half(u) * u)
     return states
 
@@ -400,7 +421,7 @@ def test_bare_step_computes_its_phases_and_w_carries_none(rng):
 
 
 def held_arrays(stepper):
-    """Every array the stepper holds, its kinetic multiplier's buffers included."""
+    """Every array the stepper holds, its free propagator's buffer included."""
     cells = [c.cell_contents for c in stepper._kinetic.__closure__]
     held = list(vars(stepper).values()) + cells
     return [a for a in held if isinstance(a, np.ndarray)]
@@ -408,9 +429,9 @@ def held_arrays(stepper):
 
 @pytest.mark.parametrize("case", ["cubic", "w"])
 def test_states_never_alias_the_stepper_buffers(case):
-    # the kinetic multiplier reuses its padded input and product buffers from
-    # step to step; an observer that keeps every state without copying must
-    # still end up with the states a copying observer sees
+    # the free propagator reuses its padded buffer from step to step; an
+    # observer that keeps every state without copying must still end up with
+    # the states a copying observer sees
     if case == "cubic":
         grid, w_t, lam = make_grid("line", 96, 12.0), None, 1.0
         psi0 = gaussian_state(grid, center=-1.0, width=1.5, momentum=1.0)
@@ -431,9 +452,9 @@ def test_states_never_alias_the_stepper_buffers(case):
     stepper = _SplitStepper(grid, pot, w_t=w_t, nonlinearity=lam)
     out, half = stepper.step(psi0, 0.0, dt)
     out2, _ = stepper.step(out, dt, dt, half)
-    kinetic_out = stepper._kinetic(psi0)
+    kinetic_out = stepper._kinetic(psi0, 1.0)
     held = held_arrays(stepper)
-    assert sum(a.ndim == 2 for a in held) >= 2  # the (2, h) buffers are found
+    assert sum(len(a) > grid.n + 1 for a in held) >= 2  # the padded buffer and its spectrum
     for state in (out, out2, kinetic_out):
         assert not any(np.shares_memory(state, a) for a in held)
     assert not np.shares_memory(out, out2)

@@ -383,12 +383,17 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
      "[overrides].fit_t_lo"),
     # a Gaussian of width <= 0 is no state; every suite that reads it would raise
     (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width"),
+    # the stepper derives its kinetic taps from dt, which must be a finite number
+    (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
+     "[evolution]\nmethod = split_step2\ndt = nan\n", "[evolution].dt"),
+    (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
+     "[evolution]\nmethod = split_step2\ndt = inf\n", "[evolution].dt"),
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
         "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
         "cubic_flow_exact_method", "morawetz_exact_method", "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
-        "weighted_decay_fit_from_zero", "state_width_zero"])
+        "weighted_decay_fit_from_zero", "state_width_zero", "dt_nan", "dt_inf"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
