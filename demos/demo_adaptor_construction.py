@@ -17,7 +17,7 @@ import numpy as np
 from proplab import (Potential, adaptor_expectation_series, build_adaptor,
                      classify_spectrum, conformal_Q, diagonalize, dilation_Q,
                      fit_decay_rate, gaussian_state, laplacian, make_grid,
-                     multiplication, projector)
+                     multiplication)
 from proplab.adaptors import commutator_closure_defect, residual_weighted_scan
 from proplab.observables import ObservableSeries
 
@@ -27,7 +27,7 @@ grid = make_grid("radial3d", 384, 80.0)
 pot = Potential.gaussian(2.0)
 h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
-print(f"radial grid n={grid.n}, R={grid.extent}, V = {pot.describe()}")
+print(f"radial grid n={grid.n}, R={grid.extent}, V terms (amplitude, width, center) = {pot.terms}")
 print(f"bound states: {len(spec.indices('bound'))} (V >= 0 keeps the spectrum positive)")
 
 q_conf = conformal_Q(pot, grid)
@@ -38,7 +38,8 @@ print(f"dilation  Q: range [{q_dila.samples.min():.3f}, {q_dila.samples.max():.3
 horizon = 5.0
 adaptor = build_adaptor(spec, q_conf, horizon)
 b = adaptor.matrix
-p_c = projector(spec, "continuous").matrix
+cols, _ = spec.continuum_basis()
+p_c = cols @ cols.conj().T
 print(f"\nB_V at horizon T = {horizon}:")
 print(f"  norm              {adaptor.norm_bound:.4f}")
 print(f"  hermiticity       {np.abs(b - b.conj().T).max():.2e}")

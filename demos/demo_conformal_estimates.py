@@ -17,7 +17,7 @@ import numpy as np
 from proplab import (Potential, build_adaptor, classify_spectrum, conformal_Q,
                      diagonalize, fit_decay_rate, gaussian_state, laplacian,
                      make_grid, multiplication, norm, trajectory_linear)
-from proplab.suites import (conformal_energy_series, conformal_identity_residual,
+from proplab.suites import (AdaptedConformal, conformal_energy_series,
                             first_level_series, lp_norm_series)
 
 print(__doc__)
@@ -30,9 +30,10 @@ psi0 = gaussian_state(grid, width=1.0)
 adaptor = build_adaptor(spec, conformal_Q(pot, grid), 5.0)
 
 delta = 5e-3
+identity = AdaptedConformal(spec, pot, None, adaptor)
 for t in (1.0, 2.0, 4.0):
     traj = trajectory_linear(spec, psi0, np.array([t - delta, t, t + delta]))
-    resid, bv = conformal_identity_residual(traj, spec, pot, None, adaptor, t, delta)
+    resid, bv = identity.residual(traj, t, delta)
     print(f"identity residual at t = {t}: {resid:.3e} "
           f"(budget O(dt^2 + h^2) + truncation term {bv:.1e})")
 

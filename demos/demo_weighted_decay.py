@@ -25,7 +25,7 @@ grid = make_grid("radial3d", 512, 100.0)
 pot = Potential.gaussian(2.0)
 h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
-print(f"V = {pot.describe()} on radial grid n={grid.n}, R={grid.extent}")
+print(f"V terms (amplitude, width, center) = {pot.terms} on radial grid n={grid.n}, R={grid.extent}")
 print(f"delta* = {genericity_margin(spec, laplacian(grid)):.4f} "
       "(V >= 0 pushes it above 1)")
 

@@ -8,18 +8,16 @@ desk scale.
 """
 
 from ._version import __version__
-from .grids import (Grid, WeightProfile, boundary_mass, make_grid, norm,
-                    transit_energy_limit, weight_vector)
+from .grids import (Grid, boundary_mass, make_grid, norm, transit_energy_limit,
+                    weight_vector)
 from .operators import (HermitianOperator, Potential, TimeDependentPotential,
-                        commutator_i, conformal_factor_operator, dilation,
-                        heisenberg_derivative, laplacian, momentum,
+                        commutator_i, dilation, laplacian, momentum,
                         multiplication, position)
-from .spectral import (Projector, SpectralData, classify_spectrum, diagonalize,
-                       free_spectral_data, function_of_H, genericity_margin,
-                       projector, resolution_energy_limit)
+from .spectral import (SpectralData, classify_spectrum, diagonalize,
+                       free_spectral_data, genericity_margin,
+                       resolution_energy_limit)
 from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
-                       adapted_dilation, build_adaptor, conformal_Q,
-                       conformal_Q_termwise, dilation_Q,
+                       build_adaptor, conformal_Q, dilation_Q,
                        weighted_propagator_norm)
 from .evolution import (Trajectory, eigenstate, evolve_split, gaussian_state,
                         trajectory_linear, trajectory_split, validity_horizon)
@@ -27,11 +25,9 @@ from .observables import (EstimateReport, ObservableSeries,
                           PropagationObservable, fit_decay_rate,
                           heisenberg_consistency, observable_series,
                           pres_check)
-from .suites import (conformal_identity_residual, conformal_prob,
-                     free_conformal_prob, general_potential_suite,
+from .suites import (conformal_prob, general_potential_suite,
                      gronwall_monitor, lens_positivity_values, morawetz_suite,
-                     operator_identity_suite, positive_potential_suite,
-                     semilinear_G)
+                     operator_identity_suite, positive_potential_suite)
 from .scenarios import (ConfigError, RunArtifact, ScenarioConfig,
                         list_scenarios, load_scenario, parse_config,
                         render_report, run_scenario, serialize_config)

@@ -1,4 +1,4 @@
-"""Construction of the adaptor operator B_V and the adapted dilation.
+"""Construction of the adaptor operator B_V.
 
 B_V solves the commutation equation i[H, B] = Q P_c on the continuous
 subspace.  On a finite box the infinite-horizon time integral of the
@@ -48,7 +48,7 @@ import numpy as np
 
 from .grids import Grid, weight_vector
 from .operators import (HERMITICITY_RTOL, Banded, HermitianOperator, Potential,
-                        _hermiticity_defect_and_scale, _row_blocks, dilation)
+                        _hermiticity_defect_and_scale, _row_blocks)
 from .spectral import BOUND, SpectralData
 
 
@@ -88,14 +88,6 @@ def conformal_Q(potential: Potential, grid: Grid) -> QSelection:
     f = 4.0 * potential.xdv(x) + 4.0 * potential.v(x)
     return QSelection("conformal", -positive_part(f),
                       provenance="-[4 x.grad V + 4 V]_+")
-
-
-def conformal_Q_termwise(potential: Potential, grid: Grid) -> QSelection:
-    """Alternative with the positive parts taken term by term:
-    Q = -(4 [V]_+ + [x.grad V]_+)."""
-    x = grid.points
-    f = 4.0 * positive_part(potential.v(x)) + positive_part(potential.xdv(x))
-    return QSelection("conformal", -f, provenance="-(4[V]_+ + [x.grad V]_+)")
 
 
 def dilation_Q(potential: Potential, grid: Grid) -> QSelection:
@@ -194,7 +186,7 @@ def _remainder_factor(spec: SpectralData, q_samples, t: float):
 def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
     """||W remainder(t) W|| = ||R diag(q_S) R^*|| with R from the thin QR of W F."""
     f, q_s = _remainder_factor(spec, q_samples, t)
-    f *= weight_vector(spec.grid, sigma).samples[:, None]
+    f *= weight_vector(spec.grid, sigma)[:, None]
     r = np.linalg.qr(f, mode="r")
     return _spectral_norm((r * q_s) @ r.conj().T)
 
@@ -240,13 +232,6 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
                            factors=(grid, cols, np.exp(0.5j * horizon * e), core))
 
 
-def commutator_remainder(spec: SpectralData, adaptor: AdaptorOperator) -> np.ndarray:
-    """remainder(T) = P_c e^{iHT} Q e^{-iHT} P_c, the term closing the
-    truncated commutation identity i[H, B] = P_c Q P_c - remainder."""
-    f, q_s = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
-    return (f * q_s) @ f.conj().T
-
-
 def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
     """u -> <u, remainder(T) u> = sum_S q_s |(F^* u)_s|^2, with the n x |S|
     factor F of ``_remainder_factor`` built once: O(n |S|) per state."""
@@ -279,15 +264,6 @@ def residual_weighted_scan(spec: SpectralData, q: QSelection, horizons,
     return np.array([_weighted_remainder_norm(spec, q.samples, t, sigma) for t in horizons])
 
 
-def adapted_dilation(spec: SpectralData, potential: Potential, horizon: float,
-                     sigma: float = 1.0) -> HermitianOperator:
-    """A + B_V with the dilation choice of Q, aiming at i[H, A + B_V] = 2H."""
-    grid = spec.grid
-    q = dilation_Q(potential, grid)
-    b = build_adaptor(spec, q, horizon, sigma=sigma)
-    return HermitianOperator(dilation(grid).matrix + b.matrix, grid, "A+B_V")
-
-
 def adaptor_expectation_series(adaptor: AdaptorOperator, spec: SpectralData,
                                phi, times):
     """<phi(t), B phi(t)> along the flow phi(t) = e^{-iHt} phi.
@@ -315,7 +291,7 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
         raise ValueError("t must be nonnegative")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    w = weight_vector(spec.grid, sigma).samples
+    w = weight_vector(spec.grid, sigma)
     if t == 0 and e_max is None:
         from scipy.sparse.linalg import LinearOperator, eigsh  # this branch is its only user
 

@@ -85,9 +85,9 @@ class Trajectory:
 
 
 def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0,
-                   momentum: float = 0.0, normalize: bool = True):
-    """Gaussian data; on radial grids the reduced wave r exp(-(r-c)^2/2w^2)
-    (momentum must vanish in the s-wave sector)."""
+                   momentum: float = 0.0):
+    """Gaussian data of unit L2 norm; on radial grids the reduced wave
+    r exp(-(r-c)^2/2w^2) (momentum must vanish in the s-wave sector)."""
     if width <= 0:
         raise ValueError("width must be positive")
     x = grid.points
@@ -99,9 +99,7 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0,
         if momentum != 0.0:
             raise ValueError("radial s-wave data cannot carry net momentum")
         psi = (x * np.exp(-((x - center) ** 2) / (2.0 * width**2))).astype(complex)
-    if normalize:
-        psi = psi / norm(grid, psi, "L2")
-    return psi
+    return psi / norm(grid, psi, "L2")
 
 
 def eigenstate(spec: SpectralData, k: int):

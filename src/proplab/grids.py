@@ -87,20 +87,12 @@ def make_grid(kind: str, n: int, extent: float) -> Grid:
     return Grid(kind=kind, n=n, h=h, extent=float(extent), points=points)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightProfile:
-    """Samples of <x>^{-sigma} = (1 + x^2)^{-sigma/2} on a grid."""
-
-    sigma: float
-    samples: np.ndarray = field(repr=False)
-
-
-def weight_vector(grid: Grid, sigma: float) -> WeightProfile:
-    """Decay weight <x>^{-sigma} sampled on the grid.  Requires sigma >= 0."""
+def weight_vector(grid: Grid, sigma: float) -> np.ndarray:
+    """Samples of the decay weight <x>^{-sigma} = (1 + x^2)^{-sigma/2} on the
+    grid.  Requires sigma >= 0."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative so the weight stays bounded")
-    samples = (1.0 + grid.points**2) ** (-sigma / 2.0)
-    return WeightProfile(sigma=float(sigma), samples=samples)
+    return (1.0 + grid.points**2) ** (-sigma / 2.0)
 
 
 def _gradient_form(grid: Grid, state) -> float:
@@ -161,10 +153,11 @@ def boundary_mass(grid: Grid, state) -> float:
     return float(np.sum(prob[grid.wall_mask])) / total
 
 
-def transit_energy_limit(grid: Grid, t_max: float, fraction: float = BOUNDARY_FRACTION) -> float:
+def transit_energy_limit(grid: Grid, t_max: float) -> float:
     """Largest energy whose classical speed 2 sqrt(E) cannot reach the wall
-    region before ``t_max``.  Decay fits over [t0, t_max] are evaluated on
-    the spectral band below this limit."""
+    region (beyond ``BOUNDARY_FRACTION`` of the extent) before ``t_max``.
+    Decay fits over [t0, t_max] are evaluated on the spectral band below
+    this limit."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    return (fraction * grid.extent / (2.0 * t_max)) ** 2
+    return (BOUNDARY_FRACTION * grid.extent / (2.0 * t_max)) ** 2

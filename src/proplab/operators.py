@@ -1,11 +1,11 @@
 """Position-basis operators: Laplacian, momentum, dilation, potentials,
-conformal factor, commutators and Heisenberg derivatives.
+the conformal factor and commutators.
 
 Every position-basis operator here is banded and is stored as its bands
 (``Banded``: {offset k: band}, band k holding the entries (j, j + k)),
 closed under sum, product, adjoint and i[., .].  Dense matrices come only
-from the spectral calculus (eigenvectors, projectors, the adaptor B_V);
-their elementwise checks and fills run over blocks of ROW_BLOCK rows
+from the spectral calculus (eigenvectors, the adaptor B_V); their
+elementwise checks and fills run over blocks of ROW_BLOCK rows
 (``_row_blocks``).  A real combination of banded operators and B_V is an
 ``OperatorSum``, applied term by term, so no banded-plus-dense n x n sum is
 formed.
@@ -174,12 +174,6 @@ class HermitianOperator:
         return HermitianOperator(self.matrix + other.matrix, self.grid,
                                  f"({self.label}+{other.label})")
 
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.matrix * float(scalar), self.grid,
-                                 f"{scalar}*{self.label}")
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorSum:
@@ -245,14 +239,6 @@ def dilation(grid: Grid) -> HermitianOperator:
     return HermitianOperator(0.5 * (x @ p + p @ x), grid, "A")
 
 
-def conformal_factor_operator(grid: Grid, t: float) -> HermitianOperator:
-    """|x - 2pt|^2 as the square of the Hermitian matrix x - 2tp; PSD."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    m = position(grid).matrix - 2.0 * t * momentum(grid).matrix
-    return HermitianOperator(m.conj().T @ m, grid, f"C({t})")
-
-
 def central_difference(grid: Grid, state) -> np.ndarray:
     """p u = (u[j+1] - u[j-1]) (-i/2h) with Dirichlet zeros beyond the ends:
     the stencil of ``momentum``, by slices."""
@@ -275,18 +261,11 @@ def conformal_value(grid: Grid, state, t: float, p_state=None) -> float:
     return float(grid.quad_weight * v.dot(v))
 
 
-def conformal_factor_dt(grid: Grid, t: float) -> HermitianOperator:
-    """Analytic time derivative of the conformal factor: -2(xp+px) + 8t p^2."""
-    p = momentum(grid).matrix
-    return HermitianOperator(-4.0 * dilation(grid).matrix + 8.0 * t * (p @ p), grid, f"dC/dt({t})")
-
-
 class ConformalFactor:
-    """C(t) = x^2 - 4tA + 4t^2 p^2 (A the dilation), the expansion of
-    ``conformal_factor_operator``, as OperatorSum terms so that one set of
-    banded operators, built and checked Hermitian once, serves every t.
-    ``terms`` and ``dt_terms`` give the (coefficient, operator) pairs of
-    k C(t) and k dC/dt."""
+    """C(t) = |x - 2tp|^2 = x^2 - 4tA + 4t^2 p^2 (A the dilation), as
+    OperatorSum terms so that one set of banded operators, built and checked
+    Hermitian once, serves every t.  ``terms`` and ``dt_terms`` give the
+    (coefficient, operator) pairs of k C(t) and k dC/dt = k(-4A + 8t p^2)."""
 
     def __init__(self, grid: Grid):
         x, p = position(grid).matrix, momentum(grid).matrix
@@ -308,14 +287,6 @@ def commutator_i(a: HermitianOperator, b: HermitianOperator) -> HermitianOperato
     return HermitianOperator(m, a.grid, f"i[{a.label},{b.label}]")
 
 
-def heisenberg_derivative(h_op: HermitianOperator, b_op: HermitianOperator,
-                          db_dt: HermitianOperator) -> HermitianOperator:
-    """D_H B = i[H, B] + dB/dt, with dB/dt supplied analytically."""
-    _require_same_grid(b_op, db_dt)
-    m = commutator_i(h_op, b_op).matrix + db_dt.matrix
-    return HermitianOperator(m, h_op.grid, f"D_H {b_op.label}")
-
-
 class Potential:
     """Static potential with closed-form evaluators for V, grad V and x.grad V.
 
@@ -323,10 +294,9 @@ class Potential:
     from arbitrary closed-form evaluator callables via ``custom``.
     """
 
-    def __init__(self, terms=(), evaluators=None, label=""):
+    def __init__(self, terms=(), evaluators=None):
         self.terms = tuple(terms)  # (amplitude, width, center)
         self._evaluators = evaluators
-        self._label = label
 
     @classmethod
     def zero(cls) -> "Potential":
@@ -339,9 +309,9 @@ class Potential:
         return cls([(float(amplitude), float(width), float(center))])
 
     @classmethod
-    def custom(cls, v, dv, label="custom") -> "Potential":
+    def custom(cls, v, dv) -> "Potential":
         """Potential from closed-form evaluators for V and grad V."""
-        return cls(evaluators=(v, dv), label=label)
+        return cls(evaluators=(v, dv))
 
     @property
     def is_zero(self) -> bool:
@@ -378,54 +348,30 @@ class Potential:
     def is_nonnegative(self, x) -> bool:
         return bool(np.all(self.v(x) >= -1e-14))
 
-    def describe(self) -> str:
-        if self._evaluators is not None:
-            return self._label
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{a:g}*exp(-((x-{c:g})/{w:g})^2)" for a, w, c in self.terms)
-
 
 class TimeDependentPotential:
-    """Separable time-dependent part W(x, t) with analytic t- and x-derivatives.
+    """Separable time-dependent part W(x, t) = amplitude(t) profile(x), with
+    the analytic derivatives ``d_amplitude`` and ``d_profile``.
 
-    The self-similar family is W = delta (1+t)^{-a} profile(x) with profile
-    either the decay weight <x>^{-sigma} or a Gaussian bump.  Its time
+    The self-similar family is W = delta (1+t)^{-a} <x>^{-sigma}.  Its time
     derivative obeys |dW/dt| <= a delta t^{-1} <x>^{-sigma}-type envelopes,
     the smallness that lets the conformal estimate bootstrap.
     """
 
     def __init__(self, amplitude: Callable, d_amplitude: Callable,
-                 profile: Callable, d_profile: Callable, label: str = "W"):
+                 profile: Callable, d_profile: Callable):
         self.amplitude = amplitude
         self.d_amplitude = d_amplitude
         self.profile = profile
         self.d_profile = d_profile
-        self.label = label
 
     @classmethod
-    def self_similar(cls, delta: float, sigma: float, a: float,
-                     profile: str = "weight") -> "TimeDependentPotential":
-        if profile == "weight":
-            prof = lambda x: (1.0 + np.asarray(x) ** 2) ** (-sigma / 2.0)
-            dprof = lambda x: -sigma * np.asarray(x) * (1.0 + np.asarray(x) ** 2) ** (-sigma / 2.0 - 1.0)
-        elif profile == "gaussian":
-            prof = lambda x: np.exp(-np.asarray(x) ** 2)
-            dprof = lambda x: -2.0 * np.asarray(x) * np.exp(-np.asarray(x) ** 2)
-        else:
-            raise ValueError(f"unknown profile {profile!r}")
+    def self_similar(cls, delta: float, sigma: float, a: float) -> "TimeDependentPotential":
+        prof = lambda x: (1.0 + np.asarray(x) ** 2) ** (-sigma / 2.0)
+        dprof = lambda x: -sigma * np.asarray(x) * (1.0 + np.asarray(x) ** 2) ** (-sigma / 2.0 - 1.0)
         amp = lambda t: delta * (1.0 + t) ** (-a)
         damp = lambda t: -a * delta * (1.0 + t) ** (-a - 1.0)
-        return cls(amp, damp, prof, dprof, label=f"self_similar(d={delta},s={sigma},a={a},{profile})")
+        return cls(amp, damp, prof, dprof)
 
     def w(self, x, t):
         return self.amplitude(t) * self.profile(x)
-
-    def dt_w(self, x, t):
-        return self.d_amplitude(t) * self.profile(x)
-
-    def dw(self, x, t):
-        return self.amplitude(t) * self.d_profile(x)
-
-    def xdw(self, x, t):
-        return np.asarray(x) * self.dw(x, t)

@@ -7,7 +7,8 @@ sections of ``key = value`` lines; unknown sections or keys are rejected
 with their path, and ``parse_config(serialize_config(c)) == c``.  A config
 sets what a scenario varies; the rest is fixed in code: each suite's caps,
 the weight sigma = 1, W's profile <x>^-2, the adaptor horizon (half the
-validity horizon) and the centered, momentum-free Gaussian state.
+validity horizon), the centered, momentum-free Gaussian state, and the
+conformal observable at the 1/t scale, whose windows start at t = 1.
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ class ScenarioConfig:
     dt: float = 0.002
     t_max: float = 10.0
     samples: int = 16
-    t0: float = 1.0
-    prob_scale: str = "inverse_t"
     eps_thr: float = 0.0                 # 0 means spacing-based default
     fit_t_lo: float = 5.0
     fit_t_hi: float = 50.0
-    t0_shift: bool = False
     expect_log_growth: bool = False
     corrupt_q_sign: bool = False
     corrupt_db_dt: bool = False
@@ -83,11 +81,10 @@ _SCHEMA = {
     "initial_state": {"recipe": (str, "state_recipe"), "width": (float, "state_width"),
                       "k": (int, "state_k"), "lnorm_target": (float, "lnorm_target")},
     "evolution": {"method": (str, "method"), "dt": (float, "dt"), "t_max": (float, "t_max"),
-                  "samples": (int, "samples"), "t0": (float, "t0")},
+                  "samples": (int, "samples")},
     "overrides": {key: (kind, key) for key, kind in (
-        ("prob_scale", str), ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
-        ("t0_shift", bool), ("expect_log_growth", bool), ("corrupt_q_sign", bool),
-        ("corrupt_db_dt", bool))},
+        ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
+        ("expect_log_growth", bool), ("corrupt_q_sign", bool), ("corrupt_db_dt", bool))},
 }
 
 
@@ -155,6 +152,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(config: ScenarioConfig):
+    for section, keys in _SCHEMA.items():  # every float, the Gaussian terms' included
+        for key, (kind, fname) in keys.items():
+            value = getattr(config, fname)
+            numbers = (value,) if kind is float else sum(value, ()) if kind == "gaussians" else ()
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(f"[{section}].{key} must be finite, got {value}")
     if config.grid_kind not in ("line", "radial3d"):
         raise ConfigError(f"[grid].kind: unknown kind {config.grid_kind!r}")
     if config.grid_n < 8 or config.grid_extent <= 0:
@@ -169,14 +172,14 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if config.method not in ("eigenbasis_exact", "split_step2"):
         raise ConfigError(f"[evolution].method: unknown method {config.method!r}")
-    if not (math.isfinite(config.dt) and config.dt > 0):
-        raise ConfigError(f"[evolution].dt must be positive and finite, got {config.dt}")
+    if config.dt <= 0:
+        raise ConfigError(f"[evolution].dt must be positive, got {config.dt}")
+    if config.samples < 12:
+        raise ConfigError(f"[evolution].samples must be at least 12, got {config.samples}")
     if config.state_recipe not in ("gaussian", "eigenstate"):
         raise ConfigError(f"[initial_state].recipe: unknown recipe {config.state_recipe!r}")
     if config.state_width <= 0:
         raise ConfigError(f"[initial_state].width must be positive, got {config.state_width}")
-    if config.prob_scale not in ("inverse_t", "iterated", "inverse_t2"):
-        raise ConfigError(f"[overrides].prob_scale: unknown scale {config.prob_scale!r}")
     if config.state_recipe == "eigenstate" and not 0 <= config.state_k < config.grid_n:
         raise ConfigError(f"[initial_state].k: need 0 <= k < [grid].n = {config.grid_n}, "
                           f"got {config.state_k}")
@@ -464,12 +467,9 @@ def _conformal_times(ctx: _Context):
     difference offset, the times the identity reads, and the free-flow times
     (None unless V and W vanish)."""
     c = ctx.config
-    shift = 1.0 if c.t0_shift else 0.0
     delta = max(10.0 * c.dt, 0.02) if c.method == "split_step2" else c.dt
-    t_lo = (0.5 if c.t0_shift else max(c.t0, 1.0))
-    eval_ts = ctx.sample_times(lo=t_lo, hi=min(0.5 * ctx.horizon + c.t0, ctx.horizon),
-                               count=4)
-    eval_ts = eval_ts[eval_ts + shift - delta > 0]
+    eval_ts = ctx.sample_times(lo=1.0, hi=min(0.5 * ctx.horizon + 1.0, ctx.horizon), count=4)
+    eval_ts = eval_ts[eval_ts - delta > 0]
     all_ts = _distinct(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
     free_ts = None
     if not c.potential_terms and ctx.w_t is None:
@@ -479,37 +479,34 @@ def _conformal_times(ctx: _Context):
 
 def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    shift = 1.0 if c.t0_shift else 0.0
     eval_ts, delta, all_ts, free_ts = _conformal_times(ctx)
     free_traj = ctx.trajectory(free_ts) if free_ts is not None else None
     return conformal_identity_suite(
         ctx.trajectory(all_ts), ctx.spec, ctx.potential, ctx.w_t,
         ctx.adaptor() if c.potential_terms else None, eval_ts, delta, ctx.h_of_t,
-        shift=shift, prob_scale=c.prob_scale, corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
+        corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
 
 
 def _suite_adaptor(ctx: _Context) -> EstimateReport:
-    times = ctx.sample_times(lo=max(ctx.config.t0, 0.5), hi=ctx.horizon, count=12)
+    times = ctx.sample_times(lo=1.0, hi=ctx.horizon, count=12)
     return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(), ctx.psi0, ctx.horizon, times)
 
 
 def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
     c = ctx.config
-    return weighted_decay_suite(ctx.spec, 1.0, c.fit_t_lo, c.fit_t_hi)  # sigma = 1
+    return weighted_decay_suite(ctx.spec, c.fit_t_lo, c.fit_t_hi)
 
 
 def _monitor_times(ctx: _Context):
     """Sample times of the positive-potential and Gronwall suites."""
     c = ctx.config
-    return ctx.sample_times(lo=max(1.0, c.t0), hi=ctx.horizon, count=max(c.samples, 12))
+    return ctx.sample_times(lo=1.0, hi=ctx.horizon, count=c.samples)
 
 
 def _suite_positive_potential(ctx: _Context) -> EstimateReport:
-    c = ctx.config
     traj = ctx.trajectory(_monitor_times(ctx))
     lnorm0 = norm(ctx.grid, ctx.psi0, "Lnorm")
-    return positive_potential_suite(traj, ctx.potential, lnorm0,
-                                    fit_window=(max(1.5, c.t0), ctx.horizon))
+    return positive_potential_suite(traj, ctx.potential, lnorm0, fit_window=(1.5, ctx.horizon))
 
 
 def _suite_general_potential(ctx: _Context) -> EstimateReport:
@@ -517,7 +514,7 @@ def _suite_general_potential(ctx: _Context) -> EstimateReport:
     psi = ctx.spec.continuum_part(ctx.psi0)
     psi = psi / norm(ctx.grid, psi, "L2")
     horizon = validity_horizon(ctx.spec, psi, c.t_max)
-    times = np.geomspace(max(c.t0, 1.0), max(horizon, c.t0 * 1.5), max(c.samples, 12))
+    times = np.geomspace(1.0, max(horizon, 1.5), c.samples)
     traj = trajectory_linear(ctx.spec, psi, times)
     lens_ts = np.geomspace(1.0, 50.0, 8)
     return general_potential_suite(ctx.spec, laplacian(ctx.grid), ctx.potential,
@@ -545,14 +542,13 @@ def _suite_timedep(ctx: _Context) -> EstimateReport:
 
 
 def _suite_gronwall(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), 1.0, c.timedep_delta)  # sigma = 1
+    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), ctx.config.timedep_delta)
 
 
 def _nls_times(ctx: _Context):
     """The nls suite's sample times, on its fit window."""
     c = ctx.config
-    return ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=max(c.samples, 12))
+    return ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=c.samples)
 
 
 def _suite_nls(ctx: _Context) -> EstimateReport:
@@ -630,8 +626,8 @@ _SUITES = {
     "positive_potential": SuiteSpec(
         _suite_positive_potential, flow=lambda ctx: (_monitor_times(ctx), None), needs=(
             _V_NONNEGATIVE,
-            ("[evolution].t_max", "t_max > max(1.5, t0) (its fit window starts there)",
-             lambda c: c.t_max > max(1.5, c.t0)))),
+            ("[evolution].t_max", "t_max > 1.5 (its fit window starts there)",
+             lambda c: c.t_max > 1.5))),
     "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True,
                                    scipy=("scipy.linalg",)),
     "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(

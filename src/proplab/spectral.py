@@ -1,6 +1,5 @@
-"""Diagonalization, bound/continuum classification, spectral projectors,
-functional calculus, the genericity margin, and the exact flow
-e^{-iHt} psi at a block of times (``SpectralData.flow``).
+"""Diagonalization, bound/continuum classification, the genericity margin,
+and the exact flow e^{-iHt} psi at a block of times (``SpectralData.flow``).
 
 The free stencil's sine eigenbasis is applied by the DST-I
 (``_sine_transform``: the imaginary part of one real ``numpy.fft`` of the odd
@@ -40,8 +39,8 @@ def default_threshold(grid: Grid) -> float:
     return 0.5 * float(free_laplacian_eigenvalues(grid)[0])
 
 
-def resolution_energy_limit(grid: Grid, fraction: float = 0.5) -> float:
-    """Upper edge of the lattice-resolved band, ``fraction * (4/h^2)``.
+def resolution_energy_limit(grid: Grid) -> float:
+    """Upper edge of the lattice-resolved band, half the band top 4/h^2.
 
     Stencil modes near the band top carry maximal energy but near-zero
     central-difference momentum (the discrete group velocity vanishes at the
@@ -49,7 +48,7 @@ def resolution_energy_limit(grid: Grid, fraction: float = 0.5) -> float:
     Spectral statements are verified below this limit; it tends to infinity
     with h -> 0.
     """
-    return fraction * 4.0 / grid.h**2
+    return 2.0 / grid.h**2
 
 
 def _sine_transform(u):
@@ -130,10 +129,6 @@ class SpectralData:
 
     def __post_init__(self):  # continuum_basis hands out views of these arrays
         self.eigenvalues.flags.writeable = self.eigenvectors.flags.writeable = False
-
-    @property
-    def classified(self) -> bool:
-        return self.tags is not None
 
     def indices(self, tag: str) -> np.ndarray:
         if self.tags is None:
@@ -295,40 +290,6 @@ def classify_spectrum(spec: SpectralData, eps_thr: float | None = None) -> Spect
     tags[spec.eigenvalues < -eps] = BOUND
     tags[np.abs(spec.eigenvalues) <= eps] = NEAR_THRESHOLD
     return replace(spec, tags=tags, eps_thr=eps)
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    matrix: np.ndarray = field(repr=False)
-    rank: int
-    which: str
-    grid: Grid
-
-
-def projector(spec: SpectralData, which: str) -> Projector:
-    """Spectral projector P_c ('continuous') or P_b ('bound').
-
-    Near-threshold states count toward the continuous side so that
-    P_c + P_b = I holds exactly; their presence is reported separately.
-    """
-    if which == "continuous":
-        idx = spec.continuum_indices()
-    elif which == "bound":
-        idx = spec.indices(BOUND)
-    else:
-        raise ValueError(f"which must be 'continuous' or 'bound', got {which!r}")
-    cols = spec.eigenvectors[:, idx]
-    m = (cols @ cols.conj().T).astype(complex)
-    return Projector(matrix=m, rank=int(len(idx)), which=which, grid=spec.grid)
-
-
-def function_of_H(spec: SpectralData, f) -> np.ndarray:
-    """Phi f(E) Phi^dagger.  f must be finite on every eigenvalue."""
-    fe = np.asarray(f(spec.eigenvalues))
-    if not np.all(np.isfinite(fe)):
-        bad = spec.eigenvalues[~np.isfinite(fe)][:3]
-        raise ValueError(f"f undefined on the spectrum near E={bad}")
-    return (spec.eigenvectors * fe) @ spec.eigenvectors.conj().T
 
 
 def genericity_margin(spec: SpectralData, lap: HermitianOperator) -> float:

@@ -28,8 +28,7 @@ from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
                         TimeDependentPotential, _hermiticity_defect_and_scale,
-                        _row_blocks, central_difference, commutator_i,
-                        conformal_factor_dt, conformal_factor_operator, conformal_value,
+                        _row_blocks, central_difference, commutator_i, conformal_value,
                         dilation, laplacian, momentum, multiplication, position)
 from .spectral import (BOUND, SpectralData, genericity_margin,
                        resolution_energy_limit)
@@ -39,7 +38,7 @@ ORDER2_WINDOW = (3.5, 4.5)
 
 
 # ---------------------------------------------------------------------------
-# propagation observables at the three scales of the conformal identity
+# the propagation observable of the conformal identity
 
 
 class _ConformalTerms:
@@ -70,76 +69,42 @@ class _ConformalTerms:
 
 def conformal_prob(grid: Grid, potential: Potential | None,
                    w_t: TimeDependentPotential | None,
-                   adaptor, scale: str = "inverse_t",
-                   shift: float = 0.0, corrupt_db_dt: bool = False) -> PropagationObservable:
-    """B(t) at one of the three scales used by the conformal estimates:
+                   adaptor, corrupt_db_dt: bool = False) -> PropagationObservable:
+    """B(t) = C(t)/t + 4t(V+W) + B, the 1/t scale of the conformal estimates.
 
-    * ``inverse_t``:  C(t)/t + 4t(V+W) + B
-    * ``iterated``:   C(t) + t^2 V + t B
-    * ``inverse_t2``: C(t)/t^2 + 4(V+W) + B/t
-
-    with ts = t + shift replacing t when the initial time is moved to zero.
-    Each member, and each dB/dt, is an OperatorSum of banded terms and
-    beta(t) B, with beta = 1, ts or 1/ts (beta' = 0, 1 or -1/ts^2), so no
+    B(t) and dB/dt are OperatorSums of banded terms and B, so no
     banded-plus-dense sum is formed.  ``adaptor`` is B (an AdaptorOperator,
     or anything with ``apply``), or None.  ``corrupt_db_dt`` flips the sign of the
     analytic derivative; it exists for negative tests and must make the
     Heisenberg consistency fail.
     """
-    if scale not in ("inverse_t", "iterated", "inverse_t2"):
-        raise ValueError(f"unknown scale {scale!r}")
     terms = _ConformalTerms(grid, potential, w_t)
-
-    def b(beta):
-        return [] if adaptor is None else [(beta, adaptor)]
+    b = [] if adaptor is None else [(1.0, adaptor)]
 
     def builder(t):
-        ts = t + shift
-        if ts <= 0:
-            raise ValueError("the scaled observable needs t + shift > 0")
-        if scale == "inverse_t":
-            parts = terms.c(t, 1.0 / ts) + terms.vw(t, 4.0 * ts) + b(1.0)
-        elif scale == "iterated":
-            parts = terms.c(t, 1.0) + [(ts**2, terms.v)] + b(ts)
-        else:
-            parts = terms.c(t, 1.0 / ts**2) + terms.vw(t, 4.0) + b(1.0 / ts)
-        return OperatorSum(tuple(parts))
+        if t <= 0:
+            raise ValueError("the scaled observable needs t > 0")
+        return OperatorSum(tuple(terms.c(t, 1.0 / t) + terms.vw(t, 4.0 * t) + b))
 
     def db_dt(t):
-        ts = t + shift
-        if scale == "inverse_t":
-            parts = (terms.c_dt(t, 1.0 / ts) + terms.c(t, -1.0 / ts**2) + terms.vw(t, 4.0)
-                     + terms.w_dt(t, 4.0 * ts))
-        elif scale == "iterated":
-            parts = terms.c_dt(t, 1.0) + [(2.0 * ts, terms.v)] + b(1.0)
-        else:
-            parts = (terms.c_dt(t, 1.0 / ts**2) + terms.c(t, -2.0 / ts**3) + terms.w_dt(t, 4.0)
-                     + b(-1.0 / ts**2))
+        parts = (terms.c_dt(t, 1.0 / t) + terms.c(t, -1.0 / t**2) + terms.vw(t, 4.0)
+                 + terms.w_dt(t, 4.0 * t))
         sign = -1.0 if corrupt_db_dt else 1.0
         return OperatorSum(tuple((sign * k, op) for k, op in parts))
 
     positive_factor = None
-    free_case = (potential is None or potential.is_zero) and w_t is None
-    if free_case and adaptor is None and scale == "inverse_t":
-        # free flow: D_H (C/ts) = -(C factor)^* (C factor) exactly, with the
-        # factor (x - 2tp)/ts and no remainder
+    if (potential is None or potential.is_zero) and w_t is None and adaptor is None:
+        # free flow: D_H (C/t) = -(C factor)^* (C factor) exactly, with the
+        # factor (x - 2tp)/t and no remainder
         xm = position(grid).matrix
         pm = momentum(grid).matrix
 
         def positive_factor(t):
-            return (xm - 2.0 * t * pm) / (t + shift)
+            return (xm - 2.0 * t * pm) / t
 
-    return PropagationObservable(label=f"conformal[{scale}]",
+    return PropagationObservable(label="conformal[inverse_t]",
                                  builder=builder, db_dt=db_dt,
                                  positive_factor=positive_factor)
-
-
-def free_conformal_prob(grid: Grid) -> PropagationObservable:
-    """The unscaled conformal factor C(t), conserved by the free flow."""
-    return PropagationObservable(
-        label="conformal_factor",
-        builder=lambda t: conformal_factor_operator(grid, t),
-        db_dt=lambda t: conformal_factor_dt(grid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +175,19 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
 # adapted conformal identity
 
 
-class _AdaptedConformal:
+class AdaptedConformal:
     """The adapted conformal identity at the 1/t scale for one (grid, V, W,
-    B_V, shift), read by matvecs, with the truncation remainder through its
-    n x |S| factor (``remainder``)."""
+    B_V), read by matvecs, with the truncation remainder through its n x |S|
+    factor (``remainder``)."""
 
     def __init__(self, spec: SpectralData, potential: Potential | None,
                  w_t: TimeDependentPotential | None,
-                 adaptor: AdaptorOperator | None, shift: float = 0.0,
-                 corrupt_db_dt: bool = False):
+                 adaptor: AdaptorOperator | None, corrupt_db_dt: bool = False):
         grid, x = spec.grid, spec.grid.points
-        self.grid, self.w_t, self.shift, self.adaptor = grid, w_t, shift, adaptor
+        self.grid, self.w_t, self.adaptor = grid, w_t, adaptor
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = conformal_prob(grid, potential, w_t, self.adaptor, "inverse_t", shift, corrupt_db_dt)
+        self.prob = conformal_prob(grid, potential, w_t, self.adaptor, corrupt_db_dt)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -232,14 +196,14 @@ class _AdaptedConformal:
             self.xdw = multiplication(grid, x * w_t.d_profile(x))
 
     def rhs(self, t: float, state) -> float:
-        """<u, RHS(t) u> for RHS = -C/ts^2 + [4 x.grad V + 4V]_- +
-        (4 x.grad W + 4W + 4 ts dW/dt) + i[W, B]: the banded terms as one
+        """<u, RHS(t) u> for RHS = -C/t^2 + [4 x.grad V + 4V]_- +
+        (4 x.grad W + 4W + 4t dW/dt) + i[W, B]: the banded terms as one
         OperatorSum, and <u, i[W, B] u> = -2 Im <W u, B u>."""
-        grid, w_t, ts = self.grid, self.w_t, t + self.shift
-        parts = self.terms.c(t, -1.0 / ts**2) + self.v_neg
+        grid, w_t = self.grid, self.w_t
+        parts = self.terms.c(t, -1.0 / t**2) + self.v_neg
         if w_t is not None:
             parts += [(4.0 * w_t.amplitude(t), self.xdw)] + self.terms.w_at(t, 4.0) \
-                + self.terms.w_dt(t, 4.0 * ts)
+                + self.terms.w_dt(t, 4.0 * t)
         value = expectation_value(grid, OperatorSum(tuple(parts)), state)
         if w_t is not None and self.adaptor is not None:
             w_u = (w_t.amplitude(t) * self.terms.w_profile) * state
@@ -248,8 +212,18 @@ class _AdaptedConformal:
 
     def residual(self, traj: Trajectory, t: float, dt_offset: float,
                  include_truncation_term: bool = False):
-        if t + self.shift <= 0:
-            raise ValueError("conformal identity is evaluated at t + shift > 0")
+        """|d/dt <B(t)> - <RHS(t)>| at t > 0, with the exact expectation of
+        the adaptor truncation term returned alongside for the tolerance
+        budget.
+
+        The derivative is a centered difference of the quadratic form, so the
+        residual is O(dt_offset^2 + h^2) plus that term.  With
+        ``include_truncation_term`` the remainder joins the right side, which
+        isolates the pure O(dt^2 + h^2) behavior for convergence checks.
+        ``traj`` samples t and t +- dt_offset.
+        """
+        if t <= 0:
+            raise ValueError("conformal identity is evaluated at t > 0")
         lhs = centered_derivative(traj, self.prob, t, dt_offset)
         state = traj.state_at(t)
         rhs = self.rhs(t, state)
@@ -263,33 +237,11 @@ class _AdaptedConformal:
         return abs(lhs - rhs), bv_term
 
 
-def conformal_identity_residual(traj: Trajectory, spec: SpectralData,
-                                potential: Potential | None,
-                                w_t: TimeDependentPotential | None,
-                                adaptor: AdaptorOperator | None,
-                                t: float, dt_offset: float,
-                                shift: float = 0.0,
-                                include_truncation_term: bool = False):
-    """|d/dt <B(t)> - <RHS(t)>| for the adapted conformal identity.
-
-    The derivative is a centered difference of the quadratic form, so the
-    residual is O(dt_offset^2 + h^2) plus the adaptor truncation term, whose
-    exact expectation is returned alongside for the tolerance budget.  With
-    ``include_truncation_term`` the remainder joins the right side, which
-    isolates the pure O(dt^2 + h^2) behavior for convergence checks.
-    Needs t > -shift (the 1/t scale) and samples at t, t +- dt_offset.
-    """
-    identity = _AdaptedConformal(spec, potential, w_t, adaptor, shift)
-    return identity.residual(traj, t, dt_offset, include_truncation_term)
-
-
 def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                              potential: Potential | None,
                              w_t: TimeDependentPotential | None,
                              adaptor: AdaptorOperator | None, eval_ts,
-                             delta: float, h_of_t, shift: float = 0.0,
-                             prob_scale: str = "inverse_t",
-                             corrupt_db_dt: bool = False,
+                             delta: float, h_of_t, corrupt_db_dt: bool = False,
                              free_traj: Trajectory | None = None) -> EstimateReport:
     """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
     delta, caps 5 (delta^2 + h^2) + truncation term), Heisenberg
@@ -298,14 +250,13 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
     cap_scheme = 5.0 * (delta**2 + grid.h**2)
-    identity = _AdaptedConformal(spec, potential, w_t, adaptor, shift, corrupt_db_dt)
+    identity = AdaptedConformal(spec, potential, w_t, adaptor, corrupt_db_dt)
     for t in eval_ts:
         resid, bv = identity.residual(traj, float(t), delta)
         report.add(f"identity residual at t={t:g}", (resid, "<=", cap_scheme + bv))
 
     prob = identity.prob
-    scale_prob = conformal_prob(grid, potential, w_t, identity.adaptor, prob_scale, shift)
-    report.series["prob_expectation"] = observable_series(traj, scale_prob, eval_ts)
+    report.series["prob_expectation"] = observable_series(traj, prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
     bv_mid = 0.0
@@ -334,10 +285,11 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
 
 def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
                   adaptor: AdaptorOperator, psi0, validity_horizon: float,
-                  times, sigma: float = 1.0) -> EstimateReport:
+                  times) -> EstimateReport:
     """Invariants of B_V (Hermitian, on Ran P_c, PSD for -Q >= 0), closure of
     the truncated commutator, the weighted residual over horizons up to
-    ``validity_horizon``, and the decay of <B> along the flow at ``times``."""
+    ``validity_horizon`` (weight <x>^-1), and the decay of <B> along the flow
+    at ``times``."""
     report = EstimateReport("adaptor operator construction")
     b = adaptor.matrix
     scale = max(adaptor.norm_bound, 1e-30)
@@ -363,7 +315,7 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     excess, note = math.nan, ""
     if hi > lo:
         horizons = np.linspace(lo, hi, 6)
-        scan = residual_weighted_scan(spec, adaptor.q, horizons, sigma=sigma)
+        scan = residual_weighted_scan(spec, adaptor.q, horizons)
         excess = np.max(np.diff(scan) - 0.02 * scan[:-1])
         note = f"scan {np.array2string(scan, precision=4)}"
         report.series["residual_scan"] = ObservableSeries(horizons, scan, "weighted residual vs horizon")
@@ -382,11 +334,12 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     return report
 
 
-def weighted_decay_suite(spec: SpectralData, sigma: float, fit_t_lo: float,
-                         fit_t_hi: float) -> EstimateReport:
-    """Pointwise weighted decay: the fitted slope of ||W_sigma e^{-iHt} P_c
-    W_sigma|| on [fit_t_lo, fit_t_hi], over the band no wave leaves the box
-    by fit_t_hi and the lattice resolves, and the contraction at t = 0."""
+def weighted_decay_suite(spec: SpectralData, fit_t_lo: float, fit_t_hi: float) -> EstimateReport:
+    """Pointwise weighted decay: the fitted slope of ||W e^{-iHt} P_c W||,
+    W = <x>^-1 (sigma = 1), on [fit_t_lo, fit_t_hi], over the band no wave
+    leaves the box by fit_t_hi and the lattice resolves, and the contraction
+    at t = 0."""
+    sigma = 1.0
     report = EstimateReport("pointwise weighted decay")
     e_cut = min(transit_energy_limit(spec.grid, fit_t_hi), resolution_energy_limit(spec.grid))
     modes = len(spec.continuum_basis(e_max=e_cut)[1])
@@ -528,20 +481,6 @@ def lens_positivity_values(spec: SpectralData, potential: Potential, times,
     return np.array([np.linalg.eigvalsh(x2 / t - 4.0 * a + 4.0 * t * vp2)[0] for t in times])
 
 
-def lens_identity_residual(grid: Grid, t: float, state) -> float:
-    """Weak residual of C(t)/t = U_t (4t p^2) U_t^* on a smooth state,
-    U_t = diag(e^{i x^2 / 4t}); O(h^2) on resolved states."""
-    if t <= 0:
-        raise ValueError("lens identity needs t > 0")
-    x = grid.points
-    u_phase = np.exp(1j * x**2 / (4.0 * t))
-    s = np.asarray(state, dtype=complex)
-    lhs = conformal_value(grid, s, t) / t
-    p_chi = central_difference(grid, u_phase.conj() * s)
-    rhs = 4.0 * t * float(grid.quad_weight * np.sum(np.abs(p_chi) ** 2))
-    return abs(lhs - rhs)
-
-
 def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
                             potential: Potential, traj: Trajectory,
                             lens_times, e_max: float | None = None) -> EstimateReport:
@@ -567,30 +506,7 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
 
 
 # ---------------------------------------------------------------------------
-# semilinear bookkeeping
-
-
-def semilinear_G(F):
-    """G(rho) = F(rho) - (1/rho) int_0^rho F(z) dz, with G(0) = 0.
-
-    This is the perfect-derivative profile of a repulsive nonlinearity
-    F(|psi|^2): the time derivative of <F> reorganizes into d/dt <G>.
-    """
-
-    import scipy.integrate  # lazy: this is its only user
-
-    def g(rho):
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = np.empty_like(rho_arr)
-        for i, r in enumerate(rho_arr):
-            if r == 0.0:
-                out[i] = 0.0
-                continue
-            integral, _ = scipy.integrate.quad(F, 0.0, r)
-            out[i] = F(r) - integral / r
-        return out if np.ndim(rho) else float(out[0])
-
-    return g
+# defocusing cubic flow
 
 
 def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateReport:
@@ -660,7 +576,7 @@ class TimedepObserver:
         self.disp_partial, self.h1_series, self.f_series, self.m_series = [], [], [], []
         self.sampled_ts = []
         self.f_diag = _bump(center=1.0, halfwidth=1.0)(spec.eigenvalues)
-        self.w2sig = weight_vector(grid, 2.0).samples  # sigma = 1 weight squared
+        self.w2sig = weight_vector(grid, 2.0)  # sigma = 1 weight squared
         # weighted samples, so that each sum is one dot product: W = amplitude(t)
         # profile(x), and ||psi||_6^6 = sum l6_weight |u|^6 with psi = u/r on radial grids
         self.profile = grid.quad_weight * w_t.profile(grid.points)
@@ -767,7 +683,7 @@ def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
     """M(s) = <psi(s), [ |x-2ps|^2/s^2 + <x>^{-2 sigma} ] psi(s)> and the flag
     M(t) <= M(t0) e^{d (t - t0)} for the scenario's declared d."""
     grid = traj.grid
-    w2 = weight_vector(grid, 2.0 * sigma).samples
+    w2 = weight_vector(grid, 2.0 * sigma)
     ts = traj.valid_window() if times is None else np.asarray(times, dtype=float)
     ts = ts[ts > 0]
     vals = []
@@ -787,12 +703,12 @@ def _envelope_clause(series: ObservableSeries, d_const: float):
     return (float(excess.max()) if len(excess) else 0.0), "<=", 1e-12, "worst excess"
 
 
-def gronwall_suite(traj: Trajectory, sigma: float, delta: float) -> EstimateReport:
-    """The Gronwall monitor under its envelope, with d = max(delta, 1e-3)
-    for the self-similar W of strength delta."""
+def gronwall_suite(traj: Trajectory, delta: float) -> EstimateReport:
+    """The Gronwall monitor (sigma = 1) under its envelope, with
+    d = max(delta, 1e-3) for the self-similar W of strength delta."""
     report = EstimateReport("Gronwall monitor")
     d_const = max(delta, 1e-3)
-    series, _ = gronwall_monitor(traj, sigma, d_const)
+    series, _ = gronwall_monitor(traj, 1.0, d_const)
     report.series["gronwall_monitor"] = series
     report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
                _envelope_clause(series, d_const))
@@ -854,7 +770,7 @@ def morawetz_cancellation_check(grid: Grid, spec: SpectralData, potential: Poten
     adaptor = build_adaptor(spec, q, horizon, sigma=sigma)
     comm = commutator_i(laplacian(grid) + multiplication(grid, potential.v(x)), adaptor.op)
     total = multiplication(grid, profile).matrix + comm.matrix
-    w = weight_vector(grid, sigma).samples
+    w = weight_vector(grid, sigma)
     # the weighted matrix is Hermitian, so its 2-norm is its largest |eigenvalue|
     measured = float(np.abs(np.linalg.eigvalsh((w[:, None] * total) * w[None, :])).max())
     bound = adaptor.residual_weighted + 1e-8 * max(1.0, float(np.abs(profile).max()))
@@ -889,8 +805,8 @@ class SmoothingObserver:
     the envelope to them.
     """
 
-    def __init__(self, grid: Grid, t_end: float, eps_m: float = 0.1):
-        x = grid.points
+    def __init__(self, grid: Grid, t_end: float):
+        x, eps_m = grid.points, 0.1
         self.grid, self.t_end = grid, t_end
         self.checkpoints = np.linspace(t_end / 6.0, t_end, 8)
         self.w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)

@@ -38,20 +38,20 @@ def test_weight_vector_values():
     g = make_grid("line", 9, 5.0)
     w = weight_vector(g, 2.0)
     # x = 0 with sigma = 2 gives exactly 1
-    assert w.samples[4] == pytest.approx(1.0)
+    assert w[4] == pytest.approx(1.0)
     # <sqrt(3)> = 2, so sigma = 1 gives 1/2
     g3 = make_grid("line", 15, 4.0 * math.sqrt(3))
     w3 = weight_vector(g3, 1.0)
     j = np.argmin(np.abs(g3.points - math.sqrt(3)))
     assert g3.points[j] == pytest.approx(math.sqrt(3))
-    assert w3.samples[j] == pytest.approx(0.5)
+    assert w3[j] == pytest.approx(0.5)
 
 
 def test_weight_vector_pointwise_formula():
     g = make_grid("line", 9, 5.0)
     w = weight_vector(g, 1.0)
-    np.testing.assert_allclose(w.samples, (1.0 + g.points**2) ** -0.5, rtol=1e-14)
-    assert np.all(w.samples > 0) and np.all(w.samples <= 1.0)
+    np.testing.assert_allclose(w, (1.0 + g.points**2) ** -0.5, rtol=1e-14)
+    assert np.all(w > 0) and np.all(w <= 1.0)
 
 
 def test_weight_rejects_negative_sigma(line_grid):
@@ -63,7 +63,7 @@ def test_weight_monotone_in_x_and_sigma(line_grid, rng):
     sigmas = np.sort(rng.uniform(0.1, 4.0, size=5))
     prev = None
     for s in sigmas:
-        w = weight_vector(line_grid, s).samples
+        w = weight_vector(line_grid, s)
         # non-increasing in |x|
         half = w[line_grid.points >= 0]
         assert np.all(np.diff(half) <= 1e-15)

@@ -10,8 +10,8 @@ from proplab import (ObservableSeries, Potential, fit_decay_rate,
                      observable_series, pres_check, trajectory_linear)
 from proplab.observables import (CheckResult, EstimateReport, bounded_check,
                                  heisenberg_consistency, log_growth_fit)
-from proplab.operators import HermitianOperator
-from proplab.suites import conformal_prob, free_conformal_prob
+from proplab.operators import HermitianOperator, conformal_value
+from proplab.suites import conformal_prob
 
 
 def free_traj(grid, times, width=1.2):
@@ -43,13 +43,13 @@ def test_free_conformal_series_constant():
     g = make_grid("line", 384, 25.0)
     times = np.linspace(0.0, 2.0, 9)
     traj, _ = free_traj(g, times)
-    series = observable_series(traj, free_conformal_prob(g), times)
-    rel = np.abs(series.values - series.values[0]) / series.values[0]
+    values = np.array([conformal_value(g, traj.state_at(t), t) for t in times])
+    rel = np.abs(values - values[0]) / values[0]
     assert rel.max() <= 1e-6
     # at t = 0 the value is <x^2> of the initial state
     psi = traj.state_at(0.0)
     x2 = float(np.real(g.inner(psi, g.points**2 * psi)))
-    assert series.values[0] == pytest.approx(x2, rel=1e-10)
+    assert values[0] == pytest.approx(x2, rel=1e-10)
 
 
 def test_heisenberg_consistency_identity_and_conformal(line_grid):
@@ -65,7 +65,7 @@ def test_heisenberg_consistency_identity_and_conformal(line_grid):
     prob_i = PropagationObservable("mass", lambda t: ident, lambda t: zero)
     assert heisenberg_consistency(traj, prob_i, lambda t: lap_op, t0, dt) <= 1e-9
 
-    prob_c = conformal_prob(line_grid, None, None, None, "inverse_t")
+    prob_c = conformal_prob(line_grid, None, None, None)
     # centered-difference error O(dt^2 <C>/t^4)
     assert heisenberg_consistency(traj, prob_c, lambda t: lap_op, t0, dt) <= 5e-4
 
@@ -83,7 +83,7 @@ def test_heisenberg_consistency_converges_and_detects_corruption():
         spec = classify_spectrum(diagonalize(h_op))
         psi = gaussian_state(g, width=1.2)
         traj = trajectory_linear(spec, psi, times)
-        prob = conformal_prob(g, pot, None, None, "inverse_t")
+        prob = conformal_prob(g, pot, None, None)
         return heisenberg_consistency(traj, prob, lambda t: h_op, t0, dt)
 
     r1, r2 = resid(g1, 0.02), resid(g2, 0.01)
@@ -99,7 +99,7 @@ def test_heisenberg_consistency_converges_and_detects_corruption():
     psi = gaussian_state(g, width=1.2)
     times = np.array([0.98, 1.0, 1.02])
     traj = trajectory_linear(spec, psi, times)
-    bad = conformal_prob(g, pot, None, None, "inverse_t", corrupt_db_dt=True)
+    bad = conformal_prob(g, pot, None, None, corrupt_db_dt=True)
     assert heisenberg_consistency(traj, bad, lambda t: h_op, 1.0, 0.02) > 1.0
 
 
@@ -107,7 +107,7 @@ def test_pres_check_free_flow_and_violation():
     g = make_grid("line", 256, 15.0)
     times = np.linspace(1.0, 4.0, 13)
     traj, _ = free_traj(g, times)
-    prob = conformal_prob(g, None, None, None, "inverse_t")
+    prob = conformal_prob(g, None, None, None)
     b_series = observable_series(traj, prob, times)
     # D_H (C/t) = -C/t^2 <= 0: the PROB decays, so C = 0 and g = 0 works
     zero_c = ObservableSeries(times, np.zeros_like(times), "0")
@@ -130,12 +130,12 @@ def test_pres_with_hooks_free_flow_and_skip():
     g = make_grid("line", 256, 15.0)
     times = np.linspace(1.0, 4.0, 13)
     traj, _ = free_traj(g, times)
-    prob = conformal_prob(g, None, None, None, "inverse_t")
+    prob = conformal_prob(g, None, None, None)
     res, warn = pres_check_with_hooks(traj, prob, times)
     assert warn is None and res.passed
     # quadrature-level soundness: slack stays below the O(dt^2) budget scale
     assert res.measured <= res.bound
-    hookless = conformal_prob(g, Potential.gaussian(1.0), None, None, "inverse_t")
+    hookless = conformal_prob(g, Potential.gaussian(1.0), None, None)
     res2, warn2 = pres_check_with_hooks(traj, hookless, times)
     assert res2 is None and "skipped" in warn2
 

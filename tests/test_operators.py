@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     commutator_i, conformal_factor_operator, dilation,
-                     heisenberg_derivative, laplacian, make_grid, momentum,
+                     commutator_i, dilation, laplacian, make_grid, momentum,
                      multiplication, position)
 from proplab.evolution import gaussian_state
+from proplab.observables import heisenberg_expectation
 from proplab.operators import (ROW_BLOCK, Banded, ConformalFactor, OperatorSum,
                                 _hermiticity_defect_and_scale, central_difference,
-                                conformal_factor_dt, conformal_value)
+                                conformal_value)
 from hypothesis import given, settings, strategies as st
 
 
 def weak(grid, m, phi):
     return float(np.real(grid.inner(phi, m @ phi)))
+
+
+def conformal_reference(grid, t):
+    """C(t) = (x - 2tp)^*(x - 2tp) and dC/dt = -2(xp + px) + 8t p^2, dense,
+    from the banded x and p."""
+    x, p = position(grid).matrix.toarray(), momentum(grid).matrix.toarray()
+    xp = x - 2.0 * t * p
+    return xp.conj().T @ xp, -2.0 * (x @ p + p @ x) + 8.0 * t * (p @ p)
 
 
 def test_hermitian_operator_rejects_asymmetric(line_grid):
@@ -93,8 +101,9 @@ def test_banded_matches_its_dense_form(n, offsets, other_offsets, complex_entrie
 
 
 def test_constructors_are_hermitian(line_grid):
+    factor = ConformalFactor(line_grid)
     for op in (laplacian(line_grid), momentum(line_grid), dilation(line_grid),
-               position(line_grid), conformal_factor_operator(line_grid, 1.3)):
+               position(line_grid), factor.x2, factor.p2):
         defect = _hermiticity_defect_and_scale(op.matrix)[0]
         assert defect <= 1e-12 * max(1.0, np.abs(op.matrix).max())
 
@@ -130,7 +139,7 @@ def test_central_difference_and_conformal_value_match_momentum(kind, n, extent, 
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     pu = momentum(grid).apply(u)
     assert np.abs(central_difference(grid, u) - pu).max() <= 1e-15 * np.abs(pu).max()
-    c_form = weak(grid, conformal_factor_operator(grid, t).matrix, u)
+    c_form = weak(grid, conformal_reference(grid, t)[0], u)
     assert conformal_value(grid, u, t) == pytest.approx(c_form, rel=1e-13)
 
 
@@ -178,15 +187,19 @@ def test_multiplication_identity_action_spectrum(line_grid, rng):
 
 
 def test_conformal_factor_at_zero_and_psd(line_grid, rng):
-    c0 = conformal_factor_operator(line_grid, 0.0)
-    np.testing.assert_allclose(c0.matrix.toarray(), np.diag(line_grid.points**2), atol=1e-12)
-    c1 = conformal_factor_operator(line_grid, 1.0)
-    evals = np.linalg.eigvalsh(c1.matrix.toarray())
+    factor = ConformalFactor(line_grid)
+
+    def dense(t):
+        return sum(k * op.matrix.toarray() for k, op in factor.terms(t))
+
+    np.testing.assert_allclose(dense(0.0), np.diag(line_grid.points**2), atol=1e-12)
+    evals = np.linalg.eigvalsh(dense(1.0))
     assert evals[0] >= -1e-9 * np.abs(evals).max()
-    # <phi, C phi> = ||(x - 2tp) phi||^2 by construction
+    # <phi, C phi> = ||(x - 2tp) phi||^2
     phi = rng.normal(size=line_grid.n) + 1j * rng.normal(size=line_grid.n)
     m = position(line_grid).matrix - 2.0 * momentum(line_grid).matrix
-    assert weak(line_grid, c1.matrix, phi) == pytest.approx(
+    c_phi = OperatorSum(tuple(factor.terms(1.0))).apply(phi)
+    assert float(np.real(line_grid.inner(phi, c_phi))) == pytest.approx(
         float(np.real(line_grid.inner(m @ phi, m @ phi))), rel=1e-10)
 
 
@@ -228,36 +241,43 @@ def test_potential_dilation_commutator_weak_ratio():
     assert 3.5 <= r1 / r2 <= 4.5
 
 
-def test_heisenberg_derivative_momentum_free(line_grid):
+# D_H B = i[H, B] + dB/dt, read as the run reads it: <u, D_H B u> by
+# heisenberg_expectation, with <u, i[H, B] u> = -2 Im <H u, B u>
+
+
+def test_heisenberg_derivative_momentum_free(line_grid, rng):
     # D_H p = 0 for H = -lap: shift polynomials commute away from the walls,
-    # so the matrix vanishes on interior rows and weakly on localized states
-    zero = HermitianOperator(np.zeros((line_grid.n, line_grid.n), dtype=complex),
-                             line_grid, "0")
-    d = heisenberg_derivative(laplacian(line_grid), momentum(line_grid), zero)
-    assert np.abs(d.matrix[2:-2, 2:-2]).max() <= 1e-10
+    # so the form vanishes on states supported inside and weakly on localized ones
+    zero = HermitianOperator(Banded(line_grid.n, {}), line_grid, "0")
+    lap, p = laplacian(line_grid), momentum(line_grid)
+    inside = np.zeros(line_grid.n, dtype=complex)
+    inside[2:-2] = rng.normal(size=line_grid.n - 4) + 1j * rng.normal(size=line_grid.n - 4)
+    scale = line_grid.quad_weight * np.linalg.norm(lap.apply(inside)) * np.linalg.norm(p.apply(inside))
+    assert abs(heisenberg_expectation(line_grid, lap, p, zero, inside)) <= 1e-10 * scale
     phi = gaussian_state(line_grid, width=1.5)
-    assert abs(weak(line_grid, d.matrix, phi)) <= 1e-12
+    assert abs(heisenberg_expectation(line_grid, lap, p, zero, phi)) <= 1e-12
 
 
-def test_heisenberg_derivative_position_exact(line_grid):
+def test_heisenberg_derivative_position_exact(line_grid, rng):
     # i[-lap, x] = 2p exactly on the uniform lattice
-    zero = HermitianOperator(np.zeros((line_grid.n, line_grid.n), dtype=complex),
-                             line_grid, "0")
-    d = heisenberg_derivative(laplacian(line_grid), position(line_grid), zero)
-    assert np.abs(d.matrix - 2.0 * momentum(line_grid).matrix).max() <= 1e-10
+    zero = HermitianOperator(Banded(line_grid.n, {}), line_grid, "0")
+    lap, p = laplacian(line_grid), momentum(line_grid)
+    for _ in range(3):
+        u = rng.normal(size=line_grid.n) + 1j * rng.normal(size=line_grid.n)
+        got = heisenberg_expectation(line_grid, lap, position(line_grid), zero, u)
+        scale = line_grid.quad_weight * np.linalg.norm(lap.apply(u)) * np.linalg.norm(line_grid.points * u)
+        assert abs(got - 2.0 * weak(line_grid, p.matrix, u)) <= 1e-12 * scale
 
 
 def test_heisenberg_derivative_scaled_conformal(line_grid):
     # D_{H0} (C(t)/t) = -C(t)/t^2, weak form on a smooth state
     t = 1.5
     phi = gaussian_state(line_grid, width=1.5)
-    c = conformal_factor_operator(line_grid, t)
-    db_dt = HermitianOperator(conformal_factor_dt(line_grid, t).matrix / t
-                              - c.matrix / t**2, line_grid, "d(C/t)/dt")
-    b = HermitianOperator(c.matrix / t, line_grid, "C/t")
-    d = heisenberg_derivative(laplacian(line_grid), b, db_dt)
-    got = weak(line_grid, d.matrix, phi)
-    expect = -weak(line_grid, c.matrix, phi) / t**2
+    factor = ConformalFactor(line_grid)
+    b = OperatorSum(tuple(factor.terms(t, 1.0 / t)))
+    db_dt = OperatorSum(tuple(factor.dt_terms(t, 1.0 / t) + factor.terms(t, -1.0 / t**2)))
+    got = heisenberg_expectation(line_grid, laplacian(line_grid), b, db_dt, phi)
+    expect = -weak(line_grid, conformal_reference(line_grid, t)[0], phi) / t**2
     assert got == pytest.approx(expect, abs=1e-8)
 
 
@@ -275,7 +295,6 @@ def test_parity_commutes_with_even_hamiltonian(line_grid):
 
 def test_sparse_builders_match_dense_reference():
     # each banded builder against the same operator assembled densely
-    t = 0.7
     for kind in ("line", "radial3d"):
         for n in (9, 64):
             g = make_grid(kind, n, 10.0)
@@ -283,11 +302,10 @@ def test_sparse_builders_match_dense_reference():
             lap = (2.0 * np.eye(n) - np.diag(ones, 1) - np.diag(ones, -1)) / g.h**2
             p = (np.diag(ones, -1) - np.diag(ones, 1)) * (1j / (2.0 * g.h))
             x = np.diag(g.points)
-            xp = x - 2.0 * t * p
+            factor = ConformalFactor(g)
             cases = [(laplacian(g), lap), (momentum(g), p), (position(g), x),
                      (dilation(g), 0.5 * (x @ p + p @ x)),
-                     (conformal_factor_operator(g, t), xp.conj().T @ xp),
-                     (conformal_factor_dt(g, t), -2.0 * (x @ p + p @ x) + 8.0 * t * (p @ p))]
+                     (factor.x2, x @ x), (factor.p2, p @ p)]
             for op, dense in cases:
                 assert isinstance(op.matrix, Banded), op.label
                 np.testing.assert_allclose(op.matrix.toarray(), dense, rtol=0,
@@ -298,15 +316,16 @@ def test_sparse_builders_match_dense_reference():
 
 def test_conformal_factor_terms_match_matrix_forms():
     # the expanded C(t) and dC/dt, applied term by term, against the matrix
-    # forms conformal_factor_operator and conformal_factor_dt
+    # forms (x - 2tp)^*(x - 2tp) and -2(xp + px) + 8t p^2
     rng = np.random.default_rng(3)
     for kind in ("line", "radial3d"):
         g = make_grid(kind, 64, 10.0)
         u = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         factor = ConformalFactor(g)
         for t, k in ((0.0, 1.0), (0.7, 1.0), (2.5, -0.3)):
-            pairs = [(OperatorSum(tuple(factor.terms(t, k))), k * conformal_factor_operator(g, t).matrix),
-                     (OperatorSum(tuple(factor.dt_terms(t, k))), k * conformal_factor_dt(g, t).matrix)]
+            c, c_dt = conformal_reference(g, t)
+            pairs = [(OperatorSum(tuple(factor.terms(t, k))), k * c),
+                     (OperatorSum(tuple(factor.dt_terms(t, k))), k * c_dt)]
             for terms, m in pairs:
                 expect = m @ u
                 np.testing.assert_allclose(terms.apply(u), expect, rtol=0,
@@ -326,7 +345,7 @@ def test_self_similar_envelope(line_grid):
     x = line_grid.points
     for t in (1.0, 3.0, 10.0):
         envelope = 0.5 * 0.05 / t * (1.0 + x**2) ** -1.0
-        assert np.all(np.abs(w.dt_w(x, t)) <= envelope + 1e-15)
+        assert np.all(np.abs(w.d_amplitude(t) * w.profile(x)) <= envelope + 1e-15)
     dx = 1e-6
     fd = (w.w(x + dx, 2.0) - w.w(x - dx, 2.0)) / (2.0 * dx)
-    np.testing.assert_allclose(w.dw(x, 2.0), fd, atol=1e-8)
+    np.testing.assert_allclose(w.amplitude(2.0) * w.d_profile(x), fd, atol=1e-8)

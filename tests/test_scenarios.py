@@ -28,7 +28,7 @@ def test_parse_minimal_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.name == "tiny"
     assert config.method == "eigenbasis_exact"
-    assert config.t0 == 1.0
+    assert config.samples == 16
 
 
 def test_parse_rejects_unknown_section():
@@ -39,14 +39,16 @@ def test_parse_rejects_unknown_section():
 
 # a misspelled key, and the keys retired because every run used their defaults:
 # the caps, theta, eps_m and sigma = 1 are fixed in the suites, W's profile is
-# <x>^-2, the adaptor horizon is half the validity horizon, and the Gaussian
-# state is centered with no momentum
+# <x>^-2, the adaptor horizon is half the validity horizon, the Gaussian
+# state is centered with no momentum, and the conformal observable is read at
+# the 1/t scale (no shifted time) with windows from t = 1
 @pytest.mark.parametrize("section, key", [
     ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
-    ("initial_state", "center"), ("initial_state", "momentum"),
+    ("initial_state", "center"), ("initial_state", "momentum"), ("evolution", "t0"),
     ("overrides", "t_b"), ("overrides", "sigma"), ("overrides", "theta"), ("overrides", "eps_m"),
     ("overrides", "energy_cap"), ("overrides", "iterated_cap"), ("overrides", "disp_cap"),
     ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
+    ("overrides", "t0_shift"), ("overrides", "prob_scale"),
 ])
 def test_parse_rejects_unknown_key(section, key):
     bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -276,16 +278,6 @@ def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
     assert os.path.isdir(str(tmp_path / "env_runs" / "free_small"))
 
 
-def test_t0_shift_and_prob_scale_knobs(tmp_path):
-    text = serialize_config(small_free_config()) + \
-        "\n[overrides]\nt0_shift = true\nprob_scale = iterated\n"
-    config = parse_config(text)
-    assert config.t0_shift and config.prob_scale == "iterated"
-    artifact = run_scenario(replace(config, name="free_shifted"), str(tmp_path))
-    assert artifact.passed
-    assert any("prob_expectation" in p for p in artifact.series_files)
-
-
 def test_near_threshold_gating(tmp_path):
     # a widened threshold band catches the lowest box mode: suites that
     # assume a clean threshold are skipped with an explicit reason
@@ -306,6 +298,10 @@ def _assert_rejected(argv, out_dir, run_name, path, capsys):
 
 def test_cli_rejects_grid_override_below_minimum(tmp_path, capsys):
     _assert_rejected(["run", "free", "--grid-n", "4"], tmp_path, "free", "[grid]", capsys)
+
+
+def test_cli_rejects_non_finite_tmax_override(tmp_path, capsys):
+    _assert_rejected(["run", "free", "--tmax", "nan"], tmp_path, "free", "[evolution].t_max", capsys)
 
 
 def test_cli_rejects_positive_potential_suite_on_negative_v(tmp_path, capsys):
@@ -367,7 +363,7 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
      + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n[evolution]\nmethod = split_step2\n",
      "[timedep].type"),
-    # empty fit windows: positive_potential fits from max(1.5, t0), nls from fit_t_lo,
+    # empty fit windows: positive_potential fits from 1.5, nls from fit_t_lo,
     # weighted_decay on [fit_t_lo, fit_t_hi]
     (MINIMAL.replace("conformal_identity", "positive_potential") + "\n[evolution]\nt_max = 1.2\n",
      "[evolution].t_max"),
@@ -383,6 +379,16 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
      "[overrides].fit_t_lo"),
     # a Gaussian of width <= 0 is no state; every suite that reads it would raise
     (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width"),
+    # the positive-potential, Gronwall, nls and general-potential windows take
+    # [evolution].samples times, at least 12
+    (MINIMAL + "\n[evolution]\nsamples = 11\n", "[evolution].samples"),
+    # a non-finite number passes every comparison with it: t_max = nan sets no
+    # horizon, extent = nan no grid, width = nan no state, a nan term no V
+    (MINIMAL + "\n[evolution]\nt_max = nan\n", "[evolution].t_max"),
+    (MINIMAL + "\n[evolution]\nt_max = inf\n", "[evolution].t_max"),
+    (MINIMAL.replace("extent = 12.0", "extent = nan"), "[grid].extent"),
+    (MINIMAL + "\n[initial_state]\nwidth = nan\n", "[initial_state].width"),
+    (MINIMAL + "\n[potential]\ngaussians = 1.0 1.0 nan\n", "[potential].gaussians"),
     # the stepper derives its kinetic taps from dt, which must be a finite number
     (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
      "[evolution]\nmethod = split_step2\ndt = nan\n", "[evolution].dt"),
@@ -393,7 +399,8 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
         "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
         "cubic_flow_exact_method", "morawetz_exact_method", "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
-        "weighted_decay_fit_from_zero", "state_width_zero", "dt_nan", "dt_inf"])
+        "weighted_decay_fit_from_zero", "state_width_zero", "samples_below_12", "t_max_nan",
+        "t_max_inf", "extent_nan", "state_width_nan", "gaussians_nan", "dt_nan", "dt_inf"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -443,18 +450,20 @@ def _backward_scan(t_max):
                          grid_extent=8.0, suites=("weighted_decay",)),
                  "weighted_decay", "weighted norm decay slope", "continuum modes in band",
                  id="empty-band"),
-    # the continuum part's validity horizon ends before max(t0, 1): no sample in the window
+    # every window starts at t = 1, past the continuum part's validity horizon
+    # (at most t_max); next to a steep bump t^2 <[(-x.grad V)]_+> is above its
+    # cap from the first sample
     pytest.param(ScenarioConfig(name="short_window", suites=("general_potential",),
-                                grid_kind="line", grid_n=12, grid_extent=14.4,
-                                potential_terms=((-2.65, 1.47, -0.45),), state_width=0.9,
-                                t_max=0.54, t0=0.63),
+                                grid_kind="line", grid_n=26, grid_extent=19.7,
+                                potential_terms=((42.7, 1.44, 0.38),), state_width=1.1,
+                                t_max=0.57),
                  "general_potential", "iterated t^2 [(-x.grad V)]_+ bound", "measured",
-                 id="empty-iterated-window"),
+                 id="iterated-bound-over-cap"),
     # one positive sample in the window: too few to fit a trend
     pytest.param(ScenarioConfig(name="few_samples", suites=("general_potential",),
                                 grid_kind="line", grid_n=44, grid_extent=9.3,
                                 potential_terms=((-1.7, 0.45, -0.5), (-1.55, 1.24, -2.65)),
-                                state_width=1.9, t_max=1.06, t0=1.44),
+                                state_width=1.9, t_max=1.06),
                  "general_potential", "iterated t^2 [(-x.grad V)]_+ bound", "trend",
                  id="short-iterated-window"),
     # 3 samples in the L6 fit window: too few to fit a slope
@@ -489,8 +498,7 @@ _SMALL_CONFIGS = st.builds(
     state_k=st.integers(0, 64), lnorm_target=st.sampled_from([0.0, 0.2]),
     method=st.sampled_from(["eigenbasis_exact", "split_step2"]),
     dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(4, 16),
-    t0=_finite(0.5, 2.0), fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0),
-    t0_shift=st.booleans(), prob_scale=st.sampled_from(["inverse_t", "iterated", "inverse_t2"]))
+    fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -524,9 +532,9 @@ def _python(code: str) -> str:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # scipy.integrate and scipy.optimize are imported by their only users,
-    # semilinear_G and SmoothingObserver.fit, not when proplab loads; the
-    # free scenario's run calls no scipy at all, so loading it loads none
+    # nothing imports scipy.integrate, and scipy.optimize is imported by its
+    # only user, SmoothingObserver.fit, not when proplab loads; the free
+    # scenario's run calls no scipy at all, so loading it loads none
     out = _python("import sys, proplab; proplab.load_scenario('free'); "
                   "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert out == "[]"

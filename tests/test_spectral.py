@@ -4,9 +4,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, classify_spectrum,
-                     diagonalize, free_spectral_data, function_of_H,
-                     genericity_margin, laplacian, make_grid, momentum,
-                     multiplication, projector)
+                     diagonalize, free_spectral_data, genericity_margin,
+                     laplacian, make_grid, momentum, multiplication)
 from proplab.evolution import eigenstate
 from proplab.grids import Grid
 from proplab.operators import Banded
@@ -120,21 +119,27 @@ def test_shifted_spectrum_reclassifies(line_grid):
     assert len(shifted.indices(BOUND)) >= 10
 
 
+def projectors(spec):
+    """The dense P_c and P_b of the run's classification: the columns of
+    ``continuum_basis()`` and of ``indices(BOUND)``."""
+    cols, _ = spec.continuum_basis()
+    bound = spec.eigenvectors[:, spec.indices(BOUND)]
+    return cols @ cols.conj().T, bound @ bound.conj().T
+
+
 def test_projectors_free_and_well(line_grid):
     free = classify_spectrum(diagonalize(laplacian(line_grid)))
-    p_c = projector(free, "continuous")
-    np.testing.assert_allclose(p_c.matrix, np.eye(line_grid.n), atol=1e-10)
+    np.testing.assert_allclose(projectors(free)[0], np.eye(line_grid.n), atol=1e-10)
 
     spec = classify_spectrum(diagonalize(hamiltonian(line_grid, Potential.gaussian(-5.0))))
-    p_c = projector(spec, "continuous")
-    p_b = projector(spec, "bound")
-    assert p_b.rank == len(spec.indices(BOUND))
-    assert abs(np.trace(p_b.matrix).real - p_b.rank) <= 0.5
+    p_c, p_b = projectors(spec)
+    rank = len(spec.indices(BOUND))
+    assert rank > 0 and abs(np.trace(p_b).real - rank) <= 0.5
     for p in (p_c, p_b):
-        assert np.abs(p.matrix @ p.matrix - p.matrix).max() <= 1e-10
-        assert np.abs(p.matrix - p.matrix.conj().T).max() <= 1e-12
-    assert np.abs(p_c.matrix @ p_b.matrix).max() <= 1e-10
-    assert np.abs(p_c.matrix + p_b.matrix - np.eye(line_grid.n)).max() <= 1e-10
+        assert np.abs(p @ p - p).max() <= 1e-10
+        assert np.abs(p - p.conj().T).max() <= 1e-12
+    assert np.abs(p_c @ p_b).max() <= 1e-10
+    assert np.abs(p_c + p_b - np.eye(line_grid.n)).max() <= 1e-10
 
 
 def test_bound_states_decay_exponentially():
@@ -150,16 +155,20 @@ def test_bound_states_decay_exponentially():
 
 
 def test_function_of_h(line_grid):
+    # Phi f(E) Phi^*: the identity, H itself and the unitary e^{-iHt}
     spec = classify_spectrum(diagonalize(hamiltonian(line_grid, Potential.gaussian(1.0))))
-    ident = function_of_H(spec, lambda e: np.ones_like(e))
+    phi = spec.eigenvectors
+
+    def function_of_h(fe):
+        return (phi * fe) @ phi.conj().T
+
+    ident = function_of_h(np.ones_like(spec.eigenvalues))
     np.testing.assert_allclose(ident, np.eye(line_grid.n), atol=1e-10)
-    h_back = function_of_H(spec, lambda e: e)
+    h_back = function_of_h(spec.eigenvalues)
     h = hamiltonian(line_grid, Potential.gaussian(1.0)).matrix
     assert np.abs(h_back - h).max() <= 1e-10 * np.abs(h).max()
-    u = function_of_H(spec, lambda e: np.exp(-1j * e * 0.7))
+    u = function_of_h(np.exp(-1j * spec.eigenvalues * 0.7))
     assert np.abs(u @ u.conj().T - np.eye(line_grid.n)).max() <= 1e-10
-    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="undefined"):
-        function_of_H(spec, lambda e: 1.0 / (e - spec.eigenvalues[3]))
 
 
 def test_genericity_margin_free_is_one(line_grid):
@@ -285,8 +294,8 @@ def test_diagonalize_tridiagonal_matches_dense_eigh(n, kind, extent, shape, dept
         assert np.linalg.norm(spec.evolve(psi, t) - ref.evolve(psi, t)) <= 1e-12
     eps = default_threshold(grid)
     got, expect = classify_spectrum(spec, eps), classify_spectrum(ref, eps)
-    for which in ("bound", "continuous"):
-        assert np.abs(projector(got, which).matrix - projector(expect, which).matrix).max() <= 1e-12
+    for p_got, p_expect in zip(projectors(got), projectors(expect)):
+        assert np.abs(p_got - p_expect).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["complex", "pentadiagonal", "dense"])
@@ -321,8 +330,7 @@ def test_continuous_and_bound_projectors_resolve_identity(kind, n, extent, terms
     pot = Potential([(a, w, c * 0.5 * extent) for a, w, c in terms]) if terms else Potential.zero()
     spec = classify_spectrum(diagonalize(hamiltonian(grid, pot)),
                              eps_thr=eps_scale * default_threshold(grid))
-    p_c = projector(spec, "continuous").matrix
-    p_b = projector(spec, "bound").matrix
+    p_c, p_b = projectors(spec)
     assert np.abs(p_c + p_b - np.eye(n)).max() <= 1e-10
     assert np.abs(p_c @ p_b).max() <= 1e-10
 
@@ -421,7 +429,7 @@ def test_continuum_part_and_genericity_margin_match_old_formulas(seed, basis):
     psi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     got = spec.continuum_part(psi)
     assert got.shape == (grid.n,) and got.dtype == complex
-    assert np.linalg.norm(got - projector(spec, "continuous").matrix @ psi) \
+    assert np.linalg.norm(got - projectors(spec)[0] @ psi) \
         <= 1e-13 * np.linalg.norm(psi)
     lap = laplacian(grid)
     old = _old_genericity_margin(spec, lap)

@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
-                     momentum, multiplication, norm, semilinear_G, trajectory_linear)
+                     momentum, multiplication, norm, position, trajectory_linear)
 from proplab import suites
 from proplab.adaptors import negative_part, remainder_expectation
 from proplab.evolution import evolve_split, trajectory_split
 from proplab.observables import ObservableSeries, expectation_value, heisenberg_expectation
-from proplab.operators import commutator_i, conformal_factor_operator
-from proplab.suites import (_AdaptedConformal, _envelope_clause, conformal_identity_residual,
-                            conformal_prob, first_level_series,
-                            gronwall_monitor, lens_identity_residual,
+from proplab.operators import central_difference, commutator_i, conformal_value
+from proplab.suites import (AdaptedConformal, _envelope_clause, conformal_prob,
+                            first_level_series, gronwall_monitor,
                             lens_positivity_values, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
                             operator_identity_suite, positive_potential_suite,
@@ -32,7 +31,7 @@ def test_free_conformal_identity_residual_tiny():
     t, delta = 1.0, 3e-4
     times = np.array([t - delta, t, t + delta])
     traj = trajectory_linear(spec, psi, times)
-    resid, bv = conformal_identity_residual(traj, spec, None, None, None, t, delta)
+    resid, bv = AdaptedConformal(spec, None, None, None).residual(traj, t, delta)
     assert bv == 0.0
     assert resid <= 1e-6
 
@@ -45,7 +44,7 @@ def test_conformal_identity_positive_potential():
     adaptor = build_adaptor(spec, conformal_Q(pot, g), 3.0)
     t, delta = 1.5, 5e-3
     traj = trajectory_linear(spec, psi, np.array([t - delta, t, t + delta]))
-    resid, bv = conformal_identity_residual(traj, spec, pot, None, adaptor, t, delta)
+    resid, bv = AdaptedConformal(spec, pot, None, adaptor).residual(traj, t, delta)
     assert resid <= 5.0 * (delta**2 + g.h**2) + bv
 
 
@@ -65,8 +64,8 @@ def test_conformal_identity_residual_needs_positive_time():
     spec = free_spectral_data(g)
     psi = gaussian_state(g)
     traj = trajectory_linear(spec, psi, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="t \\+ shift > 0"):
-        conformal_identity_residual(traj, spec, None, None, None, 0.0, 0.1)
+    with pytest.raises(ValueError, match="t > 0"):
+        AdaptedConformal(spec, None, None, None).residual(traj, 0.0, 0.1)
 
 
 def test_conformal_residual_convergence_ratio():
@@ -80,8 +79,8 @@ def test_conformal_residual_convergence_ratio():
         adaptor = build_adaptor(spec, conformal_Q(pot, g), 2.0)
         t = 1.2
         traj = trajectory_linear(spec, psi, np.array([t - delta, t, t + delta]))
-        r, _ = conformal_identity_residual(traj, spec, pot, None, adaptor, t, delta,
-                                           include_truncation_term=True)
+        r, _ = AdaptedConformal(spec, pot, None, adaptor).residual(
+            traj, t, delta, include_truncation_term=True)
         return r
 
     r1, r2 = resid(256, 0.04), resid(513, 0.02)
@@ -130,12 +129,22 @@ def test_lens_positivity_values_match_per_time_compression():
     ts = np.geomspace(1.0, 50.0, 5)
     want = []
     for t in ts:
+        xp = position(g).matrix - 2.0 * t * momentum(g).matrix
         m = cols.conj().T @ ((4.0 * t) * (pot.v(g.points)[:, None] * cols)
-                             + (conformal_factor_operator(g, t).matrix @ cols) / t)
+                             + ((xp.conj().T @ xp) @ cols) / t)
         want.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     got = lens_positivity_values(spec, pot, ts, e_max=e_max)
     scale = max(1.0, float(np.abs(want).max()))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale * ts.max())
+
+
+def lens_identity_residual(grid, t, state):
+    """Weak residual of C(t)/t = U_t (4t p^2) U_t^* on a smooth state,
+    U_t = diag(e^{i x^2 / 4t}); O(h^2) on resolved states."""
+    u_phase = np.exp(1j * grid.points**2 / (4.0 * t))
+    lhs = conformal_value(grid, state, t) / t
+    p_chi = central_difference(grid, u_phase.conj() * state)
+    return abs(lhs - 4.0 * t * float(grid.quad_weight * np.sum(np.abs(p_chi) ** 2)))
 
 
 def test_lens_identity_weak_residual_ratio():
@@ -146,20 +155,6 @@ def test_lens_identity_weak_residual_ratio():
 
     r1, r2 = resid(256), resid(513)
     assert 3.5 <= r1 / r2 <= 4.5
-
-
-def test_semilinear_g_oracles():
-    g_lin = semilinear_G(lambda z: 2.0 * z)
-    for rho in (0.0, 0.5, 2.0):
-        assert g_lin(rho) == pytest.approx(rho, abs=1e-10)  # lambda rho / 2 with lambda = 2
-    g_const = semilinear_G(lambda z: 3.0)
-    for rho in (0.0, 1.0, 4.0):
-        assert g_const(rho) == pytest.approx(0.0, abs=1e-12)
-    g_quad = semilinear_G(lambda z: z**2)
-    for rho in (0.5, 1.0, 2.0):
-        assert g_quad(rho) == pytest.approx(2.0 * rho**2 / 3.0, rel=1e-9)
-    np.testing.assert_allclose(g_quad(np.array([0.5, 1.0])),
-                               [2.0 / 3.0 * 0.25, 2.0 / 3.0], rtol=1e-9)
 
 
 def test_gronwall_monitor_free_flow_decreasing():
@@ -279,35 +274,6 @@ def test_positive_potential_constant_stable_under_refinement():
     assert abs(c2 - c1) / c1 <= 0.20
 
 
-def test_prob_scales_relate_on_free_flow():
-    # on the free flow <C> is constant, so the three scales are related by
-    # explicit powers of t
-    g = make_grid("line", 256, 20.0)
-    spec = free_spectral_data(g)
-    psi = gaussian_state(g, width=1.2)
-    times = np.array([1.0, 2.0, 4.0])
-    traj = trajectory_linear(spec, psi, times)
-    from proplab.observables import observable_series
-    from proplab.suites import conformal_prob
-    s1 = observable_series(traj, conformal_prob(g, None, None, None, "inverse_t"), times)
-    s2 = observable_series(traj, conformal_prob(g, None, None, None, "iterated"), times)
-    s3 = observable_series(traj, conformal_prob(g, None, None, None, "inverse_t2"), times)
-    np.testing.assert_allclose(s2.values, s1.values * times, rtol=1e-9)
-    np.testing.assert_allclose(s3.values, s1.values / times, rtol=1e-9)
-
-
-def test_conformal_identity_with_shifted_time():
-    # the (t+1)^{-1} scaling admits evaluation at small t, including t < 1
-    g = make_grid("line", 256, 16.0)
-    spec = free_spectral_data(g)
-    psi = gaussian_state(g, width=1.5)
-    t, delta = 0.3, 1e-3
-    traj = trajectory_linear(spec, psi, np.array([t - delta, t, t + delta]))
-    resid, _ = conformal_identity_residual(traj, spec, None, None, None, t, delta,
-                                           shift=1.0)
-    assert resid <= 1e-5
-
-
 def timedep_report(grid, pot, spec, w, psi, t_end, dt, sample_count):
     # the timedep suite: its observer fed by one Strang sweep from t = 0
     observer = TimedepObserver(grid, spec, w, t_end, sample_count)
@@ -321,7 +287,8 @@ def test_timedep_suite_gaussian_profile_perturbation():
     g = make_grid("radial3d", 256, 60.0)
     pot = Potential.gaussian(0.5)
     spec = classified(g, pot)
-    w = TimeDependentPotential.self_similar(0.05, 2.0, 1.0, profile="gaussian")
+    w = TimeDependentPotential(lambda t: 0.05 * (1.0 + t) ** -1.0, lambda t: -0.05 * (1.0 + t) ** -2.0,
+                               lambda x: np.exp(-x**2), lambda x: -2.0 * x * np.exp(-x**2))
     psi = gaussian_state(g, width=1.0)
     report = timedep_report(g, pot, spec, w, psi, t_end=5.0, dt=5e-3, sample_count=12)
     assert report.passed, report.render()
@@ -389,19 +356,17 @@ def test_suites_make_no_sweep():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(8, 64), kind=st.sampled_from(["line", "radial3d"]),
        with_v=st.booleans(), with_w=st.booleans(), with_adaptor=st.booleans(),
-       scale=st.sampled_from(["inverse_t", "iterated", "inverse_t2"]),
-       shift=st.sampled_from([0.0, 1.0]), t=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
-def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adaptor,
-                                              scale, shift, t, seed):
+       t=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adaptor, t, seed):
     # every quadratic form the conformal suite reads by matvecs, against the
     # dense n x n formula written out here
     grid = make_grid(kind, n, 10.0)
-    x, h, ts = grid.points, grid.h, t + shift
+    x, h = grid.points, grid.h
     pot = Potential.gaussian(1.5, width=1.5) if with_v else None
     w_t = TimeDependentPotential.self_similar(0.3, 2.0, 0.5) if with_w else None
     v = pot.v(x) if with_v else np.zeros(n)
     w = w_t.w(x, t) if with_w else np.zeros(n)
-    dw = w_t.dt_w(x, t) if with_w else np.zeros(n)
+    dw = w_t.d_amplitude(t) * w_t.profile(x) if with_w else np.zeros(n)
     spec = classified(grid, pot or Potential.zero())
     # the adaptor's Q comes from a fixed bump, so B_V is nontrivial even with V off
     adaptor = build_adaptor(spec, conformal_Q(Potential.gaussian(1.5, width=1.5), grid), 2.0) \
@@ -414,21 +379,14 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
     bv = adaptor.matrix if with_adaptor else np.zeros((n, n))
     c = (xm - 2.0 * t * pm).conj().T @ (xm - 2.0 * t * pm)
     cdot = -2.0 * (xm @ pm + pm @ xm) + 8.0 * t * pm @ pm
-    if scale == "inverse_t":
-        b = c / ts + 4.0 * ts * (vm + wm) + bv
-        db = cdot / ts - c / ts**2 + 4.0 * (vm + wm) + 4.0 * ts * dwm
-    elif scale == "iterated":
-        b = c + ts**2 * vm + ts * bv
-        db = cdot + 2.0 * ts * vm + bv
-    else:
-        b = c / ts**2 + 4.0 * (vm + wm) + bv / ts
-        db = cdot / ts**2 - 2.0 * c / ts**3 + 4.0 * dwm - bv / ts**2
+    b = c / t + 4.0 * t * (vm + wm) + bv
+    db = cdot / t - c / t**2 + 4.0 * (vm + wm) + 4.0 * t * dwm
     hm = lap + vm + wm
-    banded_rhs = -c / ts**2 + 4.0 * ts * dwm
+    banded_rhs = -c / t**2 + 4.0 * t * dwm
     if with_v:
         banded_rhs += np.diag(negative_part(4.0 * x * pot.dv(x) + 4.0 * v))
     if with_w:
-        banded_rhs += np.diag(4.0 * x * w_t.dw(x, t) + 4.0 * w)
+        banded_rhs += np.diag(4.0 * x * w_t.amplitude(t) * w_t.d_profile(x) + 4.0 * w)
     rhs = banded_rhs + 1j * (wm @ bv - bv @ wm)
 
     rng = np.random.default_rng(seed)
@@ -440,7 +398,7 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
         size = scale_form or grid.quad_weight * np.linalg.norm(u) * np.linalg.norm(m @ u)
         assert abs(got - expect) <= 1e-12 * max(size, 1e-300)
 
-    prob = conformal_prob(grid, pot, w_t, adaptor.op if with_adaptor else None, scale, shift=shift)
+    prob = conformal_prob(grid, pot, w_t, adaptor.op if with_adaptor else None)
     assert_form(expectation_value(grid, prob.builder(t), u), b)
     assert_form(expectation_value(grid, prob.db_dt(t), u), db)
     h_op = laplacian(grid) + multiplication(grid, v + w)
@@ -448,7 +406,7 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
     size = grid.quad_weight * (2.0 * np.linalg.norm(hm @ u) * np.linalg.norm(b @ u)
                                + np.linalg.norm(u) * np.linalg.norm(db @ u))
     assert_form(heisenberg_expectation(grid, h_op, prob.builder(t), prob.db_dt(t), u), d_h, size)
-    identity = _AdaptedConformal(spec, pot, w_t, adaptor, shift)
+    identity = AdaptedConformal(spec, pot, w_t, adaptor)
     size = grid.quad_weight * (np.linalg.norm(u) * np.linalg.norm(banded_rhs @ u)
                                + 2.0 * np.linalg.norm(wm @ u) * np.linalg.norm(bv @ u))
     assert_form(identity.rhs(t, u), rhs, size)
