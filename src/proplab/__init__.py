@@ -16,9 +16,8 @@ from .operators import (HermitianOperator, Potential, TimeDependentPotential,
 from .spectral import (SpectralData, classify_spectrum, diagonalize,
                        free_spectral_data, genericity_margin,
                        resolution_energy_limit)
-from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
-                       build_adaptor, conformal_Q, dilation_Q,
-                       weighted_propagator_norm)
+from .adaptors import (AdaptorOperator, QSelection, build_adaptor, conformal_Q,
+                       dilation_Q, weighted_propagator_norm)
 from .evolution import (Trajectory, eigenstate, evolve_split, gaussian_state,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .observables import (EstimateReport, ObservableSeries,

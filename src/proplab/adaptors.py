@@ -47,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, weight_vector
-from .operators import (HERMITICITY_RTOL, Banded, HermitianOperator, Potential,
-                        _hermiticity_defect_and_scale, _row_blocks)
-from .spectral import BOUND, SpectralData
+from .operators import (Banded, HermitianOperator, Potential, _check_hermitian,
+                        _row_blocks, _symmetrize)
+from .spectral import BOUND, SpectralData, _product
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +134,11 @@ class AdaptorOperator:
             m = d[:, None] * core
             del core
             m *= d.conj()  # D core D^*, its second product in place
-            b = _apply_basis(cols, m)  # Phi_c M
+            b = _product(cols, m)  # Phi_c M
             del m
             b_h = np.conjugate(b.T, out=np.empty(b.T.shape, dtype=complex))
             del b
-            b = _apply_basis(cols, b_h)  # Phi_c M^* Phi_c^* = B, M being Hermitian
+            b = _product(cols, b_h)  # Phi_c M^* Phi_c^* = B, M being Hermitian
             del b_h
             _symmetrize(b)  # scrub roundoff asymmetry
             self._op = HermitianOperator(b, grid, f"B_V(T={self.horizon:g})")
@@ -153,15 +153,8 @@ class AdaptorOperator:
         if self._op is not None:
             return self._op.apply(state)
         _, cols, d, core = self._factors
-        c = d.conj()[:, None] * _apply_basis(cols.conj().T, np.asarray(state, dtype=complex)[:, None])
-        return _apply_basis(cols, d[:, None] * _apply_basis(core, c)).ravel()
-
-
-def _symmetrize(m):
-    """m <- (m + m^*)/2 in place by pairs of row blocks, entry by entry as the dense formula."""
-    for i in _row_blocks(len(m)):
-        for j in _row_blocks(i.stop):
-            m[i, j], m[j, i] = (m[i, j] + m[j, i].conj().T) * 0.5, (m[j, i] + m[i, j].conj().T) * 0.5
+        c = d.conj() * _product(cols.conj().T, state)
+        return _product(cols, d * _product(core, c))
 
 
 def _spectral_norm(m) -> float:
@@ -169,18 +162,12 @@ def _spectral_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
-def _apply_basis(cols, m):
-    """cols @ m for a complex m; real cols act on its float view, uncast."""
-    m = np.ascontiguousarray(m)
-    return cols @ m if np.iscomplexobj(cols) else (cols @ m.view(float)).view(complex)
-
-
 def _remainder_factor(spec: SpectralData, q_samples, t: float):
     """(F, q_S) with F = Phi_c e^{iE_c t} Phi_c[S, :]^* on the support S of Q,
     so that P_c e^{iHt} Q e^{-iHt} P_c = F diag(q_S) F^*."""
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q_samples)
-    return _apply_basis(cols, np.exp(1j * e * t)[:, None] * cols[s].conj().T), q_samples[s]
+    return _product(cols, np.exp(1j * e * t)[:, None] * cols[s].conj().T), q_samples[s]
 
 
 def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: float) -> float:
@@ -223,9 +210,7 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
     for rows in _row_blocks(len(e)):  # -q~ o K
         core[rows] *= -horizon * np.sinc(np.subtract.outer(e[rows], e) * (0.5 * horizon / np.pi))
-    defect, scale = _hermiticity_defect_and_scale(core)  # as HermitianOperator checks
-    if defect > HERMITICITY_RTOL * (scale or 1.0):
-        raise ValueError(f"B_V(T={horizon:g}) core is not Hermitian: defect {defect:.2e}")
+    _check_hermitian(core, f"B_V(T={horizon:g}) core")  # as HermitianOperator checks
     _symmetrize(core)
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
     return AdaptorOperator(None, q, float(horizon), float(sigma), residual, warnings=warnings,
@@ -262,19 +247,6 @@ def residual_weighted_scan(spec: SpectralData, q: QSelection, horizons,
                            sigma: float = 1.0) -> np.ndarray:
     """residual_weighted(T) over a grid of horizons (for monotonicity checks)."""
     return np.array([_weighted_remainder_norm(spec, q.samples, t, sigma) for t in horizons])
-
-
-def adaptor_expectation_series(adaptor: AdaptorOperator, spec: SpectralData,
-                               phi, times):
-    """<phi(t), B phi(t)> along the flow phi(t) = e^{-iHt} phi.
-
-    Returns (times, values); values of a positive adaptor stay above
-    -1e-8 ||B|| and, for data with finite <x>-weighted norm, decay like the
-    tail of the local-decay integral.
-    """
-    times = np.asarray(times, dtype=float)
-    vals = np.array([spec.grid.expectation(adaptor.matrix, u) for u in spec.flow(phi, times)])
-    return times, vals
 
 
 def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,

@@ -17,22 +17,20 @@ conserved to roundoff no matter the step size.
 quadratic form (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051)
 from one FFT, with kernel spectra built once per grid.  Both import
 ``scipy.fft`` when first called, so only a run that steps or measures a
-split-step flow loads it.  ``kinetic_step`` calls the DST-I directly, through
-``spectral._sine_transform``, the numpy helper that also runs the free
-spectrum's exact flow.
+split-step flow loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential
-from .spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
+from .spectral import SpectralData, free_laplacian_eigenvalues
 
 
 @dataclass(eq=False)
@@ -47,9 +45,7 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     states: list
-    method: str
     boundary_masses: np.ndarray
-    warnings: list = field(default_factory=list)
 
     def _index(self, t: float) -> int:
         hits = np.flatnonzero(np.abs(self.times - t) <= 1e-9)
@@ -65,8 +61,7 @@ class Trajectory:
         with their boundary masses; raises for a time that was not sampled."""
         times = np.asarray(times, dtype=float)
         idx = [self._index(t) for t in times]
-        return Trajectory(self.grid, times, [self.states[i] for i in idx], self.method,
-                          self.boundary_masses[idx])
+        return Trajectory(self.grid, times, [self.states[i] for i in idx], self.boundary_masses[idx])
 
     @property
     def validity_horizon(self) -> float:
@@ -111,16 +106,11 @@ def trajectory_linear(spec: SpectralData, psi0, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     states = list(spec.flow(psi0, times))
     bm = np.array([boundary_mass(spec.grid, s) for s in states])
-    return Trajectory(spec.grid, times, states, "eigenbasis_exact", bm)
+    return Trajectory(spec.grid, times, states, bm)
 
 
 # ---------------------------------------------------------------------------
 # split-step machinery
-
-
-def kinetic_step(grid: Grid, u, dt: float):
-    lam = free_laplacian_eigenvalues(grid)
-    return _sine_transform(np.exp(-1j * lam * dt) * _sine_transform(u))
 
 
 def _sine_kernel_spectra(e, m: int):
@@ -355,8 +345,7 @@ def trajectory_split(grid: Grid, potential: Potential | None,
                  nonlinearity=nonlinearity, observer=collect)
     if want:
         raise ValueError(f"sample times not on the dt lattice: {want[:3]}")
-    method = "split_step2" + ("+cubic" if nonlinearity else "")
-    return Trajectory(grid, sample_times, states, method, np.asarray(bms))
+    return Trajectory(grid, sample_times, states, np.asarray(bms))
 
 
 def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) -> float:

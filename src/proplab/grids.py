@@ -44,8 +44,13 @@ class Grid:
     @cached_property
     def wall_mask(self) -> np.ndarray:
         """Points beyond ``BOUNDARY_FRACTION`` of the extent, where
-        ``boundary_mass`` reads the mass at the walls."""
-        return np.abs(self.points) > BOUNDARY_FRACTION * self.extent
+        ``boundary_mass`` reads the mass at the walls, and always the
+        outermost point at each wall (first and last on a line, last on a
+        radial grid), so that no coarse grid has an empty mask."""
+        mask = np.abs(self.points) > BOUNDARY_FRACTION * self.extent
+        mask[-1] = True
+        mask[0] |= self.kind == "line"
+        return mask
 
     @cached_property
     def paired_points(self) -> np.ndarray:

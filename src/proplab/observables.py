@@ -134,14 +134,12 @@ class PropagationObservable:
     ``builder(t)`` and ``db_dt(t)`` return Hermitian operators read through
     ``apply``: a HermitianOperator, or an OperatorSum whose banded and dense
     terms are never summed (dB/dt comes from the analytic formula of the
-    family, never from differencing matrices).  ``positive_factor(t)``, when
-    known, returns the matrix C(t) of the decomposition D_H B = C^*C + g.
+    family, never from differencing matrices).
     """
 
     label: str
     builder: Callable[[float], Operator]
     db_dt: Callable[[float], Operator]
-    positive_factor: Callable[[float], np.ndarray] | None = None
 
 
 def expectation_value(grid: Grid, op: Operator, state) -> float:
@@ -200,39 +198,14 @@ def pres_check(b_series: ObservableSeries, c_norm_sq: ObservableSeries,
     return CheckResult("propagation inequality", [(integral, "<=", bound)])
 
 
-def pres_check_with_hooks(traj: Trajectory, prob: PropagationObservable, times):
-    """Propagation inequality through the PROB's own decomposition hooks,
-    with no remainder g.
-
-    Returns (CheckResult, None), or (None, warning) when the observable
-    carries no positive-part factor.  The factor convention is
-    D_H B = +-(C^*C); for a PSD observable both signs yield the same
-    integrated bound.
-    """
-    if prob.positive_factor is None:
-        return None, f"{prob.label}: no positive-part decomposition, propagation inequality skipped"
-    times = np.asarray(times, dtype=float)
-    b_series = observable_series(traj, prob, times)
-    vals = []
-    for t in times:
-        c_factor = prob.positive_factor(t)
-        cu = c_factor @ traj.state_at(t)
-        vals.append(float(traj.grid.quad_weight * np.sum(np.abs(cu) ** 2)))
-    c_series = ObservableSeries(times, np.asarray(vals), "||C psi||^2")
-    return pres_check(b_series, c_series, 0.0), None
-
-
-def fit_decay_rate(series: ObservableSeries, window: tuple[float, float] | None = None):
+def fit_decay_rate(series: ObservableSeries):
     """Least-squares slope of log(value) against log(t).
 
     Returns (slope, width) with width twice the slope's standard error.
-    Non-positive values are dropped; with fewer than 8 positive samples
-    inside the window both read NaN, which fails any clause they enter.
+    Non-positive values are dropped; with fewer than 8 positive samples both
+    read NaN, which fails any clause they enter.
     """
     ts, vs = series.times, series.values
-    if window is not None:
-        m = (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
-        ts, vs = ts[m], vs[m]
     keep = vs > 0
     ts, vs = ts[keep], vs[keep]
     if len(ts) < MIN_FIT_SAMPLES:

@@ -36,6 +36,15 @@ def _row_blocks(n: int):
     return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
+def _symmetrize(m):
+    """m <- (m + m^*)/2 in place by pairs of row blocks, entry by entry as the
+    dense formula; returns m."""
+    for i in _row_blocks(len(m)):
+        for j in _row_blocks(i.stop):
+            m[i, j], m[j, i] = (m[i, j] + m[j, i].conj().T) * 0.5, (m[j, i] + m[i, j].conj().T) * 0.5
+    return m
+
+
 def _in_band(k: int, lo: int, hi: int) -> slice:
     """Where band k holds its entries of rows lo..hi-1."""
     return slice(lo - max(0, -k), hi - max(0, -k))
@@ -152,6 +161,14 @@ def _hermiticity_defect_and_scale(m) -> tuple:
     return float(defect), float(scale)
 
 
+def _check_hermitian(m, what: str):
+    """Raise unless max |m - m^*| <= HERMITICITY_RTOL max |m| (or <= the
+    tolerance itself for m = 0)."""
+    defect, scale = _hermiticity_defect_and_scale(m)
+    if defect > HERMITICITY_RTOL * (scale or 1.0):
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.2e}")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Self-adjoint matrix tagged with its grid and a provenance label: a
@@ -162,9 +179,7 @@ class HermitianOperator:
     label: str = ""
 
     def __post_init__(self):
-        defect, scale = _hermiticity_defect_and_scale(self.matrix)
-        if defect > HERMITICITY_RTOL * (scale or 1.0):
-            raise ValueError(f"matrix {self.label!r} is not Hermitian: defect {defect:.2e}")
+        _check_hermitian(self.matrix, f"matrix {self.label!r}")
 
     def apply(self, state):
         return self.matrix @ state

@@ -58,7 +58,6 @@ class ScenarioConfig:
     state_width: float = 1.0
     state_k: int = 0
     lnorm_target: float = 0.0            # 0 disables rescaling
-    method: str = "eigenbasis_exact"     # eigenbasis_exact | split_step2
     dt: float = 0.002
     t_max: float = 10.0
     samples: int = 16
@@ -80,8 +79,7 @@ _SCHEMA = {
                 "a": (float, "timedep_a"), "lambda": (float, "nonlinearity")},
     "initial_state": {"recipe": (str, "state_recipe"), "width": (float, "state_width"),
                       "k": (int, "state_k"), "lnorm_target": (float, "lnorm_target")},
-    "evolution": {"method": (str, "method"), "dt": (float, "dt"), "t_max": (float, "t_max"),
-                  "samples": (int, "samples")},
+    "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max"), "samples": (int, "samples")},
     "overrides": {key: (kind, key) for key, kind in (
         ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
         ("expect_log_growth", bool), ("corrupt_q_sign", bool), ("corrupt_db_dt", bool))},
@@ -170,8 +168,6 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[timedep].lambda: focusing (lambda < 0) is rejected")
     if config.grid_kind == "radial3d" and config.timedep_type == "semilinear":
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
-    if config.method not in ("eigenbasis_exact", "split_step2"):
-        raise ConfigError(f"[evolution].method: unknown method {config.method!r}")
     if config.dt <= 0:
         raise ConfigError(f"[evolution].dt must be positive, got {config.dt}")
     if config.samples < 12:
@@ -191,14 +187,15 @@ def _validate(config: ScenarioConfig):
         for path, need, holds in _SUITES[s].needs:
             if not holds(config):
                 raise ConfigError(f"{path}: suite {s} in [scenario].suites needs {need}")
-    # the run steps one flow, and every split-step suite reads it
     if config.nonlinearity != 0 and config.timedep_type != "semilinear":
         raise ConfigError("[timedep].lambda: a cubic term needs type = semilinear, "
                           f"got type {config.timedep_type!r}")
-    if config.method != "split_step2" and (config.timedep_type == "self_similar"
-                                           or config.nonlinearity != 0):
-        raise ConfigError("[evolution].method: a time-dependent W or a cubic term is only "
-                          f"stepped and needs split_step2, got {config.method!r}")
+
+
+def _stepped(config: ScenarioConfig) -> bool:
+    """Whether the run's flow is Strang-stepped: with a W or the semilinear
+    type; otherwise it is exact, in the eigenbasis."""
+    return config.timedep_type != "none"
 
 
 def _potential(config: ScenarioConfig) -> Potential:
@@ -244,39 +241,39 @@ def _shipped() -> dict[str, ScenarioConfig]:
         name="free", suites=("operator_identities", "conformal_identity"),
         grid_kind="line", grid_n=1024, grid_extent=20.0,
         potential_terms=(), state_width=2.5,
-        method="eigenbasis_exact", t_max=3.0, samples=12, dt=0.004)
+        t_max=3.0, samples=12, dt=0.004)
     lib["positive_potential_radial"] = ScenarioConfig(
         name="positive_potential_radial",
         suites=("adaptor", "weighted_decay", "positive_potential", "conformal_identity"),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((2.0, 1.0, 0.0),), state_width=1.0,
-        method="eigenbasis_exact", t_max=14.0, samples=20, dt=0.004,
+        t_max=14.0, samples=20, dt=0.004,
         fit_t_lo=5.0, fit_t_hi=50.0)
     lib["well_with_barrier"] = ScenarioConfig(
         name="well_with_barrier", suites=("general_potential",),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((-6.0, 1.0, 1.5), (0.5, 1.0, 3.5)),
-        state_width=1.0, method="eigenbasis_exact", t_max=14.0, samples=16)
+        state_width=1.0, t_max=14.0, samples=16)
     lib["self_similar_W"] = ScenarioConfig(
         name="self_similar_W", suites=("timedep", "gronwall", "conformal_identity"),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((0.5, 1.0, 0.0),),
         timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
-        method="split_step2", dt=0.002, t_max=10.0, samples=16)
+        dt=0.002, t_max=10.0, samples=16)
     lib["cubic_nls_small"] = ScenarioConfig(
         name="cubic_nls_small", suites=("nls",),
         grid_kind="line", grid_n=2048, grid_extent=240.0,
         potential_terms=((0.2, 1.0, 0.0),),
         timedep_type="semilinear", nonlinearity=1.0,
         state_width=1.0, lnorm_target=0.18,
-        method="split_step2", dt=0.001, t_max=30.0, samples=14,
+        dt=0.001, t_max=30.0, samples=14,
         fit_t_lo=1.0, fit_t_hi=30.0)
     lib["morawetz_radial"] = ScenarioConfig(
         name="morawetz_radial", suites=("morawetz",),
         grid_kind="radial3d", grid_n=640, grid_extent=100.0,
         potential_terms=((1.5, 1.0, 3.0),),
         timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
-        method="split_step2", dt=0.002, t_max=10.0, samples=12)
+        dt=0.002, t_max=10.0, samples=12)
     return lib
 
 
@@ -313,17 +310,19 @@ class RunArtifact:
 class _Context:
     """Lazy pipeline state shared by the suites of one run.
 
-    A run has one split-step flow: the config's nonlinearity, with its W if
-    there is one (``_validate`` rejects every config whose suites would need
-    another), and ``sweep`` makes every Strang sweep.  ``plan`` registers,
-    before any suite runs, the sample times each suite reads off that flow
-    and the per-step observer it feeds (``observers``); the first split-step
-    ``trajectory`` sweeps the flow once over the union of those times, and
-    each suite gets the trajectory at its own times.  A state at t = k dt is
-    bit-identical whichever sweep computes it, so sharing changes no output.
-    An unplanned time raises instead of sweeping again.  The other sweeps are
-    the auxiliary flows of ``_suite_nls`` (dt/2, dt/4) and ``_suite_morawetz``
-    (a finer grid).
+    A run has one flow of psi0 (``_validate`` rejects every config whose
+    suites would need another): exact in the eigenbasis of H, or, with a W or
+    the semilinear type, Strang-stepped with the config's W and cubic term,
+    and ``sweep`` makes every Strang sweep.  ``plan`` registers, before any
+    suite runs, the sample times each suite reads off that flow and the
+    per-step observer it feeds (``observers``); the first ``trajectory``
+    evaluates the flow once over the union of those times, as one
+    ``SpectralData.flow`` block or one sweep, and each suite gets the
+    trajectory at its own times.  A row of a flow block, like a state at
+    t = k dt of a sweep, has the same bits whatever else is computed with it,
+    so sharing changes no output.  An unplanned time raises instead of
+    evaluating the flow again.  The other sweeps are the auxiliary flows of
+    ``_suite_nls`` (dt/2, dt/4) and ``_suite_morawetz`` (a finer grid).
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -341,7 +340,7 @@ class _Context:
         self._horizon = None
         self._planned: list[float] = []
         self.observers: dict = {}
-        self._sweep: Trajectory | None = None
+        self._flow: Trajectory | None = None
 
     @property
     def spec(self) -> SpectralData:
@@ -397,18 +396,16 @@ class _Context:
 
     def sample_times(self, lo: float, hi: float, count: int):
         """``count`` geometric times on [lo, hi], on the dt lattice (and
-        positive) on a split-step run."""
+        positive) on a stepped run."""
         c = self.config
         times = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
-        if c.method == "split_step2":
+        if _stepped(c):
             times = snap_to_lattice(times, c.dt)
             times = times[times > 0]
         return _distinct(times)
 
     def plan(self, suites):
-        """Register what each selected suite reads off the split-step flow."""
-        if self.config.method != "split_step2":
-            return
+        """Register what each of ``suites`` reads off the run's flow."""
         for suite in suites:
             if _SUITES[suite].flow is not None:
                 times, observer = _SUITES[suite].flow(self)
@@ -430,21 +427,22 @@ class _Context:
                                 nonlinearity=c.nonlinearity, observer=observer)
 
     def trajectory(self, times) -> Trajectory:
-        if self.config.method == "eigenbasis_exact":
-            return trajectory_linear(self.spec, self.psi0, times)
-        if self._sweep is None:
+        """The run's flow at ``times``, each a planned time."""
+        if self._flow is None:
             if not self._planned:
-                raise ValueError("no sample times were planned for the split-step flow")
+                raise ValueError("no sample times were planned for the run's flow")
             ts = np.sort(self._planned)
-            union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per lattice time
+            union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per time
             observers = list(self.observers.values())
 
             def fan_out(t, u):
                 for observer in observers:
                     observer(t, u)
 
-            self._sweep = self.sweep(union, observer=fan_out if observers else None)
-        return self._sweep.restricted(times)
+            self._flow = (self.sweep(union, observer=fan_out if observers else None)
+                          if _stepped(self.config) else
+                          trajectory_linear(self.spec, self.psi0, union))
+        return self._flow.restricted(times)
 
     def adaptor(self):
         if self._adaptor is None:
@@ -467,7 +465,7 @@ def _conformal_times(ctx: _Context):
     difference offset, the times the identity reads, and the free-flow times
     (None unless V and W vanish)."""
     c = ctx.config
-    delta = max(10.0 * c.dt, 0.02) if c.method == "split_step2" else c.dt
+    delta = max(10.0 * c.dt, 0.02) if _stepped(c) else c.dt
     eval_ts = ctx.sample_times(lo=1.0, hi=min(0.5 * ctx.horizon + 1.0, ctx.horizon), count=4)
     eval_ts = eval_ts[eval_ts - delta > 0]
     all_ts = _distinct(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
@@ -487,9 +485,13 @@ def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
         corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
 
 
+def _adaptor_times(ctx: _Context):
+    return ctx.sample_times(lo=1.0, hi=ctx.horizon, count=12)
+
+
 def _suite_adaptor(ctx: _Context) -> EstimateReport:
-    times = ctx.sample_times(lo=1.0, hi=ctx.horizon, count=12)
-    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(), ctx.psi0, ctx.horizon, times)
+    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(),
+                         ctx.trajectory(_adaptor_times(ctx)), ctx.horizon)
 
 
 def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
@@ -605,8 +607,8 @@ class SuiteSpec:
 _RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
            lambda c: c.grid_kind == "radial3d")
 _FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
-_STEPPED = ("[evolution].method", "split_step2 (it reads a Strang sweep)",
-            lambda c: c.method == "split_step2")
+_W_FLOW = ("[timedep].type", "a time-dependent W (type = self_similar)",
+           lambda c: c.timedep_type == "self_similar")
 _V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: _potential(c)
                   .is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
 
@@ -616,7 +618,8 @@ _SUITES = {
         _suite_conformal_identity,
         flow=lambda ctx: (np.concatenate([ts for ts in _conformal_times(ctx)[2:]
                                           if ts is not None]), None)),
-    "adaptor": SuiteSpec(_suite_adaptor, clean_threshold=True, needs=(
+    "adaptor": SuiteSpec(_suite_adaptor, flow=lambda ctx: (_adaptor_times(ctx), None),
+                         clean_threshold=True, needs=(
         ("[potential].gaussians",
          "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
          lambda c: any(amp for amp, _, _ in c.potential_terms)),)),
@@ -630,22 +633,19 @@ _SUITES = {
              lambda c: c.t_max > 1.5))),
     "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True,
                                    scipy=("scipy.linalg",)),
-    "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(
-        ("[timedep].type", "a time-dependent W (type = self_similar)",
-         lambda c: c.timedep_type == "self_similar"), _FROM_ONE)),
+    "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(_W_FLOW, _FROM_ONE)),
     "gronwall": SuiteSpec(_suite_gronwall, flow=lambda ctx: (_monitor_times(ctx), None)),
     "nls": SuiteSpec(
         _suite_nls, flow=lambda ctx: (np.append(_nls_times(ctx), 1.0), None), needs=(
             ("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
-            _STEPPED,
-            ("[timedep].type", "no W (it checks the cubic flow alone)",
-             lambda c: c.timedep_type != "self_similar"),
+            ("[timedep].type", "type = semilinear (it checks the cubic flow alone)",
+             lambda c: c.timedep_type == "semilinear"),
             ("[evolution].dt", "a dt that divides 1 (its order-2 check compares states at t = 1)",
              lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10),
             ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
              lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False),
     "morawetz": SuiteSpec(_suite_morawetz, flow=_morawetz_flow,
-                          needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _STEPPED),
+                          needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _W_FLOW),
                           scipy=("scipy.linalg", "scipy.optimize")),
 }
 
@@ -658,15 +658,15 @@ def _import_what_runs(config: ScenarioConfig):
     """Import the scipy subpackages a run of ``config`` will call, so that the
     run does not pay for their import.  Read off the config's fields alone:
     ``diagonalize`` (scipy.linalg) when a suite reads the spectrum of a
-    potential, the shared split-step sweep (scipy.fft) when a suite reads it,
-    and each suite's own ``SuiteSpec.scipy``.  A free eigenbasis run loads no
-    scipy at all."""
+    potential, the shared Strang sweep (scipy.fft) when a suite reads the
+    stepped flow, and each suite's own ``SuiteSpec.scipy``.  A free exact run
+    loads no scipy at all."""
     suites = [_SUITES[s] for s in config.suites]
     modules = {m for spec in suites for m in spec.scipy}
     if config.potential_terms and (config.state_recipe == "eigenstate"
                                    or any(spec.spectrum for spec in suites)):
         modules.add("scipy.linalg")
-    if config.method == "split_step2" and any(spec.flow for spec in suites):
+    if _stepped(config) and any(spec.flow for spec in suites):
         modules.add("scipy.fft")
     for module in sorted(modules):
         importlib.import_module(module)
@@ -683,16 +683,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     run_dir = os.path.join(out_dir, config.name)
     os.makedirs(run_dir, exist_ok=True)
     ctx = _Context(config)
-    ctx.plan(config.suites)
+    skipped = {s: "near-threshold spectrum: the suite assumes no zero eigenvalues"
+               for s in config.suites
+               if _SUITES[s].clean_threshold and ctx.spec.near_threshold_count > 0}
+    to_run = [s for s in config.suites if s not in skipped]
+    ctx.plan(to_run)
     reports: dict[str, EstimateReport] = {}
-    skipped: dict[str, str] = {}
     errors: list[str] = []  # "<suite>: ERROR (<exception>)" of the suites that raised
 
-    for suite in config.suites:
+    for suite in to_run:
         try:
-            if _SUITES[suite].clean_threshold and ctx.spec.near_threshold_count > 0:
-                skipped[suite] = "near-threshold spectrum: the suite assumes no zero eigenvalues"
-                continue
             reports[suite] = _SUITE_RUNNERS[suite](ctx)
         except ValueError as exc:
             errors.append(f"{suite}: ERROR ({exc})")

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.fft  # numpy loads it on first use; here it is paid at import, not in a run
 
 from .grids import Grid
-from .operators import Banded, HermitianOperator, _row_blocks
+from .operators import Banded, HermitianOperator, _row_blocks, _symmetrize
 
 BOUND = "bound"
 CONTINUUM = "continuum"
@@ -107,13 +107,15 @@ def _phases(angle, out):
     return out
 
 
-def _product(m, state):
-    """m @ state.  A real m acts on the (n, 2) float view of the state (real
-    and imaginary parts as two columns), so it is never cast to complex."""
+def _product(m, z):
+    """m @ z for a complex vector or matrix z.  A real m acts on the float
+    view of z, the real and imaginary parts of each column as two columns, so
+    neither is cast."""
+    z = np.ascontiguousarray(z, dtype=complex)
     if np.iscomplexobj(m):
-        return m @ np.asarray(state, dtype=complex)
-    pair = np.ascontiguousarray(state, dtype=complex).view(float).reshape(-1, 2)
-    return np.ascontiguousarray(m @ pair).view(complex).ravel()
+        return m @ z
+    pairs = (z[:, None] if z.ndim == 1 else z).view(float)
+    return (m @ pairs).view(complex).reshape((len(m),) + z.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,15 +186,16 @@ class SpectralData:
 
     def _synthesize(self, block):
         """Phi block, as one real product on the (n, 2K) float view of the
-        block; complex Phi enters as the (2n, n) float form whose rows 2i and
-        2i + 1 are Re and Im of row i.  With column-major eigenvectors
-        (LAPACK's layout) each column gets the same bits whatever K is;
-        complex BLAS kernels, and numpy's matrix-vector call at K = 1, do not."""
+        block (``_product``); complex Phi enters as the (2n, n) float form
+        whose rows 2i and 2i + 1 are Re and Im of row i.  With column-major
+        eigenvectors (LAPACK's layout) each column gets the same bits whatever
+        K is; complex BLAS kernels, and numpy's matrix-vector call at K = 1,
+        do not."""
         v = self.eigenvectors
-        if np.iscomplexobj(v):
-            parts = (np.asfortranarray(v).T.view(float).T @ block.view(float)).view(complex)
-            return parts[0::2] + 1j * parts[1::2]
-        return (v @ block.view(float)).view(complex)
+        if not np.iscomplexobj(v):
+            return _product(v, block)
+        parts = (np.asfortranarray(v).T.view(float).T @ block.view(float)).view(complex)
+        return parts[0::2] + 1j * parts[1::2]
 
     def evolve(self, state, t: float):
         """e^{-iHt} state: the one-row case of ``flow``."""
@@ -307,11 +310,7 @@ def genericity_margin(spec: SpectralData, lap: HermitianOperator) -> float:
         raise ValueError("empty continuum subspace")
     m = lap.matrix if np.iscomplexobj(cols) or abs(lap.matrix.imag).max() else lap.matrix.real
     # column-major, so LAPACK takes b (and the symmetric diag E_c) without a copy
-    b = ((m @ cols).T @ cols.conj()).T
-    for rows in _row_blocks(len(b)):  # (b + b^*)/2 in place on the lower triangle eigh reads
-        lower = b[rows, :rows.stop]
-        lower += b[:rows.stop, rows].T.conj()
-        lower *= 0.5
+    b = _symmetrize(((m @ cols).T @ cols.conj()).T)
     vals = scipy.linalg.eigh(np.diag(e).T, b, eigvals_only=True, overwrite_a=True,
                              overwrite_b=True, subset_by_index=[0, 0])
     return float(vals[0])

@@ -14,23 +14,22 @@ import math
 
 import numpy as np
 
-from .adaptors import (AdaptorOperator, QSelection, adaptor_expectation_series,
-                       build_adaptor, commutator_closure_defect,
-                       negative_part, positive_part, remainder_expectation,
-                       residual_weighted_scan, weighted_propagator_norm)
-from .evolution import Trajectory, gaussian_state, h_half_norm_sq, kinetic_step
+from .adaptors import (AdaptorOperator, QSelection, build_adaptor,
+                       commutator_closure_defect, negative_part, positive_part,
+                       remainder_expectation, residual_weighted_scan,
+                       weighted_propagator_norm)
+from .evolution import Trajectory, gaussian_state, h_half_norm_sq
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
                           centered_derivative, expectation_value, fit_decay_rate,
                           heisenberg_consistency, log_growth_fit,
-                          observable_series, pres_check_with_hooks,
-                          trend_slope)
+                          observable_series, pres_check, trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
                         TimeDependentPotential, _hermiticity_defect_and_scale,
-                        _row_blocks, central_difference, commutator_i, conformal_value,
-                        dilation, laplacian, momentum, multiplication, position)
-from .spectral import (BOUND, SpectralData, genericity_margin,
+                        _row_blocks, _symmetrize, central_difference, commutator_i,
+                        conformal_value, dilation, laplacian, momentum, multiplication)
+from .spectral import (BOUND, SpectralData, free_spectral_data, genericity_margin,
                        resolution_energy_limit)
 
 #: the window of a halving ratio for an error of order two
@@ -92,19 +91,7 @@ def conformal_prob(grid: Grid, potential: Potential | None,
         sign = -1.0 if corrupt_db_dt else 1.0
         return OperatorSum(tuple((sign * k, op) for k, op in parts))
 
-    positive_factor = None
-    if (potential is None or potential.is_zero) and w_t is None and adaptor is None:
-        # free flow: D_H (C/t) = -(C factor)^* (C factor) exactly, with the
-        # factor (x - 2tp)/t and no remainder
-        xm = position(grid).matrix
-        pm = momentum(grid).matrix
-
-        def positive_factor(t):
-            return (xm - 2.0 * t * pm) / t
-
-    return PropagationObservable(label="conformal[inverse_t]",
-                                 builder=builder, db_dt=db_dt,
-                                 positive_factor=positive_factor)
+    return PropagationObservable(label="conformal[inverse_t]", builder=builder, db_dt=db_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +118,19 @@ def dilation_identity_residual(grid: Grid, potential: Potential | None, state) -
 
 
 def free_conformal_residual(grid: Grid, state, t: float, dt_offset: float) -> float:
-    """Residual of d/dt <C(t)/t> = -<C(t)>/t^2 along the exact free flow.
+    """Residual of d/dt <C(t)/t> = -<C(t)>/t^2 along the exact free flow,
+    whose three states come from one ``SpectralData.flow`` block.
 
     The free flow conserves <C(t)> on the lattice (wall rows aside), so the
     residual isolates the centered-difference O(dt^2) error.
     """
     if t <= 0:
         raise ValueError("needs t > 0")
-    def c_value(s):
-        return conformal_value(grid, kinetic_step(grid, np.asarray(state, dtype=complex), s), s)
-
-    fwd = c_value(t + dt_offset) / (t + dt_offset)
-    bwd = c_value(t - dt_offset) / (t - dt_offset)
-    lhs = (fwd - bwd) / (2.0 * dt_offset)
-    rhs = -c_value(t) / t**2
-    return abs(lhs - rhs)
+    ts = (t - dt_offset, t, t + dt_offset)
+    bwd, mid, fwd = (conformal_value(grid, u, s)
+                     for u, s in zip(free_spectral_data(grid).flow(state, ts), ts))
+    lhs = (fwd / ts[2] - bwd / ts[0]) / (2.0 * dt_offset)
+    return abs(lhs + mid / t**2)
 
 
 def operator_identity_suite(n: int, extent: float, potential: Potential,
@@ -245,8 +230,10 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                              free_traj: Trajectory | None = None) -> EstimateReport:
     """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
     delta, caps 5 (delta^2 + h^2) + truncation term), Heisenberg
-    consistency, propagation inequality, and on ``free_traj`` constancy of C.
-    Every value is a quadratic form read by matvecs."""
+    consistency, on ``free_traj`` constancy of C, and on the free flow (no
+    V, W or B) the propagation inequality, where D_H (C/t) =
+    -||(x - 2tp) u / t||^2 with no remainder.  Every value is a quadratic
+    form read by matvecs."""
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
     cap_scheme = 5.0 * (delta**2 + grid.h**2)
@@ -256,7 +243,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
         report.add(f"identity residual at t={t:g}", (resid, "<=", cap_scheme + bv))
 
     prob = identity.prob
-    report.series["prob_expectation"] = observable_series(traj, prob, eval_ts)
+    b_series = report.series["prob_expectation"] = observable_series(traj, prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
     bv_mid = 0.0
@@ -271,11 +258,13 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
         report.series["conformal_factor"] = ObservableSeries(free_traj.times, vals,
                                                              "conformal factor")
 
-    pres, skip_reason = pres_check_with_hooks(traj, prob, eval_ts)
-    if pres is None:
-        report.warnings.append(skip_reason)
+    if (potential is None or potential.is_zero) and w_t is None and adaptor is None:
+        c_sq = [conformal_value(grid, traj.state_at(t), t) / t**2 for t in b_series.times]
+        report.checks.append(pres_check(b_series, ObservableSeries(b_series.times, np.array(c_sq),
+                                                                   "||C psi||^2"), 0.0))
     else:
-        report.checks.append(pres)
+        report.warnings.append(f"{prob.label}: no positive-part decomposition, "
+                               "propagation inequality skipped")
     return report
 
 
@@ -284,12 +273,11 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
 
 
 def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
-                  adaptor: AdaptorOperator, psi0, validity_horizon: float,
-                  times) -> EstimateReport:
+                  adaptor: AdaptorOperator, traj: Trajectory,
+                  validity_horizon: float) -> EstimateReport:
     """Invariants of B_V (Hermitian, on Ran P_c, PSD for -Q >= 0), closure of
     the truncated commutator, the weighted residual over horizons up to
-    ``validity_horizon`` (weight <x>^-1), and the decay of <B> along the flow
-    at ``times``."""
+    ``validity_horizon`` (weight <x>^-1), and the decay of <B> along ``traj``."""
     report = EstimateReport("adaptor operator construction")
     b = adaptor.matrix
     scale = max(adaptor.norm_bound, 1e-30)
@@ -323,12 +311,10 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
                (excess, "<=", 1e-9, "worst step excess"), (hi - lo, ">", 0.0, "scan span"),
                note=note)
 
-    ts, vals = adaptor_expectation_series(adaptor, spec, psi0, times)
+    ts, vals = traj.times, np.array([spec.grid.expectation(b, u) for u in traj.states])
     report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
-    floor = -1e-8 * scale
-    report.add("expectation nonnegative", (vals.min(), ">=", floor))
-    slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"),
-                              window=(ts[0], ts[-1]))
+    report.add("expectation nonnegative", (vals.min(), ">=", -1e-8 * scale))
+    slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"))
     report.rates["adaptor_expectation"] = slope
     report.add("expectation decay slope <= -0.8", (slope, "<=", -0.8))
     return report
@@ -472,9 +458,7 @@ def lens_positivity_values(spec: SpectralData, potential: Potential, times,
     factor = ConformalFactor(grid)
 
     def compress(m):
-        c = cols.conj().T @ (m @ cols)
-        c += c.conj().T
-        return 0.5 * c
+        return _symmetrize(cols.conj().T @ (m @ cols))
 
     x2, a = compress(factor.x2.matrix), compress(factor.a.matrix)
     vp2 = compress(factor.p2.matrix + multiplication(grid, potential.v(grid.points)).matrix)

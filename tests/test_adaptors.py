@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, QSelection, build_adaptor,
-                     adaptor_expectation_series, classify_spectrum, conformal_Q,
-                     diagonalize, dilation_Q, laplacian, load_scenario, make_grid,
-                     weighted_propagator_norm)
+                     classify_spectrum, conformal_Q, diagonalize, dilation_Q, laplacian,
+                     load_scenario, make_grid, trajectory_linear, weighted_propagator_norm)
 from proplab.adaptors import commutator_closure_defect, residual_weighted_scan
-from proplab.adaptors import AdaptorOperator, _apply_basis, _remainder_factor
+from proplab.adaptors import AdaptorOperator, _remainder_factor
 from proplab.evolution import gaussian_state
 from proplab.grids import Grid, weight_vector
 from proplab.scenarios import _Context
 from proplab.suites import adaptor_suite
-from proplab.spectral import SpectralData, classify_spectrum as classify
+from proplab.spectral import SpectralData, _product, classify_spectrum as classify
 
 
 def classified(grid, pot):
@@ -199,11 +198,14 @@ def test_expectation_series_zero_and_positive(line_grid):
     spec, _ = classified(line_grid, pot)
     zero_b = build_adaptor(spec, conformal_Q(Potential.zero(), line_grid), 3.0)
     phi = np.exp(-line_grid.points**2 / 2.0).astype(complex)
-    ts, vals = adaptor_expectation_series(zero_b, spec, phi, np.linspace(0.5, 3, 6))
-    assert np.abs(vals).max() == 0.0
+    flow = spec.flow(phi, np.linspace(0.5, 3, 6))
+
+    def series(b):  # <phi(t), B phi(t)>, as the adaptor suite reads it
+        return np.array([line_grid.expectation(b.matrix, u) for u in flow])
+
+    assert np.abs(series(zero_b)).max() == 0.0
     adaptor = build_adaptor(spec, conformal_Q(pot, line_grid), 3.0)
-    _, vals = adaptor_expectation_series(adaptor, spec, phi, np.linspace(0.5, 3, 6))
-    assert vals.min() >= -1e-8 * adaptor.norm_bound
+    assert series(adaptor).min() >= -1e-8 * adaptor.norm_bound
 
 
 def test_weighted_propagator_norm_contractions(line_grid):
@@ -347,8 +349,8 @@ def test_support_check_matches_dense_projector_formula(well_spec, rng):
     evals = np.linalg.eigvalsh(m)
     fake = AdaptorOperator(HermitianOperator(m, grid, "M"), conformal_Q(WELL, grid), 3.0, 1.0,
                            0.0, float(np.abs(evals).max()), float(evals[0]))
-    report = adaptor_suite(spec, h, fake, gaussian_state(grid, center=5.0), 6.0,
-                           np.linspace(0.5, 3.0, 6))
+    traj = trajectory_linear(spec, gaussian_state(grid, center=5.0), np.linspace(0.5, 3.0, 6))
+    report = adaptor_suite(spec, h, fake, traj, 6.0)
     supp = next(c for c in report.checks if c.name == "continuous-subspace support")
     cols = spec.eigenvectors[:, spec.continuum_indices()]
     p_c = cols @ cols.conj().T
@@ -479,8 +481,8 @@ def dense_core_and_matrix(spec, q_samples, horizon):
     core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))
     core = (core + core.conj().T) * 0.5
     d = np.exp(0.5j * horizon * e)
-    b = _apply_basis(cols, d[:, None] * core * d.conj())
-    b = _apply_basis(cols, np.conjugate(b.T))
+    b = _product(cols, d[:, None] * core * d.conj())
+    b = _product(cols, np.conjugate(b.T))
     return core, (b + b.conj().T) * 0.5
 
 

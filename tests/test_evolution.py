@@ -4,16 +4,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import dst
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
-                     adaptor_expectation_series, build_adaptor, classify_spectrum,
-                     conformal_Q, diagonalize, evolve_split,
+                     classify_spectrum, diagonalize, evolve_split,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
-                               _sine_transform, eigenstate, h_half_norm_sq, kinetic_step,
-                               snap_to_lattice)
+                               eigenstate, h_half_norm_sq, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
-from proplab.spectral import SpectralData, free_laplacian_eigenvalues
+from proplab.spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
+
+
+def kinetic_step(grid, u, dt):
+    """The DST sandwich S diag(e^{-i lam dt}) S u, S the orthonormal DST-I:
+    the free Dirichlet flow over dt written out, an oracle for the free
+    spectrum's flow and the split stepper's kinetic factor."""
+    lam = free_laplacian_eigenvalues(grid)
+    return _sine_transform(np.exp(-1j * lam * dt) * _sine_transform(u))
 
 
 def spec_for(grid, pot=None):
@@ -80,6 +86,14 @@ def test_kinetic_step_matches_free_eigenbasis(line_grid):
     t = 1.7
     np.testing.assert_allclose(kinetic_step(line_grid, psi, t),
                                spec.evolve(psi, t), atol=1e-10)
+    # bit for bit a row of the free flow's block, on the two grids of the
+    # free conformal residual (the shipped free scenario's n and 2n + 1)
+    for n in (1024, 2049):
+        grid = make_grid("line", n, 20.0)
+        psi = gaussian_state(grid, width=2.5)
+        ts = (0.996, 1.0, 1.004)
+        for t, row in zip(ts, free_spectral_data(grid).flow(psi, ts)):
+            assert np.array_equal(kinetic_step(grid, psi, t), row)
 
 
 def test_split_step_matches_exact_with_order_two():
@@ -238,9 +252,9 @@ def test_validity_horizon_matches_sequential_probes(center, t_max, expect):
 
 def test_exact_flow_consumers_compute_coefficients_once(line_grid, monkeypatch):
     # one Phi^T psi0 per call of each consumer, however many times it samples
+    # (a run reads every exact-flow series off one trajectory_linear)
     pot = Potential.gaussian(1.0)
     spec = spec_for(line_grid, pot)
-    adaptor = build_adaptor(spec, conformal_Q(pot, line_grid), 2.0)
     psi = gaussian_state(line_grid, width=1.0)
     calls = []
     coefficients = SpectralData.coefficients
@@ -253,8 +267,7 @@ def test_exact_flow_consumers_compute_coefficients_once(line_grid, monkeypatch):
     for k in (1, 7, 40):
         times = np.linspace(0.1, 2.0, k)
         for consumer in (lambda: validity_horizon(spec, psi, 3.0, samples=k),
-                         lambda: trajectory_linear(spec, psi, times),
-                         lambda: adaptor_expectation_series(adaptor, spec, psi, times)):
+                         lambda: trajectory_linear(spec, psi, times)):
             calls.clear()
             consumer()
             assert len(calls) == 1

@@ -163,3 +163,25 @@ def test_boundary_mass_and_transit_limit(line_grid):
         (0.9 * line_grid.extent / 20.0) ** 2)
     with pytest.raises(ValueError):
         transit_energy_limit(line_grid, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["line", "radial3d"])
+def test_wall_mask_holds_the_outermost_points_on_coarse_grids(kind):
+    # below n = 20 on a line (10 radially) no point lies beyond 0.9 of the
+    # extent; the outermost point at each wall counts anyway
+    for n in range(8, 41):
+        grid = make_grid(kind, n, 10.0)
+        mask = grid.wall_mask
+        assert mask[-1] and mask[0] == (kind == "line")
+        assert np.array_equal(mask[1:-1], np.abs(grid.points[1:-1]) > 0.9 * grid.extent)
+
+
+def test_coarse_line_grid_reads_mass_at_its_walls():
+    # h = 2.2: the outermost points +-12.18 lie inside 0.9 L = 12.96, so the
+    # boundary mass used to read 0 however far the state had spread
+    from proplab import free_spectral_data, gaussian_state, validity_horizon
+    grid = make_grid("line", 12, 14.4)
+    spec, psi = free_spectral_data(grid), gaussian_state(grid, width=1.0)
+    masses = [boundary_mass(grid, u) for u in spec.flow(psi, [1.0, 5.0])]
+    assert 0.0 < masses[0] < 1e-6 < masses[1]
+    assert validity_horizon(spec, psi, 10.0) < 5.0

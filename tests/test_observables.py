@@ -125,19 +125,30 @@ def test_pres_check_free_flow_and_violation():
     assert not bad.passed
 
 
-def test_pres_with_hooks_free_flow_and_skip():
-    from proplab.observables import pres_check_with_hooks
+def test_propagation_inequality_free_flow_and_skip():
+    # the conformal identity suite checks the propagation inequality on the
+    # free flow, where D_H (C/t) = -||(x - 2tp) u / t||^2 with no remainder,
+    # and skips it, with a warning, once a potential enters
+    from proplab.operators import momentum, position
+    from proplab.suites import conformal_identity_suite
     g = make_grid("line", 256, 15.0)
-    times = np.linspace(1.0, 4.0, 13)
-    traj, _ = free_traj(g, times)
-    prob = conformal_prob(g, None, None, None)
-    res, warn = pres_check_with_hooks(traj, prob, times)
-    assert warn is None and res.passed
+    times, delta = np.linspace(1.0, 4.0, 13), 0.02
+    traj, spec = free_traj(g, np.sort(np.concatenate([times - delta, times, times + delta])))
+    report = conformal_identity_suite(traj, spec, None, None, None, times, delta,
+                                      lambda t: laplacian(g))
+    res = next(c for c in report.checks if c.name == "propagation inequality")
+    assert res.passed and not report.warnings
     # quadrature-level soundness: slack stays below the O(dt^2) budget scale
     assert res.measured <= res.bound
-    hookless = conformal_prob(g, Potential.gaussian(1.0), None, None)
-    res2, warn2 = pres_check_with_hooks(traj, hookless, times)
-    assert res2 is None and "skipped" in warn2
+    # the integrand is ||C(t) u||^2 with the factor C(t) = (x - 2tp)/t
+    x, p = position(g).matrix, momentum(g).matrix
+    c_sq = [g.quad_weight * np.sum(np.abs(((x - 2.0 * t * p) / t) @ traj.state_at(t)) ** 2)
+            for t in times]
+    assert res.measured == pytest.approx(float(np.trapezoid(c_sq, times)), rel=1e-12)
+    report = conformal_identity_suite(traj, spec, Potential.gaussian(1.0), None, None, times,
+                                      delta, lambda t: laplacian(g))
+    assert "propagation inequality" not in [c.name for c in report.checks]
+    assert any("skipped" in w for w in report.warnings)
 
 
 def test_fit_decay_rate_oracles(rng):

@@ -27,7 +27,6 @@ extent = 12.0
 def test_parse_minimal_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.name == "tiny"
-    assert config.method == "eigenbasis_exact"
     assert config.samples == 16
 
 
@@ -41,14 +40,15 @@ def test_parse_rejects_unknown_section():
 # the caps, theta, eps_m and sigma = 1 are fixed in the suites, W's profile is
 # <x>^-2, the adaptor horizon is half the validity horizon, the Gaussian
 # state is centered with no momentum, and the conformal observable is read at
-# the 1/t scale (no shifted time) with windows from t = 1
+# the 1/t scale (no shifted time) with windows from t = 1; and the flow's
+# kind, which [timedep].type decides
 @pytest.mark.parametrize("section, key", [
     ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
     ("initial_state", "center"), ("initial_state", "momentum"), ("evolution", "t0"),
     ("overrides", "t_b"), ("overrides", "sigma"), ("overrides", "theta"), ("overrides", "eps_m"),
     ("overrides", "energy_cap"), ("overrides", "iterated_cap"), ("overrides", "disp_cap"),
     ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
-    ("overrides", "t0_shift"), ("overrides", "prob_scale"),
+    ("overrides", "t0_shift"), ("overrides", "prob_scale"), ("evolution", "method"),
 ])
 def test_parse_rejects_unknown_key(section, key):
     bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -152,6 +152,24 @@ def small_nls_flow_config(suites=("nls", "conformal_identity")):
                    grid_extent=60.0, t_max=2.0, dt=0.01, suites=suites)
 
 
+def _assert_each_suite_reads_as_alone(tmp_path, small_config, shared):
+    """Each suite of the ``shared`` run wrote the report and series files
+    that a run of ``small_config((suite,))`` writes."""
+    alone, reports = [], ""
+    for suite in shared.reports:
+        artifact = run_scenario(small_config((suite,)), str(tmp_path / suite))
+        alone += artifact.series_files
+        with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
+            reports += fh.read()
+    with open(os.path.join(shared.run_dir, "report.txt")) as fh:
+        assert fh.read() == reports
+    assert sorted(map(os.path.basename, alone)) == sorted(map(os.path.basename, shared.series_files))
+    by_name = {os.path.basename(p): p for p in alone}
+    for path in shared.series_files:
+        with open(path, "rb") as fa, open(by_name[os.path.basename(path)], "rb") as fb:
+            assert fa.read() == fb.read(), path
+
+
 @pytest.mark.parametrize("small_config, builds", [
     (small_w_flow_config, 1),
     # the W-flow once, plus the Morawetz refinement on a finer grid
@@ -176,19 +194,51 @@ def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch, small_config, builds)
     shared = run_scenario(config, str(tmp_path / "shared"))
     assert len(made) == builds
     assert list(shared.reports) == list(config.suites)
-    alone, reports = [], ""
-    for suite in shared.reports:
-        artifact = run_scenario(small_config((suite,)), str(tmp_path / suite))
-        alone += artifact.series_files
-        with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
-            reports += fh.read()
-    with open(os.path.join(shared.run_dir, "report.txt")) as fh:
-        assert fh.read() == reports
-    assert sorted(map(os.path.basename, alone)) == sorted(map(os.path.basename, shared.series_files))
-    by_name = {os.path.basename(p): p for p in alone}
-    for path in shared.series_files:
-        with open(path, "rb") as fa, open(by_name[os.path.basename(path)], "rb") as fb:
-            assert fa.read() == fb.read(), path
+    _assert_each_suite_reads_as_alone(tmp_path, small_config, shared)
+
+
+# conformal_identity first: it applies B_V from its factors until the adaptor
+# suite assembles the dense B, whose matvecs round differently
+def small_exact_flow_config(suites=("conformal_identity", "adaptor", "positive_potential",
+                                   "gronwall")):
+    return replace(load_scenario("positive_potential_radial"), name="exact_flow_small",
+                   grid_n=128, grid_extent=30.0, t_max=3.0, samples=12, suites=suites)
+
+
+def small_free_flow_config(suites=("operator_identities", "conformal_identity")):
+    return replace(small_free_config(), name="free_flow_small", suites=suites)
+
+
+@pytest.mark.parametrize("small_config", [small_exact_flow_config, small_free_flow_config],
+                         ids=["positive_potential", "free"])
+def test_run_evolves_its_exact_flow_once(tmp_path, monkeypatch, small_config):
+    # the exact flow of psi0 is evaluated in two SpectralData.flow blocks on
+    # the run's spectrum, the validity-horizon probe and the flow shared by
+    # every suite, and each suite's series and report equal those of a run of
+    # that suite alone
+    from proplab import spectral
+    specs, blocks = [], []
+    classify = scenarios.classify_spectrum
+    monkeypatch.setattr(scenarios, "classify_spectrum",
+                        lambda spec, **kw: specs.append(classify(spec, **kw)) or specs[-1])
+    for cls in (spectral.SpectralData, spectral._SineSpectralData):
+        monkeypatch.setattr(cls, "flow", lambda self, state, times, _flow=cls.flow:
+                            blocks.append(self) or _flow(self, state, times))
+    config = small_config()
+    shared = run_scenario(config, str(tmp_path / "shared"))
+    assert len(specs) == 1 and sum(spec is specs[0] for spec in blocks) == 2
+    assert list(shared.reports) == list(config.suites)
+    _assert_each_suite_reads_as_alone(tmp_path, small_config, shared)
+
+
+def test_readme_example_config_parses_and_round_trips():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = parse_config(example)
+    assert config.name == "my_scenario"
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_w_flow_run_applies_b_v_without_assembling_it(tmp_path, monkeypatch):
@@ -224,13 +274,15 @@ def test_free_run_never_fills_the_sine_basis(tmp_path, monkeypatch):
 
 
 def test_unplanned_split_step_time_raises():
-    ctx = _Context(small_w_flow_config(("gronwall",)))
-    ctx.plan(ctx.config.suites)
-    planned = ctx._planned
-    traj = ctx.trajectory(planned[:2])
-    assert np.array_equal(traj.times, planned[:2]) and len(traj.states) == 2
-    with pytest.raises(ValueError, match="not sampled"):
-        ctx.trajectory([planned[0] + 0.5 * ctx.config.dt])
+    # on both kinds of flow: the W-flow's sweep and the exact flow's block
+    for config in (small_w_flow_config(("gronwall",)), small_exact_flow_config(("gronwall",))):
+        ctx = _Context(config)
+        ctx.plan(ctx.config.suites)
+        planned = ctx._planned
+        traj = ctx.trajectory(planned[:2])
+        assert np.array_equal(traj.times, planned[:2]) and len(traj.states) == 2
+        with pytest.raises(ValueError, match="not sampled"):
+            ctx.trajectory([planned[0] + 0.5 * ctx.config.dt])
 
 
 def test_manifest_written_on_failing_run(tmp_path):
@@ -331,10 +383,6 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     # the eigenstate index must name one of the n eigenvectors
     (MINIMAL.replace("n = 128", "n = 64") + "\n[initial_state]\nrecipe = eigenstate\nk = 64\n",
      "[initial_state].k"),
-    # the cubic flow is only stepped; exact-method sample times are off its lattice
-    (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
-     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = eigenbasis_exact\n",
-     "[evolution].method"),
     # with V = 0, B_V = 0 and the expectation decay check fails by construction
     (MINIMAL.replace("conformal_identity", "adaptor"), "[potential].gaussians"),
     # the 1/t weighted-norm rate and the kinetic Morawetz positivity are 3d
@@ -343,32 +391,29 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL.replace("conformal_identity", "morawetz") + "\n[evolution]\nt_max = 2.0\n",
      "[grid].kind"),
     # a cubic term outside the semilinear type: on a radial W-flow the stepper
-    # raises mid-run, on a line grid the exact method ignores it
+    # raises mid-run, on a line grid the exact flow ignores it
     (_TIMEDEP_SMALL.replace("kind = line", "kind = radial3d")
      + "\n[timedep]\ntype = self_similar\ndelta = 0.05\nlambda = 1.0\n"
-     "[evolution]\nmethod = split_step2\nt_max = 1.5\n", "[timedep].lambda"),
+     "[evolution]\nt_max = 1.5\n", "[timedep].lambda"),
     (MINIMAL + "\n[timedep]\nlambda = 1.0\n", "[timedep].lambda"),
-    # W and the cubic term are only stepped: the exact method would measure
-    # the linear flow without them
-    (MINIMAL + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n", "[evolution].method"),
-    (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[evolution].method"),
-    # the Morawetz smoothing integral is accumulated along a Strang sweep
+    # the Morawetz smoothing integral is accumulated along a Strang sweep of
+    # the W-flow, whose exponent a its envelope fit reads
     (MINIMAL.replace("conformal_identity", "morawetz").replace("kind = line", "kind = radial3d")
-     + "\n[evolution]\nt_max = 2.0\n", "[evolution].method"),
+     + "\n[evolution]\nt_max = 2.0\n", "[timedep].type"),
     # nls compares the states at t = 1 stepped at dt, dt/2 and dt/4, of the
     # cubic flow without W
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
-     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = split_step2\n"
+     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\n"
      "dt = 0.003\n", "[evolution].dt"),
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
-     + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n[evolution]\nmethod = split_step2\n",
+     + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n[evolution]\n",
      "[timedep].type"),
     # empty fit windows: positive_potential fits from 1.5, nls from fit_t_lo,
     # weighted_decay on [fit_t_lo, fit_t_hi]
     (MINIMAL.replace("conformal_identity", "positive_potential") + "\n[evolution]\nt_max = 1.2\n",
      "[evolution].t_max"),
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
-     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\nmethod = split_step2\n"
+     + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\n"
      "t_max = 0.8\n", "[overrides].fit_t_lo"),
     (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
      + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 6.0\nfit_t_hi = 5.0\n",
@@ -391,13 +436,13 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
     (MINIMAL + "\n[potential]\ngaussians = 1.0 1.0 nan\n", "[potential].gaussians"),
     # the stepper derives its kinetic taps from dt, which must be a finite number
     (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
-     "[evolution]\nmethod = split_step2\ndt = nan\n", "[evolution].dt"),
+     "[evolution]\ndt = nan\n", "[evolution].dt"),
     (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
-     "[evolution]\nmethod = split_step2\ndt = inf\n", "[evolution].dt"),
-], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n", "nls_exact_method",
+     "[evolution]\ndt = inf\n", "[evolution].dt"),
+], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
-        "lambda_on_w_flow", "lambda_without_semilinear", "w_flow_exact_method",
-        "cubic_flow_exact_method", "morawetz_exact_method", "nls_dt_off_one", "nls_with_w",
+        "lambda_on_w_flow", "lambda_without_semilinear", "morawetz_exact_method",
+        "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
         "weighted_decay_fit_from_zero", "state_width_zero", "samples_below_12", "t_max_nan",
         "t_max_inf", "extent_nan", "state_width_nan", "gaussians_nan", "dt_nan", "dt_inf"])
@@ -496,7 +541,6 @@ _SMALL_CONFIGS = st.builds(
     nonlinearity=st.sampled_from([0.0, 1.0]),
     state_recipe=st.sampled_from(["gaussian", "eigenstate"]), state_width=_finite(0.5, 2.0),
     state_k=st.integers(0, 64), lnorm_target=st.sampled_from([0.0, 0.2]),
-    method=st.sampled_from(["eigenbasis_exact", "split_step2"]),
     dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(4, 16),
     fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0))
 
