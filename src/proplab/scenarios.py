@@ -617,7 +617,9 @@ _SUITES = {
     "conformal_identity": SuiteSpec(
         _suite_conformal_identity,
         flow=lambda ctx: (np.concatenate([ts for ts in _conformal_times(ctx)[2:]
-                                          if ts is not None]), None)),
+                                          if ts is not None]), None),
+        needs=(("[timedep].lambda", "lambda = 0 (its identities have no cubic term)",
+                lambda c: c.nonlinearity == 0),)),
     "adaptor": SuiteSpec(_suite_adaptor, flow=lambda ctx: (_adaptor_times(ctx), None),
                          clean_threshold=True, needs=(
         ("[potential].gaussians",
@@ -646,7 +648,7 @@ _SUITES = {
              lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False),
     "morawetz": SuiteSpec(_suite_morawetz, flow=_morawetz_flow,
                           needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _W_FLOW),
-                          scipy=("scipy.linalg", "scipy.optimize")),
+                          scipy=("scipy.fft", "scipy.linalg", "scipy.optimize")),
 }
 
 #: suite -> runner; ``run_scenario`` dispatches through this dict, so its
@@ -655,19 +657,15 @@ _SUITE_RUNNERS = {name: spec.run for name, spec in _SUITES.items()}
 
 
 def _import_what_runs(config: ScenarioConfig):
-    """Import the scipy subpackages a run of ``config`` will call, so that the
-    run does not pay for their import.  Read off the config's fields alone:
-    ``diagonalize`` (scipy.linalg) when a suite reads the spectrum of a
-    potential, the shared Strang sweep (scipy.fft) when a suite reads the
-    stepped flow, and each suite's own ``SuiteSpec.scipy``.  A free exact run
-    loads no scipy at all."""
+    """Import the scipy subpackages a run of ``config`` will call, read off its
+    fields alone, so that the run does not pay for their import: scipy.linalg
+    when a suite reads the spectrum of a potential, and each ``SuiteSpec.scipy``.
+    A free exact run and ``cubic_nls_small`` (stepped on numpy.fft) load none."""
     suites = [_SUITES[s] for s in config.suites]
     modules = {m for spec in suites for m in spec.scipy}
     if config.potential_terms and (config.state_recipe == "eigenstate"
                                    or any(spec.spectrum for spec in suites)):
         modules.add("scipy.linalg")
-    if _stepped(config) and any(spec.flow for spec in suites):
-        modules.add("scipy.fft")
     for module in sorted(modules):
         importlib.import_module(module)
 

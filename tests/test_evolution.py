@@ -8,7 +8,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
+from proplab.evolution import (_SplitStepper, _blocks, _distinct, _free_propagator, _half_width,
                                eigenstate, h_half_norm_sq, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
@@ -332,23 +332,35 @@ def _grid_any_n(kind, n, extent=10.0):
     return Grid(kind, n, h, extent, h * np.arange(1.0, n + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 639, 640, 767, 768, 959, 961, 2047, 2048])
+#: n -> the number of overlap-save blocks at each z of the test below: one
+#: block at small n and at the whole-period cap, up to 16 (at n = 384 and
+#: z = 1e-3, 16 blocks of 24 outputs cover n exactly)
+_BLOCK_COUNTS = {1: (1, 1, 1, 1, 1), 2: (1, 1, 1, 1, 1), 3: (1, 1, 1, 1, 1),
+                 384: (16, 8, 4, 2, 1), 639: (12, 13, 7, 4, 1), 640: (12, 13, 7, 4, 1),
+                 767: (14, 16, 8, 4, 1), 768: (14, 16, 8, 4, 1), 959: (8, 9, 10, 5, 1),
+                 961: (9, 9, 10, 5, 1), 2047: (9, 9, 9, 10, 1), 2048: (9, 9, 9, 10, 1)}
+
+
+@pytest.mark.parametrize("n", sorted(_BLOCK_COUNTS))
 def test_sine_multiplier_matches_dst_sandwich(n):
     # the free propagator is the sine multiplier S diag(e^{-i lam dt}) S of the
     # DST sandwich, whatever the factors of n + 1, for dt of either sign, from
     # a few taps (z = 2|dt|/h^2 small) to one whole period (z >> n + 1), with
-    # or without a phase and for any layout of u; the taps it drops, read off
-    # the full 2(n + 1)-tap ifft, carry l1 mass at most 2^-60 plus roundoff
+    # or without a phase and for any layout of u, from one block or many; the
+    # taps it drops, read off the full 2(n + 1)-tap ifft, carry l1 mass at
+    # most 2^-60 plus roundoff
+    big_n = n + 1
+    zs = (1e-3, 0.037, 0.37, 3.0, 10.0 * big_n)
+    assert tuple(_blocks(n, _half_width(z, big_n))[0] for z in zs) == _BLOCK_COUNTS[n]
     rng = np.random.default_rng(n)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     real = rng.standard_normal(n)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-    big_n = n + 1
     lag = np.minimum(np.arange(2 * big_n), 2 * big_n - np.arange(2 * big_n))
     for kind in ("line", "radial3d"):
         grid = _grid_any_n(kind, n)
-        for z in (1e-3, 0.037, 0.37, 3.0, 10.0 * big_n):
+        for z in zs:
             for dt in (0.5 * z * grid.h**2, -0.5 * z * grid.h**2):
                 apply = _free_propagator(grid, dt)
                 for data, p in ((u, 1.0), (real, 1.0), (wide[::2], phase)):
@@ -362,6 +374,28 @@ def test_sine_multiplier_matches_dst_sandwich(n):
                 dropped = np.abs(taps[lag > _half_width(z, big_n)]).sum()
                 # 2N taps, each off by a few eps (|e| <= 2)
                 assert dropped <= 2.0**-60 + 4 * big_n * np.finfo(float).eps
+
+
+def test_sweep_from_a_wall_stays_out_of_the_subnormal_range():
+    # a width-1 Gaussian at the origin of a long radial box: the exact tail
+    # underflows, and each overlap-save block between the bulk and the tail
+    # lowers the tail's roundoff floor by about one eps; with at most 16
+    # blocks the floor stays far above the subnormal range, whose entries
+    # would slow every later step
+    grid = make_grid("radial3d", 2048, 400.0)
+    dt = 5e-4
+    b = _half_width(2.0 * dt / grid.h**2, grid.n + 1)
+    assert b <= 8 and _blocks(grid.n, b) == (9, 256)
+    tiny = np.finfo(float).tiny
+    subnormal = []
+
+    def count(t, u):
+        if t > 0:  # the Gaussian itself underflows to subnormals at the far wall
+            parts = np.abs(u.view(float))
+            subnormal.append(int(np.count_nonzero((parts > 0) & (parts < tiny))))
+
+    evolve_split(grid, None, None, gaussian_state(grid, width=1.0), 300 * dt, dt, observer=count)
+    assert len(subnormal) == 300 and max(subnormal) == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -147,7 +147,7 @@ def small_morawetz_flow_config(suites=("timedep", "gronwall", "morawetz")):
                    grid_extent=30.0, t_max=2.0, dt=0.01, suites=suites)
 
 
-def small_nls_flow_config(suites=("nls", "conformal_identity")):
+def small_nls_flow_config(suites=("nls", "gronwall")):
     return replace(load_scenario("cubic_nls_small"), name="nls_flow_small", grid_n=256,
                    grid_extent=60.0, t_max=2.0, dt=0.01, suites=suites)
 
@@ -396,6 +396,9 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
      + "\n[timedep]\ntype = self_similar\ndelta = 0.05\nlambda = 1.0\n"
      "[evolution]\nt_max = 1.5\n", "[timedep].lambda"),
     (MINIMAL + "\n[timedep]\nlambda = 1.0\n", "[timedep].lambda"),
+    # the conformal identities have no cubic term: on the cubic flow the free
+    # conformal factor is not constant
+    (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[timedep].lambda"),
     # the Morawetz smoothing integral is accumulated along a Strang sweep of
     # the W-flow, whose exponent a its envelope fit reads
     (MINIMAL.replace("conformal_identity", "morawetz").replace("kind = line", "kind = radial3d")
@@ -441,7 +444,8 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
      "[evolution]\ndt = inf\n", "[evolution].dt"),
 ], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
-        "lambda_on_w_flow", "lambda_without_semilinear", "morawetz_exact_method",
+        "lambda_on_w_flow", "lambda_without_semilinear", "conformal_identity_on_cubic_flow",
+        "morawetz_without_w_flow",
         "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
         "weighted_decay_fit_from_zero", "state_width_zero", "samples_below_12", "t_max_nan",
@@ -541,7 +545,7 @@ _SMALL_CONFIGS = st.builds(
     nonlinearity=st.sampled_from([0.0, 1.0]),
     state_recipe=st.sampled_from(["gaussian", "eigenstate"]), state_width=_finite(0.5, 2.0),
     state_k=st.integers(0, 64), lnorm_target=st.sampled_from([0.0, 0.2]),
-    dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(4, 16),
+    dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(12, 16),
     fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0))
 
 
@@ -590,11 +594,17 @@ _SHORT_T_MAX = {"free": None, "positive_potential_radial": None, "well_with_barr
                 "self_similar_W": 1.2, "cubic_nls_small": 1.1, "morawetz_radial": 1.2}
 
 
+#: shipped scenario -> the package that neither its load nor its run imports:
+#: the Strang sweep runs on numpy.fft, and the cubic flow calls no scipy
+_NEVER_LOADED = {"cubic_nls_small": "scipy", "self_similar_W": "scipy.fft"}
+
+
 @pytest.mark.parametrize("name", sorted(_SHORT_T_MAX))
 def test_run_imports_nothing_its_load_did_not(name):
     # load_scenario imports the scipy subpackages the run will call, read off
     # the config's fields, so the run itself starts no numpy or scipy import
     assert sorted(_SHORT_T_MAX) == list_scenarios()
+    never = _NEVER_LOADED.get(name, "<none>")
     out = _python(
         "import sys, tempfile\n"
         "from dataclasses import replace\n"
@@ -606,7 +616,9 @@ def test_run_imports_nothing_its_load_did_not(name):
         "with tempfile.TemporaryDirectory() as out:\n"
         "    artifact = proplab.run_scenario(config, out)\n"
         "print(artifact.manifest['suites_run'], '|', sorted(m for m in set(sys.modules) - before\n"
-        "      if m.split('.')[0] in ('numpy', 'scipy')))")
-    suites_run, new_modules = out.split(" | ")
+        "      if m.split('.')[0] in ('numpy', 'scipy')), '|', sorted(m for m in sys.modules\n"
+        f"      if (m + '.').startswith({never!r} + '.')))")
+    suites_run, new_modules, forbidden = out.split(" | ")
     assert suites_run == ", ".join(load_scenario(name).suites)
     assert new_modules == "[]"
+    assert forbidden == "[]"
