@@ -11,13 +11,16 @@ in the eigenbasis as B = Phi_c (-q~ o kappa) Phi_c^*, q~ = Phi_c^* Q Phi_c,
 kappa(omega, T) = (e^{i omega T} - 1)/(i omega) = e^{i omega T/2} K with the real
 K = 2 sin(omega T/2)/omega, K(0) = T.  So B = Phi_c D core D^* Phi_c^* with
 D = diag(e^{i E_c T/2}) and core = -q~ o K (real symmetric for real eigenvectors),
-and spec(B) = spec(core) u {0}^(n - n_c).  B is kept as these factors: B u takes
-three products on float views, O(n n_c) each.  The dense n x n B (two real
-O(n^2 n_c) products) and the spectrum bounds (one eigvalsh of the core) are
-formed on first read, for the checks that need them.  Held dense: the
-eigenvectors (Phi_c is a view), the core and B; every other dense elementwise
-step (kernel, Hermiticity checks, (M + M^*)/2 scrubs) runs by row blocks.  The
-truncation makes the commutation identity exact with a measurable remainder:
+and spec(B) = spec(core) u {0}^(n - n_c).  B is only ever these factors; no
+n x n B is formed.  B u, or B U for a block of states, takes three products on
+float views, O(n n_c) per state; B[:, sl] takes two.  Each check reads the
+factor it needs: Hermiticity is the core's defect before its scrub, the
+spectrum bounds one eigvalsh of the core, support B Phi_b, and the closure
+check and Morawetz cancellation i[H, B] by blocks of ROW_BLOCK columns.  Held
+dense: the eigenvectors (Phi_c is a view) and the core; every other dense
+elementwise step (kernel, Hermiticity checks, (M + M^*)/2 scrubs) runs by row
+blocks.  The truncation makes the commutation identity exact with a
+measurable remainder:
 
     i[H, B(T)] = P_c Q P_c - remainder(T),
     remainder(T) = P_c e^{iHT} Q e^{-iHT} P_c,
@@ -36,8 +39,9 @@ whole continuum that norm is the top eigenvalue of W P_c W = W^2 - B B^*
 with B = W Phi_b (bound modes only), which Lanczos iteration reaches at
 O(n k_b) per step.  Along a flow, <u, remainder(T) u> = sum_S q_s
 |(F^* u)_s|^2 costs O(n |S|) per state once F is built.  The entrywise
-closure check runs over row blocks of i[H, B] (H banded) and of the factored
-P_c Q P_c and remainder, so it forms no n x n array beyond B.
+closure check runs over column blocks of i[H, B] (H banded), on and below the
+diagonal, and of the factored P_c Q P_c and remainder, so it forms no n x n
+array.
 """
 
 from __future__ import annotations
@@ -98,63 +102,44 @@ def dilation_Q(potential: Potential, grid: Grid) -> QSelection:
 
 
 class AdaptorOperator:
-    """Truncated-horizon adaptor with its residual diagnostics and spectrum bounds.
-
-    B is held as its factors (grid, Phi_c, D, core) or, once ``op``/``matrix``
-    is read, as the dense matrix they assemble (cached; ``apply`` then uses
-    it).  ``norm_bound`` and ``min_eigenvalue`` take one eigvalsh of the core
-    on first read, before assembly drops the core.
+    """Truncated-horizon adaptor B = Phi_c D core D^* Phi_c^*, held as its
+    factors ``(grid, cols, d, core)`` (cols = Phi_c, d = diag D); no n x n B
+    is formed.  ``apply`` takes B to a state or to each column of an (n, K)
+    block by three products, ``columns`` gives B[:, sl] by two.
+    ``hermiticity`` is the core's defect max |core - core^*| before its
+    scrub; ``norm_bound`` and ``min_eigenvalue`` take one eigvalsh of the
+    core on first read.
     """
 
-    def __init__(self, op: HermitianOperator | None, q: QSelection, horizon: float,
-                 sigma: float, residual_weighted: float, norm_bound: float | None = None,
-                 min_eigenvalue: float | None = None, warnings: tuple = (), factors=None):
-        self._op, self._factors = op, factors
-        self._bounds = None if norm_bound is None else (float(norm_bound), float(min_eigenvalue))
+    def __init__(self, grid: Grid, cols, d, core, q: QSelection, horizon: float,
+                 sigma: float, residual_weighted: float, hermiticity: float = 0.0,
+                 warnings: tuple = ()):
+        self.grid, self.cols, self.d, self.core = grid, cols, d, core
         self.q, self.horizon, self.sigma = q, horizon, sigma
-        self.residual_weighted, self.warnings = residual_weighted, warnings
+        self.residual_weighted, self.hermiticity = residual_weighted, hermiticity
+        self.warnings, self._bounds = warnings, None
 
     def _spectrum_bounds(self) -> tuple:
-        if self._bounds is None:
-            grid, _, _, core = self._factors
-            evals = np.append(np.linalg.eigvalsh(core), np.zeros(min(1, grid.n - len(core))))  # 0 on Ran P_b
+        if self._bounds is None:  # spec(B) = spec(core) u {0} on Ran P_b
+            evals = np.append(np.linalg.eigvalsh(self.core),
+                              np.zeros(min(1, self.grid.n - len(self.core))))
             self._bounds = (float(np.abs(evals).max()), float(evals.min()))
         return self._bounds
 
     norm_bound = property(lambda self: self._spectrum_bounds()[0])
     min_eigenvalue = property(lambda self: self._spectrum_bounds()[1])
 
-    @property
-    def op(self) -> HermitianOperator:
-        """The dense B; each n x n temporary is freed before the next."""
-        if self._op is None:
-            self._spectrum_bounds()
-            grid, cols, d, core = self._factors
-            self._factors = None
-            m = d[:, None] * core
-            del core
-            m *= d.conj()  # D core D^*, its second product in place
-            b = _product(cols, m)  # Phi_c M
-            del m
-            b_h = np.conjugate(b.T, out=np.empty(b.T.shape, dtype=complex))
-            del b
-            b = _product(cols, b_h)  # Phi_c M^* Phi_c^* = B, M being Hermitian
-            del b_h
-            _symmetrize(b)  # scrub roundoff asymmetry
-            self._op = HermitianOperator(b, grid, f"B_V(T={self.horizon:g})")
-        return self._op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
     def apply(self, state):
-        """B u: by the assembled B once it exists, else Phi_c D core D^* Phi_c^* u."""
-        if self._op is not None:
-            return self._op.apply(state)
-        _, cols, d, core = self._factors
-        c = d.conj() * _product(cols.conj().T, state)
-        return _product(cols, d * _product(core, c))
+        """B u for a state u, or B U for an (n, K) block U of states."""
+        d = self.d if np.ndim(state) == 1 else self.d[:, None]
+        c = d.conj() * _product(self.cols.conj().T, state)
+        return _product(self.cols, d * _product(self.core, c))
+
+    def columns(self, sl: slice, rows: slice = slice(None)) -> np.ndarray:
+        """B[rows, sl] = Phi_c[rows] (D core D^* Phi_c[sl]^*) by two products
+        on float views; callers take it by blocks of about ROW_BLOCK columns."""
+        d = self.d[:, None]
+        return _product(self.cols[rows], d * _product(self.core, d.conj() * self.cols[sl].conj().T))
 
 
 def _spectral_norm(m) -> float:
@@ -181,8 +166,8 @@ def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: flo
 def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
                   sigma: float = 1.0, validity_horizon: float | None = None) -> AdaptorOperator:
     """B(T) = Phi_c D core D^* Phi_c^* (module notes), kept as its factors:
-    the core is checked Hermitian within HERMITICITY_RTOL and symmetrized;
-    the dense B and the spectrum bounds wait for a first read.
+    the core is checked Hermitian within HERMITICITY_RTOL, its defect kept,
+    and symmetrized; the spectrum bounds wait for a first read.
 
     Parameters
     ----------
@@ -200,21 +185,20 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
         warnings = (f"horizon {horizon:g} exceeds box-validity horizon {validity_horizon:g}",)
 
     grid = spec.grid
-    if horizon == 0.0 or not np.any(q.samples):
-        b = np.zeros((grid.n, grid.n), dtype=complex)
-        op = HermitianOperator(b, grid, "B(0)")
-        return AdaptorOperator(op, q, float(horizon), float(sigma), 0.0, 0.0, 0.0, warnings)
+    if horizon == 0.0 or not np.any(q.samples):  # B = 0: no continuum columns
+        return AdaptorOperator(grid, np.zeros((grid.n, 0)), np.zeros(0), np.zeros((0, 0)), q,
+                               float(horizon), float(sigma), 0.0, warnings=warnings)
 
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q.samples)
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
     for rows in _row_blocks(len(e)):  # -q~ o K
         core[rows] *= -horizon * np.sinc(np.subtract.outer(e[rows], e) * (0.5 * horizon / np.pi))
-    _check_hermitian(core, f"B_V(T={horizon:g}) core")  # as HermitianOperator checks
+    hermiticity = _check_hermitian(core, f"B_V(T={horizon:g}) core")  # as HermitianOperator checks
     _symmetrize(core)
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
-    return AdaptorOperator(None, q, float(horizon), float(sigma), residual, warnings=warnings,
-                           factors=(grid, cols, np.exp(0.5j * horizon * e), core))
+    return AdaptorOperator(grid, cols, np.exp(0.5j * horizon * e), core, q, float(horizon),
+                           float(sigma), residual, hermiticity, warnings)
 
 
 def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
@@ -225,20 +209,35 @@ def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):
     return lambda state: float(weight * np.sum(q_s * np.abs(np.asarray(state).conj() @ f) ** 2))
 
 
+def commutator_columns(h: Banded, adaptor: AdaptorOperator):
+    """(blk, i[H, B][lo:, blk]) over blocks blk = lo:hi of ROW_BLOCK columns:
+    each block column from the diagonal down, which is all a Hermitian matrix
+    needs.  They come from B[lo - w:, blk widened by w], w the bandwidth of
+    H: H B through the bands of H, and B H through the matching principal
+    block of H."""
+    n, width = h.n, max(map(abs, h.bands), default=0)
+    for blk in _row_blocks(n):
+        lo, hi = blk.start, min(blk.stop, n)
+        a, b = max(lo - width, 0), min(hi + width, n)
+        cols, inner = adaptor.columns(slice(a, b), slice(a, None)), slice(lo - a, hi - a)
+        comm = h[a:, a:].matmul(cols[:, inner])[lo - a:]
+        comm -= (cols[lo - a:] @ h[a:b, a:b])[:, inner]
+        comm *= 1j
+        yield slice(lo, hi), comm
+
+
 def commutator_closure_defect(spec: SpectralData, h_op: HermitianOperator,
                               adaptor: AdaptorOperator) -> float:
-    """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T); exact algebra,
-    so this is roundoff-level regardless of physics.  Taken over row blocks,
-    from rows of B and of the n x |S| factors; the rows of H B come from the
-    bands of a Banded H (a dense H gives its rows)."""
-    h, b = h_op.matrix, adaptor.matrix
+    """Max-norm defect of i[H, B] - P_c Q P_c + remainder(T) for a banded H;
+    exact algebra, so this is roundoff-level regardless of physics.  The
+    defect is Hermitian, so it is taken on and below the diagonal, over the
+    block columns of ``commutator_columns`` and the n x |S| factors."""
     f0, q_s = _remainder_factor(spec, adaptor.q.samples, 0.0)
     f, _ = _remainder_factor(spec, adaptor.q.samples, adaptor.horizon)
-    f0_h, f_h = f0.conj().T, f.conj().T
     defect = 0.0
-    for rows in _row_blocks(len(b)):
-        hb = h.matmul(b, rows) if isinstance(h, Banded) else h[rows] @ b
-        gap = 1j * (hb - b[rows] @ h) - (f0[rows] * q_s) @ f0_h + (f[rows] * q_s) @ f_h
+    for blk, comm in commutator_columns(h_op.matrix, adaptor):
+        low = slice(blk.start, None)
+        gap = comm - f0[low] @ (q_s[:, None] * f0[blk].conj().T) + f[low] @ (q_s[:, None] * f[blk].conj().T)
         defect = max(defect, float(np.abs(gap).max()))
     return defect
 

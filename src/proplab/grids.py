@@ -66,10 +66,6 @@ class Grid:
         """Measure-weighted inner product <u, v>."""
         return self.quad_weight * np.vdot(u, v)
 
-    def expectation(self, matrix, u) -> float:
-        """Real part of <u, M u>; the quadratic form of a Hermitian matrix."""
-        return float(np.real(self.inner(u, matrix @ u)))
-
 
 def make_grid(kind: str, n: int, extent: float) -> Grid:
     """Build a grid.

@@ -4,7 +4,7 @@ the conformal factor and commutators.
 Every position-basis operator here is banded and is stored as its bands
 (``Banded``: {offset k: band}, band k holding the entries (j, j + k)),
 closed under sum, product, adjoint and i[., .].  Dense matrices come only
-from the spectral calculus (eigenvectors, the adaptor B_V); their
+from the spectral calculus (eigenvectors, the core of the adaptor B_V); their
 elementwise checks and fills run over blocks of ROW_BLOCK rows
 (``_row_blocks``).  A real combination of banded operators and B_V is an
 ``OperatorSum``, applied term by term, so no banded-plus-dense n x n sum is
@@ -161,12 +161,13 @@ def _hermiticity_defect_and_scale(m) -> tuple:
     return float(defect), float(scale)
 
 
-def _check_hermitian(m, what: str):
-    """Raise unless max |m - m^*| <= HERMITICITY_RTOL max |m| (or <= the
-    tolerance itself for m = 0)."""
+def _check_hermitian(m, what: str) -> float:
+    """max |m - m^*|; raise unless it is <= HERMITICITY_RTOL max |m| (or <=
+    the tolerance itself for m = 0)."""
     defect, scale = _hermiticity_defect_and_scale(m)
     if defect > HERMITICITY_RTOL * (scale or 1.0):
         raise ValueError(f"{what} is not Hermitian: defect {defect:.2e}")
+    return defect
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .adaptors import (AdaptorOperator, QSelection, build_adaptor,
-                       commutator_closure_defect, negative_part, positive_part,
-                       remainder_expectation, residual_weighted_scan,
+                       commutator_closure_defect, commutator_columns, negative_part,
+                       positive_part, remainder_expectation, residual_weighted_scan,
                        weighted_propagator_norm)
 from .evolution import Trajectory, gaussian_state, h_half_norm_sq
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
@@ -26,9 +26,9 @@ from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           heisenberg_consistency, log_growth_fit,
                           observable_series, pres_check, trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
-                        TimeDependentPotential, _hermiticity_defect_and_scale,
-                        _row_blocks, _symmetrize, central_difference, commutator_i,
-                        conformal_value, dilation, laplacian, momentum, multiplication)
+                        TimeDependentPotential, _row_blocks, _symmetrize,
+                        central_difference, commutator_i, conformal_value, dilation,
+                        laplacian, momentum, multiplication)
 from .spectral import (BOUND, SpectralData, free_spectral_data, genericity_margin,
                        resolution_energy_limit)
 
@@ -160,19 +160,35 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
 # adapted conformal identity
 
 
+class _BlockApplied:
+    """B_V applied to a block of states by one ``apply``: ``apply(u)`` reads
+    back the column of a state of the block (the same array), and applies
+    B_V to any other state."""
+
+    def __init__(self, adaptor: AdaptorOperator, states):
+        self.adaptor, self.states = adaptor, list(states)
+        self.block = adaptor.apply(np.column_stack(self.states)) if self.states else None
+
+    def apply(self, state):
+        k = next((k for k, u in enumerate(self.states) if u is state), None)
+        return self.adaptor.apply(state) if k is None else self.block[:, k]
+
+
 class AdaptedConformal:
     """The adapted conformal identity at the 1/t scale for one (grid, V, W,
     B_V), read by matvecs, with the truncation remainder through its n x |S|
-    factor (``remainder``)."""
+    factor (``remainder``).  B_V is applied once, to the block of ``states``
+    the identity reads."""
 
     def __init__(self, spec: SpectralData, potential: Potential | None,
                  w_t: TimeDependentPotential | None,
-                 adaptor: AdaptorOperator | None, corrupt_db_dt: bool = False):
+                 adaptor: AdaptorOperator | None, corrupt_db_dt: bool = False, states=()):
         grid, x = spec.grid, spec.grid.points
         self.grid, self.w_t, self.adaptor = grid, w_t, adaptor
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
+        self.b = _BlockApplied(adaptor, states) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = conformal_prob(grid, potential, w_t, self.adaptor, corrupt_db_dt)
+        self.prob = conformal_prob(grid, potential, w_t, self.b, corrupt_db_dt)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -192,7 +208,7 @@ class AdaptedConformal:
         value = expectation_value(grid, OperatorSum(tuple(parts)), state)
         if w_t is not None and self.adaptor is not None:
             w_u = (w_t.amplitude(t) * self.terms.w_profile) * state
-            value -= 2.0 * float(np.imag(grid.inner(w_u, self.adaptor.apply(state))))
+            value -= 2.0 * float(np.imag(grid.inner(w_u, self.b.apply(state))))
         return value
 
     def residual(self, traj: Trajectory, t: float, dt_offset: float,
@@ -237,7 +253,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
     cap_scheme = 5.0 * (delta**2 + grid.h**2)
-    identity = AdaptedConformal(spec, potential, w_t, adaptor, corrupt_db_dt)
+    identity = AdaptedConformal(spec, potential, w_t, adaptor, corrupt_db_dt, traj.states)
     for t in eval_ts:
         resid, bv = identity.residual(traj, float(t), delta)
         report.add(f"identity residual at t={t:g}", (resid, "<=", cap_scheme + bv))
@@ -277,19 +293,19 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
                   validity_horizon: float) -> EstimateReport:
     """Invariants of B_V (Hermitian, on Ran P_c, PSD for -Q >= 0), closure of
     the truncated commutator, the weighted residual over horizons up to
-    ``validity_horizon`` (weight <x>^-1), and the decay of <B> along ``traj``."""
+    ``validity_horizon`` (weight <x>^-1), and the decay of <B> along ``traj``,
+    each read from B's factors: the core's Hermiticity defect and spectrum,
+    B Phi_b, i[H, B] by column blocks, and B applied to the block of states."""
     report = EstimateReport("adaptor operator construction")
-    b = adaptor.matrix
     scale = max(adaptor.norm_bound, 1e-30)
-
-    herm = _hermiticity_defect_and_scale(b)[0]
-    report.add("hermiticity", (herm, "<=", 1e-10 * max(1.0, scale)))
+    report.add("hermiticity", (adaptor.hermiticity, "<=", 1e-10 * max(1.0, scale)))
 
     phi_b = spec.eigenvectors[:, spec.indices(BOUND)]  # B - P_c B P_c = P_b (B - B P_b) + B P_b
-    phi_h, b_phi, phi_h_b = phi_b.conj().T, b @ phi_b, phi_b.conj().T @ b
+    b_phi = adaptor.apply(phi_b)
+    phi_h, phi_h_b = phi_b.conj().T, b_phi.conj().T  # Phi_b^* B = (B Phi_b)^*, B Hermitian
     phi_h_b -= (phi_h_b @ phi_b) @ phi_h  # Phi_b^* (B - B P_b); rows of the sum by blocks
     supp = float(np.max([np.abs(phi_b[r] @ phi_h_b + b_phi[r] @ phi_h).max()
-                         for r in _row_blocks(len(b))]))
+                         for r in _row_blocks(spec.grid.n)]))
     report.add("continuous-subspace support", (supp, "<=", 1e-10 * max(1.0, scale)))
 
     min_eig = adaptor.min_eigenvalue if scale > 1e-20 else 0.0
@@ -311,7 +327,9 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
                (excess, "<=", 1e-9, "worst step excess"), (hi - lo, ">", 0.0, "scan span"),
                note=note)
 
-    ts, vals = traj.times, np.array([spec.grid.expectation(b, u) for u in traj.states])
+    bu = adaptor.apply(np.column_stack(traj.states))  # one block over the sampled states
+    ts, vals = traj.times, np.array([float(np.real(spec.grid.inner(u, b_u)))
+                                     for u, b_u in zip(traj.states, bu.T)])
     report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
     report.add("expectation nonnegative", (vals.min(), ">=", -1e-8 * scale))
     slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"))
@@ -746,17 +764,23 @@ def morawetz_cancellation_check(grid: Grid, spec: SpectralData, potential: Poten
     """Adaptor cancellation of the bad-sign potential commutator:
     [i[V, gamma]]_- + i[H, B_gamma] vanishes up to the truncation remainder,
     where B_gamma is built from Q = -[i[V, gamma]]_-, measured in the
-    <x>^{-1} weighted norm (sigma = 1)."""
+    <x>^{-1} weighted norm (sigma = 1); the lower triangle of i[H, B_gamma]
+    is filled in by column blocks from B_gamma's factors."""
     sigma = 1.0
     x = grid.points
     profile = negative_part(-2.0 * g_samples * potential.xdv(x))
     q = QSelection("custom", -profile, provenance="-[i[V,gamma]]_- profile")
     adaptor = build_adaptor(spec, q, horizon, sigma=sigma)
-    comm = commutator_i(laplacian(grid) + multiplication(grid, potential.v(x)), adaptor.op)
-    total = multiplication(grid, profile).matrix + comm.matrix
+    h = (laplacian(grid) + multiplication(grid, potential.v(x))).matrix
+    total = np.zeros((grid.n, grid.n), dtype=complex)  # its lower triangle, as eigvalsh reads
+    for blk, comm in commutator_columns(h, adaptor):
+        total[blk.start:, blk] = comm
+    total[np.diag_indices(grid.n)] += profile
     w = weight_vector(grid, sigma)
+    total *= w[:, None]
+    total *= w
     # the weighted matrix is Hermitian, so its 2-norm is its largest |eigenvalue|
-    measured = float(np.abs(np.linalg.eigvalsh((w[:, None] * total) * w[None, :])).max())
+    measured = float(np.abs(np.linalg.eigvalsh(total, UPLO="L")).max())
     bound = adaptor.residual_weighted + 1e-8 * max(1.0, float(np.abs(profile).max()))
     return CheckResult("adaptor cancellation of [i[V,gamma]]_-", [(measured, "<=", bound)],
                        note=f"truncation residual {adaptor.residual_weighted:.3g}"), adaptor

@@ -87,6 +87,7 @@ def test_criterion_2_adaptor_suite(radial_artifact):
           and by["weighted residual non-increasing in horizon"].passed)
 
     # brute-force quadrature oracle on small systems, to 1e-6
+    from conftest import dense_adaptor
     from test_adaptors import brute_force_adaptor
     from proplab import (HermitianOperator, classify_spectrum, conformal_Q,
                          diagonalize, laplacian, make_grid)
@@ -96,7 +97,7 @@ def test_criterion_2_adaptor_suite(radial_artifact):
     spec = classify_spectrum(diagonalize(h))
     q = conformal_Q(pot, g)
     b = build_adaptor(spec, q, 2.5)
-    gap = np.abs(b.matrix - brute_force_adaptor(spec, q.samples, 2.5, steps=6000)).max()
+    gap = np.abs(dense_adaptor(b) - brute_force_adaptor(spec, q.samples, 2.5, steps=6000)).max()
     ok = ok and gap <= 1e-6
     announce(2, ok, f"B_V invariants, exact closure, oracle gap {gap:.2e}, "
                     f"monotone weighted residual")

@@ -6,18 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from proplab import (HermitianOperator, Potential, QSelection, build_adaptor,
                      classify_spectrum, conformal_Q, diagonalize, dilation_Q, laplacian,
-                     load_scenario, make_grid, trajectory_linear, weighted_propagator_norm)
+                     load_scenario, make_grid, multiplication, trajectory_linear,
+                     weighted_propagator_norm)
 from proplab.adaptors import commutator_closure_defect, residual_weighted_scan
 from proplab.adaptors import AdaptorOperator, _remainder_factor
 from proplab.evolution import gaussian_state
 from proplab.grids import Grid, weight_vector
+from proplab.operators import _row_blocks
 from proplab.scenarios import _Context
 from proplab.suites import adaptor_suite
-from proplab.spectral import SpectralData, _product, classify_spectrum as classify
+from proplab.spectral import SpectralData, classify_spectrum as classify
+
+from conftest import dense_adaptor
 
 
 def classified(grid, pot):
-    h = HermitianOperator(laplacian(grid).matrix + np.diag(pot.v(grid.points)), grid, "H")
+    # H banded, as a run builds it: the closure check reads H by its bands
+    h = laplacian(grid) + multiplication(grid, pot.v(grid.points))
     return classify_spectrum(diagonalize(h)), h
 
 
@@ -113,7 +118,8 @@ def test_build_adaptor_trivial_cases(line_grid):
         adaptor = build_adaptor(spec, q, horizon)
         u = gaussian_state(line_grid, center=1.0)
         assert np.abs(adaptor.apply(u)).max() == 0.0
-        assert np.abs(adaptor.matrix).max() == 0.0
+        assert np.abs(adaptor.columns(slice(None))).max() == 0.0
+        assert np.abs(dense_adaptor(adaptor)).max() == 0.0
         assert (adaptor.norm_bound, adaptor.min_eigenvalue, adaptor.residual_weighted) == (0, 0, 0)
 
 
@@ -129,7 +135,7 @@ def test_build_adaptor_matches_brute_force_three_level():
     horizon = 3.7
     b = build_adaptor(spec, q, horizon)
     b_direct = brute_force_adaptor(spec, q_samples, horizon)
-    assert np.abs(b.matrix - b_direct).max() <= 1e-6
+    assert np.abs(dense_adaptor(b) - b_direct).max() <= 1e-6
 
 
 def test_build_adaptor_matches_brute_force_small_grid():
@@ -139,7 +145,7 @@ def test_build_adaptor_matches_brute_force_small_grid():
     q = conformal_Q(pot, grid)
     b = build_adaptor(spec, q, 2.5)
     b_direct = brute_force_adaptor(spec, q.samples, 2.5, steps=6000)
-    assert np.abs(b.matrix - b_direct).max() <= 1e-6
+    assert np.abs(dense_adaptor(b) - b_direct).max() <= 1e-6
 
 
 def test_build_adaptor_linear_in_q(line_grid):
@@ -149,7 +155,7 @@ def test_build_adaptor_linear_in_q(line_grid):
     b1 = build_adaptor(spec, q, 3.0)
     q2 = QSelection("custom", 2.0 * q.samples, "doubled")
     b2 = build_adaptor(spec, q2, 3.0)
-    np.testing.assert_allclose(b2.matrix, 2.0 * b1.matrix, atol=1e-12)
+    np.testing.assert_allclose(dense_adaptor(b2), 2.0 * dense_adaptor(b1), atol=1e-12)
 
 
 def test_adaptor_invariants_and_closure(line_grid):
@@ -157,7 +163,7 @@ def test_adaptor_invariants_and_closure(line_grid):
     spec, h = classified(line_grid, pot)
     q = conformal_Q(pot, line_grid)
     adaptor = build_adaptor(spec, q, 4.0)
-    b = adaptor.matrix
+    b = dense_adaptor(adaptor)
     assert np.abs(b - b.conj().T).max() <= 1e-10
     p_c = dense_projector(spec)
     assert np.abs(b - p_c @ b @ p_c).max() <= 1e-10
@@ -172,7 +178,7 @@ def test_flipped_q_breaks_positivity(line_grid):
     spec, _ = classified(line_grid, pot)
     q = conformal_Q(pot, line_grid).flipped()
     adaptor = build_adaptor(spec, q, 4.0)
-    assert np.linalg.eigvalsh(adaptor.matrix)[0] < -1e-8 * adaptor.norm_bound
+    assert np.linalg.eigvalsh(dense_adaptor(adaptor))[0] < -1e-8 * adaptor.norm_bound
 
 
 def test_residual_scan_monotone_within_horizon():
@@ -200,8 +206,9 @@ def test_expectation_series_zero_and_positive(line_grid):
     phi = np.exp(-line_grid.points**2 / 2.0).astype(complex)
     flow = spec.flow(phi, np.linspace(0.5, 3, 6))
 
-    def series(b):  # <phi(t), B phi(t)>, as the adaptor suite reads it
-        return np.array([line_grid.expectation(b.matrix, u) for u in flow])
+    def series(b):  # <phi(t), B phi(t)>, as the adaptor suite reads it: one block apply
+        b_flow = b.apply(flow.T).T
+        return np.array([float(np.real(line_grid.inner(u, b_u))) for u, b_u in zip(flow, b_flow)])
 
     assert np.abs(series(zero_b)).max() == 0.0
     adaptor = build_adaptor(spec, conformal_Q(pot, line_grid), 3.0)
@@ -223,7 +230,8 @@ def test_commutator_remainder_closes_identity(line_grid):
     q = conformal_Q(pot, line_grid)
     adaptor = build_adaptor(spec, q, 2.0)
     p_c = dense_projector(spec)
-    comm = 1j * (h.matrix @ adaptor.matrix - adaptor.matrix @ h.matrix)
+    b = dense_adaptor(adaptor)
+    comm = 1j * (h.matrix @ b - b @ h.matrix)
     q_proj = p_c @ np.diag(q.samples) @ p_c
     rem = commutator_remainder(spec, adaptor)
     assert np.abs(comm - q_proj + rem).max() <= 1e-10 * max(1.0, np.abs(q.samples).max())
@@ -294,10 +302,10 @@ def test_low_rank_kernels_match_dense_formulas(well_spec, case):
                 for t in horizons]
     np.testing.assert_allclose(scan, ref_scan, rtol=1e-12, atol=0)
 
-    norm = np.linalg.norm(adaptor.matrix, 2)
+    b = dense_adaptor(adaptor)
+    norm = np.linalg.norm(b, 2)
     assert adaptor.norm_bound == pytest.approx(norm, rel=1e-12)
-    assert adaptor.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(adaptor.matrix)[0],
-                                                   abs=1e-12 * norm)
+    assert adaptor.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(b)[0], abs=1e-12 * norm)
 
 
 @pytest.mark.parametrize("sigma, t, e_max", [(1.0, 0.0, None), (1.0, 3.0, 2.0),
@@ -340,6 +348,13 @@ def test_empty_band_and_empty_support_give_zero(well_spec):
     assert scan.tolist() == [0.0, 0.0, 0.0]
 
 
+def factored(m, q):
+    """An AdaptorOperator whose B is the Hermitian m: Phi_c = I, D = I, core = m."""
+    n = len(m)
+    return AdaptorOperator(make_grid("radial3d", n, 30.0), np.eye(n), np.ones(n), m, q,
+                           3.0, 1.0, 0.0)
+
+
 def test_support_check_matches_dense_projector_formula(well_spec, rng):
     # a Hermitian matrix off Ran P_c, so that max|B - P_c B P_c| is O(1)
     spec, h = well_spec
@@ -347,8 +362,7 @@ def test_support_check_matches_dense_projector_formula(well_spec, rng):
     m = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
     m = 0.5 * (m + m.conj().T)
     evals = np.linalg.eigvalsh(m)
-    fake = AdaptorOperator(HermitianOperator(m, grid, "M"), conformal_Q(WELL, grid), 3.0, 1.0,
-                           0.0, float(np.abs(evals).max()), float(evals[0]))
+    fake = factored(m, conformal_Q(WELL, grid))
     traj = trajectory_linear(spec, gaussian_state(grid, center=5.0), np.linspace(0.5, 3.0, 6))
     report = adaptor_suite(spec, h, fake, traj, 6.0)
     supp = next(c for c in report.checks if c.name == "continuous-subspace support")
@@ -370,13 +384,13 @@ def test_closure_defect_row_blocks_match_dense_formula(well_spec, rng):
     q = conformal_Q(WELL, grid)
     cols = spec.eigenvectors[:, spec.continuum_indices()]
     p_c = cols @ cols.conj().T
-    hm = h.matrix
+    hm = h.matrix.toarray()
     m = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
     m = 0.5 * (m + m.conj().T)
     for row in (3, 120, 128, grid.n - 1):
         spiked = m.copy()
         spiked[row, row] += 1e3
-        fake = AdaptorOperator(HermitianOperator(spiked, grid, "M"), q, 3.0, 1.0, 0.0, 1.0, -1.0)
+        fake = factored(spiked, q)
         dense = np.abs(1j * (hm @ spiked - spiked @ hm) - p_c @ np.diag(q.samples) @ p_c
                        + commutator_remainder(spec, fake)).max()
         assert dense > 1e3
@@ -395,10 +409,11 @@ def test_truncated_commutator_closure_property(kind, n, extent, amp, width, hori
     spec, h = classified(grid, pot)
     q = conformal_Q(pot, grid) if q_kind == "conformal" else dilation_Q(pot, grid)
     adaptor = build_adaptor(spec, q, horizon)
-    b = adaptor.matrix
+    b = dense_adaptor(adaptor)
     cols = spec.eigenvectors[:, spec.continuum_indices()]
     p_c = cols @ cols.conj().T
-    comm = 1j * (h.matrix @ b - b @ h.matrix)
+    hm = h.matrix.toarray()
+    comm = 1j * (hm @ b - b @ hm)
     defect = np.abs(comm - p_c @ np.diag(q.samples) @ p_c + commutator_remainder(spec, adaptor)).max()
     assert defect <= 1e-10 * max(1.0, np.abs(q.samples).max())
     assert commutator_closure_defect(spec, h, adaptor) <= 1e-10 * max(1.0, np.abs(q.samples).max())
@@ -446,16 +461,13 @@ def test_real_core_adaptor_matches_dense_complex_formula(kind, n, extent, amp, w
     adaptor = build_adaptor(spec, q, horizon)
     b, norm_bound, min_eig = dense_complex_adaptor(spec, q.samples, horizon)
     tol = 1e-12 * max(1.0, norm_bound)
-    # factored first: the bounds from the core and B u from the factors,
-    # then the assembled B, which apply uses from then on
+    # the bounds from the core, B's columns and B u from the factors
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
-    bu = adaptor.apply(u)
     assert abs(adaptor.norm_bound - norm_bound) <= tol
     assert abs(adaptor.min_eigenvalue - min_eig) <= tol
-    assert np.abs(adaptor.matrix - b).max() <= tol
-    assert np.abs(bu - adaptor.matrix @ u).max() <= tol * np.linalg.norm(u)
-    assert np.array_equal(adaptor.apply(u), adaptor.matrix @ u)
+    assert np.abs(adaptor.columns(slice(None)) - b).max() <= tol
+    assert np.abs(adaptor.apply(u) - b @ u).max() <= tol * np.linalg.norm(u)
 
 
 def test_bound_states_add_an_exact_zero_eigenvalue(well_spec):
@@ -466,28 +478,24 @@ def test_bound_states_add_an_exact_zero_eigenvalue(well_spec):
     assert len(spec.continuum_indices()) < n
     adaptor = build_adaptor(spec, QSelection("custom", -np.ones(n), "uniform"), 7.0)
     cols = spec.continuum_basis()[0]
-    assert np.abs(adaptor.matrix - 7.0 * cols @ cols.T).max() <= 1e-12 * 7.0
+    assert np.abs(dense_adaptor(adaptor) - 7.0 * cols @ cols.T).max() <= 1e-12 * 7.0
     assert adaptor.min_eigenvalue == 0.0
     assert adaptor.norm_bound == pytest.approx(7.0, rel=1e-12)
 
 
-def dense_core_and_matrix(spec, q_samples, horizon):
-    """The core and the assembled B written out densely: np.sinc over the
-    full outer difference of the continuum energies, D core D^* as one
-    expression, and the scrubs (m + m^*)/2 over whole matrices."""
+def dense_core(spec, q_samples, horizon):
+    """The core written out densely: np.sinc over the full outer difference
+    of the continuum energies, and the scrub (m + m^*)/2 over the whole
+    matrix."""
     cols, e = spec.continuum_basis()
     s = np.flatnonzero(q_samples)
     core = cols[s].conj().T @ (q_samples[s, None] * cols[s])
     core *= -horizon * np.sinc(np.subtract.outer(e, e) * (0.5 * horizon / np.pi))
-    core = (core + core.conj().T) * 0.5
-    d = np.exp(0.5j * horizon * e)
-    b = _product(cols, d[:, None] * core * d.conj())
-    b = _product(cols, np.conjugate(b.T))
-    return core, (b + b.conj().T) * 0.5
+    return (core + core.conj().T) * 0.5
 
 
 @pytest.mark.parametrize("complex_basis", [False, True])
-def test_blocked_core_and_assembly_equal_dense_formula(complex_basis):
+def test_blocked_core_equals_dense_formula(complex_basis):
     # bit for bit, on a continuum of n_c = 148 columns (two full row blocks
     # and a partial one); the complex case conjugates H by a diagonal phase
     grid = make_grid("radial3d", 150, 30.0)
@@ -499,27 +507,57 @@ def test_blocked_core_and_assembly_equal_dense_formula(complex_basis):
     assert len(spec.continuum_indices()) == 148
     for q in (conformal_Q(WELL, grid), dilation_Q(WELL, grid)):
         adaptor = build_adaptor(spec, q, 3.0)
-        core, b = dense_core_and_matrix(spec, q.samples, 3.0)
-        assert np.array_equal(adaptor._factors[3], core)
-        assert np.array_equal(adaptor.matrix, b)
+        assert np.array_equal(adaptor.core, dense_core(spec, q.samples, 3.0))
 
 
-def test_adaptor_build_and_assembly_memory():
+@pytest.mark.parametrize("case", ["radial", "line", "zero"])
+def test_columns_and_block_apply_match_oracle(well_spec, case, rng):
+    # B's columns over all blocks of ROW_BLOCK, and B applied to a block of
+    # states, against the n x n oracle from the same factors: a radial
+    # spectrum with bound states (real basis), a line spectrum, and B = 0
+    if case == "line":
+        grid = make_grid("line", 150, 12.0)
+        spec, _ = classified(grid, Potential.gaussian(1.5, width=1.3))
+        adaptor = build_adaptor(spec, dilation_Q(Potential.gaussian(1.5, width=1.3), grid), 3.0)
+    else:
+        spec, grid = well_spec[0], well_spec[0].grid
+        adaptor = build_adaptor(spec, conformal_Q(WELL, grid), 0.0 if case == "zero" else 3.0)
+    assert (adaptor.core.size == 0) == (case == "zero")
+    b = dense_adaptor(adaptor)
+    tol = 1e-13 * max(1.0, adaptor.norm_bound)
+    blocks = list(_row_blocks(grid.n))
+    assert len(blocks) == 3
+    for blk in blocks:
+        assert np.abs(adaptor.columns(blk) - b[:, blk]).max(initial=0.0) <= tol
+    block = rng.normal(size=(grid.n, 5)) + 1j * rng.normal(size=(grid.n, 5))
+    b_block = adaptor.apply(block)
+    assert b_block.shape == block.shape
+    assert np.abs(b_block - b @ block).max() <= tol * np.linalg.norm(block, axis=0).max()
+    assert np.abs(adaptor.apply(block[:, 2]) - b_block[:, 2]).max() <= tol * np.linalg.norm(block[:, 2])
+    if case == "zero":
+        assert not b.any() and not b_block.any()
+
+
+def test_adaptor_build_and_reads_memory():
     # tracemalloc peaks on the shipped positive_potential_radial spectrum
-    # (radial, n = n_c = 768).  Measured with row-blocked kernel, checks and
-    # scrubs: build 6.3 MB, bounds plus assembly 14.3 MB above the held
-    # data.  With whole-matrix temporaries they were 28.3 MB and 23.7 MB.
+    # (radial, n = n_c = 768), where one n x n complex array is 9.4 MB.
+    # Measured with row-blocked kernel, checks and scrubs: build 6.3 MB;
+    # the bounds, the closure check by column blocks and B applied to a
+    # block of 12 states 4.3 MB above the held data, so no n x n array is
+    # formed (assembling the dense B for them took 14.3 MB)
     ctx = _Context(load_scenario("positive_potential_radial"))
-    ctx.spec, ctx.horizon
+    spec, h = ctx.spec, ctx.hamiltonian()
+    ctx.horizon
+    states = np.ones((spec.grid.n, 12), dtype=complex)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         adaptor = ctx.adaptor()
         held, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        adaptor.norm_bound, adaptor.matrix
-        assembly_peak = tracemalloc.get_traced_memory()[1] - held
+        adaptor.norm_bound, commutator_closure_defect(spec, h, adaptor), adaptor.apply(states)
+        reads_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert build_peak - base <= 16e6
-    assert assembly_peak <= 19e6
+    assert reads_peak <= 6e6

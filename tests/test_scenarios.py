@@ -197,10 +197,8 @@ def test_run_sweeps_its_w_flow_once(tmp_path, monkeypatch, small_config, builds)
     _assert_each_suite_reads_as_alone(tmp_path, small_config, shared)
 
 
-# conformal_identity first: it applies B_V from its factors until the adaptor
-# suite assembles the dense B, whose matvecs round differently
-def small_exact_flow_config(suites=("conformal_identity", "adaptor", "positive_potential",
-                                   "gronwall")):
+def small_exact_flow_config(suites=("adaptor", "positive_potential", "gronwall",
+                                   "conformal_identity")):
     return replace(load_scenario("positive_potential_radial"), name="exact_flow_small",
                    grid_n=128, grid_extent=30.0, t_max=3.0, samples=12, suites=suites)
 
@@ -231,6 +229,28 @@ def test_run_evolves_its_exact_flow_once(tmp_path, monkeypatch, small_config):
     _assert_each_suite_reads_as_alone(tmp_path, small_config, shared)
 
 
+def test_suite_order_changes_no_output(tmp_path):
+    # B_V is read from its factors alone, so each suite writes the same report
+    # section and series files whether the adaptor suite runs before the
+    # conformal identity or after it
+    order = ("adaptor", "positive_potential", "gronwall", "conformal_identity")
+    sections, series = [], []
+    for k, suites in enumerate((order, order[::-1])):
+        artifact = run_scenario(small_exact_flow_config(suites), str(tmp_path / str(k)))
+        with open(os.path.join(artifact.run_dir, "report.txt")) as fh:
+            text = fh.read().split("\n\n")
+        assert len(text) == len(suites) + 1 and text[-1] == ""
+        sections.append(dict(zip(suites, text)))
+        files = {}
+        for path in artifact.series_files:
+            with open(path, "rb") as fh:
+                files[os.path.basename(path)] = fh.read()
+        series.append(files)
+    assert sections[0] == sections[1]
+    assert any(name.startswith("conformal_identity__") for name in series[0])
+    assert series[0] == series[1]
+
+
 def test_readme_example_config_parses_and_round_trips():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
@@ -242,18 +262,22 @@ def test_readme_example_config_parses_and_round_trips():
 
 
 def test_w_flow_run_applies_b_v_without_assembling_it(tmp_path, monkeypatch):
-    # the conformal identity reads B_V only through matvecs, so a
-    # self_similar_W run takes them from the factors and never forms the
-    # dense n x n B (nor its Hermiticity check)
+    # the conformal identity reads B_V only as B_V u at the states it
+    # samples, so a self_similar_W run applies B_V once, to the block of
+    # those states (t and t +- delta at each evaluation time), and reads no
+    # column of B
     from proplab.adaptors import AdaptorOperator
-    reads, applies = [], []
-    op, apply = AdaptorOperator.op, AdaptorOperator.apply
-    monkeypatch.setattr(AdaptorOperator, "op",
-                        property(lambda self: reads.append(1) or op.fget(self)))
+    shapes, reads = [], []
+    apply, columns = AdaptorOperator.apply, AdaptorOperator.columns
     monkeypatch.setattr(AdaptorOperator, "apply",
-                        lambda self, state: applies.append(1) or apply(self, state))
-    run_scenario(small_w_flow_config(), str(tmp_path))
-    assert applies and not reads
+                        lambda self, state: shapes.append(np.shape(state)) or apply(self, state))
+    monkeypatch.setattr(AdaptorOperator, "columns",
+                        lambda self, *args: reads.append(args) or columns(self, *args))
+    config = small_w_flow_config()
+    artifact = run_scenario(config, str(tmp_path))
+    evals = [c for c in artifact.reports["conformal_identity"].checks
+             if c.name.startswith("identity residual")]
+    assert shapes == [(config.grid_n, 3 * len(evals))] and not reads
 
 
 def test_free_run_never_fills_the_sine_basis(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
 from proplab import suites
 from proplab.adaptors import negative_part, remainder_expectation
 from proplab.evolution import evolve_split, trajectory_split
+from proplab.grids import weight_vector
 from proplab.observables import ObservableSeries, expectation_value, heisenberg_expectation
 from proplab.operators import central_difference, commutator_i, conformal_value
 from proplab.suites import (AdaptedConformal, _envelope_clause, conformal_prob,
@@ -17,6 +18,8 @@ from proplab.suites import (AdaptedConformal, _envelope_clause, conformal_prob,
                             morawetz_multiplier, morawetz_cancellation_check,
                             operator_identity_suite, positive_potential_suite,
                             wall_trimmed, TimedepObserver)
+
+from conftest import dense_adaptor
 
 
 def classified(grid, pot):
@@ -248,6 +251,14 @@ def test_morawetz_cancellation_small_case():
     res, adaptor = morawetz_cancellation_check(g, spec, pot, g_samples, horizon=4.0)
     assert res.passed
     assert adaptor.residual_weighted >= 0.0
+    # the lower triangle filled by column blocks (n = 200 spans four) against
+    # the whole weighted matrix written out from the n x n oracle of B
+    x = g.points
+    h = laplacian(g).matrix.toarray() + np.diag(pot.v(x))
+    b = dense_adaptor(adaptor)
+    total = np.diag(np.minimum(-2.0 * g_samples * pot.xdv(x), 0.0)) + 1j * (h @ b - b @ h)
+    w = weight_vector(g, 1.0)
+    assert res.measured == pytest.approx(np.linalg.norm(w[:, None] * total * w, 2), rel=1e-10)
 
 
 def test_operator_identity_suite_small():
@@ -376,7 +387,7 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
     pm = (np.diag(np.full(n - 1, -1j), 1) + np.diag(np.full(n - 1, 1j), -1)) / (2.0 * h)
     lap = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
     vm, wm, dwm = np.diag(v), np.diag(w), np.diag(dw)
-    bv = adaptor.matrix if with_adaptor else np.zeros((n, n))
+    bv = dense_adaptor(adaptor) if with_adaptor else np.zeros((n, n))
     c = (xm - 2.0 * t * pm).conj().T @ (xm - 2.0 * t * pm)
     cdot = -2.0 * (xm @ pm + pm @ xm) + 8.0 * t * pm @ pm
     b = c / t + 4.0 * t * (vm + wm) + bv
@@ -398,7 +409,7 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
         size = scale_form or grid.quad_weight * np.linalg.norm(u) * np.linalg.norm(m @ u)
         assert abs(got - expect) <= 1e-12 * max(size, 1e-300)
 
-    prob = conformal_prob(grid, pot, w_t, adaptor.op if with_adaptor else None)
+    prob = conformal_prob(grid, pot, w_t, adaptor)
     assert_form(expectation_value(grid, prob.builder(t), u), b)
     assert_form(expectation_value(grid, prob.db_dt(t), u), db)
     h_op = laplacian(grid) + multiplication(grid, v + w)
@@ -406,10 +417,12 @@ def test_conformal_forms_match_dense_formulas(n, kind, with_v, with_w, with_adap
     size = grid.quad_weight * (2.0 * np.linalg.norm(hm @ u) * np.linalg.norm(b @ u)
                                + np.linalg.norm(u) * np.linalg.norm(db @ u))
     assert_form(heisenberg_expectation(grid, h_op, prob.builder(t), prob.db_dt(t), u), d_h, size)
-    identity = AdaptedConformal(spec, pot, w_t, adaptor)
     size = grid.quad_weight * (np.linalg.norm(u) * np.linalg.norm(banded_rhs @ u)
                                + 2.0 * np.linalg.norm(wm @ u) * np.linalg.norm(bv @ u))
-    assert_form(identity.rhs(t, u), rhs, size)
+    # B u applied per state, and read back from a block applied once
+    for states in ((), (2.0 * u, u)):
+        identity = AdaptedConformal(spec, pot, w_t, adaptor, states=states)
+        assert_form(identity.rhs(t, u), rhs, size)
     if with_adaptor:
         cols, e = spec.continuum_basis()
         flow = (cols * np.exp(1j * e * adaptor.horizon)) @ cols.conj().T
