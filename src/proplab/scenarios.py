@@ -660,7 +660,7 @@ def _import_what_runs(config: ScenarioConfig):
     """Import the scipy subpackages a run of ``config`` will call, read off its
     fields alone, so that the run does not pay for their import: scipy.linalg
     when a suite reads the spectrum of a potential, and each ``SuiteSpec.scipy``.
-    A free exact run and ``cubic_nls_small`` (stepped on numpy.fft) load none."""
+    A free exact run and ``cubic_nls_small`` (stepped by numpy alone) load none."""
     suites = [_SUITES[s] for s in config.suites]
     modules = {m for spec in suites for m in spec.scipy}
     if config.potential_terms and (config.state_recipe == "eigenstate"

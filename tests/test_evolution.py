@@ -8,7 +8,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_SplitStepper, _blocks, _distinct, _free_propagator, _half_width,
+from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
                                eigenstate, h_half_norm_sq, snap_to_lattice)
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
@@ -332,26 +332,22 @@ def _grid_any_n(kind, n, extent=10.0):
     return Grid(kind, n, h, extent, h * np.arange(1.0, n + 1))
 
 
-#: n -> the number of overlap-save blocks at each z of the test below: one
-#: block at small n and at the whole-period cap, up to 16 (at n = 384 and
-#: z = 1e-3, 16 blocks of 24 outputs cover n exactly)
-_BLOCK_COUNTS = {1: (1, 1, 1, 1, 1), 2: (1, 1, 1, 1, 1), 3: (1, 1, 1, 1, 1),
-                 384: (16, 8, 4, 2, 1), 639: (12, 13, 7, 4, 1), 640: (12, 13, 7, 4, 1),
-                 767: (14, 16, 8, 4, 1), 768: (14, 16, 8, 4, 1), 959: (8, 9, 10, 5, 1),
-                 961: (9, 9, 10, 5, 1), 2047: (9, 9, 9, 10, 1), 2048: (9, 9, 9, 10, 1)}
+def kernel_cells(apply):
+    """The free propagator's closure variables by name: its padded buffer
+    ``buf``, the window view ``windows`` and the real Toeplitz matrix ``t``."""
+    return dict(zip(apply.__code__.co_freevars, (c.cell_contents for c in apply.__closure__)))
 
 
-@pytest.mark.parametrize("n", sorted(_BLOCK_COUNTS))
+@pytest.mark.parametrize("n", [1, 2, 3, 384, 639, 640, 767, 768, 959, 961, 2047, 2048])
 def test_sine_multiplier_matches_dst_sandwich(n):
     # the free propagator is the sine multiplier S diag(e^{-i lam dt}) S of the
     # DST sandwich, whatever the factors of n + 1, for dt of either sign, from
     # a few taps (z = 2|dt|/h^2 small) to one whole period (z >> n + 1), with
-    # or without a phase and for any layout of u, from one block or many; the
+    # or without a phase and for any layout of u, from one window or many; the
     # taps it drops, read off the full 2(n + 1)-tap ifft, carry l1 mass at
     # most 2^-60 plus roundoff
     big_n = n + 1
     zs = (1e-3, 0.037, 0.37, 3.0, 10.0 * big_n)
-    assert tuple(_blocks(n, _half_width(z, big_n))[0] for z in zs) == _BLOCK_COUNTS[n]
     rng = np.random.default_rng(n)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -363,6 +359,14 @@ def test_sine_multiplier_matches_dst_sandwich(n):
         for z in zs:
             for dt in (0.5 * z * grid.h**2, -0.5 * z * grid.h**2):
                 apply = _free_propagator(grid, dt)
+                # ceil(n / 16) windows of 2(16 + 2b) floats, 32 apart, and t
+                # mapping each to its 16 outputs; one whole period at the cap
+                b = _half_width(z, big_n)
+                cells = kernel_cells(apply)
+                assert cells["windows"].shape == (-(-n // 16), 2 * (16 + 2 * b))
+                assert cells["windows"].strides[0] == 32 * 8
+                assert cells["t"].shape == (2 * (16 + 2 * b), 32)
+                assert z != zs[-1] or b == big_n
                 for data, p in ((u, 1.0), (real, 1.0), (wide[::2], phase)):
                     ref = kinetic_step(grid, p * data, dt)
                     out = apply(data, p)
@@ -371,21 +375,53 @@ def test_sine_multiplier_matches_dst_sandwich(n):
                 lam = np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2)
                 e = np.exp(-1j * lam * dt) - 1.0
                 taps = np.fft.ifft(np.concatenate([[0.0], e, e[-2::-1]]))
-                dropped = np.abs(taps[lag > _half_width(z, big_n)]).sum()
+                dropped = np.abs(taps[lag > b]).sum()
                 # 2N taps, each off by a few eps (|e| <= 2)
                 assert dropped <= 2.0**-60 + 4 * big_n * np.finfo(float).eps
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), kind=st.sampled_from(["line", "radial3d"]),
+       log_z=st.floats(-3.0, 4.0), sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
+def test_free_propagator_matches_dst_sandwich_property(n, kind, log_z, sign, seed):
+    # z = 2|dt|/h^2 from a few taps to past the whole-period cap (z = 10^4
+    # caps every n <= 300), either sign of dt, a random phase and state
+    grid = _grid_any_n(kind, n)
+    dt = sign * 0.5 * 10.0**log_z * grid.h**2
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    ref = kinetic_step(grid, phase * u, dt)
+    out = _free_propagator(grid, dt)(u, phase)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_whole_period_kernel_holds_no_n_squared_array():
+    # at the cap b = n + 1 a step still costs O(n b), and t holds O(16 b)
+    # entries: no array the kernel keeps, nor the one a step returns, has n^2
+    grid = make_grid("line", 2048, 240.0)
+    dt = 1e3 * grid.h**2
+    assert _half_width(2.0 * dt / grid.h**2, grid.n + 1) == grid.n + 1
+    apply = _free_propagator(grid, dt)
+    cells = kernel_cells(apply)
+    assert {"buf", "windows", "t"} <= set(cells)
+    held = [a for a in cells.values() if isinstance(a, np.ndarray)]
+    u = gaussian_state(grid, width=5.0)
+    out = apply(u, 1.0)
+    assert max(a.size for a in held + [out.base]) < grid.n**2
+    ref = kinetic_step(grid, u, dt)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_sweep_from_a_wall_stays_out_of_the_subnormal_range():
     # a width-1 Gaussian at the origin of a long radial box: the exact tail
-    # underflows, and each overlap-save block between the bulk and the tail
-    # lowers the tail's roundoff floor by about one eps; with at most 16
-    # blocks the floor stays far above the subnormal range, whose entries
-    # would slow every later step
+    # underflows, and the direct product computes that tail down into the
+    # subnormal range, whose entries would slow every later step; the kernel
+    # flushes them to zero
     grid = make_grid("radial3d", 2048, 400.0)
     dt = 5e-4
     b = _half_width(2.0 * dt / grid.h**2, grid.n + 1)
-    assert b <= 8 and _blocks(grid.n, b) == (9, 256)
+    assert b <= 8 and kernel_cells(_free_propagator(grid, dt))["windows"].shape == (128, 2 * (16 + 2 * b))
     tiny = np.finfo(float).tiny
     subnormal = []
 
@@ -501,7 +537,7 @@ def test_states_never_alias_the_stepper_buffers(case):
     out2, _ = stepper.step(out, dt, dt, half)
     kinetic_out = stepper._kinetic(psi0, 1.0)
     held = held_arrays(stepper)
-    assert sum(len(a) > grid.n + 1 for a in held) >= 2  # the padded buffer and its spectrum
+    assert sum(a.size > grid.n + 1 for a in held) >= 2  # the padded buffer and t
     for state in (out, out2, kinetic_out):
         assert not any(np.shares_memory(state, a) for a in held)
     assert not np.shares_memory(out, out2)
