@@ -11,9 +11,10 @@ taps are aliased Bessel coefficients J_r(z), z = 2|dt|/h^2 (Jacobi-Anger,
 DLMF 10.12.2).  ``_free_propagator`` keeps the taps inside the half-width b
 where the bound (z/2)^r / r! (DLMF 10.14.4) leaves a tail below 2^-60, or one
 whole period at the cap b = n + 1, and convolves directly: one real matrix
-product over overlapping windows of the state, O(n b) per step, which flushes
-the subnormal tail of the exact product to zero.  Every factor is unitary to
-roundoff, so mass is conserved to roundoff at any step size.
+product over the overlapping windows that reach the span of the state's
+nonzeros, O(n b) per step at most, which flushes the subnormal tail of the
+exact product to zero.  Every factor is unitary to roundoff and keeps the
+zeros beyond that span, grown by b, exact; mass is conserved to roundoff.
 ``h_half_norm_sq`` reads S diag(sqrt(1 + lam)) S as a Toeplitz-minus-Hankel
 quadratic form (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051)
 from one long FFT; it imports ``scipy.fft`` at its first call, so of the runs
@@ -177,7 +178,7 @@ def _half_width(z: float, cap: int) -> int:
 
 
 def _free_propagator(grid: Grid, dt: float):
-    """(u, phase) -> S diag(e^{-i lam dt}) S (phase u), the free Strang factor.
+    """(u, phase, lo, hi) -> (S diag(e^{-i lam dt}) S (phase u), lo', hi'), the free Strang factor.
 
     S diag(d) S is the identity plus the 2N-periodic convolution (N = n + 1)
     of the odd extension (0, u, 0, -reversed u) with the taps K(r) of d - 1,
@@ -194,8 +195,10 @@ def _free_propagator(grid: Grid, dt: float):
     computes the underflowing tail of a state: its entries below the smallest
     normal float are flushed to zero, as subnormals would slow every later
     step.  Adding the input back to the d - 1 convolution scales the roundoff
-    with what a step changes.  ``apply`` reuses its buffer (not reentrant);
-    the array it returns is fresh.
+    with what a step changes.  u is zero and phase unread outside [lo, hi]:
+    only the windows of outputs lo - b .. hi + b are multiplied, zero rows
+    elsewhere, and lo', hi' take in the nonzeros within b.  The buffer keeps
+    phase u between calls (not reentrant; spans must only grow); output is fresh.
     """
     n = grid.n
     e = np.exp(-1j * np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2) * dt) - 1.0
@@ -215,17 +218,37 @@ def _free_propagator(grid: Grid, dt: float):
     buf = np.zeros(-(-n // s) * s + 2 * b, dtype=complex)
     middle = buf[b:b + n]
     windows = np.lib.stride_tricks.sliding_window_view(buf.view(float), 2 * (s + 2 * b))[::2 * s]
+    # the odd extension at 1 - b .. -1 and at N + 1 .. N + b - 1, from its mirror images
+    mirrors = (buf[2 * b - 2:b - 1:-1], buf[:b - 1]), (buf[n + b - 1:n:-1], buf[n + b + 1:n + 2 * b])
     tiny = np.finfo(float).tiny
 
-    def apply(u, phase):
-        np.multiply(phase, u, out=middle)
-        np.negative(buf[2 * b - 2:b - 1:-1], out=buf[:b - 1])  # extension at 1 - b .. -1
-        np.negative(buf[n + b - 1:n:-1], out=buf[n + b + 1:n + 2 * b])  # at N + 1 .. N + b - 1
-        out = (windows @ t).view(complex).ravel()[:n]
-        np.add(out, middle, out=out)
-        parts = out.view(float)
+    def apply(u, phase, lo, hi):
+        if hi - lo == n - 1:  # the whole grid, without the views (each ~1% of a step)
+            np.multiply(phase, u, middle)
+            k0, k1 = 0, len(windows)
+        else:  # the windows of outputs lo - b .. hi + b, and two at least, since
+            np.multiply(phase[lo:hi + 1], u[lo:hi + 1], middle[lo:hi + 1])
+            k0 = max(min((lo - b) // s, len(windows) - 2), 0)  # numpy multiplies one window
+            k1 = max((hi + b) // s + 1, k0 + 2)  # as a gemv, which rounds apart from a gemm
+        np.negative(*mirrors[0])
+        np.negative(*mirrors[1])
+        if k0 or k1 < len(windows):  # the product, with zero rows around it
+            rows = np.zeros((len(windows), 2 * s))
+            np.matmul(windows[k0:k1], t, out=rows[k0:k1])
+        else:
+            rows = windows @ t
+        out = rows.view(complex).ravel()[:n]
+        stretch = out[s * k0:s * k1]
+        np.add(stretch, middle[s * k0:s * k1], out=stretch)
+        parts = stretch.view(float)
         parts[np.abs(parts) < tiny] = 0.0
-        return out
+        if lo > 0:  # new nonzeros appear only within b of the span
+            hits = out[max(lo - b, 0):lo].nonzero()[0]
+            lo = max(lo - b, 0) + hits[0] if len(hits) else lo
+        if hi < n - 1:
+            hits = out[hi + 1:hi + b + 1].nonzero()[0]
+            hi = hi + 1 + hits[-1] if len(hits) else hi
+        return out, lo, hi
 
     return apply
 
@@ -252,39 +275,46 @@ class _SplitStepper:
         self._kin_dt = None
         self._kinetic = None
 
-    def _half_phase(self, u, t_mid, dt):
-        """e^{-i v dt / 2} with v = V + W(t_mid) + lam |u|^2, from a real angle."""
+    def _half_phase(self, u, lo, hi, t_mid, dt):
+        """e^{-i v dt / 2}, v = V + W(t_mid) + lam |u|^2, from a real angle (cubic: [lo, hi] only)."""
         v = self.v
         if self.w_t is not None:
             v = v + self.w_t.amplitude(t_mid) * self._w_profile
+        half = part = np.empty(len(v), dtype=complex)
         if self.lam_nl:
+            u, v, part = u[lo:hi + 1], v[lo:hi + 1], half[lo:hi + 1]
             dens = u.real * u.real
             dens += u.imag * u.imag
             dens *= self.lam_nl
             dens += v
             v = dens
         angle = v * (-0.5 * dt)  # = (-0.5 v) dt bit for bit: halving is exact
-        half = np.empty(len(angle), dtype=complex)
-        np.cos(angle, out=half.real)
-        np.sin(angle, out=half.imag)
+        np.cos(angle, out=part.real)
+        np.sin(angle, out=part.imag)
         return half
 
-    def step(self, u, t: float, dt: float, half=None):
-        """One step from t; returns (state, carry).  Without W, carry is the last
-        half phase, equal to the next step's first (V static, |u| phase invariant),
-        to pass back as ``half``; with W it is None.  ``half=None`` computes it from u."""
-        if dt != self._kin_dt:
-            self._kinetic = _free_propagator(self.grid, dt)
-            self._kin_dt = dt
+    def step(self, u, t: float, dt: float, carry=None):
+        """One step from t on the span [lo, hi] holding u's nonzeros; returns (state, carry),
+        carry = (lo, hi, half): the state's span and the last half phase, equal to the next
+        step's first (V static, |u| invariant), or None with W.  None reads the span off u."""
+        if dt != self._kin_dt or carry is None:  # a zeroed buffer for a new span
+            self._kinetic, self._kin_dt = _free_propagator(self.grid, dt), dt
         t_mid = t + 0.5 * dt
+        if carry is None:  # u's first and last nonzero, the whole grid if u is zero
+            carry = ((u != 0).argmax(), len(u) - 1 - (u[::-1] != 0).argmax(), None)
+        lo, hi, half = carry
         if half is None:
-            half = self._half_phase(u, t_mid, dt)
-        u = self._kinetic(u, half)
+            half = self._half_phase(u, lo, hi, t_mid, dt)
+        u, lo, hi = self._kinetic(u, half, lo, hi)
         # second half phase: for the cubic flow |u| changed across the kinetic
         # step, so the phase is re-evaluated (still a unitary factor)
         if self.lam_nl:
-            half = self._half_phase(u, t_mid, dt)
-        return half * u, (half if self.w_t is None else None)
+            half = self._half_phase(u, lo, hi, t_mid, dt)
+        if self.lam_nl and hi - lo < len(u) - 1:  # the cubic half phase is set on the span alone
+            u[lo:hi + 1] = half[lo:hi + 1] * u[lo:hi + 1]  # not in place: that can round apart
+        else:
+            u = half * u
+        return u, (lo, hi, half if self.w_t is None else None)
 
 
 def evolve_split(grid: Grid, potential: Potential | None,
@@ -312,11 +342,11 @@ def evolve_split(grid: Grid, potential: Potential | None,
         raise ValueError(f"dt={dt} does not divide the span {span}")
     signed_dt = math.copysign(dt, span) if span != 0 else dt
     u = np.asarray(psi0, dtype=complex).copy()
-    t, half = t0, None
+    t, carry = t0, None
     if observer is not None:
         observer(t, u)
     for k in range(1, n_steps + 1):
-        u, half = stepper.step(u, t, signed_dt, half)
+        u, carry = stepper.step(u, t, signed_dt, carry)
         t = t0 + k * signed_dt  # from the step index: no drift from repeated addition
         if observer is not None:
             observer(t, u)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dst
 
 from proplab import (HermitianOperator, Potential, TimeDependentPotential,
@@ -10,7 +10,9 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
                                eigenstate, h_half_norm_sq, snap_to_lattice)
+from proplab import evolution
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
+from proplab.scenarios import _Context, load_scenario
 from proplab.spectral import SpectralData, _sine_transform, free_laplacian_eigenvalues
 
 
@@ -333,8 +335,9 @@ def _grid_any_n(kind, n, extent=10.0):
 
 
 def kernel_cells(apply):
-    """The free propagator's closure variables by name: its padded buffer
-    ``buf``, the window view ``windows`` and the real Toeplitz matrix ``t``."""
+    """The free propagator's closure variables by name, among them the state's
+    stretch ``middle`` of its padded buffer ``middle.base``, the window view
+    ``windows`` and the real Toeplitz matrix ``t``."""
     return dict(zip(apply.__code__.co_freevars, (c.cell_contents for c in apply.__closure__)))
 
 
@@ -369,8 +372,8 @@ def test_sine_multiplier_matches_dst_sandwich(n):
                 assert z != zs[-1] or b == big_n
                 for data, p in ((u, 1.0), (real, 1.0), (wide[::2], phase)):
                     ref = kinetic_step(grid, p * data, dt)
-                    out = apply(data, p)
-                    assert out.shape == (n,)
+                    out, lo, hi = apply(data, p, 0, n - 1)
+                    assert out.shape == (n,) and (lo, hi) == (0, n - 1)
                     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
                 lam = np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2)
                 e = np.exp(-1j * lam * dt) - 1.0
@@ -392,7 +395,7 @@ def test_free_propagator_matches_dst_sandwich_property(n, kind, log_z, sign, see
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     ref = kinetic_step(grid, phase * u, dt)
-    out = _free_propagator(grid, dt)(u, phase)
+    out, _, _ = _free_propagator(grid, dt)(u, phase, 0, n - 1)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -404,10 +407,10 @@ def test_whole_period_kernel_holds_no_n_squared_array():
     assert _half_width(2.0 * dt / grid.h**2, grid.n + 1) == grid.n + 1
     apply = _free_propagator(grid, dt)
     cells = kernel_cells(apply)
-    assert {"buf", "windows", "t"} <= set(cells)
-    held = [a for a in cells.values() if isinstance(a, np.ndarray)]
+    assert {"middle", "windows", "t"} <= set(cells)
+    held = [a for a in cells.values() if isinstance(a, np.ndarray)] + [cells["middle"].base]
     u = gaussian_state(grid, width=5.0)
-    out = apply(u, 1.0)
+    out, _, _ = apply(u, 1.0, 0, grid.n - 1)
     assert max(a.size for a in held + [out.base]) < grid.n**2
     ref = kinetic_step(grid, u, dt)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -468,7 +471,7 @@ def recomputed_strang_states(grid, pot, lam, psi0, dt, steps):
 
     states = [np.asarray(psi0, dtype=complex)]
     for _ in range(steps):
-        u = kinetic(states[-1], half(states[-1]))
+        u, _, _ = kinetic(states[-1], half(states[-1]), 0, grid.n - 1)
         states.append(half(u) * u)
     return states
 
@@ -495,18 +498,25 @@ def test_bare_step_computes_its_phases_and_w_carries_none(rng):
     pot = Potential.gaussian(0.5)
     u = rng.normal(size=64) + 1j * rng.normal(size=64)  # not a state of any sweep
     for lam in (1.0, 0.0):
-        out, carry = _SplitStepper(grid, pot, nonlinearity=lam).step(u, 0.3, 0.01)
+        out, (lo, hi, half) = _SplitStepper(grid, pot, nonlinearity=lam).step(u, 0.3, 0.01)
         ref = recomputed_strang_states(grid, pot, lam, u, 0.01, 1)[1]
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert carry is not None
+        assert (lo, hi) == (0, 63) and half is not None
     w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5)
-    assert _SplitStepper(grid, pot, w_t=w_t).step(u, 0.3, 0.01)[1] is None
+    assert _SplitStepper(grid, pot, w_t=w_t).step(u, 0.3, 0.01)[1] == (0, 63, None)
+    # a bare step starts a new span: after a wider state, a narrower one
+    # steps as on a fresh stepper, with no stale entries in the buffer
+    stepper, narrow = _SplitStepper(grid, pot), np.where(np.arange(64) < 20, u, 0.0)
+    stepper.step(u, 0.3, 0.01)
+    assert np.array_equal(stepper.step(narrow, 0.3, 0.01)[0], _SplitStepper(grid, pot).step(narrow, 0.3, 0.01)[0])
 
 
-def held_arrays(stepper):
-    """Every array the stepper holds, its free propagator's buffer included."""
+def held_arrays(stepper, carry):
+    """Every array the stepper holds, its free propagator's buffer and views of
+    it included, and the half phase of the carry a step hands on."""
     cells = [c.cell_contents for c in stepper._kinetic.__closure__]
-    held = list(vars(stepper).values()) + cells
+    held = list(vars(stepper).values()) + cells + list(carry)
+    held += [a for c in cells if isinstance(c, tuple) for a in c]
     return [a for a in held if isinstance(a, np.ndarray)]
 
 
@@ -533,11 +543,129 @@ def test_states_never_alias_the_stepper_buffers(case):
     assert all(np.array_equal(k, c) for k, c in zip(kept, copied))
 
     stepper = _SplitStepper(grid, pot, w_t=w_t, nonlinearity=lam)
-    out, half = stepper.step(psi0, 0.0, dt)
-    out2, _ = stepper.step(out, dt, dt, half)
-    kinetic_out = stepper._kinetic(psi0, 1.0)
-    held = held_arrays(stepper)
+    out, carry = stepper.step(psi0, 0.0, dt)
+    out2, carry = stepper.step(out, dt, dt, carry)
+    kinetic_out, _, _ = stepper._kinetic(psi0, 1.0, 0, grid.n - 1)
+    held = held_arrays(stepper, carry)
     assert sum(a.size > grid.n + 1 for a in held) >= 2  # the padded buffer and t
     for state in (out, out2, kinetic_out):
         assert not any(np.shares_memory(state, a) for a in held)
     assert not np.shares_memory(out, out2)
+
+
+def full_grid_kinetic(apply, u, phase):
+    """The kinetic factor on the whole grid, an oracle for the span: the phase
+    times u written over all of the kernel's buffer, every window multiplied,
+    the whole grid added back and flushed."""
+    c = kernel_cells(apply)
+    middle, b, n, windows, t = c["middle"], c["b"], c["n"], c["windows"], c["t"]
+    buf = middle.base
+    np.multiply(phase, u, out=middle)
+    np.negative(buf[2 * b - 2:b - 1:-1], out=buf[:b - 1])
+    np.negative(buf[n + b - 1:n:-1], out=buf[n + b + 1:n + 2 * b])
+    out = (windows @ t).view(complex).ravel()[:n]
+    np.add(out, middle, out=out)
+    parts = out.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return out
+
+
+def full_grid_strang_step(kinetic, grid, pot, w_t, lam, u, t, dt, first=None):
+    """One Strang step with both half phases and the kinetic factor on the
+    whole grid, in the stepper's arithmetic (an oracle for the span); returns
+    (state, last half phase).  ``first`` is the first half phase, as a sweep
+    without W carries it from the step before; None computes it from u."""
+    v = pot.v(grid.points)
+    if w_t is not None:
+        v = v + w_t.amplitude(t + 0.5 * dt) * w_t.profile(grid.points)
+
+    def half(u):
+        angle = ((u.real * u.real + u.imag * u.imag) * lam + v) * (-0.5 * dt)
+        out = np.empty(grid.n, dtype=complex)
+        np.cos(angle, out=out.real)
+        np.sin(angle, out=out.imag)
+        return out
+
+    u = full_grid_kinetic(kinetic, u, half(u) if first is None else first)
+    last = half(u)
+    return last * u, last
+
+
+def compact_state(rng, n, layout):
+    """Random complex data on a compact support of the given layout, zero
+    elsewhere; index 0 is the radial origin."""
+    i = np.sort((rng.uniform(0.0, 1.0, 4) * n).astype(int))
+    support = {"interior": [(i[1], i[2])], "wall": [(0, i[1])], "walls": [(0, n - 1)],
+               "single": [(i[1], i[1])], "bumps": [(i[0], i[1]), (i[2], i[3])],
+               "zero": []}[layout]
+    u = np.zeros(n, dtype=complex)
+    for a, c in support:
+        u[a:c + 1] = rng.standard_normal(c + 1 - a) + 1j * rng.standard_normal(c + 1 - a)
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), kind=st.sampled_from(["line", "radial3d"]),
+       layout=st.sampled_from(["interior", "wall", "walls", "single", "bumps", "zero"]),
+       with_w=st.booleans(), cubic=st.booleans(), log_z=st.floats(-3.0, 4.0),
+       steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(n=40, kind="line", layout="single", with_w=False, cubic=False, log_z=-3.0, steps=3, seed=0)
+def test_span_sweep_matches_full_grid_steps(n, kind, layout, with_w, cubic, log_z, steps, seed):
+    # a step works on the span of the state alone; outside it the full-grid
+    # step maps zeros to exact zeros, so every state is the same floats, and
+    # the carried span holds every nonzero entry; z = 2 dt/h^2 from a few taps
+    # to past the whole-period cap (z = 10^4 caps every n <= 200); the example
+    # is a span inside one window, which numpy would multiply as a gemv
+    grid = _grid_any_n(kind, n)
+    pot = Potential.gaussian(0.7, 0.3 * grid.extent, 0.2 * grid.extent)
+    w_t = TimeDependentPotential.self_similar(0.5, 2.0, 0.5) if with_w else None
+    lam = 1.0 if cubic and kind == "line" else 0.0
+    dt = 0.5 * 10.0**log_z * grid.h**2
+    u = want = compact_state(np.random.default_rng(seed), n, layout)
+    stepper, oracle = _SplitStepper(grid, pot, w_t=w_t, nonlinearity=lam), _free_propagator(grid, dt)
+    carry = last = None
+    for k in range(steps):
+        u, carry = stepper.step(u, k * dt, dt, carry)
+        want, last = full_grid_strang_step(oracle, grid, pot, w_t, lam, want, k * dt, dt,
+                                           None if with_w else last)
+        assert np.array_equal(u, want)
+        lo, hi, _ = carry
+        nonzero = np.flatnonzero(u)
+        assert 0 <= lo and hi < n and (len(nonzero) == 0 or lo <= nonzero[0] <= nonzero[-1] <= hi)
+    assert layout != "zero" or not u.any()
+
+
+def test_first_step_multiplies_only_the_windows_of_the_span(monkeypatch):
+    # on cubic_nls_small's grid, psi0 underflows to exact zeros in the far
+    # tail: the first step multiplies only the windows that cover the span
+    # widened by b a side, a state that fills the grid all 128 of them
+    rows = []
+
+    class CountingWindows(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                rows.append(len(inputs[0]))
+            inputs = [x.view(np.ndarray) if isinstance(x, CountingWindows) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    build = evolution._free_propagator
+
+    def counting_propagator(grid, dt):
+        apply = build(grid, dt)
+        cell = apply.__closure__[apply.__code__.co_freevars.index("windows")]
+        cell.cell_contents = cell.cell_contents.view(CountingWindows)
+        return apply
+
+    monkeypatch.setattr(evolution, "_free_propagator", counting_propagator)
+    ctx = _Context(load_scenario("cubic_nls_small"))
+    grid, dt = ctx.grid, ctx.config.dt
+    b = _half_width(2.0 * dt / grid.h**2, grid.n + 1)
+    nonzero = np.flatnonzero(ctx.psi0)
+    span = nonzero[-1] - nonzero[0] + 1
+    stepper = _SplitStepper(grid, ctx.potential, nonlinearity=ctx.config.nonlinearity)
+    stepper.step(ctx.psi0, 0.0, dt)
+    assert grid.n == 2048 and span < 0.2 * grid.n
+    assert rows == [rows[0]] and rows[0] <= -(-(span + 2 * b) // 16) + 1
+    full = np.random.default_rng(0).standard_normal(grid.n) + 0j
+    stepper.step(full, 0.0, dt)
+    assert rows[1:] == [128]
