@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, weight_vector
-from .operators import (Banded, HermitianOperator, Potential, _check_hermitian,
-                        _row_blocks, _symmetrize)
+from .operators import (HERMITICITY_RTOL, Banded, HermitianOperator, Potential,
+                        _hermiticity_defect_and_bound, _row_blocks, _symmetrize)
 from .spectral import BOUND, SpectralData, _product
 
 
@@ -107,16 +107,18 @@ class AdaptorOperator:
     is formed.  ``apply`` takes B to a state or to each column of an (n, K)
     block by three products, ``columns`` gives B[:, sl] by two.
     ``hermiticity`` is the core's defect max |core - core^*| before its
-    scrub; ``norm_bound`` and ``min_eigenvalue`` take one eigvalsh of the
-    core on first read.
+    scrub, and ``hermiticity_bound`` the most a Hermitian matrix may have,
+    HERMITICITY_RTOL max |core|; ``norm_bound`` and ``min_eigenvalue`` take
+    one eigvalsh of the core on first read.
     """
 
     def __init__(self, grid: Grid, cols, d, core, q: QSelection, horizon: float,
                  sigma: float, residual_weighted: float, hermiticity: float = 0.0,
-                 warnings: tuple = ()):
+                 hermiticity_bound: float = HERMITICITY_RTOL, warnings: tuple = ()):
         self.grid, self.cols, self.d, self.core = grid, cols, d, core
         self.q, self.horizon, self.sigma = q, horizon, sigma
         self.residual_weighted, self.hermiticity = residual_weighted, hermiticity
+        self.hermiticity_bound = hermiticity_bound
         self.warnings, self._bounds = warnings, None
 
     def _spectrum_bounds(self) -> tuple:
@@ -166,8 +168,9 @@ def _weighted_remainder_norm(spec: SpectralData, q_samples, t: float, sigma: flo
 def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
                   sigma: float = 1.0, validity_horizon: float | None = None) -> AdaptorOperator:
     """B(T) = Phi_c D core D^* Phi_c^* (module notes), kept as its factors:
-    the core is checked Hermitian within HERMITICITY_RTOL, its defect kept,
-    and symmetrized; the spectrum bounds wait for a first read.
+    the core's Hermiticity defect and its bound are kept, not raised on (the
+    adaptor suite's ``hermiticity`` clause reads them), and the core is
+    symmetrized; the spectrum bounds wait for a first read.
 
     Parameters
     ----------
@@ -194,11 +197,11 @@ def build_adaptor(spec: SpectralData, q: QSelection, horizon: float,
     core = cols[s].conj().T @ (q.samples[s, None] * cols[s])  # q~
     for rows in _row_blocks(len(e)):  # -q~ o K
         core[rows] *= -horizon * np.sinc(np.subtract.outer(e[rows], e) * (0.5 * horizon / np.pi))
-    hermiticity = _check_hermitian(core, f"B_V(T={horizon:g}) core")  # as HermitianOperator checks
+    hermiticity, bound = _hermiticity_defect_and_bound(core)  # HermitianOperator's rule
     _symmetrize(core)
     residual = _weighted_remainder_norm(spec, q.samples, horizon, sigma)
     return AdaptorOperator(grid, cols, np.exp(0.5j * horizon * e), core, q, float(horizon),
-                           float(sigma), residual, hermiticity, warnings)
+                           float(sigma), residual, hermiticity, bound, warnings)
 
 
 def remainder_expectation(spec: SpectralData, adaptor: AdaptorOperator):

@@ -12,9 +12,15 @@ DLMF 10.12.2).  ``_free_propagator`` keeps the taps inside the half-width b
 where the bound (z/2)^r / r! (DLMF 10.14.4) leaves a tail below 2^-60, or one
 whole period at the cap b = n + 1, and convolves directly: one real matrix
 product over the overlapping windows that reach the span of the state's
-nonzeros, O(n b) per step at most, which flushes the subnormal tail of the
-exact product to zero.  Every factor is unitary to roundoff and keeps the
-zeros beyond that span, grown by b, exact; mass is conserved to roundoff.
+nonzeros, O(n b) per step at most.  The exact product computes the far tail
+of a state down into the subnormal range, so every float below
+``FLUSH_FLOOR`` = 2^-511 is flushed to zero: that is the square root of the
+smallest normal float, below which |u|^2 underflows, so no mass, density or
+norm sees the entry, while no product of a kept entry and a kept tap goes
+subnormal and the span stays narrow.  The floor must not go higher: at
+2^-200 last-bit flips already climb the tail into the series.  Every factor is
+unitary to roundoff and keeps the zeros beyond the span, grown by b, exact;
+mass is conserved to roundoff.
 ``h_half_norm_sq`` reads S diag(sqrt(1 + lam)) S as a Toeplitz-minus-Hankel
 quadratic form (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051)
 from one long FFT; it imports ``scipy.fft`` at its first call, so of the runs
@@ -32,6 +38,9 @@ import numpy as np
 from .grids import BOUNDARY_MASS_TOL, Grid, boundary_mass, norm
 from .operators import Potential, TimeDependentPotential
 from .spectral import SpectralData, free_laplacian_eigenvalues
+
+# Strang states keep no float below this: sqrt of the smallest normal float
+FLUSH_FLOOR = 2.0**-511
 
 
 @dataclass(eq=False)
@@ -192,13 +201,16 @@ def _free_propagator(grid: Grid, dt: float):
     shape (2(s + 2b), 2s), built once from the taps, maps each to its s
     outputs.  A step costs O(n b) and t holds O(s b) entries; s = 16 was the
     fastest, or within 16% of it, at every b measured.  The exact product
-    computes the underflowing tail of a state: its entries below the smallest
-    normal float are flushed to zero, as subnormals would slow every later
-    step.  Adding the input back to the d - 1 convolution scales the roundoff
-    with what a step changes.  u is zero and phase unread outside [lo, hi]:
-    only the windows of outputs lo - b .. hi + b are multiplied, zero rows
-    elsewhere, and lo', hi' take in the nonzeros within b.  The buffer keeps
-    phase u between calls (not reentrant; spans must only grow); output is fresh.
+    computes the underflowing tail of a state: its floats below
+    ``FLUSH_FLOOR`` (2^-511, where |u|^2 underflows; a higher floor moves the
+    outputs, see the module notes) are flushed to zero, so no later product
+    of an entry and a tap goes subnormal, and the span grows only by entries
+    at or above it.  Adding the input back to the d - 1
+    convolution scales the roundoff with what a step changes.  u is zero and
+    phase unread outside [lo, hi]: only the windows of outputs lo - b .. hi + b
+    are multiplied, zero rows elsewhere, and lo', hi' take in the nonzeros
+    within b.  The buffer keeps phase u between calls (not reentrant; spans
+    must only grow); output is fresh.  ``apply.reach`` is b.
     """
     n = grid.n
     e = np.exp(-1j * np.append(free_laplacian_eigenvalues(grid), 4.0 / grid.h**2) * dt) - 1.0
@@ -220,7 +232,6 @@ def _free_propagator(grid: Grid, dt: float):
     windows = np.lib.stride_tricks.sliding_window_view(buf.view(float), 2 * (s + 2 * b))[::2 * s]
     # the odd extension at 1 - b .. -1 and at N + 1 .. N + b - 1, from its mirror images
     mirrors = (buf[2 * b - 2:b - 1:-1], buf[:b - 1]), (buf[n + b - 1:n:-1], buf[n + b + 1:n + 2 * b])
-    tiny = np.finfo(float).tiny
 
     def apply(u, phase, lo, hi):
         if hi - lo == n - 1:  # the whole grid, without the views (each ~1% of a step)
@@ -241,7 +252,7 @@ def _free_propagator(grid: Grid, dt: float):
         stretch = out[s * k0:s * k1]
         np.add(stretch, middle[s * k0:s * k1], out=stretch)
         parts = stretch.view(float)
-        parts[np.abs(parts) < tiny] = 0.0
+        parts[np.abs(parts) < FLUSH_FLOOR] = 0.0
         if lo > 0:  # new nonzeros appear only within b of the span
             hits = out[max(lo - b, 0):lo].nonzero()[0]
             lo = max(lo - b, 0) + hits[0] if len(hits) else lo
@@ -250,6 +261,7 @@ def _free_propagator(grid: Grid, dt: float):
             hi = hi + 1 + hits[-1] if len(hits) else hi
         return out, lo, hi
 
+    apply.reach = b
     return apply
 
 
@@ -276,19 +288,21 @@ class _SplitStepper:
         self._kinetic = None
 
     def _half_phase(self, u, lo, hi, t_mid, dt):
-        """e^{-i v dt / 2}, v = V + W(t_mid) + lam |u|^2, from a real angle (cubic: [lo, hi] only)."""
-        v = self.v
+        """e^{-i v dt / 2}, v = V + W(t_mid) + lam |u|^2, from a real angle, on [lo, hi] alone:
+        the entries outside it are unset."""
+        v = self.v[lo:hi + 1]
         if self.w_t is not None:
-            v = v + self.w_t.amplitude(t_mid) * self._w_profile
-        half = part = np.empty(len(v), dtype=complex)
+            v = v + self.w_t.amplitude(t_mid) * self._w_profile[lo:hi + 1]
         if self.lam_nl:
-            u, v, part = u[lo:hi + 1], v[lo:hi + 1], half[lo:hi + 1]
+            u = u[lo:hi + 1]
             dens = u.real * u.real
             dens += u.imag * u.imag
             dens *= self.lam_nl
             dens += v
             v = dens
         angle = v * (-0.5 * dt)  # = (-0.5 v) dt bit for bit: halving is exact
+        half = np.empty(len(self.v), dtype=complex)
+        part = half[lo:hi + 1]
         np.cos(angle, out=part.real)
         np.sin(angle, out=part.imag)
         return half
@@ -299,18 +313,20 @@ class _SplitStepper:
         step's first (V static, |u| invariant), or None with W.  None reads the span off u."""
         if dt != self._kin_dt or carry is None:  # a zeroed buffer for a new span
             self._kinetic, self._kin_dt = _free_propagator(self.grid, dt), dt
-        t_mid = t + 0.5 * dt
+        t_mid, last = t + 0.5 * dt, len(u) - 1
         if carry is None:  # u's first and last nonzero, the whole grid if u is zero
-            carry = ((u != 0).argmax(), len(u) - 1 - (u[::-1] != 0).argmax(), None)
+            carry = ((u != 0).argmax(), last - (u[::-1] != 0).argmax(), None)
         lo, hi, half = carry
-        if half is None:
-            half = self._half_phase(u, lo, hi, t_mid, dt)
+        if half is None:  # cubic: on the span; W alone: on the span grown by b, which holds
+            # the next span too; static V: on the whole grid, as later spans reuse it
+            reach = 0 if self.lam_nl else self._kinetic.reach if self.w_t is not None else last
+            half = self._half_phase(u, max(lo - reach, 0), min(hi + reach, last), t_mid, dt)
         u, lo, hi = self._kinetic(u, half, lo, hi)
         # second half phase: for the cubic flow |u| changed across the kinetic
         # step, so the phase is re-evaluated (still a unitary factor)
         if self.lam_nl:
             half = self._half_phase(u, lo, hi, t_mid, dt)
-        if self.lam_nl and hi - lo < len(u) - 1:  # the cubic half phase is set on the span alone
+        if hi - lo < last:  # half may be unset off the span
             u[lo:hi + 1] = half[lo:hi + 1] * u[lo:hi + 1]  # not in place: that can round apart
         else:
             u = half * u
@@ -342,6 +358,8 @@ def evolve_split(grid: Grid, potential: Potential | None,
         raise ValueError(f"dt={dt} does not divide the span {span}")
     signed_dt = math.copysign(dt, span) if span != 0 else dt
     u = np.asarray(psi0, dtype=complex).copy()
+    parts = u.view(float)
+    parts[np.abs(parts) < FLUSH_FLOOR] = 0.0  # as every step flushes, before the span is read
     t, carry = t0, None
     if observer is not None:
         observer(t, u)

@@ -161,13 +161,18 @@ def _hermiticity_defect_and_scale(m) -> tuple:
     return float(defect), float(scale)
 
 
-def _check_hermitian(m, what: str) -> float:
-    """max |m - m^*|; raise unless it is <= HERMITICITY_RTOL max |m| (or <=
-    the tolerance itself for m = 0)."""
+def _hermiticity_defect_and_bound(m) -> tuple:
+    """(max |m - m^*|, HERMITICITY_RTOL max |m|), or the tolerance itself as
+    the bound for m = 0: m counts as Hermitian when the defect is within it."""
     defect, scale = _hermiticity_defect_and_scale(m)
-    if defect > HERMITICITY_RTOL * (scale or 1.0):
+    return defect, HERMITICITY_RTOL * (scale or 1.0)
+
+
+def _check_hermitian(m, what: str) -> None:
+    """Raise unless m is Hermitian by ``_hermiticity_defect_and_bound``."""
+    defect, bound = _hermiticity_defect_and_bound(m)
+    if defect > bound:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.2e}")
-    return defect
 
 
 @dataclass(frozen=True, eq=False)

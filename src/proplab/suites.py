@@ -298,7 +298,7 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     B Phi_b, i[H, B] by column blocks, and B applied to the block of states."""
     report = EstimateReport("adaptor operator construction")
     scale = max(adaptor.norm_bound, 1e-30)
-    report.add("hermiticity", (adaptor.hermiticity, "<=", 1e-10 * max(1.0, scale)))
+    report.add("hermiticity", (adaptor.hermiticity, "<=", adaptor.hermiticity_bound))
 
     phi_b = spec.eigenvectors[:, spec.indices(BOUND)]  # B - P_c B P_c = P_b (B - B P_b) + B P_b
     b_phi = adaptor.apply(phi_b)

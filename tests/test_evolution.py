@@ -8,8 +8,8 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      free_spectral_data, gaussian_state,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
-from proplab.evolution import (_SplitStepper, _distinct, _free_propagator, _half_width,
-                               eigenstate, h_half_norm_sq, snap_to_lattice)
+from proplab.evolution import (FLUSH_FLOOR, _SplitStepper, _distinct, _free_propagator,
+                               _half_width, eigenstate, h_half_norm_sq, snap_to_lattice)
 from proplab import evolution
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.scenarios import _Context, load_scenario
@@ -420,21 +420,26 @@ def test_sweep_from_a_wall_stays_out_of_the_subnormal_range():
     # a width-1 Gaussian at the origin of a long radial box: the exact tail
     # underflows, and the direct product computes that tail down into the
     # subnormal range, whose entries would slow every later step; the kernel
-    # flushes them to zero
+    # flushes them to zero, and every float below FLUSH_FLOOR with them, as
+    # the sweep does to its copy of psi0 before the observer first sees it
     grid = make_grid("radial3d", 2048, 400.0)
     dt = 5e-4
     b = _half_width(2.0 * dt / grid.h**2, grid.n + 1)
     assert b <= 8 and kernel_cells(_free_propagator(grid, dt))["windows"].shape == (128, 2 * (16 + 2 * b))
     tiny = np.finfo(float).tiny
-    subnormal = []
+    subnormal, below_floor = [], []
 
     def count(t, u):
+        parts = np.abs(u.view(float))
+        below_floor.append(int(np.count_nonzero((parts > 0) & (parts < FLUSH_FLOOR))))
         if t > 0:  # the Gaussian itself underflows to subnormals at the far wall
-            parts = np.abs(u.view(float))
             subnormal.append(int(np.count_nonzero((parts > 0) & (parts < tiny))))
 
-    evolve_split(grid, None, None, gaussian_state(grid, width=1.0), 300 * dt, dt, observer=count)
+    psi0 = gaussian_state(grid, width=1.0)
+    assert np.count_nonzero((np.abs(psi0) > 0) & (np.abs(psi0) < FLUSH_FLOOR)) > 0
+    evolve_split(grid, None, None, psi0, 300 * dt, dt, observer=count)
     assert len(subnormal) == 300 and max(subnormal) == 0
+    assert len(below_floor) == 301 and max(below_floor) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -566,7 +571,7 @@ def full_grid_kinetic(apply, u, phase):
     out = (windows @ t).view(complex).ravel()[:n]
     np.add(out, middle, out=out)
     parts = out.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    parts[np.abs(parts) < FLUSH_FLOOR] = 0.0
     return out
 
 
@@ -612,8 +617,9 @@ def compact_state(rng, n, layout):
 @example(n=40, kind="line", layout="single", with_w=False, cubic=False, log_z=-3.0, steps=3, seed=0)
 def test_span_sweep_matches_full_grid_steps(n, kind, layout, with_w, cubic, log_z, steps, seed):
     # a step works on the span of the state alone; outside it the full-grid
-    # step maps zeros to exact zeros, so every state is the same floats, and
-    # the carried span holds every nonzero entry; z = 2 dt/h^2 from a few taps
+    # step maps zeros to exact zeros, so every state is the same floats, the
+    # carried span holds every nonzero entry, and no half phase is read
+    # outside the range it was computed on; z = 2 dt/h^2 from a few taps
     # to past the whole-period cap (z = 10^4 caps every n <= 200); the example
     # is a span inside one window, which numpy would multiply as a gemv
     grid = _grid_any_n(kind, n)
@@ -623,6 +629,14 @@ def test_span_sweep_matches_full_grid_steps(n, kind, layout, with_w, cubic, log_
     dt = 0.5 * 10.0**log_z * grid.h**2
     u = want = compact_state(np.random.default_rng(seed), n, layout)
     stepper, oracle = _SplitStepper(grid, pot, w_t=w_t, nonlinearity=lam), _free_propagator(grid, dt)
+    computed = stepper._half_phase
+
+    def half_phase(u, lo, hi, t_mid, dt):  # NaN where the phase is unset: a read would show
+        half = computed(u, lo, hi, t_mid, dt)
+        half[:lo] = half[hi + 1:] = np.nan
+        return half
+
+    stepper._half_phase = half_phase
     carry = last = None
     for k in range(steps):
         u, carry = stepper.step(u, k * dt, dt, carry)
@@ -633,6 +647,59 @@ def test_span_sweep_matches_full_grid_steps(n, kind, layout, with_w, cubic, log_
         nonzero = np.flatnonzero(u)
         assert 0 <= lo and hi < n and (len(nonzero) == 0 or lo <= nonzero[0] <= nonzero[-1] <= hi)
     assert layout != "zero" or not u.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), kind=st.sampled_from(["line", "radial3d"]),
+       layout=st.sampled_from(["interior", "wall", "walls", "single", "bumps", "zero"]),
+       log_z=st.floats(-3.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_kernel_step_flushes_below_the_floor(n, kind, layout, log_z, seed):
+    # compact data whose parts range log-uniformly over 1e-320 .. 1, down into
+    # the subnormals: one kernel step on its span leaves no float in
+    # (0, FLUSH_FLOOR), gives the full-grid oracle's floats, and its span holds
+    # every nonzero output
+    grid = _grid_any_n(kind, n)
+    dt = 0.5 * 10.0**log_z * grid.h**2
+    rng = np.random.default_rng(seed)
+    u = compact_state(rng, n, layout)
+    parts = u.view(float)
+    parts[:] = np.sign(parts) * 10.0 ** rng.uniform(-320.0, 0.0, 2 * n)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    nonzero = np.flatnonzero(u)
+    lo, hi = (nonzero[0], nonzero[-1]) if len(nonzero) else (0, n - 1)
+    out, lo, hi = _free_propagator(grid, dt)(u, phase, lo, hi)
+    want = full_grid_kinetic(_free_propagator(grid, dt), u, phase)
+    assert np.array_equal(out.view(float), want.view(float))
+    out_parts = np.abs(out.view(float))
+    assert not np.any((out_parts > 0) & (out_parts < FLUSH_FLOOR))
+    nonzero = np.flatnonzero(out)
+    assert 0 <= lo and hi < n and (len(nonzero) == 0 or lo <= nonzero[0] <= nonzero[-1] <= hi)
+
+
+def test_sweep_reads_its_first_span_after_the_flush(monkeypatch):
+    # psi0 with one entry below FLUSH_FLOOR far from its bump: the sweep
+    # flushes its copy first, so the observer never sees the entry and the
+    # first step's span starts at the bump, not at that entry
+    grid = make_grid("line", 256, 20.0)
+    psi0 = np.zeros(grid.n, dtype=complex)
+    psi0[120:136] = 1.0
+    psi0[3] = 1e-200
+    assert FLUSH_FLOOR == 2.0**-511 and 0 < abs(psi0[3]) < FLUSH_FLOOR
+    spans, seen = [], []
+    step = _SplitStepper.step
+
+    def recording_step(self, u, t, dt, carry=None):
+        u, carry = step(self, u, t, dt, carry)
+        spans.append(carry[:2])
+        return u, carry
+
+    monkeypatch.setattr(_SplitStepper, "step", recording_step)
+    dt = 1e-3
+    b = _half_width(2.0 * dt / grid.h**2, grid.n + 1)
+    evolve_split(grid, None, None, psi0, 2 * dt, dt, observer=lambda t, u: seen.append(u.copy()))
+    assert seen[0][3] == 0 and np.array_equal(seen[0][120:136], psi0[120:136])
+    assert psi0[3] == 1e-200  # the caller's array is left alone
+    assert len(spans) == 2 and 120 - b <= spans[0][0] and spans[0][1] <= 135 + b
 
 
 def test_first_step_multiplies_only_the_windows_of_the_span(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from proplab import (ConfigError, ScenarioConfig, list_scenarios, load_scenario,
                      parse_config, render_report, run_scenario, serialize_config)
-from proplab import evolution, scenarios
+from proplab import adaptors, evolution, scenarios
 from proplab.cli import main as cli_main
 from proplab.scenarios import SCENARIO_LIBRARY, _Context
 
@@ -504,6 +504,29 @@ def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path, monkeypatc
     manifest = (run_dir / "manifest.txt").read_text()
     assert "passed = false" in manifest and error in manifest
     assert "suites_run = conformal_identity\n" in manifest
+
+
+def test_non_hermitian_adaptor_core_fails_its_clause(tmp_path, monkeypatch):
+    # build_adaptor keeps the core's Hermiticity defect instead of raising:
+    # an antisymmetric defect planted in the core before it is measured ends
+    # in the hermiticity clause's FAIL line and exit 1, not in a traceback
+    measure = adaptors._hermiticity_defect_and_bound
+
+    def planted(core):
+        upper = np.triu(np.ones(core.shape), 1)
+        core += 1e-9 * np.abs(core).max() * (upper - upper.T)
+        return measure(core)
+
+    monkeypatch.setattr(adaptors, "_hermiticity_defect_and_bound", planted)
+    config = replace(load_scenario("positive_potential_radial"), name="planted_defect",
+                     grid_n=96, grid_extent=30.0, t_max=6.0, suites=("adaptor",))
+    path = tmp_path / "planted_defect.cfg"
+    path.write_text(serialize_config(config))
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "runs")]) == 1
+    report = (tmp_path / "runs" / "planted_defect" / "report.txt").read_text()
+    fails = [line for line in report.splitlines() if "[FAIL]" in line]
+    assert len(fails) == 1 and fails[0].strip().startswith("[FAIL] hermiticity: measured")
+    assert "ERROR" not in report
 
 
 def _backward_scan(t_max):
