@@ -18,7 +18,7 @@ from .spectral import (SpectralData, classify_spectrum, diagonalize,
                        resolution_energy_limit)
 from .adaptors import (AdaptorOperator, QSelection, build_adaptor, conformal_Q,
                        dilation_Q, weighted_propagator_norm)
-from .evolution import (Trajectory, eigenstate, evolve_split, gaussian_state,
+from .evolution import (Trajectory, evolve_split, gaussian_state,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .observables import (EstimateReport, ObservableSeries,
                           PropagationObservable, fit_decay_rate,

@@ -107,11 +107,6 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0,
     return psi / norm(grid, psi, "L2")
 
 
-def eigenstate(spec: SpectralData, k: int):
-    phi = spec.eigenvector(k).astype(complex)
-    return phi / norm(spec.grid, phi, "L2")
-
-
 def trajectory_linear(spec: SpectralData, psi0, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     states = list(spec.flow(psi0, times))

@@ -235,7 +235,10 @@ def bounded_check(name: str, series: ObservableSeries, cap: float) -> CheckResul
 
 
 def log_growth_fit(series: ObservableSeries):
-    """Fit value ~ alpha + beta log t; returns (alpha, beta)."""
+    """Fit value ~ alpha + beta log t; returns (alpha, beta), both NaN on
+    fewer than 2 samples."""
+    if len(series.times) < 2:
+        return math.nan, math.nan
     lx = np.log(series.times)
     beta, alpha = np.polyfit(lx, series.values, 1)
     return float(alpha), float(beta)

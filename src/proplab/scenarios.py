@@ -13,29 +13,24 @@ conformal observable at the 1/t scale, whose windows start at t = 1.
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
 from .adaptors import build_adaptor, conformal_Q
-from .evolution import (Trajectory, _distinct, gaussian_state, eigenstate, snap_to_lattice,
+from .evolution import (Trajectory, _distinct, gaussian_state, snap_to_lattice,
                         trajectory_linear, trajectory_split, validity_horizon)
 from .grids import make_grid, norm
 from .observables import EstimateReport, ObservableSeries
 from .operators import (HermitianOperator, Potential, TimeDependentPotential,
                         laplacian, multiplication)
-from .spectral import (SpectralData, classify_spectrum, diagonalize,
-                       free_spectral_data, resolution_energy_limit)
-from .suites import (adaptor_suite, conformal_identity_suite,
-                     general_potential_suite, gronwall_suite, morawetz_suite,
-                     nls_suite, operator_identity_suite,
-                     positive_potential_suite, weighted_decay_suite,
-                     SmoothingObserver, TimedepObserver)
+from .spectral import SpectralData, classify_spectrum, diagonalize, free_spectral_data
+from .suites import SUITES
 
 
 class ConfigError(ValueError):
@@ -54,9 +49,7 @@ class ScenarioConfig:
     timedep_delta: float = 0.0
     timedep_a: float = 0.5
     nonlinearity: float = 0.0
-    state_recipe: str = "gaussian"       # gaussian | eigenstate
     state_width: float = 1.0
-    state_k: int = 0
     lnorm_target: float = 0.0            # 0 disables rescaling
     dt: float = 0.002
     t_max: float = 10.0
@@ -77,8 +70,7 @@ _SCHEMA = {
     "potential": {"gaussians": ("gaussians", "potential_terms")},
     "timedep": {"type": (str, "timedep_type"), "delta": (float, "timedep_delta"),
                 "a": (float, "timedep_a"), "lambda": (float, "nonlinearity")},
-    "initial_state": {"recipe": (str, "state_recipe"), "width": (float, "state_width"),
-                      "k": (int, "state_k"), "lnorm_target": (float, "lnorm_target")},
+    "initial_state": {"width": (float, "state_width"), "lnorm_target": (float, "lnorm_target")},
     "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max"), "samples": (int, "samples")},
     "overrides": {key: (kind, key) for key, kind in (
         ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
@@ -172,35 +164,19 @@ def _validate(config: ScenarioConfig):
         raise ConfigError(f"[evolution].dt must be positive, got {config.dt}")
     if config.samples < 12:
         raise ConfigError(f"[evolution].samples must be at least 12, got {config.samples}")
-    if config.state_recipe not in ("gaussian", "eigenstate"):
-        raise ConfigError(f"[initial_state].recipe: unknown recipe {config.state_recipe!r}")
     if config.state_width <= 0:
         raise ConfigError(f"[initial_state].width must be positive, got {config.state_width}")
-    if config.state_recipe == "eigenstate" and not 0 <= config.state_k < config.grid_n:
-        raise ConfigError(f"[initial_state].k: need 0 <= k < [grid].n = {config.grid_n}, "
-                          f"got {config.state_k}")
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
     for s in config.suites:
-        if s not in _SUITES:
+        if s not in SUITES:
             raise ConfigError(f"[scenario].suites: unknown suite {s!r}")
-        for path, need, holds in _SUITES[s].needs:
+        for path, need, holds in SUITES[s].needs:
             if not holds(config):
                 raise ConfigError(f"{path}: suite {s} in [scenario].suites needs {need}")
     if config.nonlinearity != 0 and config.timedep_type != "semilinear":
         raise ConfigError("[timedep].lambda: a cubic term needs type = semilinear, "
                           f"got type {config.timedep_type!r}")
-
-
-def _stepped(config: ScenarioConfig) -> bool:
-    """Whether the run's flow is Strang-stepped: with a W or the semilinear
-    type; otherwise it is exact, in the eigenbasis."""
-    return config.timedep_type != "none"
-
-
-def _potential(config: ScenarioConfig) -> Potential:
-    terms = [Potential.gaussian(*t) for t in config.potential_terms]
-    return sum(terms[1:], terms[0]) if terms else Potential.zero()
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -308,48 +284,49 @@ class RunArtifact:
 
 
 class _Context:
-    """Lazy pipeline state shared by the suites of one run.
+    """Lazy pipeline state shared by the suites of one run, which read it
+    through its public members.
 
     A run has one flow of psi0 (``_validate`` rejects every config whose
-    suites would need another): exact in the eigenbasis of H, or, with a W or
-    the semilinear type, Strang-stepped with the config's W and cubic term,
-    and ``sweep`` makes every Strang sweep.  ``plan`` registers, before any
-    suite runs, the sample times each suite reads off that flow and the
-    per-step observer it feeds (``observers``); the first ``trajectory``
-    evaluates the flow once over the union of those times, as one
-    ``SpectralData.flow`` block or one sweep, and each suite gets the
-    trajectory at its own times.  A row of a flow block, like a state at
-    t = k dt of a sweep, has the same bits whatever else is computed with it,
-    so sharing changes no output.  An unplanned time raises instead of
-    evaluating the flow again.  The other sweeps are the auxiliary flows of
-    ``_suite_nls`` (dt/2, dt/4) and ``_suite_morawetz`` (a finer grid).
+    suites would need another): exact in the eigenbasis of H, or, when
+    ``stepped`` (with a W or the semilinear type), Strang-stepped with the
+    config's W and cubic term, and ``sweep`` makes every Strang sweep.
+    ``plan`` asks each suite, before any runs, for the sample times it reads
+    off that flow and the per-step observer it feeds, and ``planned`` hands
+    them back to it; the first ``trajectory`` evaluates the flow once over
+    the union of those times, as one ``SpectralData.flow`` block or one
+    sweep, and each suite gets the trajectory at its own times.  A row of a
+    flow block, like a state at t = k dt of a sweep, has the same bits
+    whatever else is computed with it, so sharing changes no output.  An
+    unplanned time raises instead of evaluating the flow again.  The other
+    sweeps are the auxiliary flows of the nls suite (dt/2, dt/4) and of the
+    morawetz suite (a finer grid).
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
         self.warnings: list[str] = []
-        self.potential = _potential(config)
+        self.potential = Potential(config.potential_terms)
         self.w_t = None
         if config.timedep_type == "self_similar":
             self.w_t = TimeDependentPotential.self_similar(  # W's profile <x>^-2
                 config.timedep_delta, sigma=2.0, a=config.timedep_a)
+        self.stepped = config.timedep_type != "none"
         self._spec = None
         self._adaptor = None
         self._psi0 = None
         self._horizon = None
         self._planned: list[float] = []
-        self.observers: dict = {}
+        self._plans: dict = {}
+        self._observers: list = []
         self._flow: Trajectory | None = None
 
     @property
     def spec(self) -> SpectralData:
         if self._spec is None:
-            if not self.config.potential_terms:
-                spec = free_spectral_data(self.grid)
-            else:
-                h_op = self.hamiltonian()
-                spec = diagonalize(h_op)
+            spec = (diagonalize(self.hamiltonian()) if self.config.potential_terms
+                    else free_spectral_data(self.grid))
             eps = self.config.eps_thr if self.config.eps_thr > 0 else None
             self._spec = classify_spectrum(spec, eps_thr=eps)
             n_thr = self._spec.near_threshold_count
@@ -369,10 +346,7 @@ class _Context:
     def psi0(self):
         if self._psi0 is None:
             c = self.config
-            if c.state_recipe == "gaussian":
-                psi = gaussian_state(self.grid, width=c.state_width)
-            else:
-                psi = eigenstate(self.spec, c.state_k)
+            psi = gaussian_state(self.grid, width=c.state_width)
             if c.lnorm_target > 0:
                 psi = psi * (c.lnorm_target / norm(self.grid, psi, "Lnorm"))
             self._psi0 = psi
@@ -397,32 +371,33 @@ class _Context:
     def sample_times(self, lo: float, hi: float, count: int):
         """``count`` geometric times on [lo, hi], on the dt lattice (and
         positive) on a stepped run."""
-        c = self.config
         times = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
-        if _stepped(c):
-            times = snap_to_lattice(times, c.dt)
+        if self.stepped:
+            times = snap_to_lattice(times, self.config.dt)
             times = times[times > 0]
         return _distinct(times)
 
     def plan(self, suites):
-        """Register what each of ``suites`` reads off the run's flow."""
-        for suite in suites:
-            if _SUITES[suite].flow is not None:
-                times, observer = _SUITES[suite].flow(self)
-                self._planned.extend(np.asarray(times, dtype=float))
-                if observer is not None:
-                    self.observers[suite] = observer
+        """Register what each of ``suites`` (names) reads off the run's flow."""
+        for name in suites:
+            suite = SUITES[name]
+            times, observer = self._plans[suite] = suite.plan(self)
+            self._planned.extend(np.asarray(times, dtype=float))
+            if observer is not None:
+                self._observers.append(observer)
+
+    def planned(self, suite):
+        """What ``suite.plan`` returned for this run: (sample times, observer)."""
+        return self._plans[suite]
 
     def sweep(self, times, dt: float | None = None, grid=None, observer=None) -> Trajectory:
         """One Strang sweep of the run's flow (V, W and the cubic term) from
         t = 0 through the lattice times ``times``, at the config's dt or
-        ``dt``, on the run's grid or on ``grid`` from psi0 interpolated onto
-        it at the same L2 norm."""
+        ``dt``, on the run's grid or on ``grid`` from the config's Gaussian
+        evaluated there, at the L2 norm of psi0."""
         c, psi0, grid = self.config, self.psi0, grid or self.grid
         if grid is not self.grid:
-            x, y = grid.points, self.grid.points
-            fine = np.interp(x, y, psi0.real) + 1j * np.interp(x, y, psi0.imag)
-            psi0 = fine / norm(grid, fine, "L2") * norm(self.grid, psi0, "L2")
+            psi0 = gaussian_state(grid, width=c.state_width) * norm(self.grid, psi0, "L2")
         return trajectory_split(grid, self.potential, self.w_t, psi0, times, dt or c.dt,
                                 nonlinearity=c.nonlinearity, observer=observer)
 
@@ -433,15 +408,14 @@ class _Context:
                 raise ValueError("no sample times were planned for the run's flow")
             ts = np.sort(self._planned)
             union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per time
-            observers = list(self.observers.values())
+            observers = self._observers
 
             def fan_out(t, u):
                 for observer in observers:
                     observer(t, u)
 
             self._flow = (self.sweep(union, observer=fan_out if observers else None)
-                          if _stepped(self.config) else
-                          trajectory_linear(self.spec, self.psi0, union))
+                          if self.stepped else trajectory_linear(self.spec, self.psi0, union))
         return self._flow.restricted(times)
 
     def adaptor(self):
@@ -454,217 +428,19 @@ class _Context:
         return self._adaptor
 
 
-def _suite_operator_identities(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    return operator_identity_suite(c.grid_n, c.grid_extent, ctx.potential,
-                                   state_width=c.state_width, dt_ref=c.dt)
-
-
-def _conformal_times(ctx: _Context):
-    """(eval_ts, delta, all_ts, free_ts): evaluation times, the centered
-    difference offset, the times the identity reads, and the free-flow times
-    (None unless V and W vanish)."""
-    c = ctx.config
-    delta = max(10.0 * c.dt, 0.02) if _stepped(c) else c.dt
-    eval_ts = ctx.sample_times(lo=1.0, hi=min(0.5 * ctx.horizon + 1.0, ctx.horizon), count=4)
-    eval_ts = eval_ts[eval_ts - delta > 0]
-    all_ts = _distinct(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
-    free_ts = None
-    if not c.potential_terms and ctx.w_t is None:
-        free_ts = ctx.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9)
-    return eval_ts, delta, all_ts, free_ts
-
-
-def _suite_conformal_identity(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    eval_ts, delta, all_ts, free_ts = _conformal_times(ctx)
-    free_traj = ctx.trajectory(free_ts) if free_ts is not None else None
-    return conformal_identity_suite(
-        ctx.trajectory(all_ts), ctx.spec, ctx.potential, ctx.w_t,
-        ctx.adaptor() if c.potential_terms else None, eval_ts, delta, ctx.h_of_t,
-        corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
-
-
-def _adaptor_times(ctx: _Context):
-    return ctx.sample_times(lo=1.0, hi=ctx.horizon, count=12)
-
-
-def _suite_adaptor(ctx: _Context) -> EstimateReport:
-    return adaptor_suite(ctx.spec, ctx.hamiltonian(), ctx.adaptor(),
-                         ctx.trajectory(_adaptor_times(ctx)), ctx.horizon)
-
-
-def _suite_weighted_decay(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    return weighted_decay_suite(ctx.spec, c.fit_t_lo, c.fit_t_hi)
-
-
-def _monitor_times(ctx: _Context):
-    """Sample times of the positive-potential and Gronwall suites."""
-    c = ctx.config
-    return ctx.sample_times(lo=1.0, hi=ctx.horizon, count=c.samples)
-
-
-def _suite_positive_potential(ctx: _Context) -> EstimateReport:
-    traj = ctx.trajectory(_monitor_times(ctx))
-    lnorm0 = norm(ctx.grid, ctx.psi0, "Lnorm")
-    return positive_potential_suite(traj, ctx.potential, lnorm0, fit_window=(1.5, ctx.horizon))
-
-
-def _suite_general_potential(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    psi = ctx.spec.continuum_part(ctx.psi0)
-    psi = psi / norm(ctx.grid, psi, "L2")
-    horizon = validity_horizon(ctx.spec, psi, c.t_max)
-    times = np.geomspace(1.0, max(horizon, 1.5), c.samples)
-    traj = trajectory_linear(ctx.spec, psi, times)
-    lens_ts = np.geomspace(1.0, 50.0, 8)
-    return general_potential_suite(ctx.spec, laplacian(ctx.grid), ctx.potential,
-                                   traj, lens_ts, e_max=resolution_energy_limit(ctx.grid))
-
-
-def _lattice_floor(t: float, dt: float) -> float:
-    """Largest k dt not beyond t (up to 1e-9), so a sweep to it can end on the lattice."""
-    return math.floor(t / dt + 1e-9) * dt
-
-
-def _timedep_flow(ctx: _Context):
-    """The timedep suite's consumer of the W-flow: it reads from t = 1 to the
-    horizon (at least 2, at most t_max), on the dt lattice."""
-    c = ctx.config
-    t_end = _lattice_floor(min(c.t_max, max(ctx.horizon, 2.0)), c.dt)
-    observer = TimedepObserver(ctx.grid, ctx.spec, ctx.w_t, t_end)
-    return observer.times, observer
-
-
-def _suite_timedep(ctx: _Context) -> EstimateReport:
-    observer = ctx.observers["timedep"]
-    return observer.report(ctx.trajectory(observer.times),
-                           expect_log_growth=ctx.config.expect_log_growth)
-
-
-def _suite_gronwall(ctx: _Context) -> EstimateReport:
-    return gronwall_suite(ctx.trajectory(_monitor_times(ctx)), ctx.config.timedep_delta)
-
-
-def _nls_times(ctx: _Context):
-    """The nls suite's sample times, on its fit window."""
-    c = ctx.config
-    return ctx.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=c.samples)
-
-
-def _suite_nls(ctx: _Context) -> EstimateReport:
-    c = ctx.config
-    # the state at t = 1 at dt (off the shared sweep), and the order-2 check's
-    # auxiliary references at dt/2 and dt/4
-    at_one = [ctx.trajectory([1.0]).states[0]]
-    at_one += [ctx.sweep([1.0], dt=c.dt / k).states[0] for k in (2.0, 4.0)]
-    return nls_suite(ctx.trajectory(_nls_times(ctx)), norm(ctx.grid, ctx.psi0, "L2") ** 2,
-                     at_one, (c.fit_t_lo, c.fit_t_hi))
-
-
-def _morawetz_times(ctx: _Context):
-    """(t_end, L6 times): the morawetz suite integrates to min(t_max, 10) and
-    fits the L6 norm at 10 times from 1, on the dt lattice."""
-    c = ctx.config
-    t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
-    return t_end, snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt)
-
-
-def _morawetz_flow(ctx: _Context):
-    t_end, l6_times = _morawetz_times(ctx)
-    return l6_times, SmoothingObserver(ctx.grid, t_end)
-
-
-def _suite_morawetz(ctx: _Context) -> EstimateReport:
-    grid, smoothing = ctx.grid, ctx.observers["morawetz"]
-    l6 = ctx.trajectory(_morawetz_times(ctx)[1])
-    # the auxiliary sweep of the refinement check, on about 1.5 times the points
-    refined = SmoothingObserver(make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent),
-                                smoothing.t_end)
-    ctx.sweep([smoothing.t_end], grid=refined.grid, observer=refined)
-    return morawetz_suite(ctx.spec, ctx.potential, l6, smoothing, refined,
-                          a=ctx.config.timedep_a, horizon=ctx.t_b)
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    """Everything a run needs to know about one suite."""
-
-    run: Callable[[_Context], EstimateReport]
-    #: ctx -> (sample times, per-step observer or None) read off the split-step flow
-    flow: Callable[[_Context], tuple] | None = None
-    #: presumes an H with no spectrum at zero (skipped on a near-threshold spectrum)
-    clean_threshold: bool = False
-    #: (config path, what is needed, test on the config), checked by ``_validate``
-    needs: tuple = ()
-    #: reads the run's spectrum (so a config with a potential diagonalizes H)
-    spectrum: bool = True
-    #: scipy subpackages its own code calls, whatever the config
-    scipy: tuple = ()
-
-
-_RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
-           lambda c: c.grid_kind == "radial3d")
-_FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
-_W_FLOW = ("[timedep].type", "a time-dependent W (type = self_similar)",
-           lambda c: c.timedep_type == "self_similar")
-_V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: _potential(c)
-                  .is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
-
-_SUITES = {
-    "operator_identities": SuiteSpec(_suite_operator_identities, spectrum=False),
-    "conformal_identity": SuiteSpec(
-        _suite_conformal_identity,
-        flow=lambda ctx: (np.concatenate([ts for ts in _conformal_times(ctx)[2:]
-                                          if ts is not None]), None),
-        needs=(("[timedep].lambda", "lambda = 0 (its identities have no cubic term)",
-                lambda c: c.nonlinearity == 0),)),
-    "adaptor": SuiteSpec(_suite_adaptor, flow=lambda ctx: (_adaptor_times(ctx), None),
-                         clean_threshold=True, needs=(
-        ("[potential].gaussians",
-         "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
-         lambda c: any(amp for amp, _, _ in c.potential_terms)),)),
-    "weighted_decay": SuiteSpec(_suite_weighted_decay, clean_threshold=True, needs=(
-        _RADIAL, ("[overrides].fit_t_lo", "0 < fit_t_lo < fit_t_hi (its fit window)",
-                  lambda c: 0.0 < c.fit_t_lo < c.fit_t_hi)), scipy=("scipy.sparse.linalg",)),
-    "positive_potential": SuiteSpec(
-        _suite_positive_potential, flow=lambda ctx: (_monitor_times(ctx), None), needs=(
-            _V_NONNEGATIVE,
-            ("[evolution].t_max", "t_max > 1.5 (its fit window starts there)",
-             lambda c: c.t_max > 1.5))),
-    "general_potential": SuiteSpec(_suite_general_potential, clean_threshold=True,
-                                   scipy=("scipy.linalg",)),
-    "timedep": SuiteSpec(_suite_timedep, flow=_timedep_flow, needs=(_W_FLOW, _FROM_ONE)),
-    "gronwall": SuiteSpec(_suite_gronwall, flow=lambda ctx: (_monitor_times(ctx), None)),
-    "nls": SuiteSpec(
-        _suite_nls, flow=lambda ctx: (np.append(_nls_times(ctx), 1.0), None), needs=(
-            ("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
-            ("[timedep].type", "type = semilinear (it checks the cubic flow alone)",
-             lambda c: c.timedep_type == "semilinear"),
-            ("[evolution].dt", "a dt that divides 1 (its order-2 check compares states at t = 1)",
-             lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10),
-            ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
-             lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max))), spectrum=False),
-    "morawetz": SuiteSpec(_suite_morawetz, flow=_morawetz_flow,
-                          needs=(_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _W_FLOW),
-                          scipy=("scipy.fft", "scipy.linalg", "scipy.optimize")),
-}
-
 #: suite -> runner; ``run_scenario`` dispatches through this dict, so its
 #: entries can be replaced in place (perfbench's tracer wraps them)
-_SUITE_RUNNERS = {name: spec.run for name, spec in _SUITES.items()}
+_SUITE_RUNNERS = {name: suite.run for name, suite in SUITES.items()}
 
 
 def _import_what_runs(config: ScenarioConfig):
     """Import the scipy subpackages a run of ``config`` will call, read off its
     fields alone, so that the run does not pay for their import: scipy.linalg
-    when a suite reads the spectrum of a potential, and each ``SuiteSpec.scipy``.
+    when a suite reads the spectrum of a potential, and each ``Suite.scipy``.
     A free exact run and ``cubic_nls_small`` (stepped by numpy alone) load none."""
-    suites = [_SUITES[s] for s in config.suites]
-    modules = {m for spec in suites for m in spec.scipy}
-    if config.potential_terms and (config.state_recipe == "eigenstate"
-                                   or any(spec.spectrum for spec in suites)):
+    suites = [SUITES[s] for s in config.suites]
+    modules = {m for suite in suites for m in suite.scipy}
+    if config.potential_terms and any(suite.spectrum for suite in suites):
         modules.add("scipy.linalg")
     for module in sorted(modules):
         importlib.import_module(module)
@@ -675,7 +451,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
 
     The pipeline is deterministic: identical config and version produce
     byte-identical series files.  The config is validated first, so a
-    rejected one leaves no run directory.
+    rejected one leaves no run directory.  A run directory holds one run:
+    the series files of an earlier run there that this run does not write
+    are removed.
     """
     _validate(config)
     run_dir = os.path.join(out_dir, config.name)
@@ -683,7 +461,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     ctx = _Context(config)
     skipped = {s: "near-threshold spectrum: the suite assumes no zero eigenvalues"
                for s in config.suites
-               if _SUITES[s].clean_threshold and ctx.spec.near_threshold_count > 0}
+               if SUITES[s].clean_threshold and ctx.spec.near_threshold_count > 0}
     to_run = [s for s in config.suites if s not in skipped]
     ctx.plan(to_run)
     reports: dict[str, EstimateReport] = {}
@@ -698,11 +476,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str) -> RunArtifact:
     passed = all(r.passed for r in reports.values()) and bool(reports) and not errors
     artifact = RunArtifact(config=config, run_dir=run_dir, passed=passed, reports=reports)
 
-    for suite, report in reports.items():
-        for key, series in report.series.items():
-            path = os.path.join(run_dir, f"{suite}__{key}.tsv")
-            _write_series(path, series)
-            artifact.series_files.append(path)
+    series = {f"{suite}__{key}.tsv": s for suite, report in reports.items()
+              for key, s in report.series.items()}
+    for name in os.listdir(run_dir):
+        path = os.path.join(run_dir, name)
+        if fnmatch.fnmatch(name, "*__*.tsv") and name not in series and os.path.isfile(path):
+            os.remove(path)
+    for name, s in series.items():
+        path = os.path.join(run_dir, name)
+        _write_series(path, s)
+        artifact.series_files.append(path)
 
     manifest = {
         "name": config.name,

@@ -157,9 +157,6 @@ class SpectralData:
             idx = slice(idx[0], idx[-1] + 1)
         return self.eigenvectors[:, idx], self.eigenvalues[idx]
 
-    def eigenvector(self, k: int) -> np.ndarray:
-        return self.eigenvectors[:, k]
-
     def coefficients(self, state):
         """Phi^* state, the state's eigenbasis coefficients."""
         return _product(self.eigenvectors.conj().T, state)
@@ -249,7 +246,7 @@ class _SineSpectralData(SpectralData):
         object.__setattr__(self, name, basis.T)  # symmetric: .T is LAPACK's column-major layout
         return self.eigenvectors
 
-    def _basis_rows(self, rows, out=None):
+    def _basis_rows(self, rows, out):
         """Rows ``rows`` of sqrt(2/(n+1)) sin(j k pi/(n+1)), in place in ``out``."""
         n = self.grid.n
         j = np.arange(1, n + 1)
@@ -257,10 +254,6 @@ class _SineSpectralData(SpectralData):
         b /= n + 1
         np.sin(b, out=b)
         b *= np.sqrt(2.0 / (n + 1))
-        return b
-
-    def eigenvector(self, k: int) -> np.ndarray:  # row k of the symmetric basis, left unfilled
-        return self._basis_rows(slice(k, k + 1))[0]
 
     coefficients = staticmethod(_sine_transform)
 

@@ -5,7 +5,8 @@ an EstimateReport whose checks each state their pass rule once, as clauses
 (measured, relation, bound).  Inequalities stated up to an unknowable
 constant are operationalized as: the measured ratio stays below the declared
 cap, and its fitted growth trend below observables.TREND_CAP, on the
-validity window.
+validity window.  Each section ends with its suite's ``Suite``, and
+``SUITES`` names them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .adaptors import (AdaptorOperator, QSelection, build_adaptor,
                        commutator_closure_defect, commutator_columns, negative_part,
                        positive_part, remainder_expectation, residual_weighted_scan,
                        weighted_propagator_norm)
-from .evolution import Trajectory, gaussian_state, h_half_norm_sq
+from .evolution import (Trajectory, _distinct, gaussian_state, h_half_norm_sq,
+                        snap_to_lattice, trajectory_linear, validity_horizon)
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check,
@@ -34,6 +36,53 @@ from .spectral import (BOUND, SpectralData, free_spectral_data, genericity_margi
 
 #: the window of a halving ratio for an error of order two
 ORDER2_WINDOW = (3.5, 4.5)
+
+
+# ---------------------------------------------------------------------------
+# the suite protocol
+
+
+class Suite:
+    """Everything a run needs to know about one suite: its (config path,
+    what is needed, test on the config) preconditions, checked at parse time
+    (``needs``); the scipy subpackages its own code calls, whatever the
+    config (``scipy``); whether it reads the run's spectrum, so a config with
+    a potential diagonalizes H (``spectrum``), and whether it presumes an H
+    with no spectrum at zero, so it is skipped on a near-threshold spectrum
+    (``clean_threshold``).  Before any suite runs, ``plan(run)`` returns the
+    sample times it reads off the run's flow and the per-step observer that
+    flow feeds (or None); ``run(run)`` gets them back from
+    ``run.planned(self)`` and returns its report.  ``run`` is the run
+    context, read through its public members."""
+
+    needs: tuple = ()
+    scipy: tuple = ()
+    spectrum = True
+    clean_threshold = False
+
+    def plan(self, run):
+        return (), None
+
+
+class _Monitored(Suite):
+    """A suite that reads ``[evolution].samples`` times from t = 1 to the horizon."""
+
+    def plan(self, run):
+        return run.sample_times(lo=1.0, hi=run.horizon, count=run.config.samples), None
+
+
+_RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
+           lambda c: c.grid_kind == "radial3d")
+_FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
+_W_FLOW = ("[timedep].type", "a time-dependent W (type = self_similar)",
+           lambda c: c.timedep_type == "self_similar")
+_V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: Potential(
+    c.potential_terms).is_nonnegative(make_grid(c.grid_kind, c.grid_n, c.grid_extent).points))
+
+
+def _lattice_floor(t: float, dt: float) -> float:
+    """Largest k dt not beyond t (up to 1e-9), so a sweep to it can end on the lattice."""
+    return math.floor(t / dt + 1e-9) * dt
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +203,15 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
     report.add("free conformal refinement ratio",
                (resids_conf[0] / resids_conf[1], "in", ORDER2_WINDOW))
     return report
+
+
+class _OperatorIdentities(Suite):
+    spectrum = False
+
+    def run(self, run):
+        c = run.config
+        return operator_identity_suite(c.grid_n, c.grid_extent, run.potential,
+                                       state_width=c.state_width, dt_ref=c.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +342,39 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
     return report
 
 
+class _ConformalIdentity(Suite):
+    needs = (("[timedep].lambda", "lambda = 0 (its identities have no cubic term)",
+              lambda c: c.nonlinearity == 0),)
+
+    @staticmethod
+    def _times(run):
+        """(eval_ts, delta, all_ts, free_ts): evaluation times, the centered
+        difference offset, the times the identity reads, and the free-flow
+        times (None unless V and W vanish)."""
+        c = run.config
+        delta = max(10.0 * c.dt, 0.02) if run.stepped else c.dt
+        eval_ts = run.sample_times(lo=1.0, hi=min(0.5 * run.horizon + 1.0, run.horizon), count=4)
+        eval_ts = eval_ts[eval_ts - delta > 0]
+        all_ts = _distinct(np.concatenate([eval_ts, eval_ts - delta, eval_ts + delta]))
+        free_ts = None
+        if not c.potential_terms and run.w_t is None:
+            free_ts = run.sample_times(lo=0.0, hi=min(2.0, c.t_max), count=9)
+        return eval_ts, delta, all_ts, free_ts
+
+    def plan(self, run):
+        _, _, all_ts, free_ts = self._times(run)
+        return (all_ts if free_ts is None else np.concatenate([all_ts, free_ts])), None
+
+    def run(self, run):
+        c = run.config
+        eval_ts, delta, all_ts, free_ts = self._times(run)
+        free_traj = run.trajectory(free_ts) if free_ts is not None else None
+        return conformal_identity_suite(
+            run.trajectory(all_ts), run.spec, run.potential, run.w_t,
+            run.adaptor() if c.potential_terms else None, eval_ts, delta, run.h_of_t,
+            corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
+
+
 # ---------------------------------------------------------------------------
 # adaptor construction
 
@@ -363,6 +454,30 @@ def weighted_decay_suite(spec: SpectralData, fit_t_lo: float, fit_t_hi: float) -
     return report
 
 
+class _Adaptor(Suite):
+    clean_threshold = True
+    needs = (("[potential].gaussians", "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
+              lambda c: any(amp for amp, _, _ in c.potential_terms)),)
+
+    def plan(self, run):
+        return run.sample_times(lo=1.0, hi=run.horizon, count=12), None
+
+    def run(self, run):
+        times, _ = run.planned(self)
+        return adaptor_suite(run.spec, run.hamiltonian(), run.adaptor(), run.trajectory(times),
+                             run.horizon)
+
+
+class _WeightedDecay(Suite):
+    clean_threshold = True
+    needs = (_RADIAL, ("[overrides].fit_t_lo", "0 < fit_t_lo < fit_t_hi (its fit window)",
+                       lambda c: 0.0 < c.fit_t_lo < c.fit_t_hi))
+    scipy = ("scipy.sparse.linalg",)
+
+    def run(self, run):
+        return weighted_decay_suite(run.spec, run.config.fit_t_lo, run.config.fit_t_hi)
+
+
 # ---------------------------------------------------------------------------
 # positive potentials
 
@@ -436,6 +551,17 @@ def positive_potential_suite(traj: Trajectory, potential: Potential,
     return report
 
 
+class _PositivePotential(_Monitored):
+    needs = (_V_NONNEGATIVE, ("[evolution].t_max", "t_max > 1.5 (its fit window starts there)",
+                              lambda c: c.t_max > 1.5))
+
+    def run(self, run):
+        times, _ = run.planned(self)
+        return positive_potential_suite(run.trajectory(times), run.potential,
+                                        norm(run.grid, run.psi0, "Lnorm"),
+                                        fit_window=(1.5, run.horizon))
+
+
 # ---------------------------------------------------------------------------
 # general time-independent potentials
 
@@ -507,6 +633,24 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
     return report
 
 
+class _GeneralPotential(Suite):
+    """Reads its own exact flow: of psi0's continuum part, normalized, from
+    t = 1 to that flow's validity horizon."""
+
+    clean_threshold = True
+    scipy = ("scipy.linalg",)
+
+    def run(self, run):
+        c, spec = run.config, run.spec
+        psi = spec.continuum_part(run.psi0)
+        psi = psi / norm(run.grid, psi, "L2")
+        horizon = validity_horizon(spec, psi, c.t_max)
+        traj = trajectory_linear(spec, psi, np.geomspace(1.0, max(horizon, 1.5), c.samples))
+        return general_potential_suite(spec, laplacian(run.grid), run.potential, traj,
+                                       np.geomspace(1.0, 50.0, 8),
+                                       e_max=resolution_energy_limit(run.grid))
+
+
 # ---------------------------------------------------------------------------
 # defocusing cubic flow
 
@@ -536,6 +680,32 @@ def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateRep
     report.rates["sup_norm"] = slope
     report.add("sup-norm decay slope <= -0.3", (slope, "<=", -0.3), note=f"width {width:.3f}")
     return report
+
+
+class _Nls(Suite):
+    spectrum = False
+    needs = (("[grid].kind", "kind = line", lambda c: c.grid_kind == "line"),
+             ("[timedep].type", "type = semilinear (it checks the cubic flow alone)",
+              lambda c: c.timedep_type == "semilinear"),
+             ("[evolution].dt", "a dt that divides 1 (its order-2 check compares states at t = 1)",
+              lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10),
+             ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
+              lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max)))
+
+    def plan(self, run):
+        """The samples of its fit window, then t = 1."""
+        c = run.config
+        fit_ts = run.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=c.samples)
+        return np.append(fit_ts, 1.0), None
+
+    def run(self, run):
+        c, (times, _) = run.config, run.planned(self)
+        # the state at t = 1 at dt (off the shared sweep), and the order-2 check's
+        # auxiliary references at dt/2 and dt/4
+        at_one = [run.trajectory([1.0]).states[0]]
+        at_one += [run.sweep([1.0], dt=c.dt / k).states[0] for k in (2.0, 4.0)]
+        return nls_suite(run.trajectory(times[:-1]), norm(run.grid, run.psi0, "L2") ** 2,
+                         at_one, (c.fit_t_lo, c.fit_t_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +829,9 @@ class TimedepObserver:
 
         f_arr = np.asarray(self.f_series)
         incs = np.abs(np.diff(f_arr))
-        half = max(1, len(incs) // 2)
-        early_inc, late_inc = float(incs[:half].max()), float(incs[half:].max())
+        half = len(incs) // 2  # a window of fewer than 3 samples reads NaN
+        early_inc, late_inc = ((float(incs[:half].max()), float(incs[half:].max())) if half
+                               else (math.nan, math.nan))
         report.add("asymptotic energy Cauchy decrease", (late_inc, "<=", early_inc + 1e-12))
 
         # the identity's discretization share (momentum form vs the stencil the
@@ -715,6 +886,29 @@ def gronwall_suite(traj: Trajectory, delta: float) -> EstimateReport:
     report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
                _envelope_clause(series, d_const))
     return report
+
+
+class _Timedep(Suite):
+    needs = (_W_FLOW, _FROM_ONE)
+
+    def plan(self, run):
+        """Its observer of the W-flow, which reads from t = 1 to the horizon
+        (at least 2, at most t_max), on the dt lattice."""
+        c = run.config
+        t_end = _lattice_floor(min(c.t_max, max(run.horizon, 2.0)), c.dt)
+        observer = TimedepObserver(run.grid, run.spec, run.w_t, t_end)
+        return observer.times, observer
+
+    def run(self, run):
+        times, observer = run.planned(self)
+        return observer.report(run.trajectory(times),
+                               expect_log_growth=run.config.expect_log_growth)
+
+
+class _Gronwall(_Monitored):
+    def run(self, run):
+        times, _ = run.planned(self)
+        return gronwall_suite(run.trajectory(times), run.config.timedep_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -887,3 +1081,32 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
     report.rates["L6sq_theta"] = slope
     report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
     return report
+
+
+class _Morawetz(Suite):
+    needs = (_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _W_FLOW)
+    scipy = ("scipy.fft", "scipy.linalg", "scipy.optimize")
+
+    def plan(self, run):
+        """Its L6 times, 10 from t = 1 on the dt lattice, and its smoothing
+        observer, which integrates the W-flow to min(t_max, 10)."""
+        c = run.config
+        t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
+        return snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt), SmoothingObserver(run.grid, t_end)
+
+    def run(self, run):
+        (l6_times, smoothing), grid = run.planned(self), run.grid
+        l6 = run.trajectory(l6_times)
+        # the refinement check's auxiliary sweep, on about 1.5 times the points
+        refined = SmoothingObserver(make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent),
+                                    smoothing.t_end)
+        run.sweep([smoothing.t_end], grid=refined.grid, observer=refined)
+        return morawetz_suite(run.spec, run.potential, l6, smoothing, refined,
+                              a=run.config.timedep_a, horizon=run.t_b)
+
+
+#: suite name -> its Suite
+SUITES = {"operator_identities": _OperatorIdentities(), "conformal_identity": _ConformalIdentity(),
+          "adaptor": _Adaptor(), "weighted_decay": _WeightedDecay(),
+          "positive_potential": _PositivePotential(), "general_potential": _GeneralPotential(),
+          "timedep": _Timedep(), "gronwall": _Gronwall(), "nls": _Nls(), "morawetz": _Morawetz()}

@@ -9,7 +9,7 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (FLUSH_FLOOR, _SplitStepper, _distinct, _free_propagator,
-                               _half_width, eigenstate, h_half_norm_sq, snap_to_lattice)
+                               _half_width, h_half_norm_sq, snap_to_lattice)
 from proplab import evolution
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.scenarios import _Context, load_scenario
@@ -50,7 +50,7 @@ def test_evolve_linear_eigenstate_phase(line_grid):
     pot = Potential.gaussian(-3.0)
     spec = spec_for(line_grid, pot)
     k = 5
-    phi = eigenstate(spec, k)
+    phi = spec.eigenvectors[:, k]
     out = spec.evolve(phi, 2.3)
     np.testing.assert_allclose(out,
                                np.exp(-1j * spec.eigenvalues[k] * 2.3) * phi, atol=1e-10)

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from proplab import (ConfigError, ScenarioConfig, list_scenarios, load_scenario,
                      parse_config, render_report, run_scenario, serialize_config)
-from proplab import adaptors, evolution, scenarios
+from proplab import adaptors, evolution, make_grid, scenarios
 from proplab.cli import main as cli_main
+from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
 from proplab.scenarios import SCENARIO_LIBRARY, _Context
+from proplab.suites import SUITES
 
 MINIMAL = """
 [scenario]
@@ -40,8 +42,9 @@ def test_parse_rejects_unknown_section():
 # the caps, theta, eps_m and sigma = 1 are fixed in the suites, W's profile is
 # <x>^-2, the adaptor horizon is half the validity horizon, the Gaussian
 # state is centered with no momentum, and the conformal observable is read at
-# the 1/t scale (no shifted time) with windows from t = 1; and the flow's
-# kind, which [timedep].type decides
+# the 1/t scale (no shifted time) with windows from t = 1; the flow's kind,
+# which [timedep].type decides; and the eigenstate recipe, from which no run
+# could pass a decay check
 @pytest.mark.parametrize("section, key", [
     ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
     ("initial_state", "center"), ("initial_state", "momentum"), ("evolution", "t0"),
@@ -49,6 +52,7 @@ def test_parse_rejects_unknown_section():
     ("overrides", "energy_cap"), ("overrides", "iterated_cap"), ("overrides", "disp_cap"),
     ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
     ("overrides", "t0_shift"), ("overrides", "prob_scale"), ("evolution", "method"),
+    ("initial_state", "recipe"), ("initial_state", "k"),
 ])
 def test_parse_rejects_unknown_key(section, key):
     bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -309,6 +313,36 @@ def test_unplanned_split_step_time_raises():
             ctx.trajectory([planned[0] + 0.5 * ctx.config.dt])
 
 
+def test_refined_morawetz_sweep_stays_off_the_walls():
+    # the morawetz refinement check sweeps the W-flow on about 1.5 times the
+    # points, from the config's Gaussian evaluated on that grid; from psi0
+    # interpolated onto it instead, the interpolant's kinks reach the walls
+    # and the boundary mass crosses the validity tolerance near t = 4.7
+    ctx = _Context(load_scenario("morawetz_radial"))
+    (_, smoothing), grid = SUITES["morawetz"].plan(ctx), ctx.grid
+    fine = make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent)
+    masses = []
+    ctx.sweep([smoothing.t_end], grid=fine,
+              observer=lambda t, u: masses.append(boundary_mass(fine, u)))
+    assert fine.n == 961 and len(masses) == round(smoothing.t_end / ctx.config.dt) + 1
+    assert max(masses) <= BOUNDARY_MASS_TOL
+
+
+def test_run_directory_holds_one_run(tmp_path):
+    # a second run into the directory of a first removes the first's series
+    # files that it does not write itself, and leaves other files alone
+    out_dir, run_dir = tmp_path / "runs", tmp_path / "runs" / "free"
+    assert cli_main(["run", "free", "--out-dir", str(out_dir)]) == 0
+    first = sorted(os.listdir(run_dir))
+    (run_dir / "notes.txt").write_text("kept")
+    path = tmp_path / "free.cfg"
+    path.write_text(serialize_config(replace(load_scenario("free"), suites=("operator_identities",))))
+    assert cli_main(["run", str(path), "--out-dir", str(out_dir)]) == 0
+    assert any(name.startswith("conformal_identity__") for name in first)
+    assert sorted(os.listdir(run_dir)) == ["manifest.txt", "notes.txt", "report.txt"]
+    assert "suites_run = operator_identities\n" in (run_dir / "manifest.txt").read_text()
+
+
 def test_manifest_written_on_failing_run(tmp_path):
     config = replace(small_free_config(), name="free_broken", corrupt_db_dt=True)
     artifact = run_scenario(config, str(tmp_path))
@@ -366,107 +400,132 @@ def test_near_threshold_gating(tmp_path):
     assert "near-threshold" in artifact.manifest["suites_skipped"]
 
 
-def _assert_rejected(argv, out_dir, run_name, path, capsys):
+def _assert_rejected(argv, out_dir, run_name, message, capsys):
+    # the whole message, so that no precondition is reworded unnoticed
     assert cli_main(argv + ["--out-dir", str(out_dir)]) == 2
-    assert path in capsys.readouterr().err
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not os.path.exists(os.path.join(str(out_dir), run_name))
 
 
 def test_cli_rejects_grid_override_below_minimum(tmp_path, capsys):
-    _assert_rejected(["run", "free", "--grid-n", "4"], tmp_path, "free", "[grid]", capsys)
+    _assert_rejected(["run", "free", "--grid-n", "4"], tmp_path, "free",
+                     "[grid]: n >= 8 and extent > 0 required", capsys)
 
 
 def test_cli_rejects_non_finite_tmax_override(tmp_path, capsys):
-    _assert_rejected(["run", "free", "--tmax", "nan"], tmp_path, "free", "[evolution].t_max", capsys)
+    _assert_rejected(["run", "free", "--tmax", "nan"], tmp_path, "free",
+                     "[evolution].t_max must be finite, got nan", capsys)
 
 
 def test_cli_rejects_positive_potential_suite_on_negative_v(tmp_path, capsys):
     path = tmp_path / "neg.cfg"
     path.write_text(MINIMAL.replace("conformal_identity", "positive_potential")
                     + "\n[potential]\ngaussians = -1.0 1.0 0.0\n")
-    _assert_rejected(["run", str(path)], tmp_path, "tiny", "[potential].gaussians", capsys)
+    _assert_rejected(["run", str(path)], tmp_path, "tiny", "[potential].gaussians: suite "
+                     "positive_potential in [scenario].suites needs V >= 0 on the grid", capsys)
 
 
 def test_cli_rejects_cubic_flow_on_radial_grid(tmp_path, capsys):
     radial = MINIMAL.replace("kind = line", "kind = radial3d")
     nls = radial.replace("conformal_identity", "nls")
     semilinear = radial + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
-    for text, key in ((nls, "[scenario].suites"), (semilinear, "[timedep].type")):
+    for text, message in (
+            (nls, "[grid].kind: suite nls in [scenario].suites needs kind = line"),
+            (semilinear, "[timedep].type: the semilinear flow needs [grid].kind = line")):
         path = tmp_path / "radial_nls.cfg"
         path.write_text(text)
-        _assert_rejected(["run", str(path)], tmp_path, "tiny", key, capsys)
+        _assert_rejected(["run", str(path)], tmp_path, "tiny", message, capsys)
 
 
 _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 128", "n = 64")
+_NEEDS = " in [scenario].suites needs "  # the middle of a suite's precondition message
 
 
-@pytest.mark.parametrize("text, key", [
+# each row's whole message, as recorded before the suites' preconditions
+# moved into their Suite objects
+@pytest.mark.parametrize("text, message", [
     # no W: the timedep observer has no dW/dt to integrate
-    (_TIMEDEP_SMALL, "[timedep].type"),
-    (_TIMEDEP_SMALL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[timedep].type"),
-    # the eigenstate index must name one of the n eigenvectors
-    (MINIMAL.replace("n = 128", "n = 64") + "\n[initial_state]\nrecipe = eigenstate\nk = 64\n",
-     "[initial_state].k"),
+    (_TIMEDEP_SMALL,
+     "[timedep].type: suite timedep" + _NEEDS + "a time-dependent W (type = self_similar)"),
+    (_TIMEDEP_SMALL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n",
+     "[timedep].type: suite timedep" + _NEEDS + "a time-dependent W (type = self_similar)"),
+    # the eigenstate recipe and its index are retired: an eigenstate is a box
+    # mode, from which no run can pass a decay check
+    (MINIMAL.replace("n = 128", "n = 64") + "\n[initial_state]\nrecipe = eigenstate\nk = 3\n",
+     "[initial_state]: unknown key 'recipe'"),
     # with V = 0, B_V = 0 and the expectation decay check fails by construction
-    (MINIMAL.replace("conformal_identity", "adaptor"), "[potential].gaussians"),
+    (MINIMAL.replace("conformal_identity", "adaptor"), "[potential].gaussians: suite adaptor"
+     + _NEEDS + "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)"),
     # the 1/t weighted-norm rate and the kinetic Morawetz positivity are 3d
     # radial statements; on a line grid both fail by construction
-    (MINIMAL.replace("conformal_identity", "weighted_decay"), "[grid].kind"),
+    (MINIMAL.replace("conformal_identity", "weighted_decay"), "[grid].kind: suite weighted_decay"
+     + _NEEDS + "kind = radial3d (it checks a 3d radial estimate)"),
     (MINIMAL.replace("conformal_identity", "morawetz") + "\n[evolution]\nt_max = 2.0\n",
-     "[grid].kind"),
+     "[grid].kind: suite morawetz" + _NEEDS + "kind = radial3d (it checks a 3d radial estimate)"),
     # a cubic term outside the semilinear type: on a radial W-flow the stepper
     # raises mid-run, on a line grid the exact flow ignores it
     (_TIMEDEP_SMALL.replace("kind = line", "kind = radial3d")
      + "\n[timedep]\ntype = self_similar\ndelta = 0.05\nlambda = 1.0\n"
-     "[evolution]\nt_max = 1.5\n", "[timedep].lambda"),
-    (MINIMAL + "\n[timedep]\nlambda = 1.0\n", "[timedep].lambda"),
+     "[evolution]\nt_max = 1.5\n",
+     "[timedep].lambda: a cubic term needs type = semilinear, got type 'self_similar'"),
+    (MINIMAL + "\n[timedep]\nlambda = 1.0\n", "[timedep].lambda: suite conformal_identity"
+     + _NEEDS + "lambda = 0 (its identities have no cubic term)"),
     # the conformal identities have no cubic term: on the cubic flow the free
     # conformal factor is not constant
-    (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n", "[timedep].lambda"),
+    (MINIMAL + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n",
+     "[timedep].lambda: suite conformal_identity" + _NEEDS
+     + "lambda = 0 (its identities have no cubic term)"),
     # the Morawetz smoothing integral is accumulated along a Strang sweep of
     # the W-flow, whose exponent a its envelope fit reads
     (MINIMAL.replace("conformal_identity", "morawetz").replace("kind = line", "kind = radial3d")
-     + "\n[evolution]\nt_max = 2.0\n", "[timedep].type"),
+     + "\n[evolution]\nt_max = 2.0\n",
+     "[timedep].type: suite morawetz" + _NEEDS + "a time-dependent W (type = self_similar)"),
     # nls compares the states at t = 1 stepped at dt, dt/2 and dt/4, of the
     # cubic flow without W
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
      + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\n"
-     "dt = 0.003\n", "[evolution].dt"),
+     "dt = 0.003\n", "[evolution].dt: suite nls" + _NEEDS
+     + "a dt that divides 1 (its order-2 check compares states at t = 1)"),
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
      + "\n[timedep]\ntype = self_similar\ndelta = 0.05\n[evolution]\n",
-     "[timedep].type"),
+     "[timedep].type: suite nls" + _NEEDS + "type = semilinear (it checks the cubic flow alone)"),
     # empty fit windows: positive_potential fits from 1.5, nls from fit_t_lo,
     # weighted_decay on [fit_t_lo, fit_t_hi]
     (MINIMAL.replace("conformal_identity", "positive_potential") + "\n[evolution]\nt_max = 1.2\n",
-     "[evolution].t_max"),
+     "[evolution].t_max: suite positive_potential" + _NEEDS
+     + "t_max > 1.5 (its fit window starts there)"),
     (MINIMAL.replace("conformal_identity", "nls").replace("n = 128", "n = 64")
      + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n[evolution]\n"
-     "t_max = 0.8\n", "[overrides].fit_t_lo"),
+     "t_max = 0.8\n", "[overrides].fit_t_lo: suite nls" + _NEEDS
+     + "fit_t_lo < min(fit_t_hi, t_max) (its fit window)"),
     (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
      + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 6.0\nfit_t_hi = 5.0\n",
-     "[overrides].fit_t_lo"),
+     "[overrides].fit_t_lo: suite weighted_decay" + _NEEDS
+     + "0 < fit_t_lo < fit_t_hi (its fit window)"),
     # the fit samples geomspace(fit_t_lo, fit_t_hi), which needs fit_t_lo > 0
     (MINIMAL.replace("conformal_identity", "weighted_decay").replace("kind = line", "kind = radial3d")
      + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 0.0\n",
-     "[overrides].fit_t_lo"),
+     "[overrides].fit_t_lo: suite weighted_decay" + _NEEDS
+     + "0 < fit_t_lo < fit_t_hi (its fit window)"),
     # a Gaussian of width <= 0 is no state; every suite that reads it would raise
-    (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width"),
+    (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width must be positive, got 0.0"),
     # the positive-potential, Gronwall, nls and general-potential windows take
     # [evolution].samples times, at least 12
-    (MINIMAL + "\n[evolution]\nsamples = 11\n", "[evolution].samples"),
+    (MINIMAL + "\n[evolution]\nsamples = 11\n", "[evolution].samples must be at least 12, got 11"),
     # a non-finite number passes every comparison with it: t_max = nan sets no
     # horizon, extent = nan no grid, width = nan no state, a nan term no V
-    (MINIMAL + "\n[evolution]\nt_max = nan\n", "[evolution].t_max"),
-    (MINIMAL + "\n[evolution]\nt_max = inf\n", "[evolution].t_max"),
-    (MINIMAL.replace("extent = 12.0", "extent = nan"), "[grid].extent"),
-    (MINIMAL + "\n[initial_state]\nwidth = nan\n", "[initial_state].width"),
-    (MINIMAL + "\n[potential]\ngaussians = 1.0 1.0 nan\n", "[potential].gaussians"),
+    (MINIMAL + "\n[evolution]\nt_max = nan\n", "[evolution].t_max must be finite, got nan"),
+    (MINIMAL + "\n[evolution]\nt_max = inf\n", "[evolution].t_max must be finite, got inf"),
+    (MINIMAL.replace("extent = 12.0", "extent = nan"), "[grid].extent must be finite, got nan"),
+    (MINIMAL + "\n[initial_state]\nwidth = nan\n", "[initial_state].width must be finite, got nan"),
+    (MINIMAL + "\n[potential]\ngaussians = 1.0 1.0 nan\n",
+     "[potential].gaussians must be finite, got ((1.0, 1.0, nan),)"),
     # the stepper derives its kinetic taps from dt, which must be a finite number
     (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
-     "[evolution]\ndt = nan\n", "[evolution].dt"),
+     "[evolution]\ndt = nan\n", "[evolution].dt must be finite, got nan"),
     (MINIMAL.replace("n = 128", "n = 64") + "\n[timedep]\ntype = semilinear\nlambda = 1.0\n"
-     "[evolution]\ndt = inf\n", "[evolution].dt"),
-], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_k_eq_n",
+     "[evolution]\ndt = inf\n", "[evolution].dt must be finite, got inf"),
+], ids=["timedep_type_none", "timedep_type_semilinear", "eigenstate_recipe_retired",
         "adaptor_without_potential", "weighted_decay_on_line", "morawetz_on_line",
         "lambda_on_w_flow", "lambda_without_semilinear", "conformal_identity_on_cubic_flow",
         "morawetz_without_w_flow",
@@ -474,10 +533,10 @@ _TIMEDEP_SMALL = MINIMAL.replace("conformal_identity", "timedep").replace("n = 1
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
         "weighted_decay_fit_from_zero", "state_width_zero", "samples_below_12", "t_max_nan",
         "t_max_inf", "extent_nan", "state_width_nan", "gaussians_nan", "dt_nan", "dt_inf"])
-def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, key):
+def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", key, capsys)
+    _assert_rejected(["run", str(path)], tmp_path / "runs", "tiny", message, capsys)
 
 
 def _short_fit():
@@ -565,6 +624,11 @@ def _backward_scan(t_max):
     # 3 samples in the L6 fit window: too few to fit a slope
     pytest.param(_short_fit(), "positive_potential", "L6 decay slope", "measured",
                  id="short-l6-window"),
+    # t_max short of 1 + dt: the timedep window is the sample at t = 1 alone
+    pytest.param(replace(small_w_flow_config(("timedep",)), t_max=1.004), "timedep",
+                 "asymptotic energy Cauchy decrease", "measured", id="one-sample-timedep-window"),
+    pytest.param(replace(small_w_flow_config(("timedep",)), t_max=1.004, expect_log_growth=True),
+                 "timedep", "log-growth envelope", "|beta|", id="one-sample-log-growth-window"),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):
@@ -582,7 +646,7 @@ def _finite(lo, hi):
 
 _SMALL_CONFIGS = st.builds(
     ScenarioConfig, name=st.just("contract"),
-    suites=st.lists(st.sampled_from(sorted(scenarios._SUITES)), max_size=3, unique=True).map(tuple),
+    suites=st.lists(st.sampled_from(sorted(SUITES)), max_size=3, unique=True).map(tuple),
     grid_kind=st.sampled_from(["line", "radial3d"]), grid_n=st.integers(8, 64),
     grid_extent=_finite(5.0, 40.0),
     potential_terms=st.lists(st.tuples(_finite(-3.0, 3.0), _finite(0.3, 2.0), _finite(-3.0, 3.0)),
@@ -590,8 +654,7 @@ _SMALL_CONFIGS = st.builds(
     timedep_type=st.sampled_from(["none", "self_similar", "semilinear"]),
     timedep_delta=_finite(0.0, 0.2), timedep_a=_finite(0.1, 0.9),
     nonlinearity=st.sampled_from([0.0, 1.0]),
-    state_recipe=st.sampled_from(["gaussian", "eigenstate"]), state_width=_finite(0.5, 2.0),
-    state_k=st.integers(0, 64), lnorm_target=st.sampled_from([0.0, 0.2]),
+    state_width=_finite(0.5, 2.0), lnorm_target=st.sampled_from([0.0, 0.2]),
     dt=st.sampled_from([0.005, 0.01, 0.02]), t_max=_finite(0.5, 3.0), samples=st.integers(12, 16),
     fit_t_lo=_finite(0.5, 3.0), fit_t_hi=_finite(1.0, 50.0))
 

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from proplab import (HermitianOperator, Potential, classify_spectrum,
                      diagonalize, free_spectral_data, genericity_margin,
                      laplacian, make_grid, momentum, multiplication)
-from proplab.evolution import eigenstate
 from proplab.grids import Grid
 from proplab.operators import Banded
 from proplab.spectral import (BOUND, CONTINUUM, SpectralData, default_threshold,
@@ -64,20 +63,6 @@ def test_diagonalize_invariants(line_grid):
     assert np.abs(phi.conj().T @ phi - np.eye(line_grid.n)).max() <= 1e-10
     recon = (phi * spec.eigenvalues) @ phi.conj().T
     assert np.abs(recon - h.matrix).max() <= 1e-9 * scale
-
-
-def test_free_eigenvector_reads_one_column_without_filling_the_basis():
-    # column k by the fill formula's operations has the bits of the filled
-    # basis's column, and reading it (or eigenstate) leaves the basis unfilled
-    for n in (8, 64, 65, 150, 1024):
-        spec = free_spectral_data(make_grid("line", n, 12.0))
-        cols = [spec.eigenvector(k) for k in range(n)]
-        phi = eigenstate(spec, n // 3)
-        assert "eigenvectors" not in vars(spec)
-        for k, col in enumerate(cols):
-            assert np.array_equal(col, spec.eigenvectors[:, k])
-        dense = SpectralData(spec.grid, spec.eigenvalues, spec.eigenvectors)
-        assert np.array_equal(phi, eigenstate(dense, n // 3))
 
 
 def test_free_spectral_data_is_exact(line_grid):
