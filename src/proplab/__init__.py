@@ -7,6 +7,8 @@ resulting operator identities and decay estimates along computed flows at
 desk scale.
 """
 
+from types import ModuleType as _Module
+
 from ._version import __version__
 from .grids import (Grid, boundary_mass, make_grid, norm, transit_energy_limit,
                     weight_vector)
@@ -31,4 +33,6 @@ from .scenarios import (ConfigError, RunArtifact, ScenarioConfig,
                         list_scenarios, load_scenario, parse_config,
                         render_report, run_scenario, serialize_config)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the library's names; the submodules the imports above bind are not among them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

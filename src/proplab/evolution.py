@@ -369,8 +369,8 @@ def evolve_split(grid: Grid, potential: Potential | None,
 def trajectory_split(grid: Grid, potential: Potential | None,
                      w_t: TimeDependentPotential | None, psi0,
                      sample_times, dt: float, nonlinearity: float = 0.0,
-                     t0: float = 0.0, observer=None) -> Trajectory:
-    """Evolve once, collecting the state at every requested sample time.
+                     observer=None) -> Trajectory:
+    """Evolve once from t = 0, collecting the state at every requested sample time.
 
     Sample times must sit on the dt lattice (within 1e-9); the evolution is
     performed in one sweep so repeated runs are bit-identical.
@@ -390,7 +390,7 @@ def trajectory_split(grid: Grid, potential: Potential | None,
             bms.append(boundary_mass(grid, u))
             want.pop(0)
 
-    evolve_split(grid, potential, w_t, psi0, float(sample_times[-1]), dt, t0=t0,
+    evolve_split(grid, potential, w_t, psi0, float(sample_times[-1]), dt,
                  nonlinearity=nonlinearity, observer=collect)
     if want:
         raise ValueError(f"sample times not on the dt lattice: {want[:3]}")

@@ -66,6 +66,10 @@ class Grid:
         """Measure-weighted inner product <u, v>."""
         return self.quad_weight * np.vdot(u, v)
 
+    def expect(self, f, u) -> float:
+        """<u, f u> for a real profile ``f`` sampled on the grid."""
+        return float(np.real(self.inner(u, f * u)))
+
 
 def make_grid(kind: str, n: int, extent: float) -> Grid:
     """Build a grid.

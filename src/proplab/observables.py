@@ -151,13 +151,21 @@ def expectation_value(grid: Grid, op: Operator, state) -> float:
     return float(raw.real)
 
 
+def commutator_form(grid: Grid, a_u, b_u) -> float:
+    """<u, i[A, B] u> = -2 Im <A u, B u>, from A u and B u (A, B Hermitian)."""
+    return -2.0 * float(np.imag(grid.inner(a_u, b_u)))
+
+
+def series_along(traj: Trajectory, times, label: str, value) -> ObservableSeries:
+    """The series of ``value(t, u)``, u = psi(t), at the (sampled) ``times``."""
+    times = np.asarray(times, dtype=float)
+    return ObservableSeries(times, np.array([value(t, traj.state_at(t)) for t in times]), label)
+
+
 def observable_series(traj: Trajectory, prob: PropagationObservable, times) -> ObservableSeries:
     """<psi(t), B(t) psi(t)> at the requested (sampled) times."""
-    times = np.asarray(times, dtype=float)
-    vals = np.empty(times.shape)
-    for k, t in enumerate(times):
-        vals[k] = expectation_value(traj.grid, prob.builder(t), traj.state_at(t))
-    return ObservableSeries(times, vals, prob.label)
+    return series_along(traj, times, prob.label,
+                        lambda t, u: expectation_value(traj.grid, prob.builder(t), u))
 
 
 def centered_derivative(traj: Trajectory, prob: PropagationObservable,
@@ -172,7 +180,7 @@ def centered_derivative(traj: Trajectory, prob: PropagationObservable,
 def heisenberg_expectation(grid: Grid, h_op: Operator, b_op: Operator,
                            db_dt: Operator, state) -> float:
     """<u, (i[H, B] + dB/dt) u>, with <u, i[H, B] u> = -2 Im <H u, B u>."""
-    comm = -2.0 * float(np.imag(grid.inner(h_op.apply(state), b_op.apply(state))))
+    comm = commutator_form(grid, h_op.apply(state), b_op.apply(state))
     return comm + expectation_value(grid, db_dt, state)
 
 

@@ -54,7 +54,6 @@ class ScenarioConfig:
     dt: float = 0.002
     t_max: float = 10.0
     samples: int = 16
-    eps_thr: float = 0.0                 # 0 means spacing-based default
     fit_t_lo: float = 5.0
     fit_t_hi: float = 50.0
     expect_log_growth: bool = False
@@ -73,7 +72,7 @@ _SCHEMA = {
     "initial_state": {"width": (float, "state_width"), "lnorm_target": (float, "lnorm_target")},
     "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max"), "samples": (int, "samples")},
     "overrides": {key: (kind, key) for key, kind in (
-        ("eps_thr", float), ("fit_t_lo", float), ("fit_t_hi", float),
+        ("fit_t_lo", float), ("fit_t_hi", float),
         ("expect_log_growth", bool), ("corrupt_q_sign", bool), ("corrupt_db_dt", bool))},
 }
 
@@ -327,8 +326,7 @@ class _Context:
         if self._spec is None:
             spec = (diagonalize(self.hamiltonian()) if self.config.potential_terms
                     else free_spectral_data(self.grid))
-            eps = self.config.eps_thr if self.config.eps_thr > 0 else None
-            self._spec = classify_spectrum(spec, eps_thr=eps)
+            self._spec = classify_spectrum(spec)
             n_thr = self._spec.near_threshold_count
             if n_thr:
                 self.warnings.append(f"{n_thr} near-threshold eigenvalues present")

@@ -23,10 +23,10 @@ from .evolution import (Trajectory, _distinct, gaussian_state, h_half_norm_sq,
                         snap_to_lattice, trajectory_linear, validity_horizon)
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
-                          PropagationObservable, bounded_check,
-                          centered_derivative, expectation_value, fit_decay_rate,
-                          heisenberg_consistency, log_growth_fit,
-                          observable_series, pres_check, trend_slope)
+                          PropagationObservable, bounded_check, centered_derivative,
+                          commutator_form, expectation_value, fit_decay_rate,
+                          heisenberg_consistency, log_growth_fit, observable_series,
+                          pres_check, series_along, trend_slope)
 from .operators import (ConformalFactor, HermitianOperator, OperatorSum, Potential,
                         TimeDependentPotential, _row_blocks, _symmetrize,
                         central_difference, commutator_i, conformal_value, dilation,
@@ -74,6 +74,9 @@ class _Monitored(Suite):
 _RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
            lambda c: c.grid_kind == "radial3d")
 _FROM_ONE = ("[evolution].t_max", "t_max > 1 (it measures from t = 1)", lambda c: c.t_max > 1.0)
+_THREE_FROM_ONE = ("[evolution].t_max",
+                   "3 times of the dt lattice in [1, t_max] (its window from t = 1 needs 3 samples)",
+                   lambda c: math.floor(c.t_max / c.dt + 1e-9) - math.ceil(1.0 / c.dt - 1e-9) >= 2)
 _W_FLOW = ("[timedep].type", "a time-dependent W (type = self_similar)",
            lambda c: c.timedep_type == "self_similar")
 _V_NONNEGATIVE = ("[potential].gaussians", "V >= 0 on the grid", lambda c: Potential(
@@ -94,7 +97,7 @@ class _ConformalTerms:
     built and checked Hermitian once: C(t) (``ConformalFactor``), V and the
     W profile.  Each returns the (coefficient, operator) terms of k times its
     quantity: ``c`` C(t), ``c_dt`` dC/dt, ``vw`` V + W(t), ``w_at`` W(t) and
-    ``w_dt`` dW/dt."""
+    ``w_dt`` dW/dt; ``prob`` is the conformal family they combine into."""
 
     def __init__(self, grid: Grid, potential: Potential | None,
                  w_t: TimeDependentPotential | None):
@@ -114,6 +117,22 @@ class _ConformalTerms:
     def w_dt(self, t, k):
         return [] if self.w is None else [(k * self.w_t.d_amplitude(t), self.w)]
 
+    def prob(self, adaptor, corrupt_db_dt: bool = False) -> PropagationObservable:
+        b = [] if adaptor is None else [(1.0, adaptor)]
+
+        def builder(t):
+            if t <= 0:
+                raise ValueError("the scaled observable needs t > 0")
+            return OperatorSum(tuple(self.c(t, 1.0 / t) + self.vw(t, 4.0 * t) + b))
+
+        def db_dt(t):
+            parts = (self.c_dt(t, 1.0 / t) + self.c(t, -1.0 / t**2) + self.vw(t, 4.0)
+                     + self.w_dt(t, 4.0 * t))
+            sign = -1.0 if corrupt_db_dt else 1.0
+            return OperatorSum(tuple((sign * k, op) for k, op in parts))
+
+        return PropagationObservable(label="conformal[inverse_t]", builder=builder, db_dt=db_dt)
+
 
 def conformal_prob(grid: Grid, potential: Potential | None,
                    w_t: TimeDependentPotential | None,
@@ -126,21 +145,7 @@ def conformal_prob(grid: Grid, potential: Potential | None,
     analytic derivative; it exists for negative tests and must make the
     Heisenberg consistency fail.
     """
-    terms = _ConformalTerms(grid, potential, w_t)
-    b = [] if adaptor is None else [(1.0, adaptor)]
-
-    def builder(t):
-        if t <= 0:
-            raise ValueError("the scaled observable needs t > 0")
-        return OperatorSum(tuple(terms.c(t, 1.0 / t) + terms.vw(t, 4.0 * t) + b))
-
-    def db_dt(t):
-        parts = (terms.c_dt(t, 1.0 / t) + terms.c(t, -1.0 / t**2) + terms.vw(t, 4.0)
-                 + terms.w_dt(t, 4.0 * t))
-        sign = -1.0 if corrupt_db_dt else 1.0
-        return OperatorSum(tuple((sign * k, op) for k, op in parts))
-
-    return PropagationObservable(label="conformal[inverse_t]", builder=builder, db_dt=db_dt)
+    return _ConformalTerms(grid, potential, w_t).prob(adaptor, corrupt_db_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +164,9 @@ def dilation_identity_residual(grid: Grid, potential: Potential | None, state) -
     v = potential.v(grid.points) if potential is not None else 0.0
     lap_phi = laplacian(grid).apply(phi)
     a_phi = dilation(grid).apply(phi)
-    lhs = -2.0 * float(np.imag(grid.inner(lap_phi + v * phi, a_phi)))
+    lhs = commutator_form(grid, lap_phi + v * phi, a_phi)
     xdv = potential.xdv(grid.points) if potential is not None else 0.0
-    rhs = 2.0 * float(np.real(grid.inner(phi, lap_phi))) \
-        - float(np.real(grid.inner(phi, xdv * phi)))
+    rhs = 2.0 * float(np.real(grid.inner(phi, lap_phi))) - grid.expect(xdv, phi)
     return abs(lhs - rhs)
 
 
@@ -246,7 +250,7 @@ class AdaptedConformal:
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
         self.b = _BlockApplied(adaptor, states) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = conformal_prob(grid, potential, w_t, self.b, corrupt_db_dt)
+        self.prob = self.terms.prob(self.b, corrupt_db_dt)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -257,7 +261,7 @@ class AdaptedConformal:
     def rhs(self, t: float, state) -> float:
         """<u, RHS(t) u> for RHS = -C/t^2 + [4 x.grad V + 4V]_- +
         (4 x.grad W + 4W + 4t dW/dt) + i[W, B]: the banded terms as one
-        OperatorSum, and <u, i[W, B] u> = -2 Im <W u, B u>."""
+        OperatorSum, and <u, i[W, B] u> by ``commutator_form``."""
         grid, w_t = self.grid, self.w_t
         parts = self.terms.c(t, -1.0 / t**2) + self.v_neg
         if w_t is not None:
@@ -266,7 +270,7 @@ class AdaptedConformal:
         value = expectation_value(grid, OperatorSum(tuple(parts)), state)
         if w_t is not None and self.adaptor is not None:
             w_u = (w_t.amplitude(t) * self.terms.w_profile) * state
-            value -= 2.0 * float(np.imag(grid.inner(w_u, self.b.apply(state))))
+            value += commutator_form(grid, w_u, self.b.apply(state))
         return value
 
     def residual(self, traj: Trajectory, t: float, dt_offset: float,
@@ -320,22 +324,19 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
     b_series = report.series["prob_expectation"] = observable_series(traj, prob, eval_ts)
     t_mid = float(eval_ts[len(eval_ts) // 2])
     h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
-    bv_mid = 0.0
-    if adaptor is not None:
-        bv_mid = abs(identity.remainder(traj.state_at(t_mid)))
+    bv_mid = abs(identity.remainder(traj.state_at(t_mid))) if adaptor is not None else 0.0
     report.add("Heisenberg consistency", (h_resid, "<=", cap_scheme + bv_mid))
 
     if free_traj is not None:
-        vals = np.array([conformal_value(grid, free_traj.state_at(t), t) for t in free_traj.times])
-        drift = float(np.abs(vals - vals[0]).max() / vals[0])
+        factor = report.series["conformal_factor"] = series_along(
+            free_traj, free_traj.times, "conformal factor", lambda t, u: conformal_value(grid, u, t))
+        drift = float(np.abs(factor.values - factor.values[0]).max() / factor.values[0])
         report.add("free conformal factor constant", (drift, "<=", 1e-6))
-        report.series["conformal_factor"] = ObservableSeries(free_traj.times, vals,
-                                                             "conformal factor")
 
     if (potential is None or potential.is_zero) and w_t is None and adaptor is None:
-        c_sq = [conformal_value(grid, traj.state_at(t), t) / t**2 for t in b_series.times]
-        report.checks.append(pres_check(b_series, ObservableSeries(b_series.times, np.array(c_sq),
-                                                                   "||C psi||^2"), 0.0))
+        c_sq = series_along(traj, b_series.times, "||C psi||^2",
+                            lambda t, u: conformal_value(grid, u, t) / t**2)
+        report.checks.append(pres_check(b_series, c_sq, 0.0))
     else:
         report.warnings.append(f"{prob.label}: no positive-part decomposition, "
                                "propagation inequality skipped")
@@ -343,8 +344,8 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
 
 
 class _ConformalIdentity(Suite):
-    needs = (("[timedep].lambda", "lambda = 0 (its identities have no cubic term)",
-              lambda c: c.nonlinearity == 0),)
+    needs = (_FROM_ONE, ("[timedep].lambda", "lambda = 0 (its identities have no cubic term)",
+                         lambda c: c.nonlinearity == 0))
 
     @staticmethod
     def _times(run):
@@ -457,7 +458,7 @@ def weighted_decay_suite(spec: SpectralData, fit_t_lo: float, fit_t_hi: float) -
 class _Adaptor(Suite):
     clean_threshold = True
     needs = (("[potential].gaussians", "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
-              lambda c: any(amp for amp, _, _ in c.potential_terms)),)
+              lambda c: any(amp for amp, _, _ in c.potential_terms)), _FROM_ONE)
 
     def plan(self, run):
         return run.sample_times(lo=1.0, hi=run.horizon, count=12), None
@@ -487,13 +488,8 @@ def conformal_energy_series(traj: Trajectory, potential: Potential, times) -> Ob
     propagation estimate bounds by the initial L-norm squared."""
     grid = traj.grid
     v = potential.v(grid.points)
-    vals = []
-    for t in times:
-        u = traj.state_at(t)
-        v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(conformal_value(grid, u, t) + t**2 * v_val)
-    return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals),
-                            "conformal+potential energy")
+    return series_along(traj, times, "conformal+potential energy",
+                        lambda t, u: conformal_value(grid, u, t) + t**2 * grid.expect(v, u))
 
 
 def first_level_series(traj: Trajectory, potential: Potential, times) -> ObservableSeries:
@@ -502,17 +498,12 @@ def first_level_series(traj: Trajectory, potential: Potential, times) -> Observa
     the L^6 norm before the estimate is iterated."""
     grid = traj.grid
     v = potential.v(grid.points)
-    vals = []
-    for t in times:
-        u = traj.state_at(t)
-        v_val = float(np.real(grid.inner(u, v * u)))
-        vals.append(math.sqrt(max(conformal_value(grid, u, t) / t + 4.0 * t * v_val, 0.0)))
-    return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals), "first-level functional")
+    return series_along(traj, times, "first-level functional", lambda t, u: math.sqrt(
+        max(conformal_value(grid, u, t) / t + 4.0 * t * grid.expect(v, u), 0.0)))
 
 
 def lp_norm_series(traj: Trajectory, p: float, times) -> ObservableSeries:
-    vals = [norm(traj.grid, traj.state_at(t), "Lp", p=p) for t in times]
-    return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals), f"L{p} norm")
+    return series_along(traj, times, f"L{p} norm", lambda t, u: norm(traj.grid, u, "Lp", p=p))
 
 
 def positive_potential_suite(traj: Trajectory, potential: Potential,
@@ -571,12 +562,8 @@ def iterated_bound_series(traj: Trajectory, potential: Potential, times) -> Obse
     of order one once the estimate is iterated."""
     grid = traj.grid
     prof = positive_part(-potential.xdv(grid.points))
-    vals = []
-    for t in times:
-        u = traj.state_at(t)
-        vals.append(t**2 * float(np.real(grid.inner(u, prof * u))))
-    return ObservableSeries(np.asarray(times, dtype=float), np.asarray(vals),
-                            "t^2 [(-x.grad V)]_+ expectation")
+    return series_along(traj, times, "t^2 [(-x.grad V)]_+ expectation",
+                        lambda t, u: t**2 * grid.expect(prof, u))
 
 
 def lens_positivity_values(spec: SpectralData, potential: Potential, times,
@@ -673,9 +660,8 @@ def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateRep
     report.add("order-2 step convergence ratio", (ratio, "in", ORDER2_WINDOW))
 
     window = traj.valid_window(*fit_window)
-    linf = ObservableSeries(window, np.array([norm(grid, traj.state_at(t), "Lp", p=math.inf)
-                                              for t in window]), "sup norm")
-    report.series["sup_norm"] = linf
+    linf = report.series["sup_norm"] = series_along(traj, window, "sup norm",
+                                                    lambda t, u: norm(grid, u, "Lp", p=math.inf))
     slope, width = fit_decay_rate(linf)
     report.rates["sup_norm"] = slope
     report.add("sup-norm decay slope <= -0.3", (slope, "<=", -0.3), note=f"width {width:.3f}")
@@ -785,7 +771,7 @@ class TimedepObserver:
             self.h1_series.append(norm(grid, u, "H1"))
             coeff = self.spec.coefficients(u)
             self.f_series.append(float(np.sum(self.f_diag * np.abs(coeff) ** 2) * grid.quad_weight))
-            self.m_series.append(vals[3] / t**2 + float(np.real(grid.inner(u, self.w2sig * u))))
+            self.m_series.append(gronwall_value(grid, u, t, self.w2sig, c_val=vals[3]))
             self.next_sample += 1
 
     def report(self, traj: Trajectory, expect_log_growth: bool = False) -> EstimateReport:
@@ -794,13 +780,9 @@ class TimedepObserver:
         grid, x, w_t, acc, t_end = self.grid, self.grid.points, self.w_t, self.acc, self.t_end
         report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
 
-        def boundary_terms(u, t):
-            return 4.0 * float(np.real(grid.inner(u, w_t.w(x, t) * u)))
-
         u1, uT = traj.state_at(1.0), traj.state_at(t_end)
         lnorm1 = norm(grid, u1, "Lnorm")
-        w1_exp = boundary_terms(u1, 1.0)
-        wT_exp = boundary_terms(uT, t_end)
+        w1_exp, wT_exp = (4.0 * grid.expect(w_t.w(x, t), u) for u, t in ((u1, 1.0), (uT, t_end)))
 
         ts_arr = np.asarray(self.sampled_ts)
         disp_arr = np.asarray(self.disp_partial)
@@ -851,19 +833,22 @@ class TimedepObserver:
         return report
 
 
+def gronwall_value(grid: Grid, u, t: float, weight_sq, c_val: float | None = None) -> float:
+    """M(t) = <u, [ |x-2pt|^2/t^2 + <x>^{-2 sigma} ] u>, ``weight_sq`` the
+    samples of <x>^{-2 sigma}; ``c_val`` is <u, C(t) u> when the caller has it."""
+    c_val = conformal_value(grid, u, t) if c_val is None else c_val
+    return c_val / t**2 + grid.expect(weight_sq, u)
+
+
 def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
                      times=None) -> tuple[ObservableSeries, bool]:
-    """M(s) = <psi(s), [ |x-2ps|^2/s^2 + <x>^{-2 sigma} ] psi(s)> and the flag
+    """M(s) (``gronwall_value``) along ``traj`` and the flag
     M(t) <= M(t0) e^{d (t - t0)} for the scenario's declared d."""
     grid = traj.grid
     w2 = weight_vector(grid, 2.0 * sigma)
     ts = traj.valid_window() if times is None else np.asarray(times, dtype=float)
-    ts = ts[ts > 0]
-    vals = []
-    for t in ts:
-        u = traj.state_at(t)
-        vals.append(conformal_value(grid, u, t) / t**2 + float(np.real(grid.inner(u, w2 * u))))
-    series = ObservableSeries(ts, np.asarray(vals), "gronwall monitor")
+    series = series_along(traj, ts[ts > 0], "gronwall monitor",
+                          lambda t, u: gronwall_value(grid, u, t, w2))
     return series, CheckResult.holds(_envelope_clause(series, d_const))
 
 
@@ -881,15 +866,14 @@ def gronwall_suite(traj: Trajectory, delta: float) -> EstimateReport:
     d = max(delta, 1e-3) for the self-similar W of strength delta."""
     report = EstimateReport("Gronwall monitor")
     d_const = max(delta, 1e-3)
-    series, _ = gronwall_monitor(traj, 1.0, d_const)
-    report.series["gronwall_monitor"] = series
+    series = report.series["gronwall_monitor"] = gronwall_monitor(traj, 1.0, d_const)[0]
     report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
                _envelope_clause(series, d_const))
     return report
 
 
 class _Timedep(Suite):
-    needs = (_W_FLOW, _FROM_ONE)
+    needs = (_W_FLOW, _FROM_ONE, _THREE_FROM_ONE)
 
     def plan(self, run):
         """Its observer of the W-flow, which reads from t = 1 to the horizon
@@ -906,6 +890,8 @@ class _Timedep(Suite):
 
 
 class _Gronwall(_Monitored):
+    needs = (_FROM_ONE,)
+
     def run(self, run):
         times, _ = run.planned(self)
         return gronwall_suite(run.trajectory(times), run.config.timedep_delta)
@@ -1075,8 +1061,7 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
     report.add("smoothing constants stable under refinement", (rel, "<=", 0.20),
                note=f"refined C={c0f:.3g}, C'={c1f:.3g}")
 
-    l6sq = ObservableSeries(l6.times, np.array([norm(grid, u, "Lp", p=6.0) ** 2
-                                                for u in l6.states]), "L6^2")
+    l6sq = series_along(l6, l6.times, "L6^2", lambda t, u: norm(grid, u, "Lp", p=6.0) ** 2)
     slope, _ = fit_decay_rate(l6sq)
     report.rates["L6sq_theta"] = slope
     report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
@@ -1084,7 +1069,7 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
 
 
 class _Morawetz(Suite):
-    needs = (_RADIAL, _FROM_ONE, _V_NONNEGATIVE, _W_FLOW)
+    needs = (_RADIAL, _FROM_ONE, _THREE_FROM_ONE, _V_NONNEGATIVE, _W_FLOW)
     scipy = ("scipy.fft", "scipy.linalg", "scipy.optimize")
 
     def plan(self, run):

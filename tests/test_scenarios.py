@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from proplab import (ConfigError, ScenarioConfig, list_scenarios, load_scenario,
                      parse_config, render_report, run_scenario, serialize_config)
-from proplab import adaptors, evolution, make_grid, scenarios
+from proplab import adaptors, evolution, make_grid, scenarios, spectral
 from proplab.cli import main as cli_main
 from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
 from proplab.scenarios import SCENARIO_LIBRARY, _Context
@@ -43,8 +43,9 @@ def test_parse_rejects_unknown_section():
 # <x>^-2, the adaptor horizon is half the validity horizon, the Gaussian
 # state is centered with no momentum, and the conformal observable is read at
 # the 1/t scale (no shifted time) with windows from t = 1; the flow's kind,
-# which [timedep].type decides; and the eigenstate recipe, from which no run
-# could pass a decay check
+# which [timedep].type decides; the eigenstate recipe, from which no run
+# could pass a decay check; and the threshold band's width, which the grid
+# sets (half its smallest free-Laplacian eigenvalue)
 @pytest.mark.parametrize("section, key", [
     ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
     ("initial_state", "center"), ("initial_state", "momentum"), ("evolution", "t0"),
@@ -52,7 +53,7 @@ def test_parse_rejects_unknown_section():
     ("overrides", "energy_cap"), ("overrides", "iterated_cap"), ("overrides", "disp_cap"),
     ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
     ("overrides", "t0_shift"), ("overrides", "prob_scale"), ("evolution", "method"),
-    ("initial_state", "recipe"), ("initial_state", "k"),
+    ("initial_state", "recipe"), ("initial_state", "k"), ("overrides", "eps_thr"),
 ])
 def test_parse_rejects_unknown_key(section, key):
     bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -388,13 +389,14 @@ def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
     assert os.path.isdir(str(tmp_path / "env_runs" / "free_small"))
 
 
-def test_near_threshold_gating(tmp_path):
+def test_near_threshold_gating(tmp_path, monkeypatch):
     # a widened threshold band catches the lowest box mode: suites that
     # assume a clean threshold are skipped with an explicit reason
+    monkeypatch.setattr(spectral, "default_threshold", lambda grid: 0.05)
     config = ScenarioConfig(
         name="threshold_probe", suites=("adaptor",), grid_kind="line",
         grid_n=128, grid_extent=30.0, potential_terms=((0.5, 1.0, 0.0),),
-        t_max=2.0, eps_thr=0.05)
+        t_max=2.0)
     artifact = run_scenario(config, str(tmp_path))
     assert "adaptor" not in artifact.reports
     assert "near-threshold" in artifact.manifest["suites_skipped"]
@@ -507,6 +509,19 @@ _NEEDS = " in [scenario].suites needs "  # the middle of a suite's precondition 
      + "\n[potential]\ngaussians = 1.0 1.0 0.0\n[overrides]\nfit_t_lo = 0.0\n",
      "[overrides].fit_t_lo: suite weighted_decay" + _NEEDS
      + "0 < fit_t_lo < fit_t_hi (its fit window)"),
+    # windows from t = 1 past t_max: the flow would be sampled on [1, 1.01]
+    *((serialize_config(replace(load_scenario("positive_potential_radial"), name="tiny",
+                                grid_n=128, grid_extent=40.0, t_max=0.6, suites=(suite,))),
+       "[evolution].t_max: suite " + suite + _NEEDS + "t_max > 1 (it measures from t = 1)")
+      for suite in ("adaptor", "gronwall", "conformal_identity")),
+    # t_max short of 1 + 2 dt: the window from t = 1 holds 1 or 2 lattice times,
+    # too few for the Cauchy decrease, the log-growth fit or an L6 slope
+    *((serialize_config(replace(config, name="tiny", t_max=t_max)),
+       "[evolution].t_max: suite " + config.suites[0] + _NEEDS + "3 times of the dt lattice in "
+       "[1, t_max] (its window from t = 1 needs 3 samples)")
+      for config, t_max in ((small_w_flow_config(("timedep",)), 1.004),
+                            (replace(small_w_flow_config(("timedep",)), expect_log_growth=True), 1.004),
+                            (small_morawetz_flow_config(("morawetz",)), 1.0098))),
     # a Gaussian of width <= 0 is no state; every suite that reads it would raise
     (MINIMAL + "\n[initial_state]\nwidth = 0.0\n", "[initial_state].width must be positive, got 0.0"),
     # the positive-potential, Gronwall, nls and general-potential windows take
@@ -531,8 +546,10 @@ _NEEDS = " in [scenario].suites needs "  # the middle of a suite's precondition 
         "morawetz_without_w_flow",
         "nls_dt_off_one", "nls_with_w",
         "positive_potential_short_t_max", "nls_empty_fit_window", "weighted_decay_empty_fit_window",
-        "weighted_decay_fit_from_zero", "state_width_zero", "samples_below_12", "t_max_nan",
-        "t_max_inf", "extent_nan", "state_width_nan", "gaussians_nan", "dt_nan", "dt_inf"])
+        "weighted_decay_fit_from_zero", "adaptor_before_one", "gronwall_before_one",
+        "conformal_identity_before_one", "one-sample-timedep-window",
+        "one-sample-log-growth-window", "one-sample-morawetz-window", "state_width_zero",
+        "samples_below_12", "t_max_nan", "t_max_inf", "extent_nan", "state_width_nan", "gaussians_nan", "dt_nan", "dt_inf"])
 def test_cli_rejects_configs_that_would_fail_mid_run(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -588,17 +605,41 @@ def test_non_hermitian_adaptor_core_fails_its_clause(tmp_path, monkeypatch):
     assert "ERROR" not in report
 
 
-def _backward_scan(t_max):
-    # a validity horizon below the scan's first horizon max(T/4, 0.5)
+@pytest.mark.parametrize("leak", [0.0, 1e-6])
+def test_bound_state_leak_fails_the_support_clause(tmp_path, monkeypatch, leak):
+    # negative control: B_V plus eps Phi_b Phi_b^* is no longer supported on
+    # Ran P_c, and the continuous-subspace support clause must see it; the
+    # negative Gaussian holds a bound state, so the clause reads a nonempty block
+    config = ScenarioConfig(name="leak", suites=("adaptor",), grid_kind="line", grid_n=96,
+                            grid_extent=20.0, potential_terms=((-2.0, 1.0, 0.0),), t_max=3.0)
+    spec = _Context(config).spec
+    phi_b = spec.eigenvectors[:, spec.indices(spectral.BOUND)]
+    assert phi_b.shape[1] >= 1 and spec.near_threshold_count == 0
+    apply = adaptors.AdaptorOperator.apply
+    monkeypatch.setattr(adaptors.AdaptorOperator, "apply",
+                        lambda self, u: apply(self, u) + leak * (phi_b @ (phi_b.conj().T @ u)))
+    path = tmp_path / "leak.cfg"
+    path.write_text(serialize_config(config))
+    code = cli_main(["run", str(path), "--out-dir", str(tmp_path / "runs")])
+    lines = [line.strip() for line in
+             (tmp_path / "runs" / "leak" / "report.txt").read_text().splitlines()]
+    flag = "[FAIL]" if leak else "[PASS]"
+    assert any(line.startswith(f"{flag} continuous-subspace support: measured") for line in lines)
+    assert code == (1 if leak else 0)
+
+
+def _backward_scan(extent):
+    # a validity horizon below the scan's first horizon max(T/4, 0.5): at
+    # t_max 1.5 the box of half-width 4.5 holds the state to 0.3, 5.2 to 0.45
     return ScenarioConfig(name="backward_scan", suites=("adaptor",), grid_kind="line",
-                          grid_n=46, grid_extent=10.0, potential_terms=((1.0, 1.0, 0.0),),
-                          t_max=t_max)
+                          grid_n=46, grid_extent=extent, potential_terms=((1.0, 1.0, 0.0),),
+                          t_max=1.5)
 
 
 @pytest.mark.parametrize("config, suite, check, label", [
-    pytest.param(_backward_scan(0.3), "adaptor", "weighted residual non-increasing in horizon",
+    pytest.param(_backward_scan(4.5), "adaptor", "weighted residual non-increasing in horizon",
                  "scan span", id="scan-0.3"),
-    pytest.param(_backward_scan(0.45), "adaptor", "weighted residual non-increasing in horizon",
+    pytest.param(_backward_scan(5.2), "adaptor", "weighted residual non-increasing in horizon",
                  "scan span", id="scan-0.45"),
     # on a small box the band E <= min(transit, resolution) limit holds no mode
     pytest.param(replace(load_scenario("positive_potential_radial"), name="empty_band", grid_n=42,
@@ -624,11 +665,6 @@ def _backward_scan(t_max):
     # 3 samples in the L6 fit window: too few to fit a slope
     pytest.param(_short_fit(), "positive_potential", "L6 decay slope", "measured",
                  id="short-l6-window"),
-    # t_max short of 1 + dt: the timedep window is the sample at t = 1 alone
-    pytest.param(replace(small_w_flow_config(("timedep",)), t_max=1.004), "timedep",
-                 "asymptotic energy Cauchy decrease", "measured", id="one-sample-timedep-window"),
-    pytest.param(replace(small_w_flow_config(("timedep",)), t_max=1.004, expect_log_growth=True),
-                 "timedep", "log-growth envelope", "|beta|", id="one-sample-log-growth-window"),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):

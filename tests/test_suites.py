@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proplab import (HermitianOperator, Potential, TimeDependentPotential,
+from proplab import (HermitianOperator, Potential, TimeDependentPotential, Trajectory,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
                      momentum, multiplication, norm, position, trajectory_linear)
@@ -339,6 +339,69 @@ def test_timedep_integrand_matches_the_sums_it_replaced(kind):
 
     evolve_split(g, pot, w, gaussian_state(g, center=2.0, width=1.0), 1.5, 5e-3, observer=compare)
     assert len(seen) == 300
+
+
+def test_timedep_observer_gronwall_series_is_gronwall_monitor():
+    # one W-flow sweep: the observer's M(t), from the <C(t)> its integrand
+    # already computed, equals gronwall_monitor read off the same sweep at the
+    # observer's sampled times, bit for bit
+    g = make_grid("radial3d", 96, 24.0)
+    pot = Potential.gaussian(0.5)
+    spec = classified(g, pot)
+    w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
+    observer = TimedepObserver(g, spec, w, t_end=2.0)
+    times, states = [], []
+
+    def feed(t, u):
+        observer(t, u)
+        if len(observer.sampled_ts) > len(times):
+            times.append(t)
+            states.append(u.copy())
+
+    evolve_split(g, pot, w, gaussian_state(g, width=1.0), 2.0, 5e-3, observer=feed)
+    traj = Trajectory(g, np.array(times), states, np.zeros(len(times)))
+    observed = observer.report(traj).series["gronwall_monitor"]
+    read_off, _ = gronwall_monitor(traj, 1.0, 0.05, times=observer.sampled_ts)
+    assert len(observed.times) == 16
+    assert observed.times.tobytes() == read_off.times.tobytes()
+    assert observed.values.tobytes() == read_off.values.tobytes()
+
+
+@pytest.mark.parametrize("log_growth, check, label", [
+    (False, "asymptotic energy Cauchy decrease", "measured"),
+    (True, "log-growth envelope", "|beta|")])
+def test_timedep_observer_one_sample_window_reads_nan(log_growth, check, label):
+    # a window holding the sample at t = 1 alone: the Cauchy decrease (which
+    # needs 3 samples) and the log-growth fit (2) read NaN and fail their
+    # clause instead of raising
+    g = make_grid("radial3d", 64, 30.0)
+    pot = Potential.gaussian(0.5)
+    spec = classified(g, pot)
+    w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
+    observer = TimedepObserver(g, spec, w, t_end=1.0)
+    traj = trajectory_split(g, pot, w, gaussian_state(g, width=1.0), [1.0], 5e-3, observer=observer)
+    report = observer.report(traj, expect_log_growth=log_growth)
+    result = {c.name: c for c in report.checks}[check]
+    clause = next(c for c in result.clauses if c[3] == label)
+    assert np.isnan(clause[0]) and not result.holds(clause) and not report.passed
+
+
+def test_adapted_conformal_builds_its_conformal_factor_once(monkeypatch):
+    # the observable family is combined from the identity's own banded terms
+    built = []
+
+    class Counted(suites.ConformalFactor):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(suites, "ConformalFactor", Counted)
+    g = make_grid("line", 64, 10.0)
+    pot = Potential.gaussian(1.0)
+    spec = classified(g, pot)
+    AdaptedConformal(spec, pot, TimeDependentPotential.self_similar(0.05, 2.0, 0.5),
+                     build_adaptor(spec, conformal_Q(pot, g), 2.0))
+    assert len(built) == 1
 
 
 def test_timedep_suite_zero_w_reduces():
