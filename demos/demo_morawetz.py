@@ -17,9 +17,10 @@ import numpy as np
 
 from proplab import (Potential, TimeDependentPotential, classify_spectrum,
                      commutator_i, diagonalize, evolve_split, gaussian_state,
-                     laplacian, make_grid, multiplication)
-from proplab.suites import (SmoothingObserver, morawetz_cancellation_check,
-                            morawetz_commutator_check, morawetz_multiplier)
+                     laplacian, make_grid, multiplication, trajectory_split)
+from proplab.evolution import snap_to_lattice
+from proplab.suites import (morawetz_cancellation_check, morawetz_commutator_check,
+                            morawetz_multiplier, morawetz_suite, smoothing_integral)
 
 print(__doc__)
 
@@ -47,18 +48,19 @@ print(f"\nadaptor cancellation of [i[V, gamma]]_-: defect {cancel.measured:.4f} 
       f"= truncation remainder {adaptor.residual_weighted:.4f}")
 
 w_t = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
+dt, t_end = 2e-3, 8.0
 
-
-def smoothing_fit(grid):
-    """The smoothing observer fed by one Strang sweep to t = 8, then its fit."""
-    observer = SmoothingObserver(grid, t_end=8.0)
-    evolve_split(grid, pot, w_t, gaussian_state(grid, width=1.0), 8.0, 2e-3, observer=observer)
-    return observer.fit(a=0.5), observer.sup_h
-
-
-((c0, c1), _), sup_h = smoothing_fit(grid)
-print(f"\nsmoothing integral fit: C = {c0:.4f}, C' = {c1:.4f} "
-      f"(sup ||psi||_H1/2^2 = {sup_h:.4f})")
-((c0f, c1f), _), _ = smoothing_fit(make_grid("radial3d", 768, 80.0))
-print(f"refined grid:           C = {c0f:.4f}, C' = {c1f:.4f} "
-      f"(stable under refinement)")
+# one Strang sweep to t_end feeds the smoothing step integral and keeps the L6
+# samples; the refinement check sweeps the same flow on a finer grid
+fine_grid = make_grid("radial3d", 768, 80.0)
+coarse, fine = smoothing_integral(grid, t_end, dt), smoothing_integral(fine_grid, t_end, dt)
+l6 = trajectory_split(grid, pot, w_t, gaussian_state(grid, width=1.0),
+                      snap_to_lattice(np.geomspace(1.0, t_end, 10), dt), dt, observer=coarse)
+evolve_split(fine_grid, pot, w_t, gaussian_state(fine_grid, width=1.0), t_end, dt, observer=fine)
+report = morawetz_suite(spec, pot, l6, coarse, fine, a=0.5, horizon=5.0)
+print(f"\nsmoothing integral fit: C = {report.rates['smoothing_C']:.4f}, "
+      f"C' = {report.rates['smoothing_Cprime']:.4f} "
+      f"(sup ||psi||_H1/2^2 = {coarse.peaks[1]:.4f})")
+checks = {c.name: c for c in report.checks}
+for name in ("smoothing integral envelope fit", "smoothing constants stable under refinement"):
+    print(checks[name].line())

@@ -17,7 +17,7 @@ from proplab import (Potential, TimeDependentPotential, classify_spectrum,
                      trajectory_split)
 from proplab.evolution import snap_to_lattice
 from proplab.observables import ObservableSeries
-from proplab.suites import TimedepObserver, gronwall_monitor
+from proplab.suites import gronwall_monitor, timedep_integral, timedep_suite
 
 print(__doc__)
 
@@ -28,11 +28,12 @@ h_op = laplacian(grid) + multiplication(grid, pot.v(grid.points))
 spec = classify_spectrum(diagonalize(h_op))
 psi0 = gaussian_state(grid, width=1.0)
 
-# the timedep suite: its observer accumulates along one Strang sweep from t = 0
+# the timedep suite: its step integral accumulates along one Strang sweep from
+# t = 0, which also keeps the states at the integral's checkpoints on [1, 8]
 dt = 2e-3
-observer = TimedepObserver(grid, spec, w_t, t_end=8.0)
-traj = trajectory_split(grid, pot, w_t, psi0, observer.times, dt, observer=observer)
-print(observer.report(traj).render())
+integral = timedep_integral(grid, w_t, 8.0, dt)
+traj = trajectory_split(grid, pot, w_t, psi0, integral.checkpoints, dt, observer=integral)
+print(timedep_suite(traj, spec, w_t, integral).render())
 
 times = snap_to_lattice(np.geomspace(1.0, 8.0, 10), dt)
 traj = trajectory_split(grid, pot, w_t, psi0, times, dt)

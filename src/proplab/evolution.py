@@ -82,7 +82,9 @@ class Trajectory:
         return float(self.times[first_bad - 1]) if first_bad > 0 else float(self.times[0])
 
     def valid_window(self, lo: float | None = None, hi: float | None = None):
-        """Sample times inside [lo, min(hi, validity_horizon)]."""
+        """Sample times inside [lo, min(hi, validity_horizon)] (none if none is sampled)."""
+        if not len(self.times):
+            return self.times
         hi_eff = self.validity_horizon if hi is None else min(hi, self.validity_horizon)
         lo_eff = self.times[0] if lo is None else lo
         mask = (self.times >= lo_eff - 1e-12) & (self.times <= hi_eff + 1e-12)

@@ -368,7 +368,10 @@ class _Context:
 
     def sample_times(self, lo: float, hi: float, count: int):
         """``count`` geometric times on [lo, hi], on the dt lattice (and
-        positive) on a stepped run."""
+        positive) on a stepped run; a window with hi < lo, past the horizon,
+        holds none."""
+        if hi < lo:
+            return np.empty(0)
         times = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
         if self.stepped:
             times = snap_to_lattice(times, self.config.dt)
@@ -401,9 +404,9 @@ class _Context:
 
     def trajectory(self, times) -> Trajectory:
         """The run's flow at ``times``, each a planned time."""
+        if not self._planned:  # every window is empty: no state is read
+            return Trajectory(self.grid, np.empty(0), [], np.empty(0)).restricted(times)
         if self._flow is None:
-            if not self._planned:
-                raise ValueError("no sample times were planned for the run's flow")
             ts = np.sort(self._planned)
             union = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]  # one per time
             observers = self._observers

@@ -88,6 +88,45 @@ def _lattice_floor(t: float, dt: float) -> float:
     return math.floor(t / dt + 1e-9) * dt
 
 
+def _lattice_ceil(targets, dt: float):
+    """The first time k dt at or after each of ``targets`` (up to 1e-9),
+    distinct and ascending: where a ``StepIntegral`` records its checkpoints."""
+    return _distinct(np.ceil((np.asarray(targets, dtype=float) - 1e-9) / dt) * dt)
+
+
+class StepIntegral:
+    """The per-step observer of a Strang sweep: the trapezoid integral of each
+    component of ``integrand(t, u)`` (a tuple of floats) over the sweep's
+    lattice times in [lo, hi], and each component's running peak
+    (``integrals``, ``peaks``).  At each of ``checkpoints``, lattice times
+    in [lo, hi], it records the integrals so far; ``series`` reads them."""
+
+    def __init__(self, integrand, lo: float, hi: float, checkpoints):
+        self.integrand, self.lo, self.hi = integrand, lo, hi
+        self.checkpoints = np.asarray(checkpoints, dtype=float)
+        self.integrals = self.peaks = self._prev = self._t_prev = None
+        self._rows = []
+
+    def __call__(self, t, u):
+        if t < self.lo - 1e-12 or t > self.hi + 1e-9:
+            return
+        vals = self.integrand(t, u)
+        if self._prev is None:
+            self.integrals, self.peaks = [0.0] * len(vals), list(vals)
+        else:
+            half = 0.5 * (t - self._t_prev)
+            self.integrals = [s + half * (a + b) for s, a, b in zip(self.integrals, self._prev, vals)]
+            self.peaks = [max(p, v) for p, v in zip(self.peaks, vals)]
+        self._prev, self._t_prev = vals, t
+        if len(self._rows) < len(self.checkpoints) and t >= self.checkpoints[len(self._rows)] - 1e-9:
+            self._rows.append(self.integrals)
+
+    def series(self, k: int, label: str) -> ObservableSeries:
+        """Component ``k``'s integrals at the checkpoints the sweep has passed."""
+        return ObservableSeries(self.checkpoints[:len(self._rows)],
+                                np.array([row[k] for row in self._rows]), label)
+
+
 # ---------------------------------------------------------------------------
 # the propagation observable of the conformal identity
 
@@ -322,9 +361,11 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
 
     prob = identity.prob
     b_series = report.series["prob_expectation"] = observable_series(traj, prob, eval_ts)
-    t_mid = float(eval_ts[len(eval_ts) // 2])
-    h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
-    bv_mid = abs(identity.remainder(traj.state_at(t_mid))) if adaptor is not None else 0.0
+    h_resid, bv_mid = math.nan, 0.0  # no evaluation time: the window is past the horizon
+    if len(eval_ts):
+        t_mid = float(eval_ts[len(eval_ts) // 2])
+        h_resid = heisenberg_consistency(traj, prob, h_of_t, t_mid, delta)
+        bv_mid = abs(identity.remainder(traj.state_at(t_mid))) if adaptor is not None else 0.0
     report.add("Heisenberg consistency", (h_resid, "<=", cap_scheme + bv_mid))
 
     if free_traj is not None:
@@ -333,11 +374,12 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
         drift = float(np.abs(factor.values - factor.values[0]).max() / factor.values[0])
         report.add("free conformal factor constant", (drift, "<=", 1e-6))
 
-    if (potential is None or potential.is_zero) and w_t is None and adaptor is None:
+    free = (potential is None or potential.is_zero) and w_t is None and adaptor is None
+    if free and len(eval_ts):
         c_sq = series_along(traj, b_series.times, "||C psi||^2",
                             lambda t, u: conformal_value(grid, u, t) / t**2)
         report.checks.append(pres_check(b_series, c_sq, 0.0))
-    else:
+    elif not free:
         report.warnings.append(f"{prob.label}: no positive-part decomposition, "
                                "propagation inequality skipped")
     return report
@@ -419,11 +461,13 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
                (excess, "<=", 1e-9, "worst step excess"), (hi - lo, ">", 0.0, "scan span"),
                note=note)
 
-    bu = adaptor.apply(np.column_stack(traj.states))  # one block over the sampled states
-    ts, vals = traj.times, np.array([float(np.real(spec.grid.inner(u, b_u)))
-                                     for u, b_u in zip(traj.states, bu.T)])
+    ts, vals = traj.times, np.empty(0)  # no time past the horizon: both clauses read NaN
+    if len(ts):
+        bu = adaptor.apply(np.column_stack(traj.states))  # one block over the sampled states
+        vals = np.array([float(np.real(spec.grid.inner(u, b_u))) for u, b_u in zip(traj.states, bu.T)])
     report.series["adaptor_expectation"] = ObservableSeries(ts, vals, "adaptor expectation")
-    report.add("expectation nonnegative", (vals.min(), ">=", -1e-8 * scale))
+    report.add("expectation nonnegative",
+               (float(vals.min()) if len(vals) else math.nan, ">=", -1e-8 * scale))
     slope, _ = fit_decay_rate(ObservableSeries(ts, np.maximum(vals, 1e-300), "bv"))
     report.rates["adaptor_expectation"] = slope
     report.add("expectation decay slope <= -0.8", (slope, "<=", -0.8))
@@ -520,7 +564,7 @@ def positive_potential_suite(traj: Trajectory, potential: Potential,
         raise ValueError("positive-potential suite is gated to V >= 0")
     report = EstimateReport("positive potentials (sharp propagation + decay)")
     times = traj.valid_window(*(fit_window or (None, None)))
-    if traj.validity_horizon < traj.times[-1]:
+    if len(traj.times) and traj.validity_horizon < traj.times[-1]:
         report.warnings.append(
             f"validity window ends at t={traj.validity_horizon:g} (boundary mass)")
 
@@ -698,23 +742,37 @@ class _Nls(Suite):
 # time-dependent potentials
 
 
-def _bump(center: float, halfwidth: float):
-    def f(e):
-        s = (np.asarray(e, dtype=float) - center) / halfwidth
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-        return out
-    return f
+def timedep_integral(grid: Grid, w_t: TimeDependentPotential, t_end: float,
+                     dt: float) -> StepIntegral:
+    """The step integral over [1, t_end] of the timedep suite's three
+    integrands at psi(t) = u, the dispersive (||psi||_L6^2 +
+    ||(x-2pt)psi/t||^2) / t, <4 dW/dt> and <4 (p.grad W + grad W.p)>, with
+    16 geometric checkpoints from t = 1 to t_end."""
+    # weighted samples, so that each sum is one dot product: W = amplitude(t)
+    # profile(x), and ||psi||_6^6 = sum l6_weight |u|^6 with psi = u/r on radial grids
+    profile = grid.quad_weight * w_t.profile(grid.points)
+    d_profile_pairs = np.repeat(grid.quad_weight * w_t.d_profile(grid.points), 2)
+    l6_weight = grid.quad_weight / (np.ones(grid.n) if grid.kind == "line" else grid.points**4)
+
+    def integrand(t, u):
+        u = np.ascontiguousarray(u, dtype=complex)
+        pu = central_difference(grid, u)
+        mod2 = u.real**2 + u.imag**2
+        l6_sq = float(l6_weight.dot(mod2 * mod2 * mod2)) ** (1.0 / 3.0)
+        disp = (l6_sq + conformal_value(grid, u, t, p_state=pu) / t**2) / t
+        dtw = 4.0 * w_t.d_amplitude(t) * float(profile.dot(mod2))
+        # <pu, dw u> + <u, dw pu> = 2 Re <pu, dw u>, dw = amplitude(t) d_profile
+        pgrad = 8.0 * w_t.amplitude(t) * float(d_profile_pairs.dot(u.view(float) * pu.view(float)))
+        return disp, dtw, pgrad
+
+    return StepIntegral(integrand, 1.0, t_end, _lattice_ceil(np.geomspace(1.0, t_end, 16), dt))
 
 
-class TimedepObserver:
-    """Dispersive estimates under a time-dependent perturbation W(x, t).
-
-    Fed every lattice time of a Strang sweep from t = 0, the observer
-    accumulates on [1, t_end] (earlier and later times are ignored); its
-    ``report`` reads the states at ``times`` = (1, t_end) off that sweep's
-    trajectory and checks
+def timedep_suite(traj: Trajectory, spec: SpectralData, w_t: TimeDependentPotential,
+                  integral: StepIntegral, expect_log_growth: bool = False) -> EstimateReport:
+    """Dispersive estimates under a time-dependent perturbation W(x, t), from
+    ``integral`` (``timedep_integral``), fed by the W-flow to t_end, and
+    ``traj``, that flow at its checkpoints (1 to t_end):
     (a) the dispersive integral int [ ||psi||_L6^2 + ||(x-2pt)psi/t||^2 ] dt/t
         against the L-norm at t=1 (at most 10 Lnorm^2, or log-growing when
         the smallness constant is order one);
@@ -724,120 +782,71 @@ class TimedepObserver:
     (d) the time integration-by-parts identity
         int <4 dW/dt> = [<4W>] - int <4 (p.grad W + grad W.p)>.
     """
+    grid, x, ts = traj.grid, traj.grid.points, traj.times
+    report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
 
-    def __init__(self, grid: Grid, spec: SpectralData, w_t: TimeDependentPotential,
-                 t_end: float, sample_count: int = 16):
-        self.grid, self.spec, self.w_t, self.t_end = grid, spec, w_t, t_end
-        self.times = np.array([1.0, t_end])
-        self.sample_ts = np.geomspace(1.0, t_end, sample_count)
-        self.acc = {"disp": 0.0, "dtw": 0.0, "pgrad": 0.0, "t_prev": None, "prev": None}
-        self.disp_partial, self.h1_series, self.f_series, self.m_series = [], [], [], []
-        self.sampled_ts = []
-        self.f_diag = _bump(center=1.0, halfwidth=1.0)(spec.eigenvalues)
-        self.w2sig = weight_vector(grid, 2.0)  # sigma = 1 weight squared
-        # weighted samples, so that each sum is one dot product: W = amplitude(t)
-        # profile(x), and ||psi||_6^6 = sum l6_weight |u|^6 with psi = u/r on radial grids
-        self.profile = grid.quad_weight * w_t.profile(grid.points)
-        self.d_profile_pairs = np.repeat(grid.quad_weight * w_t.d_profile(grid.points), 2)
-        self.l6_weight = grid.quad_weight / (np.ones(grid.n) if grid.kind == "line" else grid.points**4)
-        self.next_sample = 0
+    u1, uT = traj.state_at(1.0), traj.states[-1]
+    lnorm1 = norm(grid, u1, "Lnorm")
+    w1_exp, wT_exp = (4.0 * grid.expect(w_t.w(x, t), u) for u, t in ((u1, 1.0), (uT, ts[-1])))
 
-    def _integrand(self, t, u):
-        w_t, u = self.w_t, np.ascontiguousarray(u, dtype=complex)
-        pu = central_difference(self.grid, u)
-        mod2 = u.real**2 + u.imag**2
-        l6_sq = float(self.l6_weight.dot(mod2 * mod2 * mod2)) ** (1.0 / 3.0)
-        c_val = conformal_value(self.grid, u, t, p_state=pu)
-        disp = (l6_sq + c_val / t**2) / t
-        dtw_val = 4.0 * w_t.d_amplitude(t) * float(self.profile.dot(mod2))
-        # <pu, dw u> + <u, dw pu> = 2 Re <pu, dw u>, dw = amplitude(t) d_profile
-        pgrad = 8.0 * w_t.amplitude(t) * float(self.d_profile_pairs.dot(u.view(float) * pu.view(float)))
-        return disp, dtw_val, pgrad, c_val
+    disp_arr = integral.series(0, "dispersive integral").values
+    disp_series = ObservableSeries(ts, np.maximum(disp_arr, 1e-300), "dispersive integral")
 
-    def __call__(self, t, u):
-        if t < 1.0 - 1e-12 or t > self.t_end + 1e-9:
-            return
-        grid, acc = self.grid, self.acc
-        vals = self._integrand(t, u)
-        if acc["prev"] is not None:
-            h = t - acc["t_prev"]
-            acc["disp"] += 0.5 * h * (acc["prev"][0] + vals[0])
-            acc["dtw"] += 0.5 * h * (acc["prev"][1] + vals[1])
-            acc["pgrad"] += 0.5 * h * (acc["prev"][2] + vals[2])
-        acc["prev"], acc["t_prev"] = vals, t
-        if self.next_sample < len(self.sample_ts) and t >= self.sample_ts[self.next_sample] - 1e-9:
-            self.sampled_ts.append(t)
-            self.disp_partial.append(acc["disp"])
-            self.h1_series.append(norm(grid, u, "H1"))
-            coeff = self.spec.coefficients(u)
-            self.f_series.append(float(np.sum(self.f_diag * np.abs(coeff) ** 2) * grid.quad_weight))
-            self.m_series.append(gronwall_value(grid, u, t, self.w2sig, c_val=vals[3]))
-            self.next_sample += 1
+    if not expect_log_growth:
+        # convergence certificate: the per-decade increment dI/dlog t must die
+        # (a bounded integral has derivative decaying faster than 1/t)
+        incs = np.diff(disp_arr) / np.diff(np.log(ts))
+        deriv = ObservableSeries(ts[1:], np.maximum(incs, 1e-300), "dI/dlogt")
+        dslope = trend_slope(deriv)
+        report.add("dispersive integral bounded",
+                   (disp_series.values.max() / lnorm1**2, "<=", 10.0),
+                   (dslope, "<=", -0.5, "increment decay slope"))
+    else:
+        alpha, beta = log_growth_fit(disp_series)
+        power_slope = trend_slope(disp_series.restricted(ts[len(ts) // 2], ts[-1]))
+        report.rates["log_coefficient"] = beta
+        report.add("log-growth envelope", (power_slope, "<=", 0.1),
+                   (abs(beta), "<", math.inf, "|beta|"),
+                   note=f"value ~ {alpha:.3g} + {beta:.3g} log t")
 
-    def report(self, traj: Trajectory, expect_log_growth: bool = False) -> EstimateReport:
-        """The suite's checks, once the sweep has passed t_end; ``traj``
-        samples (at least) the observer's ``times``."""
-        grid, x, w_t, acc, t_end = self.grid, self.grid.points, self.w_t, self.acc, self.t_end
-        report = EstimateReport("time-dependent potentials" + (" (log-growth regime)" if expect_log_growth else ""))
+    h1 = series_along(traj, ts, "H1 norm", lambda t, u: norm(grid, u, "H1"))
+    report.checks.append(bounded_check("H1 norm bounded", ObservableSeries(
+        ts, h1.values / lnorm1, "H1/Lnorm"), cap=4.0))
 
-        u1, uT = traj.state_at(1.0), traj.state_at(t_end)
-        lnorm1 = norm(grid, u1, "Lnorm")
-        w1_exp, wT_exp = (4.0 * grid.expect(w_t.w(x, t), u) for u, t in ((u1, 1.0), (uT, t_end)))
+    s = np.asarray(spec.eigenvalues, dtype=float) - 1.0  # f(H), a smooth bump on (0, 2)
+    f_diag, inside = np.zeros_like(s), np.abs(s) < 1.0
+    f_diag[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    energy = series_along(traj, ts, "smooth energy expectation", lambda t, u: float(
+        np.sum(f_diag * np.abs(spec.coefficients(u)) ** 2) * grid.quad_weight))
+    incs = np.abs(np.diff(energy.values))
+    half = len(incs) // 2  # a window of fewer than 3 samples reads NaN
+    early_inc, late_inc = ((float(incs[:half].max()), float(incs[half:].max())) if half
+                           else (math.nan, math.nan))
+    report.add("asymptotic energy Cauchy decrease", (late_inc, "<=", early_inc + 1e-12))
 
-        ts_arr = np.asarray(self.sampled_ts)
-        disp_arr = np.asarray(self.disp_partial)
-        disp_series = ObservableSeries(ts_arr, np.maximum(disp_arr, 1e-300), "dispersive integral")
+    # the identity's discretization share (momentum form vs the stencil the
+    # flow actually uses) scales with h^2 times the magnitude of the terms
+    _, dtw, pgrad = integral.integrals
+    ibp_gap = abs(dtw - (wT_exp - w1_exp - pgrad))
+    ibp_scale = abs(dtw) + abs(wT_exp - w1_exp) + abs(pgrad)
+    report.add("integration by parts over time",
+               (ibp_gap, "<=", max(1e-4, grid.h**2 * ibp_scale)))
 
-        if not expect_log_growth:
-            # convergence certificate: the per-decade increment dI/dlog t must die
-            # (a bounded integral has derivative decaying faster than 1/t)
-            incs = np.diff(disp_arr) / np.diff(np.log(ts_arr))
-            deriv = ObservableSeries(ts_arr[1:], np.maximum(incs, 1e-300), "dI/dlogt")
-            dslope = trend_slope(deriv)
-            report.add("dispersive integral bounded",
-                       (disp_series.values.max() / lnorm1**2, "<=", 10.0),
-                       (dslope, "<=", -0.5, "increment decay slope"))
-        else:
-            alpha, beta = log_growth_fit(disp_series)
-            power_slope = trend_slope(disp_series.restricted(ts_arr[len(ts_arr) // 2], ts_arr[-1]))
-            report.rates["log_coefficient"] = beta
-            report.add("log-growth envelope", (power_slope, "<=", 0.1),
-                       (abs(beta), "<", math.inf, "|beta|"),
-                       note=f"value ~ {alpha:.3g} + {beta:.3g} log t")
-
-        h1 = ObservableSeries(ts_arr, np.asarray(self.h1_series), "H1 norm")
-        report.checks.append(bounded_check("H1 norm bounded", ObservableSeries(
-            ts_arr, h1.values / lnorm1, "H1/Lnorm"), cap=4.0))
-
-        f_arr = np.asarray(self.f_series)
-        incs = np.abs(np.diff(f_arr))
-        half = len(incs) // 2  # a window of fewer than 3 samples reads NaN
-        early_inc, late_inc = ((float(incs[:half].max()), float(incs[half:].max())) if half
-                               else (math.nan, math.nan))
-        report.add("asymptotic energy Cauchy decrease", (late_inc, "<=", early_inc + 1e-12))
-
-        # the identity's discretization share (momentum form vs the stencil the
-        # flow actually uses) scales with h^2 times the magnitude of the terms
-        ibp_gap = abs(acc["dtw"] - (wT_exp - w1_exp - acc["pgrad"]))
-        ibp_scale = abs(acc["dtw"]) + abs(wT_exp - w1_exp) + abs(acc["pgrad"])
-        report.add("integration by parts over time",
-                   (ibp_gap, "<=", max(1e-4, grid.h**2 * ibp_scale)))
-
-        report.rates["disp_integral"] = float(disp_arr[-1])
-        report.series = {
-            "dispersive_integral": disp_series,
-            "h1_norm": h1,
-            "asymptotic_energy": ObservableSeries(ts_arr, f_arr, "smooth energy expectation"),
-            "gronwall_monitor": ObservableSeries(ts_arr, np.asarray(self.m_series), "gronwall monitor"),
-        }
-        return report
+    report.rates["disp_integral"] = float(disp_arr[-1])
+    report.series = {
+        "dispersive_integral": disp_series,
+        "h1_norm": h1,
+        "asymptotic_energy": energy,
+        # the monitor's series alone; its envelope flag is the gronwall suite's
+        "gronwall_monitor": gronwall_monitor(traj, 1.0, 0.0, ts)[0],
+    }
+    return report
 
 
-def gronwall_value(grid: Grid, u, t: float, weight_sq, c_val: float | None = None) -> float:
+def gronwall_value(grid: Grid, u, t: float, weight_sq) -> float:
     """M(t) = <u, [ |x-2pt|^2/t^2 + <x>^{-2 sigma} ] u>, ``weight_sq`` the
-    samples of <x>^{-2 sigma}; ``c_val`` is <u, C(t) u> when the caller has it."""
-    c_val = conformal_value(grid, u, t) if c_val is None else c_val
-    return c_val / t**2 + grid.expect(weight_sq, u)
+    samples of <x>^{-2 sigma}."""
+    return conformal_value(grid, u, t) / t**2 + grid.expect(weight_sq, u)
 
 
 def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
@@ -855,7 +864,9 @@ def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
 def _envelope_clause(series: ObservableSeries, d_const: float):
     """M(t_i) <= M(t_0) e^{d (t_i - t_0)} + 1e-12 at every sample, as one clause
     on the worst excess over the samples after the first (the first's is 0 by
-    construction; a one-sample series reads 0)."""
+    construction; a one-sample series reads 0, an empty one NaN)."""
+    if not len(series.times):
+        return math.nan, "<=", 1e-12, "worst excess"
     envelope = series.values[0] * np.exp(d_const * (series.times - series.times[0]))
     excess = (series.values - envelope)[1:]
     return (float(excess.max()) if len(excess) else 0.0), "<=", 1e-12, "worst excess"
@@ -876,17 +887,17 @@ class _Timedep(Suite):
     needs = (_W_FLOW, _FROM_ONE, _THREE_FROM_ONE)
 
     def plan(self, run):
-        """Its observer of the W-flow, which reads from t = 1 to the horizon
-        (at least 2, at most t_max), on the dt lattice."""
+        """Its step integral of the W-flow to t_end, the horizon (at least 2,
+        at most t_max) on the dt lattice, and the checkpoints it records at."""
         c = run.config
-        t_end = _lattice_floor(min(c.t_max, max(run.horizon, 2.0)), c.dt)
-        observer = TimedepObserver(run.grid, run.spec, run.w_t, t_end)
-        return observer.times, observer
+        integral = timedep_integral(run.grid, run.w_t, _lattice_floor(
+            min(c.t_max, max(run.horizon, 2.0)), c.dt), c.dt)
+        return integral.checkpoints, integral
 
     def run(self, run):
-        times, observer = run.planned(self)
-        return observer.report(run.trajectory(times),
-                               expect_log_growth=run.config.expect_log_growth)
+        times, integral = run.planned(self)
+        return timedep_suite(run.trajectory(times), run.spec, run.w_t, integral,
+                             expect_log_growth=run.config.expect_log_growth)
 
 
 class _Gronwall(_Monitored):
@@ -983,60 +994,33 @@ def weighted_gradient_sq(grid: Grid, state, weight_samples_mid) -> float:
     return float(meas * np.sum(weight_samples_mid**2 * r2 * np.abs(d) ** 2))
 
 
-class SmoothingObserver:
-    """The local-smoothing integral
-    I(t) = int_0^t ( ||<x>^{-1/2-eps} grad psi||^2 + ||<x>^{-1-eps} psi||^2 ) ds.
+def smoothing_integral(grid: Grid, t_end: float, dt: float) -> StepIntegral:
+    """The step integral over [0, t_end] of the local-smoothing density
+    ||<x>^{-1/2-eps} grad psi||^2 + ||<x>^{-1-eps} psi||^2 (eps = 0.1) and of
+    ||psi||_{H^{1/2}}^2 at psi(t) = u, with 8 checkpoints from t_end / 6."""
+    x, eps_m = grid.points, 0.1
+    w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)
+    w_loc = (1.0 + x**2) ** (-(1.0 + eps_m))
 
-    Fed every lattice time of a Strang sweep from t = 0, the observer
-    accumulates I on [0, t_end] (later times are ignored), keeps its partial
-    values at 8 checkpoints and the sup of ||psi||_{H^{1/2}}^2; ``fit`` fits
-    the envelope to them.
-    """
+    def integrand(t, u):
+        return (weighted_gradient_sq(grid, u, w_grad_mid)
+                + float(grid.quad_weight * np.sum(w_loc * np.abs(u) ** 2)), h_half_norm_sq(grid, u))
 
-    def __init__(self, grid: Grid, t_end: float):
-        x, eps_m = grid.points, 0.1
-        self.grid, self.t_end = grid, t_end
-        self.checkpoints = np.linspace(t_end / 6.0, t_end, 8)
-        self.w_grad_mid = (1.0 + (0.5 * (x[1:] + x[:-1])) ** 2) ** (-(0.5 + eps_m) / 2.0)
-        self.w_loc = (1.0 + x**2) ** (-(1.0 + eps_m))
-        self.integral, self.prev, self.t_prev, self.sup_h = 0.0, None, None, 0.0
-        self.partials = []
-
-    def __call__(self, t, u):
-        if t > self.t_end + 1e-9:
-            return
-        grid = self.grid
-        val = weighted_gradient_sq(grid, u, self.w_grad_mid) \
-            + float(grid.quad_weight * np.sum(self.w_loc * np.abs(u) ** 2))
-        if self.prev is not None:
-            self.integral += 0.5 * (t - self.t_prev) * (self.prev + val)
-        self.prev, self.t_prev = val, t
-        self.sup_h = max(self.sup_h, h_half_norm_sq(grid, u))
-        if (len(self.partials) < len(self.checkpoints)
-                and t >= self.checkpoints[len(self.partials)] - 1e-9):
-            self.partials.append((t, self.integral))
-
-    def fit(self, a: float):
-        """I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 + C' T^{1-a} with nonnegative C,
-        C', once the sweep has passed t_end; returns ``((C, C'), partial
-        integrals)``."""
-        import scipy.optimize  # lazy: this is its only user
-
-        ts = np.array([t for t, _ in self.partials])
-        vals = np.array([v for _, v in self.partials])
-        basis = np.column_stack([np.full_like(ts, self.sup_h), ts ** (1.0 - a)])
-        coeffs, _ = scipy.optimize.nnls(basis, vals)
-        return (float(coeffs[0]), float(coeffs[1])), ObservableSeries(ts, vals, "smoothing integral")
+    return StepIntegral(integrand, 0.0, t_end, _lattice_ceil(np.linspace(t_end / 6.0, t_end, 8), dt))
 
 
 def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
-                   smoothing: SmoothingObserver, refined: SmoothingObserver,
+                   smoothing: StepIntegral, refined: StepIntegral,
                    a: float = 0.5, horizon: float = 6.0) -> EstimateReport:
     """Adapted Morawetz estimate: multiplier positivity, adaptor cancellation,
-    the local-smoothing integral with its fitted constants (``smoothing``,
+    the local-smoothing integral I(t) = int_0^t of the ``smoothing_integral``
+    density with its fitted envelope I(T) ~ C sup_t ||psi||_{H^{1/2}}^2 +
+    C' T^{1-a}, C, C' >= 0 (``smoothing``, the step integral of the flow,
     checked stable against ``refined``, the same flow on a finer grid), and
     the theta-weighted conformal corollary: the fitted slope of the L^6 norm
     squared at the times of ``l6`` is at most -theta + 0.1, theta = 1/2."""
+    import scipy.optimize  # lazy: this is its only user
+
     grid = l6.grid
     x = grid.points
     g_samples = 1.0 / np.sqrt(1.0 + x**2)
@@ -1048,20 +1032,30 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
     cancel, adaptor = morawetz_cancellation_check(grid, spec, potential, g_samples, horizon)
     report.checks.append(cancel)
 
-    (c0, c1), integral = smoothing.fit(a)
-    fitted = c0 * smoothing.sup_h + c1 * integral.times ** (1.0 - a)
+    def fit(integral: StepIntegral, key: str):
+        """(C, C') fitted to the partial integrals of ``integral``, its series ``key``."""
+        series = report.series[key] = integral.series(0, "smoothing integral")
+        basis = np.column_stack([np.full_like(series.times, integral.peaks[1]),
+                                 series.times ** (1.0 - a)])
+        coeffs, _ = scipy.optimize.nnls(basis, series.values)
+        return float(coeffs[0]), float(coeffs[1])
+
+    c0, c1 = fit(smoothing, "smoothing_integral")
+    integral = report.series["smoothing_integral"]
+    fitted = c0 * smoothing.peaks[1] + c1 * integral.times ** (1.0 - a)
     fit_gap = float(np.abs(fitted - integral.values).max() / max(integral.values.max(), 1e-300))
     report.rates["smoothing_C"] = c0
     report.rates["smoothing_Cprime"] = c1
     report.add("smoothing integral envelope fit", (fit_gap, "<=", 0.25),
                note=f"C={c0:.3g}, C'={c1:.3g}")
 
-    (c0f, c1f), _ = refined.fit(a)
+    c0f, c1f = fit(refined, "smoothing_integral_refined")
     rel = max(abs(c0f - c0) / max(abs(c0), 1e-12), abs(c1f - c1) / max(abs(c1), 1e-12))
     report.add("smoothing constants stable under refinement", (rel, "<=", 0.20),
                note=f"refined C={c0f:.3g}, C'={c1f:.3g}")
 
-    l6sq = series_along(l6, l6.times, "L6^2", lambda t, u: norm(grid, u, "Lp", p=6.0) ** 2)
+    l6sq = report.series["l6_squared"] = series_along(
+        l6, l6.times, "L6^2", lambda t, u: norm(grid, u, "Lp", p=6.0) ** 2)
     slope, _ = fit_decay_rate(l6sq)
     report.rates["L6sq_theta"] = slope
     report.add("theta-weighted conformal corollary", (slope, "<=", -0.4))
@@ -1073,19 +1067,19 @@ class _Morawetz(Suite):
     scipy = ("scipy.fft", "scipy.linalg", "scipy.optimize")
 
     def plan(self, run):
-        """Its L6 times, 10 from t = 1 on the dt lattice, and its smoothing
-        observer, which integrates the W-flow to min(t_max, 10)."""
+        """Its L6 times, 10 from t = 1 on the dt lattice, and the smoothing
+        step integral of the W-flow to min(t_max, 10)."""
         c = run.config
         t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
-        return snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt), SmoothingObserver(run.grid, t_end)
+        return snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt), smoothing_integral(run.grid, t_end, c.dt)
 
     def run(self, run):
         (l6_times, smoothing), grid = run.planned(self), run.grid
         l6 = run.trajectory(l6_times)
         # the refinement check's auxiliary sweep, on about 1.5 times the points
-        refined = SmoothingObserver(make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent),
-                                    smoothing.t_end)
-        run.sweep([smoothing.t_end], grid=refined.grid, observer=refined)
+        fine = make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent)
+        refined = smoothing_integral(fine, smoothing.hi, run.config.dt)
+        run.sweep([smoothing.hi], grid=fine, observer=refined)
         return morawetz_suite(run.spec, run.potential, l6, smoothing, refined,
                               a=run.config.timedep_a, horizon=run.t_b)
 

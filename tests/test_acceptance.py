@@ -5,6 +5,7 @@ assert on their reports at the pinned tolerances.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the verdict lines as they appear.
 """
 
+import os
 import time
 from dataclasses import replace
 
@@ -175,6 +176,19 @@ def test_criterion_8_morawetz(morawetz_artifact):
     announce(8, ok, f"commutator min eig {by['kinetic Morawetz commutator positivity'].measured:.2e}, "
                     f"C={report.rates['smoothing_C']:.3g} C'={report.rates['smoothing_Cprime']:.3g} "
                     f"stable to {by['smoothing constants stable under refinement'].measured:.1%}")
+
+
+
+def test_morawetz_writes_its_series(morawetz_artifact):
+    # the smoothing partial integrals of both sweeps (n = 640 and the refined
+    # n = 961) at the same 8 checkpoints, and L6^2 at the 10 L6 times
+    series = morawetz_artifact.reports["morawetz"].series
+    assert sorted(series) == ["l6_squared", "smoothing_integral", "smoothing_integral_refined"]
+    assert sorted(map(os.path.basename, morawetz_artifact.series_files)) == [
+        f"morawetz__{key}.tsv" for key in sorted(series)]
+    coarse, fine = series["smoothing_integral"], series["smoothing_integral_refined"]
+    assert len(coarse.times) == 8 and coarse.times.tobytes() == fine.times.tobytes()
+    assert len(series["l6_squared"].times) == 10 and np.all(np.diff(coarse.values) > 0)
 
 
 def test_criterion_9_negative_tests(out_root):

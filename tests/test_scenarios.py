@@ -314,6 +314,29 @@ def test_unplanned_split_step_time_raises():
             ctx.trajectory([planned[0] + 0.5 * ctx.config.dt])
 
 
+@pytest.mark.parametrize("t_max, crowded", [(1.8, False), (1.05, True)], ids=["spread", "crowded"])
+def test_timedep_checkpoints_are_first_lattice_times_the_run_plans(monkeypatch, t_max, crowded):
+    # the timedep step integral records at the first dt lattice time at or
+    # after each of its 16 geometric targets on [1, t_end] (on a window
+    # shorter than 15 dt the targets crowd, several to one lattice time); the
+    # suite plans exactly those times and reads the flow at them alone
+    config = replace(small_w_flow_config(("timedep",)), t_max=t_max)
+    ctx = _Context(config)
+    ctx.plan(config.suites)
+    times, integral = ctx.planned(SUITES["timedep"])
+    lattice = np.arange(round(integral.hi / config.dt) + 1) * config.dt
+    first = sorted({float(lattice[np.flatnonzero(lattice >= t - 1e-9)[0]])
+                    for t in np.geomspace(1.0, integral.hi, 16)})
+    assert times.tolist() == integral.checkpoints.tolist() == first
+    assert (len(first) < 16) == crowded and integral.hi == lattice[-1]
+    read, trajectory = [], ctx.trajectory
+    monkeypatch.setattr(ctx, "trajectory", lambda ts: read.append(np.asarray(ts)) or trajectory(ts))
+    report = SUITES["timedep"].run(ctx)
+    assert read and all(np.isin(ts, times).all() for ts in read)
+    for series in report.series.values():
+        assert series.times.tolist() == first
+
+
 def test_refined_morawetz_sweep_stays_off_the_walls():
     # the morawetz refinement check sweeps the W-flow on about 1.5 times the
     # points, from the config's Gaussian evaluated on that grid; from psi0
@@ -323,9 +346,9 @@ def test_refined_morawetz_sweep_stays_off_the_walls():
     (_, smoothing), grid = SUITES["morawetz"].plan(ctx), ctx.grid
     fine = make_grid(grid.kind, int(round(grid.n * 1.5)) | 1, grid.extent)
     masses = []
-    ctx.sweep([smoothing.t_end], grid=fine,
+    ctx.sweep([smoothing.hi], grid=fine,
               observer=lambda t, u: masses.append(boundary_mass(fine, u)))
-    assert fine.n == 961 and len(masses) == round(smoothing.t_end / ctx.config.dt) + 1
+    assert fine.n == 961 and len(masses) == round(smoothing.hi / ctx.config.dt) + 1
     assert max(masses) <= BOUNDARY_MASS_TOL
 
 
@@ -564,6 +587,12 @@ def _short_fit():
                    suites=("positive_potential", "conformal_identity"))
 
 
+def _short_horizon():
+    return ScenarioConfig(name="short_horizon", suites=("gronwall", "conformal_identity", "adaptor"),
+                          grid_kind="radial3d", grid_n=96, grid_extent=10.0,
+                          potential_terms=((2.0, 1.0, 0.0),), dt=0.004, t_max=3.0)
+
+
 def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path, monkeypatch):
     # a suite's ValueError is recorded, the other suite still runs, and the
     # CLI exits 1
@@ -665,6 +694,14 @@ def _backward_scan(extent):
     # 3 samples in the L6 fit window: too few to fit a slope
     pytest.param(_short_fit(), "positive_potential", "L6 decay slope", "measured",
                  id="short-l6-window"),
+    # t_max = 3, but the flow reaches the walls first: the probed horizon is
+    # 0.85, so each window from t = 1 holds no time and reads NaN, instead of
+    # reading the flow past the horizon
+    *(pytest.param(_short_horizon(), suite, check, label, id=f"short-horizon-{suite}")
+      for suite, check, label in (
+          ("gronwall", "monitor under e^(d(t-1)) envelope, d=0.001", "worst excess"),
+          ("conformal_identity", "Heisenberg consistency", "measured"),
+          ("adaptor", "expectation decay slope <= -0.8", "measured"))),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):
@@ -727,7 +764,7 @@ def _python(code: str) -> str:
 
 def test_import_leaves_integrate_and_optimize_unloaded():
     # nothing imports scipy.integrate, and scipy.optimize is imported by its
-    # only user, SmoothingObserver.fit, not when proplab loads; the free
+    # only user, morawetz_suite, not when proplab loads; the free
     # scenario's run calls no scipy at all, so loading it loads none
     out = _python("import sys, proplab; proplab.load_scenario('free'); "
                   "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proplab import (HermitianOperator, Potential, TimeDependentPotential, Trajectory,
+from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      build_adaptor, classify_spectrum, conformal_Q, diagonalize,
                      free_spectral_data, gaussian_state, laplacian, make_grid,
                      momentum, multiplication, norm, position, trajectory_linear)
@@ -17,7 +17,8 @@ from proplab.suites import (AdaptedConformal, _envelope_clause, conformal_prob,
                             lens_positivity_values, morawetz_commutator_check,
                             morawetz_multiplier, morawetz_cancellation_check,
                             operator_identity_suite, positive_potential_suite,
-                            wall_trimmed, TimedepObserver)
+                            wall_trimmed, smoothing_integral,
+                            timedep_integral, timedep_suite)
 
 from conftest import dense_adaptor
 
@@ -179,6 +180,7 @@ def test_envelope_clause_reads_the_worst_excess_after_the_first_sample():
     over = ObservableSeries(times, envelope + np.array([0.0, -0.5, 1e-3]), "M")
     assert _envelope_clause(over, 0.1)[0] == pytest.approx(1e-3, rel=1e-9)
     assert _envelope_clause(ObservableSeries(times[:1], envelope[:1], "M"), 0.1)[0] == 0.0
+    assert np.isnan(_envelope_clause(ObservableSeries(times[:0], envelope[:0], "M"), 0.1)[0])
 
 
 def test_gronwall_sigma_zero_is_mass_plus_conformal():
@@ -285,11 +287,12 @@ def test_positive_potential_constant_stable_under_refinement():
     assert abs(c2 - c1) / c1 <= 0.20
 
 
-def timedep_report(grid, pot, spec, w, psi, t_end, dt, sample_count):
-    # the timedep suite: its observer fed by one Strang sweep from t = 0
-    observer = TimedepObserver(grid, spec, w, t_end, sample_count)
-    traj = trajectory_split(grid, pot, w, psi, observer.times, dt, observer=observer)
-    return observer.report(traj)
+def timedep_report(grid, pot, spec, w, psi, t_end, dt, expect_log_growth=False):
+    # the timedep suite: its step integral fed by one Strang sweep from t = 0,
+    # and the sweep's states at the integral's checkpoints
+    integral = timedep_integral(grid, w, t_end, dt)
+    traj = trajectory_split(grid, pot, w, psi, integral.checkpoints, dt, observer=integral)
+    return timedep_suite(traj, spec, w, integral, expect_log_growth)
 
 
 def test_timedep_suite_gaussian_profile_perturbation():
@@ -301,19 +304,18 @@ def test_timedep_suite_gaussian_profile_perturbation():
     w = TimeDependentPotential(lambda t: 0.05 * (1.0 + t) ** -1.0, lambda t: -0.05 * (1.0 + t) ** -2.0,
                                lambda x: np.exp(-x**2), lambda x: -2.0 * x * np.exp(-x**2))
     psi = gaussian_state(g, width=1.0)
-    report = timedep_report(g, pot, spec, w, psi, t_end=5.0, dt=5e-3, sample_count=12)
+    report = timedep_report(g, pot, spec, w, psi, t_end=5.0, dt=5e-3)
     assert report.passed, report.render()
 
 
 @pytest.mark.parametrize("kind", ["radial3d", "line"])
 def test_timedep_integrand_matches_the_sums_it_replaced(kind):
-    # the observer's slice stencil and dot products against the banded momentum
+    # the integrand's slice stencil and dot products against the banded momentum
     # and plain weighted sums, at every lattice time of a 300-step W-flow
     g = make_grid(kind, 96, 24.0)
     pot = Potential.gaussian(0.5)
-    spec = classified(g, pot)
     w = TimeDependentPotential.self_similar(0.3, 2.0, 0.5)
-    obs = TimedepObserver(g, spec, w, t_end=1.5)
+    integrand = timedep_integral(g, w, 1.5, 5e-3).integrand
     x, weight, p = g.points, g.quad_weight, momentum(g)
     l6_weight = weight / (1.0 if kind == "line" else x**4)
 
@@ -324,16 +326,15 @@ def test_timedep_integrand_matches_the_sums_it_replaced(kind):
         disp = (float(np.sum(l6_weight * mod2**3)) ** (1.0 / 3.0) + c_val / t**2) / t
         dtw = 4.0 * w.d_amplitude(t) * weight * float(np.sum(w.profile(x) * mod2))
         pgrad_terms = 8.0 * w.amplitude(t) * weight * (np.conj(pu) * w.d_profile(x) * u)
-        return (disp, dtw, float(np.sum(pgrad_terms).real), c_val), float(np.abs(pgrad_terms).sum())
+        return (disp, dtw, float(np.sum(pgrad_terms).real)), float(np.abs(pgrad_terms).sum())
 
     seen = []
 
     def compare(t, u):
         if t > 0:
-            (disp, dtw, pgrad, c_val), pgrad_scale = written_out(t, u)
-            got = obs._integrand(t, u)
-            for value, want, scale in zip(got, (disp, dtw, pgrad, c_val),
-                                          (disp, dtw, pgrad_scale, c_val)):
+            wanted, pgrad_scale = written_out(t, u)
+            for value, want, scale in zip(integrand(t, u), wanted,
+                                          (wanted[0], wanted[1], pgrad_scale)):
                 assert abs(value - want) <= 1e-13 * abs(scale)
             seen.append(t)
 
@@ -341,30 +342,73 @@ def test_timedep_integrand_matches_the_sums_it_replaced(kind):
     assert len(seen) == 300
 
 
+@pytest.mark.parametrize("kind", ["timedep", "smoothing"])
+def test_step_integral_is_a_written_out_trapezoid_and_max(kind):
+    # one W-flow sweep past the window's end: the observer's partial integrals
+    # at its checkpoints, its final integrals and its peaks, against a trapezoid
+    # and a running max written out over the sweep's lattice states in the
+    # window, bit for bit (the timedep integrand's three components, the
+    # smoothing density and ||psi||_{H^1/2}^2)
+    g = make_grid("radial3d", 96, 24.0)
+    pot = Potential.gaussian(0.5)
+    w = TimeDependentPotential.self_similar(0.3, 2.0, 0.5)
+    dt, hi = 5e-3, 2.0
+    integral = timedep_integral(g, w, hi, dt) if kind == "timedep" else smoothing_integral(g, hi, dt)
+    integrand, lo = integral.integrand, integral.lo
+    ts, vals = [], []
+
+    def feed(t, u):
+        integral(t, u)
+        if lo - 1e-12 <= t <= hi + 1e-9:
+            ts.append(t)
+            vals.append(integrand(t, u))
+
+    evolve_split(g, pot, w, gaussian_state(g, width=1.0), 2.5, dt, observer=feed)
+    ts, vals = np.array(ts), np.array(vals)
+    assert len(ts) == round((hi - lo) / dt) + 1 and vals.shape[1] == (3 if kind == "timedep" else 2)
+    steps = 0.5 * np.diff(ts)[:, None] * (vals[:-1] + vals[1:])
+    running = np.vstack([np.zeros((1, vals.shape[1])), np.add.accumulate(steps, axis=0)])
+    at = [int(np.flatnonzero(np.abs(ts - c) <= 1e-9)[0]) for c in integral.checkpoints]
+    partials = np.column_stack([integral.series(k, "").values for k in range(vals.shape[1])])
+    assert len(at) == (16 if kind == "timedep" else 8)
+    assert partials.tobytes() == running[at].tobytes()
+    assert np.array(integral.integrals).tobytes() == running[-1].tobytes()
+    assert np.array(integral.peaks).tobytes() == vals.max(axis=0).tobytes()
+
+
 def test_timedep_observer_gronwall_series_is_gronwall_monitor():
-    # one W-flow sweep: the observer's M(t), from the <C(t)> its integrand
-    # already computed, equals gronwall_monitor read off the same sweep at the
-    # observer's sampled times, bit for bit
+    # one W-flow sweep: the timedep suite reads its H1, asymptotic-energy and
+    # Gronwall series off the sweep's states at its checkpoints; each equals
+    # the value computed from the live state inside the sweep at that lattice
+    # time, M(t) from the <C(t)> of the integrand's momentum state, bit for bit
     g = make_grid("radial3d", 96, 24.0)
     pot = Potential.gaussian(0.5)
     spec = classified(g, pot)
     w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
-    observer = TimedepObserver(g, spec, w, t_end=2.0)
-    times, states = [], []
+    dt, w2, e = 5e-3, weight_vector(g, 2.0), spec.eigenvalues - 1.0
+    f_diag, inside = np.zeros_like(e), np.abs(e) < 1.0  # f(H), a smooth bump on (0, 2)
+    f_diag[inside] = np.exp(1.0 - 1.0 / (1.0 - e[inside] ** 2))
+    integral = timedep_integral(g, w, 2.0, dt)
+    times = integral.checkpoints
+    live = {"h1_norm": [], "asymptotic_energy": [], "gronwall_monitor": []}
 
     def feed(t, u):
-        observer(t, u)
-        if len(observer.sampled_ts) > len(times):
-            times.append(t)
-            states.append(u.copy())
+        integral(t, u)
+        if np.any(np.abs(times - t) <= 1e-9):
+            c_val = conformal_value(g, u, t, p_state=central_difference(g, u))
+            live["h1_norm"].append(norm(g, u, "H1"))
+            live["asymptotic_energy"].append(
+                float(np.sum(f_diag * np.abs(spec.coefficients(u)) ** 2) * g.quad_weight))
+            live["gronwall_monitor"].append(c_val / t**2 + g.expect(w2, u))
 
-    evolve_split(g, pot, w, gaussian_state(g, width=1.0), 2.0, 5e-3, observer=feed)
-    traj = Trajectory(g, np.array(times), states, np.zeros(len(times)))
-    observed = observer.report(traj).series["gronwall_monitor"]
-    read_off, _ = gronwall_monitor(traj, 1.0, 0.05, times=observer.sampled_ts)
-    assert len(observed.times) == 16
-    assert observed.times.tobytes() == read_off.times.tobytes()
-    assert observed.values.tobytes() == read_off.values.tobytes()
+    traj = trajectory_split(g, pot, w, gaussian_state(g, width=1.0), times, dt, observer=feed)
+    report = timedep_suite(traj, spec, w, integral)
+    assert len(times) == 16
+    for key, values in live.items():
+        assert report.series[key].times.tobytes() == times.tobytes()
+        assert report.series[key].values.tobytes() == np.array(values).tobytes(), key
+    read_off, _ = gronwall_monitor(traj, 1.0, 0.05, times=times)
+    assert report.series["gronwall_monitor"].values.tobytes() == read_off.values.tobytes()
 
 
 @pytest.mark.parametrize("log_growth, check, label", [
@@ -378,9 +422,8 @@ def test_timedep_observer_one_sample_window_reads_nan(log_growth, check, label):
     pot = Potential.gaussian(0.5)
     spec = classified(g, pot)
     w = TimeDependentPotential.self_similar(0.05, 2.0, 0.5)
-    observer = TimedepObserver(g, spec, w, t_end=1.0)
-    traj = trajectory_split(g, pot, w, gaussian_state(g, width=1.0), [1.0], 5e-3, observer=observer)
-    report = observer.report(traj, expect_log_growth=log_growth)
+    report = timedep_report(g, pot, spec, w, gaussian_state(g, width=1.0), t_end=1.0, dt=5e-3,
+                            expect_log_growth=log_growth)
     result = {c.name: c for c in report.checks}[check]
     clause = next(c for c in result.clauses if c[3] == label)
     assert np.isnan(clause[0]) and not result.holds(clause) and not report.passed
@@ -412,7 +455,7 @@ def test_timedep_suite_zero_w_reduces():
     spec = classified(g, pot)
     w0 = TimeDependentPotential.self_similar(0.0, 2.0, 0.5)
     psi = gaussian_state(g, width=1.0)
-    report = timedep_report(g, pot, spec, w0, psi, t_end=4.0, dt=0.01, sample_count=10)
+    report = timedep_report(g, pot, spec, w0, psi, t_end=4.0, dt=0.01)
     assert report.passed, report.render()
     # constant up to the O(dt^2) drift of the splitting itself
     f_series = report.series["asymptotic_energy"]
