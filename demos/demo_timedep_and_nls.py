@@ -17,7 +17,7 @@ from proplab import (Potential, TimeDependentPotential, classify_spectrum,
                      trajectory_split)
 from proplab.evolution import snap_to_lattice
 from proplab.observables import ObservableSeries
-from proplab.suites import gronwall_monitor, timedep_integral, timedep_suite
+from proplab.suites import gronwall_suite, timedep_integral, timedep_suite
 
 print(__doc__)
 
@@ -37,8 +37,7 @@ print(timedep_suite(traj, spec, w_t, integral).render())
 
 times = snap_to_lattice(np.geomspace(1.0, 8.0, 10), dt)
 traj = trajectory_split(grid, pot, w_t, psi0, times, dt)
-monitor, ok = gronwall_monitor(traj, 1.0, 0.05)
-print(f"\nGronwall monitor M(s) stays under M(1) e^(0.05 (s-1)): {ok}")
+print("\n" + gronwall_suite(traj, 0.05).render())
 
 print("\ndefocusing cubic flow, small data on the line:")
 line = make_grid("line", 1024, 120.0)

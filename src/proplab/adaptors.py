@@ -70,10 +70,6 @@ class QSelection:
         if self.purpose == "conformal" and np.any(self.samples > 1e-12):
             raise ValueError("conformal Q must be nonpositive so that -Q >= 0")
 
-    def flipped(self) -> "QSelection":
-        """Sign-flipped copy for negative tests; purpose downgraded to custom."""
-        return QSelection("custom", -self.samples, f"sign-flip of ({self.provenance})")
-
 
 def positive_part(f):
     """[f]_+ = f where f >= 0 else 0, applied pointwise on grid samples."""

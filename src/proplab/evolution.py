@@ -410,10 +410,9 @@ def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) 
     return float(ts[crossed.index(True)])
 
 
-def snap_to_lattice(times, dt: float, t0: float = 0.0):
-    """Round times onto the t0 + k dt lattice (deduplicated, ascending)."""
-    k = _distinct(np.maximum(np.round((np.asarray(times, dtype=float) - t0) / dt), 0))
-    return t0 + k * dt
+def snap_to_lattice(times, dt: float):
+    """Round times onto the k dt lattice (deduplicated, ascending)."""
+    return _distinct(np.maximum(np.round(np.asarray(times, dtype=float) / dt), 0)) * dt
 
 
 def _distinct(values):

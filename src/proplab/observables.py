@@ -198,11 +198,11 @@ def heisenberg_consistency(traj: Trajectory, prob: PropagationObservable,
 
 
 def pres_check(b_series: ObservableSeries, c_norm_sq: ObservableSeries,
-               g_abs_integral: float, tolerance: float = 1e-9) -> CheckResult:
+               g_abs_integral: float) -> CheckResult:
     """Integrated propagation inequality:
-    int ||C psi||^2 dt <= sup <B> + ||g||_L1 + tolerance."""
+    int ||C psi||^2 dt <= sup <B> + ||g||_L1 + 1e-9."""
     integral = float(np.trapezoid(c_norm_sq.values, c_norm_sq.times))
-    bound = float(np.max(b_series.values)) + abs(g_abs_integral) + tolerance
+    bound = float(np.max(b_series.values)) + abs(g_abs_integral) + 1e-9
     return CheckResult("propagation inequality", [(integral, "<=", bound)])
 
 

@@ -57,8 +57,6 @@ class ScenarioConfig:
     fit_t_lo: float = 5.0
     fit_t_hi: float = 50.0
     expect_log_growth: bool = False
-    corrupt_q_sign: bool = False
-    corrupt_db_dt: bool = False
 
 
 #: section -> key -> (kind, ScenarioConfig field)
@@ -73,7 +71,7 @@ _SCHEMA = {
     "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max"), "samples": (int, "samples")},
     "overrides": {key: (kind, key) for key, kind in (
         ("fit_t_lo", float), ("fit_t_hi", float),
-        ("expect_log_growth", bool), ("corrupt_q_sign", bool), ("corrupt_db_dt", bool))},
+        ("expect_log_growth", bool))},
 }
 
 
@@ -369,10 +367,10 @@ class _Context:
     def sample_times(self, lo: float, hi: float, count: int):
         """``count`` geometric times on [lo, hi], on the dt lattice (and
         positive) on a stepped run; a window with hi < lo, past the horizon,
-        holds none."""
+        holds none, and one with hi = lo the one time lo."""
         if hi < lo:
             return np.empty(0)
-        times = np.geomspace(max(lo, 1e-6), max(hi, lo * 1.01), count)
+        times = np.geomspace(max(lo, 1e-6), hi, count)
         if self.stepped:
             times = snap_to_lattice(times, self.config.dt)
             times = times[times > 0]
@@ -421,10 +419,8 @@ class _Context:
 
     def adaptor(self):
         if self._adaptor is None:
-            q = conformal_Q(self.potential, self.grid)
-            if self.config.corrupt_q_sign:
-                q = q.flipped()
-            self._adaptor = build_adaptor(self.spec, q, self.t_b, validity_horizon=self.horizon)
+            self._adaptor = build_adaptor(self.spec, conformal_Q(self.potential, self.grid),
+                                          self.t_b, validity_horizon=self.horizon)
             self.warnings.extend(self._adaptor.warnings)
         return self._adaptor
 

@@ -20,7 +20,7 @@ from .adaptors import (AdaptorOperator, QSelection, build_adaptor,
                        positive_part, remainder_expectation, residual_weighted_scan,
                        weighted_propagator_norm)
 from .evolution import (Trajectory, _distinct, gaussian_state, h_half_norm_sq,
-                        snap_to_lattice, trajectory_linear, validity_horizon)
+                        trajectory_linear, validity_horizon)
 from .grids import Grid, make_grid, norm, transit_energy_limit, weight_vector
 from .observables import (CheckResult, EstimateReport, ObservableSeries,
                           PropagationObservable, bounded_check, centered_derivative,
@@ -156,7 +156,7 @@ class _ConformalTerms:
     def w_dt(self, t, k):
         return [] if self.w is None else [(k * self.w_t.d_amplitude(t), self.w)]
 
-    def prob(self, adaptor, corrupt_db_dt: bool = False) -> PropagationObservable:
+    def prob(self, adaptor) -> PropagationObservable:
         b = [] if adaptor is None else [(1.0, adaptor)]
 
         def builder(t):
@@ -165,26 +165,22 @@ class _ConformalTerms:
             return OperatorSum(tuple(self.c(t, 1.0 / t) + self.vw(t, 4.0 * t) + b))
 
         def db_dt(t):
-            parts = (self.c_dt(t, 1.0 / t) + self.c(t, -1.0 / t**2) + self.vw(t, 4.0)
-                     + self.w_dt(t, 4.0 * t))
-            sign = -1.0 if corrupt_db_dt else 1.0
-            return OperatorSum(tuple((sign * k, op) for k, op in parts))
+            return OperatorSum(tuple(self.c_dt(t, 1.0 / t) + self.c(t, -1.0 / t**2)
+                                     + self.vw(t, 4.0) + self.w_dt(t, 4.0 * t)))
 
         return PropagationObservable(label="conformal[inverse_t]", builder=builder, db_dt=db_dt)
 
 
 def conformal_prob(grid: Grid, potential: Potential | None,
                    w_t: TimeDependentPotential | None,
-                   adaptor, corrupt_db_dt: bool = False) -> PropagationObservable:
+                   adaptor) -> PropagationObservable:
     """B(t) = C(t)/t + 4t(V+W) + B, the 1/t scale of the conformal estimates.
 
     B(t) and dB/dt are OperatorSums of banded terms and B, so no
     banded-plus-dense sum is formed.  ``adaptor`` is B (an AdaptorOperator,
-    or anything with ``apply``), or None.  ``corrupt_db_dt`` flips the sign of the
-    analytic derivative; it exists for negative tests and must make the
-    Heisenberg consistency fail.
+    or anything with ``apply``), or None.
     """
-    return _ConformalTerms(grid, potential, w_t).prob(adaptor, corrupt_db_dt)
+    return _ConformalTerms(grid, potential, w_t).prob(adaptor)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +279,13 @@ class AdaptedConformal:
 
     def __init__(self, spec: SpectralData, potential: Potential | None,
                  w_t: TimeDependentPotential | None,
-                 adaptor: AdaptorOperator | None, corrupt_db_dt: bool = False, states=()):
+                 adaptor: AdaptorOperator | None, states=()):
         grid, x = spec.grid, spec.grid.points
         self.grid, self.w_t, self.adaptor = grid, w_t, adaptor
         self.remainder = remainder_expectation(spec, adaptor) if adaptor is not None else None
         self.b = _BlockApplied(adaptor, states) if adaptor is not None else None
         self.terms = _ConformalTerms(grid, potential, w_t)
-        self.prob = self.terms.prob(self.b, corrupt_db_dt)
+        self.prob = self.terms.prob(self.b)
         self.v_neg = []  # the time-independent term [4 x.grad V + 4V]_-
         if potential is not None:
             neg = negative_part(4.0 * potential.xdv(x) + 4.0 * potential.v(x))
@@ -343,7 +339,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
                              potential: Potential | None,
                              w_t: TimeDependentPotential | None,
                              adaptor: AdaptorOperator | None, eval_ts,
-                             delta: float, h_of_t, corrupt_db_dt: bool = False,
+                             delta: float, h_of_t,
                              free_traj: Trajectory | None = None) -> EstimateReport:
     """Adapted conformal identity at ``eval_ts`` (``traj`` also samples t +-
     delta, caps 5 (delta^2 + h^2) + truncation term), Heisenberg
@@ -354,7 +350,7 @@ def conformal_identity_suite(traj: Trajectory, spec: SpectralData,
     grid = traj.grid
     report = EstimateReport("adapted conformal identity")
     cap_scheme = 5.0 * (delta**2 + grid.h**2)
-    identity = AdaptedConformal(spec, potential, w_t, adaptor, corrupt_db_dt, traj.states)
+    identity = AdaptedConformal(spec, potential, w_t, adaptor, traj.states)
     for t in eval_ts:
         resid, bv = identity.residual(traj, float(t), delta)
         report.add(f"identity residual at t={t:g}", (resid, "<=", cap_scheme + bv))
@@ -415,7 +411,7 @@ class _ConformalIdentity(Suite):
         return conformal_identity_suite(
             run.trajectory(all_ts), run.spec, run.potential, run.w_t,
             run.adaptor() if c.potential_terms else None, eval_ts, delta, run.h_of_t,
-            corrupt_db_dt=c.corrupt_db_dt, free_traj=free_traj)
+            free_traj=free_traj)
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +833,8 @@ def timedep_suite(traj: Trajectory, spec: SpectralData, w_t: TimeDependentPotent
         "dispersive_integral": disp_series,
         "h1_norm": h1,
         "asymptotic_energy": energy,
-        # the monitor's series alone; its envelope flag is the gronwall suite's
-        "gronwall_monitor": gronwall_monitor(traj, 1.0, 0.0, ts)[0],
+        # the monitor's series; its envelope clause is the gronwall suite's
+        "gronwall_monitor": gronwall_monitor(traj, 1.0, ts),
     }
     return report
 
@@ -849,27 +845,23 @@ def gronwall_value(grid: Grid, u, t: float, weight_sq) -> float:
     return conformal_value(grid, u, t) / t**2 + grid.expect(weight_sq, u)
 
 
-def gronwall_monitor(traj: Trajectory, sigma: float, d_const: float,
-                     times=None) -> tuple[ObservableSeries, bool]:
-    """M(s) (``gronwall_value``) along ``traj`` and the flag
-    M(t) <= M(t0) e^{d (t - t0)} for the scenario's declared d."""
+def gronwall_monitor(traj: Trajectory, sigma: float, times=None) -> ObservableSeries:
+    """M(s) (``gronwall_value``) along ``traj``, at ``times`` or on its valid window."""
     grid = traj.grid
     w2 = weight_vector(grid, 2.0 * sigma)
     ts = traj.valid_window() if times is None else np.asarray(times, dtype=float)
-    series = series_along(traj, ts[ts > 0], "gronwall monitor",
-                          lambda t, u: gronwall_value(grid, u, t, w2))
-    return series, CheckResult.holds(_envelope_clause(series, d_const))
+    return series_along(traj, ts[ts > 0], "gronwall monitor",
+                        lambda t, u: gronwall_value(grid, u, t, w2))
 
 
 def _envelope_clause(series: ObservableSeries, d_const: float):
     """M(t_i) <= M(t_0) e^{d (t_i - t_0)} + 1e-12 at every sample, as one clause
     on the worst excess over the samples after the first (the first's is 0 by
-    construction; a one-sample series reads 0, an empty one NaN)."""
-    if not len(series.times):
+    construction); a series of fewer than 2 samples bounds nothing and reads NaN."""
+    if len(series.times) < 2:
         return math.nan, "<=", 1e-12, "worst excess"
     envelope = series.values[0] * np.exp(d_const * (series.times - series.times[0]))
-    excess = (series.values - envelope)[1:]
-    return (float(excess.max()) if len(excess) else 0.0), "<=", 1e-12, "worst excess"
+    return float((series.values - envelope)[1:].max()), "<=", 1e-12, "worst excess"
 
 
 def gronwall_suite(traj: Trajectory, delta: float) -> EstimateReport:
@@ -877,7 +869,7 @@ def gronwall_suite(traj: Trajectory, delta: float) -> EstimateReport:
     d = max(delta, 1e-3) for the self-similar W of strength delta."""
     report = EstimateReport("Gronwall monitor")
     d_const = max(delta, 1e-3)
-    series = report.series["gronwall_monitor"] = gronwall_monitor(traj, 1.0, d_const)[0]
+    series = report.series["gronwall_monitor"] = gronwall_monitor(traj, 1.0)
     report.add(f"monitor under e^(d(t-1)) envelope, d={d_const:g}",
                _envelope_clause(series, d_const))
     return report
@@ -1071,7 +1063,7 @@ class _Morawetz(Suite):
         step integral of the W-flow to min(t_max, 10)."""
         c = run.config
         t_end = _lattice_floor(min(c.t_max, 10.0), c.dt)
-        return snap_to_lattice(np.geomspace(1.0, t_end, 10), c.dt), smoothing_integral(run.grid, t_end, c.dt)
+        return run.sample_times(1.0, t_end, 10), smoothing_integral(run.grid, t_end, c.dt)
 
     def run(self, run):
         (l6_times, smoothing), grid = run.planned(self), run.grid

@@ -17,6 +17,8 @@ from proplab import (Potential, build_adaptor, load_scenario, run_scenario,
 from proplab.cli import main as cli_main
 from proplab.suites import operator_identity_suite
 
+from conftest import plant
+
 
 def announce(num: int, ok: bool, detail: str):
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -191,16 +193,26 @@ def test_morawetz_writes_its_series(morawetz_artifact):
     assert len(series["l6_squared"].times) == 10 and np.all(np.diff(coarse.values) > 0)
 
 
-def test_criterion_9_negative_tests(out_root):
-    bad_q = replace(load_scenario("positive_potential_radial"),
-                    name="corrupt_q", grid_n=256, grid_extent=60.0,
-                    t_max=6.0, suites=("adaptor",), corrupt_q_sign=True)
-    art_q = run_scenario(bad_q, str(out_root))
+def failed_checks(artifact):
+    return sorted(c.name for report in artifact.reports.values() for c in report.checks
+                  if not c.passed)
 
-    bad_db = replace(load_scenario("free"), name="corrupt_db", grid_n=256,
+
+def test_criterion_9_negative_tests(out_root, monkeypatch):
+    # each planted defect FAILs exactly the checks that read what it breaks
+    bad_q = replace(load_scenario("positive_potential_radial"),
+                    name="flipped_q", grid_n=256, grid_extent=60.0,
+                    t_max=6.0, suites=("adaptor",))
+    with monkeypatch.context() as patch:
+        plant(patch, "flipped_q")
+        art_q = run_scenario(bad_q, str(out_root))
+
+    bad_db = replace(load_scenario("free"), name="negated_db_dt", grid_n=256,
                      grid_extent=16.0, t_max=2.0, dt=0.01,
-                     suites=("conformal_identity",), corrupt_db_dt=True)
-    art_db = run_scenario(bad_db, str(out_root))
+                     suites=("conformal_identity",))
+    with monkeypatch.context() as patch:
+        plant(patch, "negated_db_dt")
+        art_db = run_scenario(bad_db, str(out_root))
 
     focusing = serialize_config(load_scenario("cubic_nls_small")).replace(
         "lambda = 1.0", "lambda = -1.0")
@@ -208,9 +220,12 @@ def test_criterion_9_negative_tests(out_root):
     cfg_path.write_text(focusing)
     code = cli_main(["run", str(cfg_path), "--out-dir", str(out_root)])
 
-    ok = (not art_q.passed) and (not art_db.passed) and code == 2
-    announce(9, ok, f"sign-flipped Q fails ({not art_q.passed}), corrupted dB/dt "
-                    f"fails ({not art_db.passed}), focusing lambda rejected (exit {code})")
+    q_fails, db_fails = failed_checks(art_q), failed_checks(art_db)
+    ok = (q_fails == ["expectation decay slope <= -0.8", "expectation nonnegative",
+                      "positivity (for -Q >= 0)"]
+          and db_fails == ["Heisenberg consistency"] and code == 2)
+    announce(9, ok, f"sign-flipped Q fails {q_fails}, negated dB/dt fails {db_fails}, "
+                    f"focusing lambda rejected (exit {code})")
 
 
 def test_criterion_10_determinism(out_root):

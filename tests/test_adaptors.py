@@ -176,7 +176,7 @@ def test_adaptor_invariants_and_closure(line_grid):
 def test_flipped_q_breaks_positivity(line_grid):
     pot = Potential.gaussian(1.5, width=1.3)
     spec, _ = classified(line_grid, pot)
-    q = conformal_Q(pot, line_grid).flipped()
+    q = QSelection("custom", -conformal_Q(pot, line_grid).samples)
     adaptor = build_adaptor(spec, q, 4.0)
     assert np.linalg.eigvalsh(dense_adaptor(adaptor))[0] < -1e-8 * adaptor.norm_bound
 
@@ -268,7 +268,7 @@ def _q_case(name, pot, grid):
         return conformal_Q(pot, grid)
     if name == "dilation":
         return dilation_Q(pot, grid)
-    return conformal_Q(pot, grid).flipped()
+    return QSelection("custom", -conformal_Q(pot, grid).samples)
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,8 @@ from proplab.observables import (CheckResult, EstimateReport, bounded_check,
 from proplab.operators import HermitianOperator, conformal_value
 from proplab.suites import conformal_prob
 
+from conftest import plant
+
 
 def free_traj(grid, times, width=1.2):
     spec = free_spectral_data(grid)
@@ -70,7 +72,7 @@ def test_heisenberg_consistency_identity_and_conformal(line_grid):
     assert heisenberg_consistency(traj, prob_c, lambda t: lap_op, t0, dt) <= 5e-4
 
 
-def test_heisenberg_consistency_converges_and_detects_corruption():
+def test_heisenberg_consistency_converges_and_detects_corruption(monkeypatch):
     g1, g2 = make_grid("line", 256, 15.0), make_grid("line", 513, 15.0)
 
     def resid(g, dt):
@@ -99,7 +101,8 @@ def test_heisenberg_consistency_converges_and_detects_corruption():
     psi = gaussian_state(g, width=1.2)
     times = np.array([0.98, 1.0, 1.02])
     traj = trajectory_linear(spec, psi, times)
-    bad = conformal_prob(g, pot, None, None, corrupt_db_dt=True)
+    plant(monkeypatch, "negated_db_dt")
+    bad = conformal_prob(g, pot, None, None)
     assert heisenberg_consistency(traj, bad, lambda t: h_op, 1.0, 0.02) > 1.0
 
 

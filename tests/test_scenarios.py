@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,8 @@ from proplab.cli import main as cli_main
 from proplab.grids import BOUNDARY_MASS_TOL, boundary_mass
 from proplab.scenarios import SCENARIO_LIBRARY, _Context
 from proplab.suites import SUITES
+
+from conftest import plant
 
 MINIMAL = """
 [scenario]
@@ -44,8 +47,9 @@ def test_parse_rejects_unknown_section():
 # state is centered with no momentum, and the conformal observable is read at
 # the 1/t scale (no shifted time) with windows from t = 1; the flow's kind,
 # which [timedep].type decides; the eigenstate recipe, from which no run
-# could pass a decay check; and the threshold band's width, which the grid
-# sets (half its smallest free-Laplacian eigenvalue)
+# could pass a decay check; the threshold band's width, which the grid
+# sets (half its smallest free-Laplacian eigenvalue); and the two corruption
+# switches, whose defects the negative controls plant (conftest.plant)
 @pytest.mark.parametrize("section, key", [
     ("grid", "spacing"), ("timedep", "sigma"), ("timedep", "profile"),
     ("initial_state", "center"), ("initial_state", "momentum"), ("evolution", "t0"),
@@ -54,6 +58,7 @@ def test_parse_rejects_unknown_section():
     ("overrides", "h1_cap"), ("overrides", "conformal_coeff"), ("overrides", "waive_box_policy"),
     ("overrides", "t0_shift"), ("overrides", "prob_scale"), ("evolution", "method"),
     ("initial_state", "recipe"), ("initial_state", "k"), ("overrides", "eps_thr"),
+    ("overrides", "corrupt_q_sign"), ("overrides", "corrupt_db_dt"),
 ])
 def test_parse_rejects_unknown_key(section, key):
     bad = MINIMAL + f"\n[{section}]\n{key} = 1\n"
@@ -367,11 +372,28 @@ def test_run_directory_holds_one_run(tmp_path):
     assert "suites_run = operator_identities\n" in (run_dir / "manifest.txt").read_text()
 
 
-def test_manifest_written_on_failing_run(tmp_path):
-    config = replace(small_free_config(), name="free_broken", corrupt_db_dt=True)
-    artifact = run_scenario(config, str(tmp_path))
+def test_manifest_written_on_failing_run(tmp_path, monkeypatch):
+    plant(monkeypatch, "negated_db_dt")
+    artifact = run_scenario(replace(small_free_config(), name="free_broken"), str(tmp_path))
     assert not artifact.passed
     assert os.path.isfile(os.path.join(artifact.run_dir, "manifest.txt"))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_cli_run_fails_the_heisenberg_check_on_a_negated_db_dt(tmp_path, monkeypatch, planted):
+    # the negative control at the command line: with the analytic dB/dt of the
+    # conformal family negated, the Heisenberg consistency check, and it alone,
+    # FAILs, and the run exits 1; without the defect the same config passes
+    if planted:
+        plant(monkeypatch, "negated_db_dt")
+    path = tmp_path / "free_small.cfg"
+    path.write_text(serialize_config(small_free_config()))
+    code = cli_main(["run", str(path), "--out-dir", str(tmp_path / "runs")])
+    report = (tmp_path / "runs" / "free_small" / "report.txt").read_text()
+    flags = {name: flag for flag, name in re.findall(r"^  \[(PASS|FAIL)\] ([^:]+):", report, re.M)}
+    assert flags.pop("Heisenberg consistency") == ("FAIL" if planted else "PASS")
+    assert flags and set(flags.values()) == {"PASS"}
+    assert code == (1 if planted else 0)
 
 
 def test_cli_list_and_report(tmp_path, capsys):
@@ -593,6 +615,15 @@ def _short_horizon():
                           potential_terms=((2.0, 1.0, 0.0),), dt=0.004, t_max=3.0)
 
 
+def _one_sample_window():
+    # the flow reaches the walls at the probe t = 1.0, so the gronwall window
+    # from t = 1 is [1, 1], whose one sample bounds no envelope
+    return ScenarioConfig(name="one_sample", suites=("gronwall",), grid_kind="radial3d",
+                          grid_n=96, grid_extent=11.25, potential_terms=((2.0, 1.0, 0.0),),
+                          timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5,
+                          dt=0.02, t_max=3.0)
+
+
 def test_suite_that_raises_still_leaves_manifest_and_report(tmp_path, monkeypatch):
     # a suite's ValueError is recorded, the other suite still runs, and the
     # CLI exits 1
@@ -702,6 +733,8 @@ def _backward_scan(extent):
           ("gronwall", "monitor under e^(d(t-1)) envelope, d=0.001", "worst excess"),
           ("conformal_identity", "Heisenberg consistency", "measured"),
           ("adaptor", "expectation decay slope <= -0.8", "measured"))),
+    pytest.param(_one_sample_window(), "gronwall", "monitor under e^(d(t-1)) envelope, d=0.05",
+                 "worst excess", id="one-sample-gronwall"),
 ])
 def test_empty_scan_or_band_fails_its_clause_instead_of_raising(tmp_path, config, suite, check,
                                                                  label):
