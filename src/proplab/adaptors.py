@@ -36,8 +36,8 @@ factors R of W F and of W Phi_band (W = <x>^{-sigma}, k band modes) give
 ||W remainder W|| = ||R diag(q_S) R^*|| and ||W e^{-iHt} P_band W|| =
 ||R e^{-iEt} R^*||, at O(n^2 |S|) and O(n k^2) cost.  At t = 0 over the
 whole continuum that norm is the top eigenvalue of W P_c W = W^2 - B B^*
-with B = W Phi_b (bound modes only), which Lanczos iteration reaches at
-O(n k_b) per step.  Along a flow, <u, remainder(T) u> = sum_S q_s
+with B = W Phi_b (bound modes only): max w^2 with no bound mode, else one
+dense eigvalsh.  Along a flow, <u, remainder(T) u> = sum_S q_s
 |(F^* u)_s|^2 costs O(n |S|) per state once F is built.  The entrywise
 closure check runs over column blocks of i[H, B] (H banded), on and below the
 diagonal, and of the factored P_c Q P_c and remainder, so it forms no n x n
@@ -255,7 +255,8 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
     the box-transit limit so that no contributing mode has reflected inside
     the fit window (and the unresolved lattice band is excluded).  At t = 0
     with no band limit, P_c = I - Phi_b Phi_b^* and the value is the top
-    eigenvalue of W^2 - (W Phi_b)(W Phi_b)^*, taken by Lanczos iteration.
+    eigenvalue of W^2 - (W Phi_b)(W Phi_b)^*: max w^2 exactly when there is
+    no bound state, and otherwise from one dense eigvalsh.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -263,12 +264,10 @@ def weighted_propagator_norm(spec: SpectralData, sigma: float, t: float,
         raise ValueError("sigma must be nonnegative")
     w = weight_vector(spec.grid, sigma)
     if t == 0 and e_max is None:
-        from scipy.sparse.linalg import LinearOperator, eigsh  # this branch is its only user
-
         b = w[:, None] * spec.eigenvectors[:, spec.indices(BOUND)]
-        op = LinearOperator((len(w), len(w)), dtype=b.dtype,
-                            matvec=lambda x: w**2 * x.ravel() - b @ (b.conj().T @ x.ravel()))
-        return float(eigsh(op, k=1, which="LA", v0=w, tol=0, return_eigenvectors=False)[0])
+        if not b.size:  # P_c = I
+            return float((w**2).max())
+        return float(np.linalg.eigvalsh(np.diag(w**2) - b @ b.conj().T)[-1])
     cols, e = spec.continuum_basis(e_max=e_max)
     r = np.linalg.qr(w[:, None] * cols, mode="r")
     return _spectral_norm((r * np.exp(-1j * e * t)) @ r.conj().T)

@@ -23,8 +23,7 @@ unitary to roundoff and keeps the zeros beyond the span, grown by b, exact;
 mass is conserved to roundoff.
 ``h_half_norm_sq`` reads S diag(sqrt(1 + lam)) S as a Toeplitz-minus-Hankel
 quadratic form (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038-1051)
-from one long FFT; it imports ``scipy.fft`` at its first call, so of the runs
-that step only morawetz loads it.
+from one long ``numpy.fft`` transform at a 5-smooth length.
 """
 
 from __future__ import annotations
@@ -131,25 +130,34 @@ def _sine_kernel_spectra(e, m: int):
     Returned: the spectra of K(r) at the wrapped lags r = -(n - 1) .. n - 1
     and of K(r + 2), r = 0 .. 2n - 2.
     """
-    from scipy.fft import fft, ifft
-
     n = len(e)
-    k = ifft(np.concatenate([[0.0], e, [0.0], e[::-1]]))  # K(r), r = 0 .. 2n + 1
+    k = np.fft.ifft(np.concatenate([[0.0], e, [0.0], e[::-1]]))  # K(r), r = 0 .. 2n + 1
     toeplitz = np.zeros(m, dtype=complex)
     toeplitz[:n] = k[:n]
     toeplitz[m - n + 1:] = k[n - 1:0:-1]
     hankel = np.zeros(m, dtype=complex)
     hankel[:2 * n - 1] = k[2:2 * n + 1]
-    return fft(toeplitz), fft(hankel)
+    return np.fft.fft(toeplitz), np.fft.fft(hankel)
+
+
+def _fast_length(n: int) -> int:
+    """The least m >= n with no prime factor above 5, a fast FFT length."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 @lru_cache(maxsize=4)
 def _h_half_kernels(grid: Grid):
     """(m, Toeplitz spectrum / m as reals, Hankel spectrum / m) of
-    S diag(sqrt(1 + lam) - 1) S on ``grid``, at m = next_fast_len(2n)."""
-    from scipy.fft import next_fast_len
-
-    m = next_fast_len(2 * grid.n)
+    S diag(sqrt(1 + lam) - 1) S on ``grid``, at m = ``_fast_length(2n)``."""
+    m = _fast_length(2 * grid.n)
     a, b = _sine_kernel_spectra(np.sqrt(1.0 + free_laplacian_eigenvalues(grid)) - 1.0, m)
     return m, a.real / m, b / m  # K is real and even, so the Toeplitz spectrum is real
 
@@ -159,11 +167,9 @@ def h_half_norm_sq(grid: Grid, state) -> float:
     read as the identity plus a Toeplitz-minus-Hankel form: with U the FFT of
     the zero-padded u, <u, T u> = (1/m) sum_q a_q |U_q|^2 and
     <u, H u> = (1/m) Re sum_q b_q conj(U_q) U_{-q} (``_sine_kernel_spectra``)."""
-    from scipy.fft import fft
-
     m, a, b = _h_half_kernels(grid)
     u = np.asarray(state, dtype=complex)
-    spec = fft(u, n=m)
+    spec = np.fft.fft(u, n=m)
     power = spec.real * spec.real
     power += spec.imag * spec.imag
     reflected = np.concatenate([spec[:1], spec[:0:-1]])  # U_{(-q) mod m}

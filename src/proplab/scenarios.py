@@ -139,6 +139,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(config: ScenarioConfig):
+    # the run directory is <out-dir>/<name>, so a name is one path component
+    name = config.name
+    if name in ("", ".", "..") or any(c and c in name for c in (os.sep, os.altsep, "\0")):
+        raise ConfigError("[scenario].name must be one path component (not empty, '.' or '..', "
+                          f"no path separator or NUL), got {name!r}")
     for section, keys in _SCHEMA.items():  # every float, the Gaussian terms' included
         for key, (kind, fname) in keys.items():
             value = getattr(config, fname)

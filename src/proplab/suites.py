@@ -513,7 +513,6 @@ class _WeightedDecay(Suite):
     clean_threshold = True
     needs = (_RADIAL, ("[overrides].fit_t_lo", "0 < fit_t_lo < fit_t_hi (its fit window)",
                        lambda c: 0.0 < c.fit_t_lo < c.fit_t_hi))
-    scipy = ("scipy.sparse.linalg",)
 
     def run(self, run):
         return weighted_decay_suite(run.spec, run.config.fit_t_lo, run.config.fit_t_hi)
@@ -1001,6 +1000,21 @@ def smoothing_integral(grid: Grid, t_end: float, dt: float) -> StepIntegral:
     return StepIntegral(integrand, 0.0, t_end, _lattice_ceil(np.linspace(t_end / 6.0, t_end, 8), dt))
 
 
+def _nnls_two_columns(a, b) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0 for an (m, 2) matrix a, in closed form:
+    the least-squares x if it is nonnegative; otherwise the optimum lies on a
+    face of the quadrant (the active-set rule of Lawson & Hanson, Solving
+    Least Squares Problems, 1974, ch. 23), so it is the better of the two
+    one-column fits clamped at zero, or zero."""
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x >= 0):
+        return x
+    fits = np.zeros((3, 2))  # zero, then each column alone
+    for j, col in enumerate(a.T):
+        fits[j + 1, j] = max(col @ b, 0.0) / (col @ col) if col @ col > 0 else 0.0
+    return min(fits, key=lambda x: np.linalg.norm(a @ x - b))
+
+
 def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
                    smoothing: StepIntegral, refined: StepIntegral,
                    a: float = 0.5, horizon: float = 6.0) -> EstimateReport:
@@ -1011,8 +1025,6 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
     checked stable against ``refined``, the same flow on a finer grid), and
     the theta-weighted conformal corollary: the fitted slope of the L^6 norm
     squared at the times of ``l6`` is at most -theta + 0.1, theta = 1/2."""
-    import scipy.optimize  # lazy: this is its only user
-
     grid = l6.grid
     x = grid.points
     g_samples = 1.0 / np.sqrt(1.0 + x**2)
@@ -1029,8 +1041,8 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
         series = report.series[key] = integral.series(0, "smoothing integral")
         basis = np.column_stack([np.full_like(series.times, integral.peaks[1]),
                                  series.times ** (1.0 - a)])
-        coeffs, _ = scipy.optimize.nnls(basis, series.values)
-        return float(coeffs[0]), float(coeffs[1])
+        c0, c1 = _nnls_two_columns(basis, series.values)
+        return float(c0), float(c1)
 
     c0, c1 = fit(smoothing, "smoothing_integral")
     integral = report.series["smoothing_integral"]
@@ -1056,7 +1068,7 @@ def morawetz_suite(spec: SpectralData, potential: Potential, l6: Trajectory,
 
 class _Morawetz(Suite):
     needs = (_RADIAL, _FROM_ONE, _THREE_FROM_ONE, _V_NONNEGATIVE, _W_FLOW)
-    scipy = ("scipy.fft", "scipy.linalg", "scipy.optimize")
+    scipy = ("scipy.linalg",)
 
     def plan(self, run):
         """Its L6 times, 10 from t = 1 on the dt lattice, and the smoothing

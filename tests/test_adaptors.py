@@ -332,8 +332,9 @@ def shipped_positive_spec():
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5])
 def test_contraction_at_t0_matches_dense(shipped_positive_spec, well_spec, sigma):
-    # the Lanczos path of weighted_propagator_norm at t = 0, on the shipped
-    # positive_potential_radial spectrum and on one with bound states
+    # weighted_propagator_norm at t = 0 over the whole continuum: max w^2 on the
+    # shipped positive_potential_radial spectrum (no bound state), one dense
+    # eigvalsh on a spectrum with bound states
     for spec in (shipped_positive_spec, well_spec[0]):
         assert weighted_propagator_norm(spec, sigma, 0.0) == \
             pytest.approx(qr_contraction(spec, sigma), rel=1e-12)

@@ -9,7 +9,8 @@ from proplab import (HermitianOperator, Potential, TimeDependentPotential,
                      laplacian, make_grid, momentum, norm, trajectory_linear,
                      trajectory_split, validity_horizon)
 from proplab.evolution import (FLUSH_FLOOR, _SplitStepper, _distinct, _free_propagator,
-                               _half_width, h_half_norm_sq, snap_to_lattice)
+                               _fast_length, _half_width, h_half_norm_sq,
+                               snap_to_lattice)
 from proplab import evolution
 from proplab.grids import BOUNDARY_MASS_TOL, Grid, boundary_mass
 from proplab.scenarios import _Context, load_scenario
@@ -307,6 +308,12 @@ def test_h_half_norm_sq_matches_sine_transform_form(n):
               rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)):
         ref = grid.quad_weight * np.sum(np.sqrt(1.0 + lam) * np.abs(_sine_transform(u)) ** 2)
         assert h_half_norm_sq(grid, u) == pytest.approx(ref, rel=1e-13)
+
+
+def test_fast_length_is_the_least_5_smooth_length():
+    smooth = sorted(2**i * 3**j * 5**k for i in range(12) for j in range(8) for k in range(6))
+    for n in range(1, 2049):
+        assert _fast_length(n) == next(m for m in smooth if m >= n)
 
 
 def test_distinct_is_np_unique():
