@@ -105,6 +105,8 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0,
         if momentum != 0.0:
             raise ValueError("radial s-wave data cannot carry net momentum")
         psi = (x * np.exp(-((x - center) ** 2) / (2.0 * width**2))).astype(complex)
+    if not psi.any():
+        raise ValueError(f"a Gaussian of width {width:g} samples to 0 at every grid point")
     return psi / norm(grid, psi, "L2")
 
 
@@ -406,14 +408,10 @@ def trajectory_split(grid: Grid, potential: Potential | None,
 
 
 def validity_horizon(spec: SpectralData, psi0, t_max: float, samples: int = 60) -> float:
-    """Last probed time before the boundary mass of the exact flow crosses
-    its tolerance, on a uniform grid up to t_max; t_max if it never does.
-    Every probe comes from one ``SpectralData.flow`` block."""
-    ts = np.linspace(0.0, t_max, samples + 1)
-    crossed = [boundary_mass(spec.grid, u) > BOUNDARY_MASS_TOL for u in spec.flow(psi0, ts[1:])]
-    if not any(crossed):
-        return float(t_max)
-    return float(ts[crossed.index(True)])
+    """The ``Trajectory.validity_horizon`` of the exact flow probed at
+    ``samples`` + 1 uniform times from 0 to t_max: the last probe before the
+    boundary mass crosses its tolerance, t_max if it never does."""
+    return trajectory_linear(spec, psi0, np.linspace(0.0, t_max, samples + 1)).validity_horizon
 
 
 def snap_to_lattice(times, dt: float):

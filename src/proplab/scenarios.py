@@ -5,10 +5,17 @@ with delimited-text series and a manifest persisted per run.
 One scenario per config document.  The text format is strict INI-style
 sections of ``key = value`` lines; unknown sections or keys are rejected
 with their path, and ``parse_config(serialize_config(c)) == c``.  A config
-sets what a scenario varies; the rest is fixed in code: each suite's caps,
-the weight sigma = 1, W's profile <x>^-2, the adaptor horizon (half the
-validity horizon), the centered, momentum-free Gaussian state, and the
-conformal observable at the 1/t scale, whose windows start at t = 1.
+sets what a scenario varies; the rest is fixed in code: the weight
+sigma = 1, W's profile <x>^-2, the adaptor horizon (half the validity
+horizon), the centered, momentum-free Gaussian state, the conformal
+observable at the 1/t scale, and each suite's caps and window of geometric
+times (on the dt lattice on a stepped run).  From t = 1 to the validity
+horizon ``adaptor`` reads 12, ``positive_potential`` 20, ``gronwall`` 16,
+``timedep`` 16 checkpoints (the horizon kept in [2, t_max]) and
+``conformal_identity`` 4 (to min(1 + horizon/2, horizon); on a free run
+also 9 from 0 to min(2, t_max)); from t = 1 ``general_potential`` reads 16
+to its own flow's horizon (at least 1.5), ``nls`` 14 to t_max and
+``morawetz`` 10 to min(t_max, 10); ``weighted_decay`` reads 10 on [5, 50].
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ class ScenarioConfig:
     lnorm_target: float = 0.0            # 0 disables rescaling
     dt: float = 0.002
     t_max: float = 10.0
-    samples: int = 16
-    fit_t_lo: float = 5.0
-    fit_t_hi: float = 50.0
     expect_log_growth: bool = False
 
 
@@ -68,10 +72,8 @@ _SCHEMA = {
     "timedep": {"type": (str, "timedep_type"), "delta": (float, "timedep_delta"),
                 "a": (float, "timedep_a"), "lambda": (float, "nonlinearity")},
     "initial_state": {"width": (float, "state_width"), "lnorm_target": (float, "lnorm_target")},
-    "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max"), "samples": (int, "samples")},
-    "overrides": {key: (kind, key) for key, kind in (
-        ("fit_t_lo", float), ("fit_t_hi", float),
-        ("expect_log_growth", bool))},
+    "evolution": {"dt": (float, "dt"), "t_max": (float, "t_max")},
+    "overrides": {"expect_log_growth": (bool, "expect_log_growth")},
 }
 
 
@@ -164,10 +166,13 @@ def _validate(config: ScenarioConfig):
         raise ConfigError("[timedep].type: the semilinear flow needs [grid].kind = line")
     if config.dt <= 0:
         raise ConfigError(f"[evolution].dt must be positive, got {config.dt}")
-    if config.samples < 12:
-        raise ConfigError(f"[evolution].samples must be at least 12, got {config.samples}")
     if config.state_width <= 0:
         raise ConfigError(f"[initial_state].width must be positive, got {config.state_width}")
+    grid = make_grid(config.grid_kind, config.grid_n, config.grid_extent)
+    try:  # O(n), as run_scenario validates too: a width the grid cannot resolve samples to 0
+        gaussian_state(grid, width=config.state_width)
+    except ValueError as exc:
+        raise ConfigError(f"[initial_state].width: {exc}") from None
     if any(width <= 0 for _, width, _ in config.potential_terms):
         raise ConfigError("[potential].gaussians: widths must be positive")
     for s in config.suites:
@@ -219,39 +224,37 @@ def _shipped() -> dict[str, ScenarioConfig]:
         name="free", suites=("operator_identities", "conformal_identity"),
         grid_kind="line", grid_n=1024, grid_extent=20.0,
         potential_terms=(), state_width=2.5,
-        t_max=3.0, samples=12, dt=0.004)
+        t_max=3.0, dt=0.004)
     lib["positive_potential_radial"] = ScenarioConfig(
         name="positive_potential_radial",
         suites=("adaptor", "weighted_decay", "positive_potential", "conformal_identity"),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((2.0, 1.0, 0.0),), state_width=1.0,
-        t_max=14.0, samples=20, dt=0.004,
-        fit_t_lo=5.0, fit_t_hi=50.0)
+        t_max=14.0, dt=0.004)
     lib["well_with_barrier"] = ScenarioConfig(
         name="well_with_barrier", suites=("general_potential",),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((-6.0, 1.0, 1.5), (0.5, 1.0, 3.5)),
-        state_width=1.0, t_max=14.0, samples=16)
+        state_width=1.0, t_max=14.0)
     lib["self_similar_W"] = ScenarioConfig(
         name="self_similar_W", suites=("timedep", "gronwall", "conformal_identity"),
         grid_kind="radial3d", grid_n=768, grid_extent=120.0,
         potential_terms=((0.5, 1.0, 0.0),),
         timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
-        dt=0.002, t_max=10.0, samples=16)
+        dt=0.002, t_max=10.0)
     lib["cubic_nls_small"] = ScenarioConfig(
         name="cubic_nls_small", suites=("nls",),
         grid_kind="line", grid_n=2048, grid_extent=240.0,
         potential_terms=((0.2, 1.0, 0.0),),
         timedep_type="semilinear", nonlinearity=1.0,
         state_width=1.0, lnorm_target=0.18,
-        dt=0.001, t_max=30.0, samples=14,
-        fit_t_lo=1.0, fit_t_hi=30.0)
+        dt=0.001, t_max=30.0)
     lib["morawetz_radial"] = ScenarioConfig(
         name="morawetz_radial", suites=("morawetz",),
         grid_kind="radial3d", grid_n=640, grid_extent=100.0,
         potential_terms=((1.5, 1.0, 3.0),),
         timedep_type="self_similar", timedep_delta=0.05, timedep_a=0.5, state_width=1.0,
-        dt=0.002, t_max=10.0, samples=12)
+        dt=0.002, t_max=10.0)
     return lib
 
 

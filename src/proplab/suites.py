@@ -65,10 +65,10 @@ class Suite:
 
 
 class _Monitored(Suite):
-    """A suite that reads ``[evolution].samples`` times from t = 1 to the horizon."""
+    """A suite that reads ``count`` times from t = 1 to the horizon."""
 
     def plan(self, run):
-        return run.sample_times(lo=1.0, hi=run.horizon, count=run.config.samples), None
+        return run.sample_times(lo=1.0, hi=run.horizon, count=self.count), None
 
 
 _RADIAL = ("[grid].kind", "kind = radial3d (it checks a 3d radial estimate)",
@@ -246,6 +246,8 @@ def operator_identity_suite(n: int, extent: float, potential: Potential,
 
 class _OperatorIdentities(Suite):
     spectrum = False
+    needs = (("[evolution].dt", "dt < 1 (its centered difference at t = 1 reads the flow at 1 - dt)",
+              lambda c: c.dt < 1.0),)
 
     def run(self, run):
         c = run.config
@@ -470,18 +472,18 @@ def adaptor_suite(spec: SpectralData, h_op: HermitianOperator,
     return report
 
 
-def weighted_decay_suite(spec: SpectralData, fit_t_lo: float, fit_t_hi: float) -> EstimateReport:
+def weighted_decay_suite(spec: SpectralData) -> EstimateReport:
     """Pointwise weighted decay: the fitted slope of ||W e^{-iHt} P_c W||,
-    W = <x>^-1 (sigma = 1), on [fit_t_lo, fit_t_hi], over the band no wave
-    leaves the box by fit_t_hi and the lattice resolves, and the contraction
+    W = <x>^-1 (sigma = 1), at 10 times on [5, 50], over the band no wave
+    leaves the box by t = 50 and the lattice resolves, and the contraction
     at t = 0."""
-    sigma = 1.0
+    sigma, t_lo, t_hi = 1.0, 5.0, 50.0
     report = EstimateReport("pointwise weighted decay")
-    e_cut = min(transit_energy_limit(spec.grid, fit_t_hi), resolution_energy_limit(spec.grid))
+    e_cut = min(transit_energy_limit(spec.grid, t_hi), resolution_energy_limit(spec.grid))
     modes = len(spec.continuum_basis(e_max=e_cut)[1])
     slope = width = math.nan
     if modes:
-        ts = np.geomspace(fit_t_lo, fit_t_hi, 10)
+        ts = np.geomspace(t_lo, t_hi, 10)
         vals = np.array([weighted_propagator_norm(spec, sigma, float(t), e_max=e_cut) for t in ts])
         series = ObservableSeries(ts, vals, "weighted propagator norm")
         report.series["weighted_norm"] = series
@@ -495,13 +497,11 @@ def weighted_decay_suite(spec: SpectralData, fit_t_lo: float, fit_t_hi: float) -
     return report
 
 
-class _Adaptor(Suite):
+class _Adaptor(_Monitored):
+    count = 12
     clean_threshold = True
     needs = (("[potential].gaussians", "V != 0 (with V = 0, B_V = 0 and its expectation cannot decay)",
               lambda c: any(amp for amp, _, _ in c.potential_terms)), _FROM_ONE)
-
-    def plan(self, run):
-        return run.sample_times(lo=1.0, hi=run.horizon, count=12), None
 
     def run(self, run):
         times, _ = run.planned(self)
@@ -511,11 +511,10 @@ class _Adaptor(Suite):
 
 class _WeightedDecay(Suite):
     clean_threshold = True
-    needs = (_RADIAL, ("[overrides].fit_t_lo", "0 < fit_t_lo < fit_t_hi (its fit window)",
-                       lambda c: 0.0 < c.fit_t_lo < c.fit_t_hi))
+    needs = (_RADIAL,)
 
     def run(self, run):
-        return weighted_decay_suite(run.spec, run.config.fit_t_lo, run.config.fit_t_hi)
+        return weighted_decay_suite(run.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +581,7 @@ def positive_potential_suite(traj: Trajectory, potential: Potential,
 
 
 class _PositivePotential(_Monitored):
+    count = 20
     needs = (_V_NONNEGATIVE, ("[evolution].t_max", "t_max > 1.5 (its fit window starts there)",
                               lambda c: c.t_max > 1.5))
 
@@ -660,18 +660,18 @@ def general_potential_suite(spec: SpectralData, lap: HermitianOperator,
 
 
 class _GeneralPotential(Suite):
-    """Reads its own exact flow: of psi0's continuum part, normalized, from
-    t = 1 to that flow's validity horizon."""
+    """Reads its own exact flow: of psi0's continuum part, normalized, at 16
+    times from t = 1 to that flow's validity horizon (at least 1.5)."""
 
     clean_threshold = True
     scipy = ("scipy.linalg",)
 
     def run(self, run):
-        c, spec = run.config, run.spec
+        spec = run.spec
         psi = spec.continuum_part(run.psi0)
         psi = psi / norm(run.grid, psi, "L2")
-        horizon = validity_horizon(spec, psi, c.t_max)
-        traj = trajectory_linear(spec, psi, np.geomspace(1.0, max(horizon, 1.5), c.samples))
+        horizon = validity_horizon(spec, psi, run.config.t_max)
+        traj = trajectory_linear(spec, psi, np.geomspace(1.0, max(horizon, 1.5), 16))
         return general_potential_suite(spec, laplacian(run.grid), run.potential, traj,
                                        np.geomspace(1.0, 50.0, 8),
                                        e_max=resolution_energy_limit(run.grid))
@@ -681,11 +681,11 @@ class _GeneralPotential(Suite):
 # defocusing cubic flow
 
 
-def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateReport:
+def nls_suite(traj: Trajectory, mass0: float, at_one) -> EstimateReport:
     """Defocusing cubic flow: mass conservation along ``traj`` against the
     initial ``mass0``, the order-2 step-halving ratio of ``at_one`` (the
     states at t = 1 stepped at dt, dt/2 and dt/4), and the sup-norm decay
-    slope on ``fit_window``."""
+    slope on the valid window of ``traj``."""
     grid = traj.grid
     report = EstimateReport("defocusing cubic flow")
     masses = np.array([norm(grid, s, "L2") ** 2 for s in traj.states])
@@ -698,7 +698,7 @@ def nls_suite(traj: Trajectory, mass0: float, at_one, fit_window) -> EstimateRep
     ratio = d1 / d2 if d2 > 0 else math.inf
     report.add("order-2 step convergence ratio", (ratio, "in", ORDER2_WINDOW))
 
-    window = traj.valid_window(*fit_window)
+    window = traj.valid_window()
     linf = report.series["sup_norm"] = series_along(traj, window, "sup norm",
                                                     lambda t, u: norm(grid, u, "Lp", p=math.inf))
     slope, width = fit_decay_rate(linf)
@@ -713,15 +713,11 @@ class _Nls(Suite):
              ("[timedep].type", "type = semilinear (it checks the cubic flow alone)",
               lambda c: c.timedep_type == "semilinear"),
              ("[evolution].dt", "a dt that divides 1 (its order-2 check compares states at t = 1)",
-              lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10),
-             ("[overrides].fit_t_lo", "fit_t_lo < min(fit_t_hi, t_max) (its fit window)",
-              lambda c: c.fit_t_lo < min(c.fit_t_hi, c.t_max)))
+              lambda c: abs(math.remainder(1.0, c.dt)) <= 1e-10), _FROM_ONE)
 
     def plan(self, run):
-        """The samples of its fit window, then t = 1."""
-        c = run.config
-        fit_ts = run.sample_times(lo=c.fit_t_lo, hi=min(c.fit_t_hi, c.t_max), count=c.samples)
-        return np.append(fit_ts, 1.0), None
+        """14 times from t = 1, the first, to t_max."""
+        return run.sample_times(lo=1.0, hi=run.config.t_max, count=14), None
 
     def run(self, run):
         c, (times, _) = run.config, run.planned(self)
@@ -729,8 +725,7 @@ class _Nls(Suite):
         # auxiliary references at dt/2 and dt/4
         at_one = [run.trajectory([1.0]).states[0]]
         at_one += [run.sweep([1.0], dt=c.dt / k).states[0] for k in (2.0, 4.0)]
-        return nls_suite(run.trajectory(times[:-1]), norm(run.grid, run.psi0, "L2") ** 2,
-                         at_one, (c.fit_t_lo, c.fit_t_hi))
+        return nls_suite(run.trajectory(times), norm(run.grid, run.psi0, "L2") ** 2, at_one)
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +887,7 @@ class _Timedep(Suite):
 
 
 class _Gronwall(_Monitored):
+    count = 16
     needs = (_FROM_ONE,)
 
     def run(self, run):
